@@ -214,6 +214,10 @@ def server_classify(pk, enc_q: list, db: LabeledDatabase,
         raise ParameterError("query dimension does not match ring params")
     if db.n != pp.n:
         raise ParameterError("database size does not match protocol params")
+    if pp.ring.n != pp.n:
+        # the distance map's range and the coin denominators would then
+        # disagree, and the moment coins could saturate without an error
+        raise ParameterError("ring was selected for a different database size")
     xs, t_star = _threshold_pipeline(enc_q, db, pp)
     c0, c1 = count_classes(xs, t_star, db.labels, pp, mapped=True)
     return interp.is_smaller(c0, c1, pp.ring)

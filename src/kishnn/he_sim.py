@@ -4,7 +4,8 @@ Ciphertexts carry a hidden ring value (one or more slots, mirroring a
 SIMD-packed ciphertext), a multiplicative-depth tag and a key binding.
 The evaluation interface never reveals values; only decrypt with the
 matching secret key does.  Every cipher-by-cipher multiplication is
-metered per slot, plaintext-scalar operations are free.
+metered per slot, plaintext-scalar operations are free, and a table
+lookup is metered as the circuit that evaluates the table.
 """
 
 from __future__ import annotations
@@ -272,6 +273,20 @@ def pack(ciphers: list, ring: RingParams) -> Cipher:
     depth = max(c.depth for c in ciphers)
     out = Cipher(vals, depth, key_id)
     _note_depth(depth)
+    return out
+
+
+def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
+                 depth: int) -> Cipher:
+    """Slot-wise values[c], charged as the circuit that evaluates it.
+
+    values holds a function over all of Z_P (a table's values); mults and
+    adds are that circuit's gates per slot and depth its output depth,
+    which is also the deepest level it reaches.
+    """
+    out = Cipher(values[c._values], depth, c.key_id)
+    _note_mult(mults * out.size, depth)  # also notes depth when mults == 0
+    _note_add(adds * out.size, depth)
     return out
 
 

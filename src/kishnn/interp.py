@@ -1,10 +1,13 @@
-"""Polynomial interpolation over Z_P and low-depth ciphertext evaluation.
+"""Polynomial interpolation over Z_P and metered table evaluation.
 
-Any integer function on [0, P) becomes a degree P-1 coefficient table;
-tables are evaluated on ciphertexts with a baby-step/giant-step split so
-the non-scalar multiplication count stays O(sqrt(P)) and the depth
-O(log P).  Includes the named tables the classifier needs, among them the
-upper-half sign test that realizes strict comparison.
+Any integer function on [0, P) becomes a degree P-1 coefficient table.
+On a ciphertext a table is evaluated by lookup in its values over all of
+Z_P and charged the exact gates and depth of a baby-step/giant-step
+(Paterson-Stockmeyer) evaluation, which keeps the non-scalar
+multiplication count O(sqrt(P)) and the depth O(log P); the literal
+evaluation is kept as the reference.  Includes the named tables the
+classifier needs, among them the upper-half sign test that realizes
+strict comparison.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import functools
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,11 +29,30 @@ _CACHE_MAGIC = b"KPLT"
 
 @dataclass(frozen=True)
 class PolyTable:
-    """Dense coefficient table of one interpolated function over Z_modulus."""
+    """Dense coefficient table of one interpolated function over Z_modulus.
+
+    values[x] is the polynomial's value at x for every x in [0, modulus),
+    read-only; a table built from coefficients alone gets them from one
+    vectorised Horner pass.
+    """
 
     modulus: int
     coeffs: tuple
     name: str
+    values: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.values is None:
+            x = np.arange(self.modulus, dtype=np.int64)
+            values = np.zeros(self.modulus, dtype=np.int64)
+            for c in reversed(self.coeffs):
+                values = (values * x + c) % self.modulus
+        else:
+            values = np.array(self.values, dtype=np.int64)
+            if values.shape != (self.modulus,):
+                raise ParameterError("table values must cover Z_modulus")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def eval_plain(self, x: int) -> int:
         """Direct plaintext evaluation (Horner)."""
@@ -66,7 +88,8 @@ def lagrange_table(f, params: RingParams, name: str = "f") -> PolyTable:
     coeffs[0] = y[0]
     for j in range(1, P):
         coeffs[j] = (-w[P - 1 - j]) % P
-    return PolyTable(modulus=P, coeffs=tuple(int(c) for c in coeffs), name=name)
+    return PolyTable(modulus=P, coeffs=tuple(int(c) for c in coeffs),
+                     name=name, values=y)
 
 
 def _balanced_powers(x: Cipher, top: int, ring: RingParams) -> dict:
@@ -77,12 +100,67 @@ def _balanced_powers(x: Cipher, top: int, ring: RingParams) -> dict:
     return xp
 
 
+def _ps_split(deg: int) -> tuple:
+    """Block size s ~ sqrt(deg+1) and block count t of the schedule."""
+    s = math.isqrt(deg)
+    if s * s < deg + 1:
+        s += 1
+    return s, -(-(deg + 1) // s)
+
+
+def _power_depths(depth: int, top: int) -> list:
+    """Depths of x^0 (unused) .. x^top from _balanced_powers on an input
+    of the given depth."""
+    d = [depth, depth]
+    for j in range(2, top + 1):
+        d.append(max(d[j // 2], d[(j + 1) // 2]) + 1)
+    return d
+
+
+@functools.lru_cache(maxsize=4096)
+def ps_cost(degree: int, depth_in: int) -> tuple:
+    """(mults per slot, cipher adds per slot, output depth) that
+    eval_poly_ps_reference meters on a table of this degree and an input
+    of depth depth_in, replayed from the schedule's integer recurrences.
+
+    Every intermediate of the schedule is at most as deep as its output,
+    so the output depth is also the deepest level it meters.
+    """
+    if degree == 0:
+        return 0, 0, 0  # the constant, embedded for free
+    s, t = _ps_split(degree)
+    kmax = min(s, degree)
+    baby = _power_depths(depth_in, kmax)
+    block = max(baby[1:])  # linear_combine tags every block this deep
+    if t == 1:
+        return kmax - 1, 0, block
+    giant = _power_depths(baby[s], t - 1)
+    depth = max(max(block, giant[i]) + 1 for i in range(1, t))
+    # baby powers x^2..x^kmax, giant powers y^2..y^(t-1), t-1 block products
+    return (kmax - 1) + (t - 2) + (t - 1), t - 1, depth
+
+
 def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
-    """Baby-step/giant-step evaluation of an interpolated table.
+    """Evaluate an interpolated table on a ciphertext.
+
+    The result is the lookup table.values[x], and the gates and depth
+    metered are exactly those of the baby-step/giant-step evaluation
+    (eval_poly_ps_reference) on the same input, from ps_cost: non-scalar
+    gates <= 3*ceil(sqrt(P)) and depth <= log2(P)+4 above the input's.
+    """
+    if table.modulus != params.modulus:
+        raise ParameterError("table interpolated over a different ring")
+    mults, adds, depth = ps_cost(table.degree(), x.depth)
+    return he_sim.table_lookup(x, table.values, mults, adds, depth)
+
+
+def eval_poly_ps_reference(table: PolyTable, x: Cipher,
+                           params: RingParams) -> Cipher:
+    """Literal baby-step/giant-step evaluation of an interpolated table,
+    the reference eval_poly_ps is checked against.
 
     Block size ~ sqrt(degree+1); block contents use only plaintext-scalar
-    multiplications, blocks are combined through precomputed giant powers,
-    keeping non-scalar gates <= 3*ceil(sqrt(P)) and depth <= log2(P)+4.
+    multiplications, blocks are combined through precomputed giant powers.
     """
     if table.modulus != params.modulus:
         raise ParameterError("table interpolated over a different ring")
@@ -90,10 +168,7 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
     if deg == 0:
         return he_sim.embed_like(x, np.full(x.size, table.coeffs[0],
                                             dtype=np.int64))
-    s = math.isqrt(deg)
-    if s * s < deg + 1:
-        s += 1
-    t = -(-(deg + 1) // s)
+    s, t = _ps_split(deg)
     kmax = min(s, deg)
     xp = _balanced_powers(x, kmax, ring=params)
     # Block i holds coefficients c[i*s] .. c[i*s+s-1]; the x^j weights are
@@ -128,7 +203,13 @@ def _round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-@functools.lru_cache(maxsize=8)
+def _map_range(params: RingParams) -> int:
+    """R = min(B, n, isqrt(n * p)), the largest value of the distance map
+    and the only way the named tables depend on n."""
+    n, p = params.n, params.coord_bound
+    return min(params.dist_bound, n, math.isqrt(n * p))
+
+
 def dist_map(params: RingParams) -> tuple:
     """The Gaussianizing distance map t(x) for x in [0, dist_bound].
 
@@ -141,9 +222,11 @@ def dist_map(params: RingParams) -> tuple:
     t(x) <= n and t(x)^2 <= n * p, so neither moment's coins saturate.
     The map is nondecreasing with t(0) = 0.
     """
-    B = params.dist_bound
-    n, p = params.n, params.coord_bound
-    R = min(B, n, math.isqrt(n * p))
+    return _dist_map(params.dist_bound, _map_range(params))
+
+
+@functools.lru_cache(maxsize=8)
+def _dist_map(B: int, R: int) -> tuple:
     scale = R / math.log1p(B)
     return tuple(int(math.floor(scale * math.log1p(x) + 0.5))
                  for x in range(B + 1))
@@ -167,8 +250,34 @@ class NamedTables:
                 self.dist_map)
 
 
-@functools.lru_cache(maxsize=8)
+class _TablesKey:
+    """What the named tables depend on -- modulus, coord_bound, dist_bound
+    and the distance map's range R -- carrying the ring to build them from.
+    n enters only through R, so databases of different sizes share tables.
+    """
+
+    __slots__ = ("params", "key")
+
+    def __init__(self, params: RingParams):
+        self.params = params
+        self.key = (params.modulus, params.coord_bound, params.dist_bound,
+                    _map_range(params))
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
 def build_named_tables(params: RingParams) -> NamedTables:
+    """The classifier's tables for a ring, built once per _TablesKey."""
+    return _build_named_tables(_TablesKey(params))
+
+
+@functools.lru_cache(maxsize=8)
+def _build_named_tables(key: _TablesKey) -> NamedTables:
+    params = key.params
     P = params.modulus
     p = params.coord_bound
     tmap = dist_map(params)

@@ -18,20 +18,6 @@ from . import he_sim, interp
 from .he_sim import Cipher
 from .ring import ParameterError, RingParams
 
-# Plaintext-side saturation diagnostic; reads hidden slot values, so it is
-# only honored when the test trapdoor is switched on.
-_diagnostics = {"enabled": False, "saturated_coins": 0}
-
-
-def enable_diagnostics(on: bool = True) -> None:
-    _diagnostics["enabled"] = on
-    _diagnostics["saturated_coins"] = 0
-
-
-def saturated_coin_count() -> int:
-    return _diagnostics["saturated_coins"]
-
-
 def derive_seed(base: int, label: str) -> int:
     """Named sub-stream seed; all randomness flows from one base seed."""
     h = hashlib.blake2b(f"{base}:{label}".encode(), digest_size=8)
@@ -78,6 +64,19 @@ class CoinSpec:
             return bisect.bisect_left(self.dist_map, c)
         return c
 
+    def inverse_ceil_array(self, rs: np.ndarray) -> np.ndarray:
+        """inverse_ceil of every entry of rs (int64, each >= 1)."""
+        c = np.asarray(rs, dtype=np.int64)
+        if self.f == "square":
+            v = c - 1
+            s = np.sqrt(v.astype(np.float64)).astype(np.int64)
+            s -= s * s > v  # float sqrt is off by at most one
+            s += (s + 1) * (s + 1) <= v
+            c = s + 1
+        if self.dist_map:
+            return np.searchsorted(np.asarray(self.dist_map), c, side="left")
+        return c
+
 
 def compute_dists(enc_q: list, points: np.ndarray, params: RingParams) -> Cipher:
     """All n L1 distances |q - s_i| as one packed ciphertext.
@@ -117,13 +116,9 @@ def _coin_batch(xs: Cipher, rs: np.ndarray, spec: CoinSpec,
     plaintext, which keeps every comparison argument sign-safe.
     """
     tables = interp.build_named_tables(params)
-    rprime = np.array([spec.inverse_ceil(int(r)) for r in rs], dtype=np.int64)
+    rprime = spec.inverse_ceil_array(rs)
     mask = (rprime <= params.dist_bound).astype(np.int64)
     clamped = np.minimum(rprime, params.dist_bound)
-    if _diagnostics["enabled"]:
-        vals = xs._values  # test-build trapdoor
-        sat = sum(1 for v in vals if spec.apply(int(v)) > spec.m)
-        _diagnostics["saturated_coins"] += sat
     arg = he_sim.sub(xs, clamped, params)
     neg = interp.eval_poly_ps(tables.is_neg, arg, params)  # [x < r']
     bit = he_sim.rsub(1, neg, params)  # [x >= r']

@@ -176,6 +176,19 @@ def test_server_classify_validates_shapes(ring100, keys):
                         LabeledDatabase(pts[:10], labels[:10]), pp)
 
 
+def test_server_classify_rejects_a_ring_for_another_size(keys):
+    # a ring selected for n = 569 maps distances for 569 points; serving a
+    # 50-point database with it would let the mu coins saturate silently
+    ring = select_ring_params(100, dim=2, n=569)
+    rng = np.random.default_rng(0)
+    db = LabeledDatabase(rng.integers(0, 100, size=(50, 2)),
+                         rng.integers(0, 2, size=50))
+    pp = make_pp(ring, k=5, n=50)
+    enc_q = [he_sim.encrypt(keys.pk, 3), he_sim.encrypt(keys.pk, 4)]
+    with pytest.raises(ParameterError, match="database size"):
+        server_classify(keys.pk, enc_q, db, pp)
+
+
 def test_server_never_decrypts(ring100, keys):
     pts, labels = two_cluster_db(20, 100, gap=1)
     db = LabeledDatabase(pts, labels)

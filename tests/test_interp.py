@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from kishnn import he_sim, interp
 from kishnn.interp import (PolyTable, build_named_tables, eval_poly_ps,
-                           is_smaller, lagrange_table, load_table, save_table)
+                           eval_poly_ps_reference, is_smaller, lagrange_table,
+                           load_table, save_table)
 from kishnn.ring import ParameterError, select_ring_params
 
 
@@ -141,6 +142,73 @@ def test_ps_equals_horner_property(x, seed):
     c = he_sim.encrypt(keys.pk, x)
     assert he_sim.decrypt(keys.sk, eval_poly_ps(table, c, ring)) \
         == table.eval_plain(x)
+
+
+def test_table_values_are_the_polynomial_everywhere(ring):
+    rng = np.random.default_rng(3)
+    coeffs = tuple(int(v) for v in rng.integers(0, 23, 23))
+    from_coeffs = PolyTable(23, coeffs, "c")
+    interpolated = lagrange_table(lambda x: (5 * x + 1) % 23, ring, "lin")
+    for x in range(23):
+        assert from_coeffs.values[x] == from_coeffs.eval_plain(x)
+        assert interpolated.values[x] == interpolated.eval_plain(x)
+    assert not from_coeffs.values.flags.writeable
+
+
+# Rings of modulus 23, 97, 397 and 997 (grid 6, 24, 100 and 250).
+DIFF_GRIDS = (6, 24, 100, 250)
+NAMED = ("sqrt", "square_div_p", "is_zero", "sqrt_plus_p", "sqrt_times_p",
+         "is_neg", "dist_map")
+
+
+def _both_paths(table, xs, depth, ring):
+    """(values, output depth, mult gates, add gates, max depth) of the
+    lookup and of the literal evaluation on the same input."""
+    keys = he_sim.keygen(ring, 5)
+    out = []
+    for evaluate in (eval_poly_ps, eval_poly_ps_reference):
+        c = he_sim.encrypt(keys.pk, xs)
+        c.depth = depth
+        with he_sim.metering() as m:
+            r = evaluate(table, c, ring)
+        out.append((he_sim.decrypt(keys.sk, r), r.depth, m.mult_gates,
+                    m.add_gates, m.max_depth))
+    return out
+
+
+@given(grid=st.sampled_from(DIFF_GRIDS),
+       kind=st.sampled_from(NAMED + ("random",)),
+       degree_frac=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1),
+       slots=st.integers(1, 6), depth=st.integers(0, 12))
+@settings(max_examples=150, deadline=None)
+def test_lookup_matches_reference_schedule(grid, kind, degree_frac, seed,
+                                           slots, depth):
+    ring = select_ring_params(grid, dim=2, n=50)
+    P = ring.modulus
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        degree = int(degree_frac * (P - 1))
+        coeffs = np.zeros(P, dtype=np.int64)
+        coeffs[:degree + 1] = rng.integers(0, P, degree + 1)
+        coeffs[degree] = rng.integers(1, P)
+        table = PolyTable(P, tuple(int(c) for c in coeffs), "random")
+    else:
+        table = getattr(build_named_tables(ring), kind)
+    xs = [int(v) for v in rng.integers(0, P, slots)]
+    lookup, reference = _both_paths(table, xs, depth, ring)
+    assert lookup == reference
+
+
+@pytest.mark.parametrize("grid", DIFF_GRIDS)
+@pytest.mark.parametrize("degree", [0, 1])
+def test_lookup_matches_reference_on_constant_and_linear(grid, degree):
+    ring = select_ring_params(grid, dim=2, n=50)
+    P = ring.modulus
+    coeffs = (7, 3)[:degree + 1] + (0,) * (P - 1 - degree)
+    table = PolyTable(P, coeffs, "low")
+    for depth in (0, 1, 5, 12):
+        lookup, reference = _both_paths(table, [0, 1, P - 1], depth, ring)
+        assert lookup == reference
 
 
 def test_save_load_round_trip(ring, tmp_path):

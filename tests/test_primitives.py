@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kishnn import he_sim, primitives
+from kishnn import he_sim, interp, primitives
 from kishnn.primitives import (CoinSpec, coin_toss, compute_dist_l1,
                                compute_dists, derive_seed, prob_avg)
 from kishnn.ring import ParameterError, select_ring_params
@@ -115,6 +115,28 @@ def test_coin_spec_folds_a_distance_map():
         assert t == 5 or spec.apply(t) >= r
     square = CoinSpec("square", 30, 0, tmap)
     assert square.apply(3) == 25 and square.inverse_ceil(26) == 4
+
+
+@pytest.mark.parametrize("f", ["identity", "square"])
+@pytest.mark.parametrize("mapped", [False, True])
+def test_inverse_ceil_array_matches_scalar_for_every_numerator(f, mapped):
+    # the moment coins' shapes at grid 250, n = 5690: m = n or n * p
+    ring = select_ring_params(250, dim=2, n=5690)
+    m = ring.n * (ring.coord_bound if f == "square" else 1)
+    spec = CoinSpec(f, m, 0, interp.dist_map(ring) if mapped else ())
+    rs = np.arange(1, m + 1, dtype=np.int64)
+    expect = [spec.inverse_ceil(r) for r in range(1, m + 1)]
+    assert spec.inverse_ceil_array(rs).tolist() == expect
+
+
+def test_inverse_ceil_array_is_exact_beyond_float_precision():
+    # around squares above 2**52 a float square root rounds up to k
+    spec = CoinSpec("square", 2 ** 62, 0)
+    roots = (2 ** 26 + 1, 2 ** 29 + 7, 2 ** 31 - 1)
+    rs = np.array([k * k + d + 1 for k in roots for d in (-1, 0, 1)],
+                  dtype=np.int64)
+    expect = [spec.inverse_ceil(int(r)) for r in rs]
+    assert spec.inverse_ceil_array(rs).tolist() == expect
 
 
 def test_prob_avg_is_seed_deterministic(ring, keys):
