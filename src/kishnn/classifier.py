@@ -59,8 +59,8 @@ class LabeledDatabase:
         return len(self.labels)
 
     def without(self, i: int) -> "LabeledDatabase":
-        keep = np.arange(self.n) != i
-        return LabeledDatabase(self.points[keep], self.labels[keep])
+        return LabeledDatabase(np.delete(self.points, i, axis=0),
+                               np.delete(self.labels, i))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ named sub-streams, so any run is bit-reproducible.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import threading
 
@@ -47,10 +46,6 @@ def _add_common(sub, *names):
     if "out" in names:
         sub.add_argument("--out", default=None,
                          help="output CSV path (default: stdout summary only)")
-    if "threads" in names:
-        sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                         help="worker thread cap (results are independent "
-                              "of this value)")
 
 
 def build_parser() -> _Parser:
@@ -60,7 +55,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("serve",
                         help="answer encrypted queries over a transport")
-    _add_common(p, "dataset", "grid", "k", "reps", "seed", "threads")
+    _add_common(p, "dataset", "grid", "k", "reps", "seed")
     p.add_argument("--transport", choices=("tcp", "stdio"), default="tcp")
     p.add_argument("--listen", default="127.0.0.1:7878",
                    help="host:port to listen on (tcp transport)")
@@ -81,7 +76,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("evaluate",
                         help="leave-one-out F1 in plain or secure mode")
-    _add_common(p, "dataset", "grid", "k", "reps", "seed", "out", "threads")
+    _add_common(p, "dataset", "grid", "k", "reps", "seed", "out")
     p.add_argument("--mode", choices=("plain", "secure"), default="plain")
 
     p = subs.add_parser("bench",
@@ -168,8 +163,7 @@ def cmd_query(args) -> int:
 def cmd_evaluate(args) -> int:
     gd = _load_grid(args)
     report = data_eval.leave_one_out_f1(
-        gd, args.k, args.mode, repetitions=args.reps, seed=args.seed,
-        threads=args.threads)
+        gd, args.k, args.mode, repetitions=args.reps, seed=args.seed)
     if args.out:
         rows = [{"index": i, "label": int(l), "predicted": int(p)}
                 for i, (l, p) in enumerate(zip(gd.labels,

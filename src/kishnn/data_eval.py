@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,43 +241,31 @@ def _protocol_for(gd: GridDataset, k: int, repetitions: int,
 
 
 def leave_one_out_f1(gd: GridDataset, k: int, mode: str = "plain", *,
-                     repetitions: int = 5, seed: int = 0,
-                     threads: int = 1) -> EvalReport:
+                     repetitions: int = 5, seed: int = 0) -> EvalReport:
     """Hold out each point, classify it with the rest, score F1.
 
-    Per-point seeds are derived from the base seed, so the report is
-    independent of the thread count.
+    Per-point seeds are derived from the base seed.  Every held-out
+    database has n - 1 points, so one ring serves them all.
     """
     if mode not in ("plain", "secure"):
         raise ParameterError(f"unknown mode {mode!r}")
     if gd.n < 3:
         raise ParameterError("need at least three points for leave-one-out")
     db = gd.database()
+    ring = select_ring_params(gd.grid, dim=2, n=gd.n - 1)
 
-    def one(i: int):
+    def one(i: int) -> int:
         rest = db.without(i)
         q = db.points[i]
         if mode == "plain":
-            return plain_knn(rest, q, k), EvalMetrics()
-        pp = _protocol_for(gd, k, repetitions,
-                           derive_seed(seed, f"loo-{i}"), rest.n)
-        return he_sim.metered_scope(
-            lambda: classify_with_majority(q, rest, pp))
+            return plain_knn(rest, q, k)
+        pp = make_protocol_params(ring, k=k, n=rest.n,
+                                  repetitions=repetitions,
+                                  rng_seed=derive_seed(seed, f"loo-{i}"))
+        return classify_with_majority(q, rest, pp)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(gd.n)))
-    else:
-        results = [one(i) for i in range(gd.n)]
-    preds = np.array([r[0] for r in results], dtype=np.int64)
-    total = EvalMetrics()
-    for _, m in results:
-        total = EvalMetrics(
-            mult_gates=total.mult_gates + m.mult_gates,
-            add_gates=total.add_gates + m.add_gates,
-            max_depth=max(total.max_depth, m.max_depth),
-            decrypt_calls=total.decrypt_calls + m.decrypt_calls,
-            wall_time=total.wall_time + m.wall_time)
+    with he_sim.metering() as total:
+        preds = np.array([one(i) for i in range(gd.n)], dtype=np.int64)
     sd = gaussian_sd_diagnostic(db.without(0), db.points[0])
     return EvalReport(f1=f1_score(preds, db.labels),
                       per_point_predictions=preds,

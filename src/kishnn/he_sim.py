@@ -81,56 +81,48 @@ class EvalMetrics:
     wall_time: float = 0.0
 
 
-_local = threading.local()
-_lock = threading.Lock()
+class _Scopes(threading.local):
+    """This thread's stack of open metering scopes, innermost last."""
+
+    def __init__(self):
+        self.stack = []
 
 
-def _scopes() -> list:
-    if not hasattr(_local, "stack"):
-        _local.stack = []
-    return _local.stack
+_scopes = _Scopes()
 
 
-def _note_mult(count: int, depth: int) -> None:
-    with _lock:
-        for m in _scopes():
-            m.mult_gates += count
-            if depth > m.max_depth:
-                m.max_depth = depth
-
-
-def _note_add(count: int, depth: int) -> None:
-    with _lock:
-        for m in _scopes():
-            m.add_gates += count
-            if depth > m.max_depth:
-                m.max_depth = depth
-
-
-def _note_depth(depth: int) -> None:
-    with _lock:
-        for m in _scopes():
-            if depth > m.max_depth:
-                m.max_depth = depth
-
-
-def _note_decrypt() -> None:
-    with _lock:
-        for m in _scopes():
-            m.decrypt_calls += 1
+def _note(depth: int, mults: int = 0, adds: int = 0) -> None:
+    """Charge gates reaching depth to this thread's innermost open scope."""
+    stack = _scopes.stack
+    if stack:
+        m = stack[-1]
+        m.mult_gates += mults
+        m.add_gates += adds
+        if depth > m.max_depth:
+            m.max_depth = depth
 
 
 @contextmanager
 def metering():
-    """Context manager collecting gate metrics; nested scopes roll up."""
+    """Context manager collecting gate metrics.
+
+    Scopes are thread-local.  An operation notes its gates into the
+    innermost open scope only; a scope adds its totals (gates, decrypts,
+    max depth) into the enclosing one when it closes, so nested scopes
+    roll up, also when the body raises.  wall_time is each scope's own.
+    """
     m = EvalMetrics()
-    _scopes().append(m)
+    stack = _scopes.stack
+    stack.append(m)
     t0 = time.perf_counter()
     try:
         yield m
     finally:
         m.wall_time += time.perf_counter() - t0
-        _scopes().remove(m)
+        stack.pop()
+        if stack:
+            stack[-1].decrypt_calls += m.decrypt_calls
+            _note(m.max_depth, m.mult_gates, m.add_gates)
 
 
 def metered_scope(body):
@@ -169,7 +161,8 @@ def decrypt(sk: SecretKey, c: Cipher):
     """Reveal the plaintext; requires the matching secret key."""
     if c.key_id != sk.key_id:
         raise KeyMismatchError("ciphertext bound to a different key")
-    _note_decrypt()
+    if _scopes.stack:
+        _scopes.stack[-1].decrypt_calls += 1
     if c.size == 1:
         return int(c._values[0])
     return [int(v) for v in c._values]
@@ -179,8 +172,13 @@ def embed_like(c: Cipher, values) -> Cipher:
     """Plaintext constant carried as a depth-0 ciphertext (free)."""
     a = _as_slots(values)
     out = Cipher(a.copy(), depth=0, key_id=c.key_id)
-    _note_depth(0)
+    _note(0)
     return out
+
+
+def _plain(b, modulus: int):
+    """A plaintext operand reduced into the ring; a Python int stays one."""
+    return b % modulus if isinstance(b, int) else _as_slots(b) % modulus
 
 
 def _coerce(a: Cipher, b, modulus: int):
@@ -189,40 +187,31 @@ def _coerce(a: Cipher, b, modulus: int):
         if b.key_id != a.key_id:
             raise KeyMismatchError("operands bound to different keys")
         return b._values, b.depth, True
-    return _as_slots(b) % modulus, 0, False
+    return _plain(b, modulus), 0, False
 
 
 def add(a: Cipher, b, ring: RingParams) -> Cipher:
     """a + b mod the ring; b may be a Cipher or plaintext scalar/vector."""
     bv, bd, bc = _coerce(a, b, ring.modulus)
-    vals = (a._values + bv) % ring.modulus
     depth = max(a.depth, bd)
-    out = Cipher(vals.astype(np.int64), depth, a.key_id)
-    if bc:
-        _note_add(out.size, depth)
-    else:
-        _note_depth(depth)
+    out = Cipher((a._values + bv) % ring.modulus, depth, a.key_id)
+    _note(depth, adds=out.size if bc else 0)
     return out
 
 
 def sub(a: Cipher, b, ring: RingParams) -> Cipher:
     bv, bd, bc = _coerce(a, b, ring.modulus)
-    vals = (a._values - bv) % ring.modulus
     depth = max(a.depth, bd)
-    out = Cipher(vals.astype(np.int64), depth, a.key_id)
-    if bc:
-        _note_add(out.size, depth)
-    else:
-        _note_depth(depth)
+    out = Cipher((a._values - bv) % ring.modulus, depth, a.key_id)
+    _note(depth, adds=out.size if bc else 0)
     return out
 
 
 def rsub(b, a: Cipher, ring: RingParams) -> Cipher:
     """Plaintext-minus-cipher, free (scalar mult by -1 plus add)."""
-    bv = _as_slots(b) % ring.modulus
-    vals = (bv - a._values) % ring.modulus
-    out = Cipher(vals.astype(np.int64), a.depth, a.key_id)
-    _note_depth(a.depth)
+    bv = _plain(b, ring.modulus)
+    out = Cipher((bv - a._values) % ring.modulus, a.depth, a.key_id)
+    _note(a.depth)
     return out
 
 
@@ -236,12 +225,11 @@ def mul(a: Cipher, b, ring: RingParams) -> Cipher:
     vals = (a._values * bv) % ring.modulus
     if bc:
         depth = max(a.depth, bd) + 1
-        out = Cipher(vals.astype(np.int64), depth, a.key_id)
-        _note_mult(out.size, depth)
+        out = Cipher(vals, depth, a.key_id)
+        _note(depth, mults=out.size)
     else:
-        depth = a.depth
-        out = Cipher(vals.astype(np.int64), depth, a.key_id)
-        _note_depth(depth)
+        out = Cipher(vals, a.depth, a.key_id)
+        _note(a.depth)
     return out
 
 
@@ -249,7 +237,7 @@ def slot_sum(c: Cipher, ring: RingParams) -> Cipher:
     """Sum all slots into a single-slot cipher (rotations + adds, free)."""
     vals = np.array([int(c._values.sum()) % ring.modulus], dtype=np.int64)
     out = Cipher(vals, c.depth, c.key_id)
-    _note_depth(c.depth)
+    _note(c.depth)
     return out
 
 
@@ -260,7 +248,7 @@ def broadcast(c: Cipher, nslots: int, ring: RingParams) -> Cipher:
     if c.size != 1:
         raise BackendError("can only broadcast a single-slot cipher")
     out = Cipher(np.repeat(c._values, nslots), c.depth, c.key_id)
-    _note_depth(c.depth)
+    _note(c.depth)
     return out
 
 
@@ -272,7 +260,7 @@ def pack(ciphers: list, ring: RingParams) -> Cipher:
     vals = np.concatenate([c._values for c in ciphers])
     depth = max(c.depth for c in ciphers)
     out = Cipher(vals, depth, key_id)
-    _note_depth(depth)
+    _note(depth)
     return out
 
 
@@ -285,8 +273,7 @@ def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
     which is also the deepest level it reaches.
     """
     out = Cipher(values[c._values], depth, c.key_id)
-    _note_mult(mults * out.size, depth)  # also notes depth when mults == 0
-    _note_add(adds * out.size, depth)
+    _note(depth, mults * out.size, adds * out.size)
     return out
 
 
@@ -303,5 +290,5 @@ def linear_combine(ciphers: list, weights: np.ndarray, ring: RingParams) -> list
     stack = np.stack([c._values for c in ciphers])  # (j, slots)
     w = np.asarray(weights, dtype=np.int64) % ring.modulus
     vals = (w @ stack) % ring.modulus  # (i, slots)
-    _note_depth(depth)
+    _note(depth)
     return [Cipher(row.copy(), depth, key_id) for row in vals]

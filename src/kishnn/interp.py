@@ -33,15 +33,18 @@ class PolyTable:
 
     values[x] is the polynomial's value at x for every x in [0, modulus),
     read-only; a table built from coefficients alone gets them from one
-    vectorised Horner pass.
+    vectorised Horner pass.  The degree is found once, at construction.
     """
 
     modulus: int
     coeffs: tuple
     name: str
     values: np.ndarray = field(default=None, compare=False, repr=False)
+    _degree: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        nonzero = [i for i, c in enumerate(self.coeffs) if c != 0]
+        object.__setattr__(self, "_degree", nonzero[-1] if nonzero else 0)
         if self.values is None:
             x = np.arange(self.modulus, dtype=np.int64)
             values = np.zeros(self.modulus, dtype=np.int64)
@@ -62,10 +65,25 @@ class PolyTable:
         return acc
 
     def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i] != 0:
-                return i
-        return 0
+        return self._degree
+
+
+@functools.lru_cache(maxsize=2)
+def _power_matrix(P: int) -> np.ndarray:
+    """V[e, i] = i^e mod P (with 0^0 = 1), read-only.
+
+    A row of V times a vector of residues sums P products below P^2, so
+    P^3 < 2^63 keeps V @ y exact in int64.
+    """
+    if P ** 3 >= 2 ** 63:
+        raise ParameterError(f"modulus {P} too large to interpolate in int64")
+    idx = np.arange(P, dtype=np.int64)
+    V = np.empty((P, P), dtype=np.int64)
+    V[0] = 1
+    for e in range(1, P):
+        V[e] = V[e - 1] * idx % P
+    V.flags.writeable = False
+    return V
 
 
 def lagrange_table(f, params: RingParams, name: str = "f") -> PolyTable:
@@ -78,16 +96,10 @@ def lagrange_table(f, params: RingParams, name: str = "f") -> PolyTable:
     """
     P = params.modulus
     y = np.array([int(f(i)) % P for i in range(P)], dtype=np.int64)
-    idx = np.arange(P, dtype=np.int64)
-    w = np.zeros(P, dtype=np.int64)  # w[e] = sum_i y_i * i^e
-    pw = np.ones(P, dtype=np.int64)  # i^e, with 0^0 = 1
-    for e in range(P):
-        w[e] = int((y * pw).sum()) % P
-        pw = (pw * idx) % P
+    w = _power_matrix(P) @ y % P  # w[e] = sum_i y_i * i^e
     coeffs = np.empty(P, dtype=np.int64)
     coeffs[0] = y[0]
-    for j in range(1, P):
-        coeffs[j] = (-w[P - 1 - j]) % P
+    coeffs[1:] = -w[P - 2::-1] % P  # coeffs[j] = -w[P - 1 - j]
     return PolyTable(modulus=P, coeffs=tuple(int(c) for c in coeffs),
                      name=name, values=y)
 
@@ -210,6 +222,7 @@ def _map_range(params: RingParams) -> int:
     return min(params.dist_bound, n, math.isqrt(n * p))
 
 
+@functools.lru_cache(maxsize=64)
 def dist_map(params: RingParams) -> tuple:
     """The Gaussianizing distance map t(x) for x in [0, dist_bound].
 
@@ -220,7 +233,8 @@ def dist_map(params: RingParams) -> tuple:
     Gaussian's and mu - 2 sigma falls below the nearest neighbor; the
     logarithm stretches that tail.  R keeps
     t(x) <= n and t(x)^2 <= n * p, so neither moment's coins saturate.
-    The map is nondecreasing with t(0) = 0.
+    The map is nondecreasing with t(0) = 0.  Memoised per ring; rings
+    with the same (B, R) share one tuple.
     """
     return _dist_map(params.dist_bound, _map_range(params))
 
@@ -270,8 +284,13 @@ class _TablesKey:
         return self.key == other.key
 
 
+@functools.lru_cache(maxsize=64)
 def build_named_tables(params: RingParams) -> NamedTables:
-    """The classifier's tables for a ring, built once per _TablesKey."""
+    """The classifier's tables for a ring, built once per _TablesKey.
+
+    Memoised per ring in front of that cache, so repeated lookups skip the
+    key; rings that differ only in n still share one set of tables.
+    """
     return _build_named_tables(_TablesKey(params))
 
 

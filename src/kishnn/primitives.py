@@ -8,6 +8,7 @@ coin-sum moment estimator built from it.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -74,8 +75,21 @@ class CoinSpec:
             s += (s + 1) * (s + 1) <= v
             c = s + 1
         if self.dist_map:
-            return np.searchsorted(np.asarray(self.dist_map), c, side="left")
+            return _map_inverse(self.dist_map).take(c, mode="clip")
         return c
+
+
+@functools.lru_cache(maxsize=8)
+def _map_inverse(tmap: tuple) -> np.ndarray:
+    """inv[c] = min{x : tmap[x] >= c} for c in [0, max + 1] of a
+    nondecreasing map; the last entry, len(tmap), also stands for every
+    larger c (read with take(..., mode="clip")).  interp.dist_map gives one
+    tuple per map range (B, R), so this is one table per (B, R).
+    """
+    inv = np.searchsorted(np.asarray(tmap), np.arange(tmap[-1] + 2),
+                          side="left")
+    inv.flags.writeable = False
+    return inv
 
 
 def compute_dists(enc_q: list, points: np.ndarray, params: RingParams) -> Cipher:
@@ -149,10 +163,17 @@ def prob_avg(xs, spec: CoinSpec, params: RingParams) -> Cipher:
     """
     if not isinstance(xs, Cipher):
         xs = he_sim.pack(list(xs), params)
-    n = xs.size
-    rng = np.random.default_rng(spec.rng_seed)
-    u = (rng.permutation(n) + rng.random(n)) / n
+    u = _strata(spec.rng_seed, xs.size)
     # float rounding of m * u may reach m; clamp to keep r_i in [1, m]
     rs = np.minimum((spec.m * u).astype(np.int64), spec.m - 1) + 1
     bits = _coin_batch(xs, rs, spec, params)
     return he_sim.slot_sum(bits, params)
+
+
+@functools.lru_cache(maxsize=4)
+def _strata(seed: int, n: int) -> np.ndarray:
+    """(pi(i) + u_i) / n for slot i, drawn once per (seed, n), read-only."""
+    rng = np.random.default_rng(seed)
+    u = (rng.permutation(n) + rng.random(n)) / n
+    u.flags.writeable = False
+    return u

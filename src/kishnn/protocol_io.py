@@ -97,10 +97,14 @@ def _encode_cipher(c: Cipher) -> bytes:
     return _CIPHER_STRUCT.pack(int(c._values[0]), c.depth, c.key_id)
 
 
-def _decode_cipher(blob: bytes, offset: int) -> Cipher:
+def _decode_cipher(blob: bytes, offset: int, bound: int = 2 ** 63) -> Cipher:
+    """One scalar ciphertext; its value must lie below bound (the ring
+    modulus in a query) and below 2^63."""
     if len(blob) != _CIPHER_STRUCT.size:
         raise DecodeError(offset, "ciphertext field has wrong length")
     value, depth, key_id = _CIPHER_STRUCT.unpack(blob)
+    if value >= min(bound, 2 ** 63):
+        raise DecodeError(offset, "ciphertext value out of range")
     return Cipher(np.array([value], dtype=np.int64), depth=depth, key_id=key_id)
 
 
@@ -172,7 +176,7 @@ def decode_message(data: bytes):
         if len(fields) < 3:
             raise DecodeError(len(data), "query needs ring, key and coordinates")
         ring = _decode_ring(fields[0], offsets[0])
-        enc_q = tuple(_decode_cipher(f, o)
+        enc_q = tuple(_decode_cipher(f, o, ring.modulus)
                       for f, o in zip(fields[2:], offsets[2:]))
         try:
             return QueryMessage(PROTOCOL_VERSION, ring, bytes(fields[1]), enc_q)

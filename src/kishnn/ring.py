@@ -55,19 +55,36 @@ class DigitPair:
     high: int
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(m: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale moduli)."""
+    """Deterministic Miller-Rabin primality test.
+
+    The first twelve prime bases decide every m below 3.18 * 10^23
+    (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+    2017), far past any 64-bit modulus the wire can carry, in O(log^3 m)
+    time.
+    """
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

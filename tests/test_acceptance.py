@@ -6,7 +6,6 @@ test.
 """
 
 import math
-import os
 import sys
 import time
 
@@ -57,8 +56,7 @@ def test_criterion_02_secure_accuracy(wdbc_grids):
     gd = wdbc_grids[250]
     start = time.perf_counter()
     secure = data_eval.leave_one_out_f1(
-        gd, 13, "secure", repetitions=5, seed=0,
-        threads=os.cpu_count() or 1)
+        gd, 13, "secure", repetitions=5, seed=0)
     elapsed = time.perf_counter() - start
     plain = data_eval.leave_one_out_f1(gd, 13, "plain")
     ok = (secure.f1 >= 0.93 and secure.f1 >= 0.97 * plain.f1

@@ -130,22 +130,64 @@ def test_metering_notes_decrypts_and_nests(ring, keys):
     assert outer.wall_time >= inner.wall_time >= 0
 
 
+def test_metering_rolls_three_nested_scopes_up_on_exit(ring, keys):
+    c = he_sim.encrypt(keys.pk, 3)
+    d2 = he_sim.mul(he_sim.mul(c, c, ring), c, ring)  # depth 2, unmetered
+    with he_sim.metering() as outer:
+        he_sim.mul(c, c, ring)                       # 1 gate at depth 1
+        with he_sim.metering() as middle:
+            he_sim.add(c, c, ring)                   # 1 add gate
+            with he_sim.metering() as inner:
+                he_sim.mul(d2, c, ring)              # 1 gate at depth 3
+                he_sim.decrypt(keys.sk, c)
+            he_sim.mul(c, c, ring)
+        assert (middle.mult_gates, middle.add_gates) == (2, 1)
+    assert (inner.mult_gates, inner.add_gates, inner.max_depth,
+            inner.decrypt_calls) == (1, 0, 3, 1)
+    assert (middle.mult_gates, middle.add_gates, middle.max_depth,
+            middle.decrypt_calls) == (2, 1, 3, 1)
+    assert (outer.mult_gates, outer.add_gates, outer.max_depth,
+            outer.decrypt_calls) == (3, 1, 3, 1)
+
+
+def test_metering_rolls_up_a_scope_that_raised(ring, keys):
+    c = he_sim.encrypt(keys.pk, 3)
+    with he_sim.metering() as outer:
+        with pytest.raises(KeyMismatchError):
+            with he_sim.metering() as inner:
+                d = he_sim.mul(c, c, ring)
+                he_sim.mul(d, d, ring)
+                he_sim.decrypt(he_sim.keygen(ring, seed=2).sk, c)
+    assert inner.mult_gates == 2 and inner.max_depth == 2
+    assert outer.mult_gates == 2 and outer.max_depth == 2
+    with he_sim.metering() as after:  # the failed scope left the stack
+        he_sim.mul(c, c, ring)
+    assert after.mult_gates == 1 and outer.mult_gates == 2
+
+
 def test_metering_is_thread_local(ring, keys):
     c = he_sim.encrypt(keys.pk, 3)
     seen = {}
+    started, release = threading.Event(), threading.Event()
 
     def other_thread():
         with he_sim.metering() as m:
-            pass
+            started.set()
+            release.wait(timeout=10)
+            he_sim.mul(c, c, ring)
+            he_sim.mul(c, c, ring)
         seen["gates"] = m.mult_gates
 
+    t = threading.Thread(target=other_thread)
     with he_sim.metering() as mine:
-        t = threading.Thread(target=other_thread)
-        he_sim.mul(c, c, ring)
         t.start()
-        t.join()
+        assert started.wait(timeout=10)  # both threads have a scope open
+        he_sim.mul(c, c, ring)
+        release.set()
+        t.join(timeout=10)
+    assert not t.is_alive()
     assert mine.mult_gates == 1
-    assert seen["gates"] == 0
+    assert seen["gates"] == 2
 
 
 def test_slot_sum_broadcast_pack(ring, keys):

@@ -242,3 +242,13 @@ def test_load_rejects_truncation(ring, tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(ParameterError, match="truncated"):
         load_table(path, "sqrt")
+
+
+def test_rings_differing_only_in_n_share_tables():
+    # at grid 250 every n >= 993 has the map range R = dist_bound = 498
+    a = select_ring_params(250, dim=2, n=1000)
+    b = select_ring_params(250, dim=2, n=5690)
+    assert build_named_tables(a) is build_named_tables(b)
+    assert interp.dist_map(a) is interp.dist_map(b)
+    c = select_ring_params(250, dim=2, n=569)  # R = isqrt(569 * 250) = 377
+    assert build_named_tables(c) is not build_named_tables(a)

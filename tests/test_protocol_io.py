@@ -1,3 +1,4 @@
+import struct
 import threading
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kishnn import he_sim, protocol_io
-from kishnn.classifier import LabeledDatabase, make_protocol_params
+from kishnn.classifier import (LabeledDatabase, classify_with_majority,
+                               make_protocol_params)
 from kishnn.protocol_io import (DecodeError, ErrorMessage, ProtocolError,
                                 QueryMessage, ResponseMessage, answer_query,
                                 decode_message, encode_message, loopback_pair,
@@ -201,3 +203,60 @@ def test_responses_are_deterministic_for_a_seed(setup):
     r1 = answer_query(msg, db, pp)
     r2 = answer_query(msg, db, pp)
     assert r1 == r2
+
+
+def _query_bytes(ring, values):
+    """A query message with raw 64-bit ciphertext values, built field by
+    field as the wire carries it."""
+    fields = [struct.pack("<QQQQQ", ring.modulus, ring.coord_bound, ring.dim,
+                          ring.dist_bound, ring.n),
+              (7).to_bytes(8, "little")]
+    fields += [struct.pack("<QHQ", v, 0, 7) for v in values]
+    out = protocol_io.MAGIC + bytes([protocol_io.PROTOCOL_VERSION, 1])
+    out += struct.pack("<I", len(fields))
+    for f in fields:
+        out += struct.pack("<I", len(f)) + f
+    return out
+
+
+@pytest.mark.parametrize("value", [2**63, 2**64 - 1])
+def test_ciphertext_beyond_int64_is_a_decode_error(setup, value):
+    ring, _, _ = setup
+    with pytest.raises(DecodeError):
+        decode_message(_query_bytes(ring, [value, 1]))
+    cipher = struct.pack("<QHQ", value, 0, 7)
+    response = (protocol_io.MAGIC + bytes([protocol_io.PROTOCOL_VERSION, 2])
+                + struct.pack("<II", 1, len(cipher)) + cipher)
+    with pytest.raises(DecodeError):
+        decode_message(response)
+
+
+def test_query_value_at_or_above_the_modulus_is_a_decode_error(setup):
+    ring, _, _ = setup
+    decode_message(_query_bytes(ring, [ring.modulus - 1, 0]))
+    for value in (ring.modulus, 5000):
+        with pytest.raises(DecodeError):
+            decode_message(_query_bytes(ring, [0, value]))
+
+
+def test_server_survives_a_hostile_ciphertext(setup):
+    _, db, pp = setup
+    addr = {}
+    done = threading.Event()
+
+    def serve():
+        serve_tcp("127.0.0.1", 0, db, pp, max_connections=2,
+                  ready=lambda a: (addr.update(port=a[1]), done.set()))
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    assert done.wait(timeout=10)
+    with tcp_connect("127.0.0.1", addr["port"]) as transport:
+        transport.wfile.write(_query_bytes(pp.ring, [2**63, 3]))
+        transport.wfile.flush()
+        reply = protocol_io.read_message(transport)
+    assert isinstance(reply, ErrorMessage)
+    with tcp_connect("127.0.0.1", addr["port"]) as transport:
+        bit = run_client(transport, [2, 3], pp)
+    t.join(timeout=10)
+    assert bit == classify_with_majority([2, 3], db, pp)

@@ -98,3 +98,37 @@ def test_quantile_for_thirteen_of_568_is_about_minus_two():
     z = phi_inverse(13 / 568)
     assert -2.5 < z < -1.9
     assert round(z) == -2
+
+
+def trial_division_is_prime(m: int) -> bool:
+    if m < 2:
+        return False
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_20000():
+    assert [m for m in range(20000) if is_prime(m)] == \
+        [m for m in range(20000) if trial_division_is_prime(m)]
+
+
+@pytest.mark.parametrize("m,prime", [
+    (2 ** 61 - 1, True),                    # Mersenne prime
+    (2 ** 63 - 25, True),                   # largest prime below 2^63
+    (561, False), (41041, False),           # Carmichael numbers
+    (3215031751, False),                    # strong pseudoprime to 2, 3, 5, 7
+    (1000000007 * 998244353, False),        # semiprime of two large primes
+])
+def test_is_prime_on_large_and_adversarial_inputs(m, prime):
+    assert is_prime(m) is prime
+
+
+def test_a_ring_near_two_to_the_63_is_checked_quickly():
+    # trial division would take minutes on this modulus
+    ring = RingParams(modulus=2 ** 63 - 25, coord_bound=2, dim=1,
+                      dist_bound=1, n=1)
+    assert ring.modulus == 2 ** 63 - 25
