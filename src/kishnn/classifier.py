@@ -5,14 +5,16 @@ distribution with coin-sum estimators, derives a quantile threshold, and
 counts class labels among the points falling under it -- all without
 decrypting anything.  The rule runs on distances sent through a fixed
 Gaussianizing map t (interp.dist_map), because the rule selects about k
-points only when the distances are close to Gaussian.  The client wrapper
-repeats the protocol and takes a majority to damp the estimator noise.
+points only when the distances are close to Gaussian.  The protocol is
+repeated and the client takes a majority to damp the estimator noise;
+the repetitions differ only in their coins, so the server evaluates them
+as one circuit, one slot segment per repetition.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,26 +75,38 @@ class SigmaDigits:
     musq_high: Cipher
 
 
-def _moment_coins(f: str, m: int, pp: ProtocolParams,
-                  mapped: bool) -> CoinSpec:
-    """Coins of one moment batch.  Every batch shares one numerator draw,
-    so the errors of mu* and mu_2* largely cancel in mu_2* - mu*^2."""
-    return CoinSpec(f, m, derive_seed(pp.rng_seed, "moments"),
+def repetition_seeds(pp: ProtocolParams) -> tuple:
+    """The seed of each repetition: repetition r is the one-repetition
+    circuit of a ProtocolParams whose rng_seed is entry r."""
+    return tuple(derive_seed(pp.rng_seed, f"rep-{r}")
+                 for r in range(pp.repetitions))
+
+
+def _moment_coins(f: str, m: int, pp: ProtocolParams, mapped: bool,
+                  seeds) -> CoinSpec:
+    """Coins of one moment batch, one numerator seed per repetition.
+    Every batch shares one numerator draw, so the errors of mu* and mu_2*
+    largely cancel in mu_2* - mu*^2."""
+    seeds = (pp.rng_seed,) if seeds is None else seeds
+    return CoinSpec(f, m, tuple(derive_seed(s, "moments") for s in seeds),
                     interp.dist_map(pp.ring) if mapped else ())
 
 
-def estimate_mu(xs: Cipher, pp: ProtocolParams,
-                mapped: bool = False) -> Cipher:
+def estimate_mu(xs: Cipher, pp: ProtocolParams, mapped: bool = False,
+                seeds=None) -> Cipher:
     """Coin-sum estimate of the mean distance (denominator n).
 
     With mapped, the mean of t(x) (see interp.dist_map), at the same cost.
+    xs holds one copy of the distances per repetition seed in seeds
+    (default: the one repetition seeded by pp.rng_seed), and the estimate
+    holds one slot per repetition.
     """
     return primitives.prob_avg(
-        xs, _moment_coins("identity", pp.n, pp, mapped), pp.ring)
+        xs, _moment_coins("identity", pp.n, pp, mapped, seeds), pp.ring)
 
 
 def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams,
-                        mapped: bool = False):
+                        mapped: bool = False, seeds=None):
     """Digit couple (low, high) of the second moment mu_2 of the distances.
 
     With mapped, of mu_2 = mean(t(x)^2), at the same cost.  One coin batch
@@ -100,12 +114,13 @@ def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams,
     for mu_2 as long as no coin saturates, i.e. while every squared
     (mapped) distance is at most n*p; the map guarantees this.  The high
     digit alone already counts all of mu_2, so the low digit is the
-    constant 0.
+    constant 0.  xs and seeds are laid out as for estimate_mu.
     """
     high = primitives.prob_avg(
-        xs, _moment_coins("square", pp.n * pp.ring.coord_bound, pp, mapped),
+        xs, _moment_coins("square", pp.n * pp.ring.coord_bound, pp, mapped,
+                          seeds),
         pp.ring)
-    return he_sim.embed_like(high, [0]), high
+    return he_sim.embed_like(high, np.zeros(high.size, np.int64)), high
 
 
 def square_mu_digits(mu_star: Cipher, pp: ProtocolParams):
@@ -173,26 +188,36 @@ def count_classes(xs: Cipher, t_star: Cipher, labels, pp: ProtocolParams,
 
     With mapped, the distances first go through the dist_map table, so
     they are compared in the units a mapped threshold was estimated in.
-    The n comparison bits are computed once (one batched sign test) and
-    reused for both sums; the label masks are plaintext.
+    t_star holds one threshold per repetition: the n (mapped) distances
+    are laid out once per repetition and compared against that
+    repetition's threshold in one batched sign test, whose bits are reused
+    for both sums; the label masks are plaintext.  The counts hold one
+    slot per repetition.
     """
     ring = pp.ring
     tables = interp.build_named_tables(ring)
-    labels = np.asarray(labels, dtype=np.int64)
+    reps = t_star.size
+    labels = np.tile(np.asarray(labels, dtype=np.int64), reps)
     if mapped:
         xs = interp.eval_poly_ps(tables.dist_map, xs, ring)
+    xs = he_sim.pack([xs] * reps, ring)
     tb = he_sim.broadcast(t_star, xs.size, ring)
     bits = interp.eval_poly_ps(tables.is_neg, he_sim.sub(xs, tb, ring), ring)
-    c0 = he_sim.slot_sum(he_sim.mul(bits, 1 - labels, ring), ring)
-    c1 = he_sim.slot_sum(he_sim.mul(bits, labels, ring), ring)
+    c0 = he_sim.slot_sum(he_sim.mul(bits, 1 - labels, ring), ring, reps)
+    c1 = he_sim.slot_sum(he_sim.mul(bits, labels, ring), ring, reps)
     return c0, c1
 
 
-def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams):
-    """Distances and threshold ciphertexts shared by classify and kappa."""
+def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
+                        seeds: tuple):
+    """Distances (n slots) and thresholds (one slot per repetition seed),
+    shared by classify and kappa.  The distances are computed once and
+    laid out once per repetition for the moment coins."""
     xs = primitives.compute_dists(enc_q, db.points, pp.ring)
-    mu_star = estimate_mu(xs, pp, mapped=True)
-    mu2_low, mu2_high = estimate_mu2_digits(xs, pp, mapped=True)
+    tiled = he_sim.pack([xs] * len(seeds), pp.ring)
+    mu_star = estimate_mu(tiled, pp, mapped=True, seeds=seeds)
+    mu2_low, mu2_high = estimate_mu2_digits(tiled, pp, mapped=True,
+                                            seeds=seeds)
     musq_low, musq_high = square_mu_digits(mu_star, pp)
     sd = SigmaDigits(mu2_low=mu2_low, mu2_high=mu2_high,
                      musq_low=musq_low, musq_high=musq_high)
@@ -203,12 +228,17 @@ def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams):
 
 def server_classify(pk, enc_q: list, db: LabeledDatabase,
                     pp: ProtocolParams) -> Cipher:
-    """The full server circuit; returns one encrypted class bit.
+    """The full server circuit; returns one encrypted class bit per
+    repetition, packed one per slot.
 
-    The threshold is estimated on the mapped distances t(x) (see
-    interp.dist_map), and a point counts when t(x) < T*.  Ties (C0 == C1,
-    including the zero-neighbor corner) resolve to class 0 because the
-    final comparison is strict.
+    All pp.repetitions repetitions run as one circuit.  The distances and
+    their map t(x) are computed once; repetition r's coins come from
+    repetition_seeds(pp)[r], and its stages run on slot segment r, so its
+    bit is the one-repetition circuit's bit for that seed.  The threshold
+    is estimated on the mapped distances t(x) (see interp.dist_map), and a
+    point counts when t(x) < T*.  Ties (C0 == C1, including the
+    zero-neighbor corner) resolve to class 0 because the final comparison
+    is strict.
     """
     if len(enc_q) != pp.ring.dim:
         raise ParameterError("query dimension does not match ring params")
@@ -218,21 +248,18 @@ def server_classify(pk, enc_q: list, db: LabeledDatabase,
         # the distance map's range and the coin denominators would then
         # disagree, and the moment coins could saturate without an error
         raise ParameterError("ring was selected for a different database size")
-    xs, t_star = _threshold_pipeline(enc_q, db, pp)
+    xs, t_star = _threshold_pipeline(enc_q, db, pp, repetition_seeds(pp))
     c0, c1 = count_classes(xs, t_star, db.labels, pp, mapped=True)
     return interp.is_smaller(c0, c1, pp.ring)
 
 
 def classify_with_majority(query, db: LabeledDatabase,
                            pp: ProtocolParams) -> int:
-    """Client-side wrapper: run the protocol repeatedly, majority-vote."""
+    """Client-side wrapper: run the protocol, majority-vote its bits."""
     keys = he_sim.keygen(pp.ring, derive_seed(pp.rng_seed, "keys"))
     enc_q = [he_sim.encrypt(keys.pk, int(c)) for c in query]
-    votes = 0
-    for rep in range(pp.repetitions):
-        pp_rep = replace(pp, rng_seed=derive_seed(pp.rng_seed, f"rep-{rep}"))
-        bit = server_classify(keys.pk, enc_q, db, pp_rep)
-        votes += he_sim.decrypt(keys.sk, bit)
+    bits = server_classify(keys.pk, enc_q, db, pp)
+    votes = sum(he_sim.decrypt(keys.sk, b) for b in he_sim.unpack(bits))
     return 1 if 2 * votes > pp.repetitions else 0
 
 
@@ -247,10 +274,9 @@ def kappa_of_run(db: LabeledDatabase, query, pp: ProtocolParams,
     if os.environ.get("KISHNN_TEST_TRAPDOOR") != "1":
         raise RuntimeError("kappa_of_run is a test-build diagnostic; "
                            "set KISHNN_TEST_TRAPDOOR=1 to enable")
-    pp_run = replace(pp, rng_seed=seed)
     keys = he_sim.keygen(pp.ring, derive_seed(seed, "kappa-keys"))
     enc_q = [he_sim.encrypt(keys.pk, int(c)) for c in query]
-    _, t_star = _threshold_pipeline(enc_q, db, pp_run)
+    _, t_star = _threshold_pipeline(enc_q, db, pp, (seed,))
     t_val = pp.ring.signed(he_sim.decrypt(keys.sk, t_star))
     dists = np.abs(np.asarray(db.points, dtype=np.int64)
                    - np.asarray(query, dtype=np.int64)).sum(axis=1)

@@ -77,7 +77,6 @@ class GridDataset:
 class EvalReport:
     f1: float
     per_point_predictions: np.ndarray
-    kappa_samples: tuple
     metrics: EvalMetrics
     sd_gaussian: float
 
@@ -269,7 +268,6 @@ def leave_one_out_f1(gd: GridDataset, k: int, mode: str = "plain", *,
     sd = gaussian_sd_diagnostic(db.without(0), db.points[0])
     return EvalReport(f1=f1_score(preds, db.labels),
                       per_point_predictions=preds,
-                      kappa_samples=(),
                       metrics=total,
                       sd_gaussian=sd)
 
@@ -306,8 +304,7 @@ def distance_histogram(db: LabeledDatabase, q) -> list:
     return [(int(v), int(c)) for v, c in zip(values, counts)]
 
 
-BENCH_FIELDS = ("grid", "n", "mult_gates", "max_depth", "wall_time",
-                "peak_estimate")
+BENCH_FIELDS = ("grid", "n", "mult_gates", "max_depth", "wall_time")
 
 
 def _duplicate_to(db: LabeledDatabase, n: int) -> LabeledDatabase:
@@ -325,12 +322,8 @@ def _bench_row(grid: int, db: LabeledDatabase, k: int, seed: int) -> dict:
     _, metrics = he_sim.metered_scope(
         lambda: classify_with_majority(q, db, pp))
     wall = time.perf_counter() - start
-    # Rough working-set bound: live packed ciphertexts during polynomial
-    # evaluation hold O(sqrt(P)) slot vectors of n 8-byte values.
-    peak = 8 * db.n * (2 * int(np.ceil(np.sqrt(ring.modulus))) + 8)
     return {"grid": grid, "n": db.n, "mult_gates": metrics.mult_gates,
-            "max_depth": metrics.max_depth, "wall_time": round(wall, 6),
-            "peak_estimate": peak}
+            "max_depth": metrics.max_depth, "wall_time": round(wall, 6)}
 
 
 def sweep_benchmarks(gd: GridDataset, k: int, *, n_sweep=(), grid_sweep=(),

@@ -233,27 +233,34 @@ def mul(a: Cipher, b, ring: RingParams) -> Cipher:
     return out
 
 
-def slot_sum(c: Cipher, ring: RingParams) -> Cipher:
-    """Sum all slots into a single-slot cipher (rotations + adds, free)."""
-    vals = np.array([int(c._values.sum()) % ring.modulus], dtype=np.int64)
+def slot_sum(c: Cipher, ring: RingParams, segments: int = 1) -> Cipher:
+    """Sum each of `segments` equal runs of slots into one slot, giving a
+    segments-slot cipher (rotations, masks and adds, free)."""
+    if c.size % segments:
+        raise BackendError("slots do not split into equal segments")
+    vals = c._values.reshape(segments, -1).sum(axis=1) % ring.modulus
     out = Cipher(vals, c.depth, c.key_id)
     _note(c.depth)
     return out
 
 
 def broadcast(c: Cipher, nslots: int, ring: RingParams) -> Cipher:
-    """Replicate a single-slot cipher across nslots (free)."""
+    """Replicate each slot of c over a run of nslots / c.size consecutive
+    slots (free); a single-slot cipher fills all nslots."""
     if c.size == nslots:
         return c
-    if c.size != 1:
-        raise BackendError("can only broadcast a single-slot cipher")
-    out = Cipher(np.repeat(c._values, nslots), c.depth, c.key_id)
+    if nslots % c.size:
+        raise BackendError("can only broadcast into a multiple of the slots")
+    out = Cipher(np.repeat(c._values, nslots // c.size), c.depth, c.key_id)
     _note(c.depth)
     return out
 
 
 def pack(ciphers: list, ring: RingParams) -> Cipher:
-    """Concatenate single-slot ciphers into one packed cipher (free)."""
+    """Concatenate the slots of ciphers into one packed cipher (free);
+    [c] * r tiles c r times."""
+    if len(ciphers) == 1:
+        return ciphers[0]
     key_id = ciphers[0].key_id
     if any(c.key_id != key_id for c in ciphers):
         raise KeyMismatchError("cannot pack ciphers under different keys")
@@ -262,6 +269,13 @@ def pack(ciphers: list, ring: RingParams) -> Cipher:
     out = Cipher(vals, depth, key_id)
     _note(depth)
     return out
+
+
+def unpack(c: Cipher) -> list:
+    """One single-slot cipher per slot of c (free), the inverse of pack."""
+    _note(c.depth)
+    return [Cipher(c._values[i:i + 1], c.depth, c.key_id)
+            for i in range(c.size)]
 
 
 def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,

@@ -13,9 +13,7 @@ strict comparison.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +21,6 @@ import numpy as np
 from . import he_sim
 from .he_sim import Cipher
 from .ring import ParameterError, RingParams
-
-_CACHE_MAGIC = b"KPLT"
 
 
 @dataclass(frozen=True)
@@ -354,29 +350,3 @@ def is_smaller(x: Cipher, y, params: RingParams) -> Cipher:
     diff = he_sim.sub(x, y, params)
     return eval_poly_ps(tables.is_neg, diff, params)
 
-
-def save_table(table: PolyTable, path) -> None:
-    """Binary cache: magic, modulus, name hash, then 8-byte LE coefficients."""
-    name_hash = hashlib.blake2b(table.name.encode(), digest_size=8).digest()
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", table.modulus))
-        fh.write(name_hash)
-        for c in table.coeffs:
-            fh.write(struct.pack("<Q", c))
-
-
-def load_table(path, name: str) -> PolyTable:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CACHE_MAGIC:
-        raise ParameterError("bad table cache magic")
-    modulus = struct.unpack_from("<Q", blob, 4)[0]
-    name_hash = hashlib.blake2b(name.encode(), digest_size=8).digest()
-    if blob[12:20] != name_hash:
-        raise ParameterError("table cache holds a different function")
-    expect = 20 + 8 * modulus
-    if len(blob) != expect:
-        raise ParameterError("table cache truncated")
-    coeffs = struct.unpack_from(f"<{modulus}Q", blob, 20)
-    return PolyTable(modulus=modulus, coeffs=tuple(coeffs), name=name)

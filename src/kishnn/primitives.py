@@ -39,7 +39,7 @@ class CoinSpec:
 
     f: str  # "identity" | "square"
     m: int
-    rng_seed: int
+    rng_seed: int | tuple  # prob_avg: a tuple gives one seed per segment
     dist_map: tuple = ()
 
     def __post_init__(self):
@@ -114,12 +114,6 @@ def compute_dists(enc_q: list, points: np.ndarray, params: RingParams) -> Cipher
     return total
 
 
-def compute_dist_l1(enc_q: list, point, params: RingParams) -> Cipher:
-    """L1 distance between an encrypted query and one plaintext point."""
-    pts = np.asarray(point, dtype=np.int64).reshape(1, -1)
-    return compute_dists(enc_q, pts, params)
-
-
 def _coin_batch(xs: Cipher, rs: np.ndarray, spec: CoinSpec,
                 params: RingParams) -> Cipher:
     """One coin per slot of xs, with pre-drawn numerators rs in [1, m].
@@ -160,20 +154,34 @@ def prob_avg(xs, spec: CoinSpec, params: RingParams) -> Cipher:
     share (pi, u), so their errors are correlated.  All numerators are
     drawn up front from the seeded generator, so the evaluated circuit
     family member is deterministic for a given seed.
+
+    With a tuple of seeds in spec.rng_seed, xs holds one equal segment
+    per seed, segment s draws its numerators from seed s alone, and the
+    result holds one estimate per segment: one coin batch evaluates them
+    all side by side.
     """
     if not isinstance(xs, Cipher):
         xs = he_sim.pack(list(xs), params)
-    u = _strata(spec.rng_seed, xs.size)
+    seeds = spec.rng_seed
+    if not isinstance(seeds, tuple):
+        seeds = (seeds,)
+    if xs.size % len(seeds):
+        raise ParameterError("slots do not split into one segment per seed")
+    u = _strata(seeds, xs.size // len(seeds))
     # float rounding of m * u may reach m; clamp to keep r_i in [1, m]
     rs = np.minimum((spec.m * u).astype(np.int64), spec.m - 1) + 1
     bits = _coin_batch(xs, rs, spec, params)
-    return he_sim.slot_sum(bits, params)
+    return he_sim.slot_sum(bits, params, len(seeds))
 
 
 @functools.lru_cache(maxsize=4)
-def _strata(seed: int, n: int) -> np.ndarray:
-    """(pi(i) + u_i) / n for slot i, drawn once per (seed, n), read-only."""
-    rng = np.random.default_rng(seed)
-    u = (rng.permutation(n) + rng.random(n)) / n
+def _strata(seeds: tuple, n: int) -> np.ndarray:
+    """(pi(i) + u_i) / n for slot i of each seed's n-slot segment, drawn
+    once per (seeds, n) and shared by the batches that read it, read-only."""
+    parts = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        parts.append((rng.permutation(n) + rng.random(n)) / n)
+    u = np.concatenate(parts)
     u.flags.writeable = False
     return u

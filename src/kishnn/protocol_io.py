@@ -11,7 +11,8 @@ from __future__ import annotations
 import socket
 import struct
 import sys
-from dataclasses import dataclass, replace
+import traceback
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +31,16 @@ _KIND_ERROR = 3
 
 _CIPHER_STRUCT = struct.Struct("<QHQ")  # value blob, depth, key id
 _RING_STRUCT = struct.Struct("<QQQQQ")
+_KEY_BYTES = 8
+
+# What a header of each kind may announce, checked before any payload is
+# read: (most fields, longest field).  A query holds the ring, the key and
+# one ciphertext per coordinate; a response one ciphertext per repetition.
+_CAPS = {
+    _KIND_QUERY: (2 + 2 ** 16, _RING_STRUCT.size),
+    _KIND_RESPONSE: (2 ** 16, _CIPHER_STRUCT.size),
+    _KIND_ERROR: (1, 2 ** 16),
+}
 
 
 class TransportError(ConnectionError):
@@ -147,6 +158,27 @@ def encode_message(msg) -> bytes:
     return bytes(out)
 
 
+def _check_header(head: bytes) -> tuple:
+    """(kind, field count) of a full 10-byte header, within the caps."""
+    if head[:4] != MAGIC:
+        raise DecodeError(0, "bad magic")
+    if head[4] != PROTOCOL_VERSION:
+        raise DecodeError(4, "unsupported version")
+    kind = head[5]
+    if kind not in _CAPS:
+        raise DecodeError(5, f"unknown message kind {kind}")
+    (nfields,) = struct.unpack_from("<I", head, 6)
+    if nfields > _CAPS[kind][0]:
+        raise DecodeError(6, f"{nfields} fields exceed the cap for this kind")
+    return kind, nfields
+
+
+def _check_field_length(kind: int, flen: int, offset: int) -> None:
+    if flen > _CAPS[kind][1]:
+        raise DecodeError(offset, f"field of {flen} bytes exceeds the cap "
+                                  "for this kind")
+
+
 def decode_message(data: bytes):
     """Parse one message; raises DecodeError with the offending byte offset."""
     if len(data) < 4 or data[:4] != MAGIC:
@@ -155,8 +187,7 @@ def decode_message(data: bytes):
         raise DecodeError(min(4, len(data)), "unsupported version")
     if len(data) < 10:
         raise DecodeError(len(data), "truncated header")
-    kind = data[5]
-    (nfields,) = struct.unpack_from("<I", data, 6)
+    kind, nfields = _check_header(data[:10])
     pos = 10
     fields = []
     offsets = []
@@ -164,6 +195,7 @@ def decode_message(data: bytes):
         if pos + 4 > len(data):
             raise DecodeError(len(data), "truncated field length")
         (flen,) = struct.unpack_from("<I", data, pos)
+        _check_field_length(kind, flen, pos)
         pos += 4
         if pos + flen > len(data):
             raise DecodeError(len(data), "truncated field payload")
@@ -176,8 +208,15 @@ def decode_message(data: bytes):
         if len(fields) < 3:
             raise DecodeError(len(data), "query needs ring, key and coordinates")
         ring = _decode_ring(fields[0], offsets[0])
+        if len(fields[1]) != _KEY_BYTES:
+            raise DecodeError(offsets[1], "public key field has wrong length")
+        key_id = int.from_bytes(fields[1], "little")
         enc_q = tuple(_decode_cipher(f, o, ring.modulus)
                       for f, o in zip(fields[2:], offsets[2:]))
+        for c, o in zip(enc_q, offsets[2:]):
+            if c.key_id != key_id:
+                raise DecodeError(o, "ciphertext bound to another key than "
+                                     "the query's")
         try:
             return QueryMessage(PROTOCOL_VERSION, ring, bytes(fields[1]), enc_q)
         except ParameterError as exc:
@@ -194,7 +233,6 @@ def decode_message(data: bytes):
         if len(fields) != 1:
             raise DecodeError(len(data), "error message needs one field")
         return ErrorMessage(fields[0].decode("utf-8", errors="replace"))
-    raise DecodeError(5, f"unknown message kind {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +303,21 @@ def _read_exact(rfile, count: int, *, allow_eof_at_start=False):
 def read_message(transport: Transport, *, allow_eof=False):
     """Read one self-delimiting message from the stream.
 
-    Returns None on clean end-of-stream when allow_eof is set.
+    The header and every field length are checked against the caps of
+    the message's kind before the bytes they announce are read.  Returns
+    None on clean end-of-stream when allow_eof is set.
     """
     rfile = transport.rfile
     head = _read_exact(rfile, 10, allow_eof_at_start=allow_eof)
     if head is None:
         return None
+    kind, nfields = _check_header(head)
     buf = bytearray(head)
-    if head[:4] != MAGIC:
-        raise DecodeError(0, "bad magic")
-    (nfields,) = struct.unpack_from("<I", head, 6)
     for _ in range(nfields):
         lenb = _read_exact(rfile, 4)
-        buf += lenb
         (flen,) = struct.unpack("<I", lenb)
+        _check_field_length(kind, flen, len(buf))
+        buf += lenb
         buf += _read_exact(rfile, flen)
     return decode_message(bytes(buf))
 
@@ -306,7 +345,8 @@ def make_query(query, pp: ProtocolParams):
 
 
 def answer_query(msg: QueryMessage, db: LabeledDatabase, pp: ProtocolParams):
-    """Server-side batch: one seeded circuit instance per repetition.
+    """Server side: one circuit evaluates every repetition; its packed bits
+    travel as one scalar ciphertext per repetition.
 
     Raises ProtocolError on parameter mismatch; never decrypts anything.
     """
@@ -315,18 +355,16 @@ def answer_query(msg: QueryMessage, db: LabeledDatabase, pp: ProtocolParams):
     if len(msg.enc_q) != pp.ring.dim:
         raise ProtocolError("query dimension mismatch")
     pk = PublicKey(int.from_bytes(msg.pk, "little"), pp.ring.modulus)
-    bits = []
-    for rep in range(pp.repetitions):
-        pp_rep = replace(pp, rng_seed=derive_seed(pp.rng_seed, f"rep-{rep}"))
-        bits.append(server_classify(pk, list(msg.enc_q), db, pp_rep))
-    return ResponseMessage(tuple(bits))
+    bits = server_classify(pk, list(msg.enc_q), db, pp)
+    return ResponseMessage(tuple(he_sim.unpack(bits)))
 
 
 def run_server(transport: Transport, db: LabeledDatabase,
                pp: ProtocolParams) -> int:
     """Serve queries on one connection until the peer closes it.
 
-    Parameter mismatches get an error response; malformed bytes close the
+    A query that cannot be answered (a parameter mismatch or any other
+    failure) gets an error response; malformed bytes get one and close the
     connection.  The connection is closed before returning.  Returns the
     number of queries answered.
     """
@@ -346,10 +384,17 @@ def run_server(transport: Transport, db: LabeledDatabase,
                               ErrorMessage("expected a query message"))
                 return answered
             try:
-                write_message(transport, answer_query(msg, db, pp))
-                answered += 1
+                reply = answer_query(msg, db, pp)
             except ProtocolError as exc:
                 write_message(transport, ErrorMessage(str(exc)))
+                continue
+            except Exception as exc:  # one bad query must not end the loop
+                traceback.print_exc()
+                write_message(transport, ErrorMessage(
+                    f"query failed: {type(exc).__name__}: {exc}"))
+                continue
+            write_message(transport, reply)
+            answered += 1
     finally:
         transport.close()
 
@@ -369,13 +414,17 @@ def run_client(transport: Transport, query, pp: ProtocolParams) -> int:
 
 def serve_tcp(host: str, port: int, db: LabeledDatabase, pp: ProtocolParams,
               *, max_connections=None, ready=None) -> None:
-    """Accept TCP connections and serve each one serially."""
+    """Accept TCP connections and serve each one serially.  A connection
+    whose stream fails (the peer hangs up mid-message) ends alone."""
     with socket.create_server((host, port)) as listener:
         if ready is not None:
             ready(listener.getsockname())
         served = 0
         while max_connections is None or served < max_connections:
             conn, _addr = listener.accept()
-            with _socket_transport(conn) as transport:
-                run_server(transport, db, pp)
+            try:
+                with _socket_transport(conn) as transport:
+                    run_server(transport, db, pp)
+            except TransportError:
+                pass
             served += 1

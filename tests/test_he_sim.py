@@ -68,6 +68,7 @@ def test_evaluator_api_never_returns_plaintext(ring):
         he_sim.broadcast(c, 5, ring), he_sim.embed_like(c, 1),
         he_sim.pack([c, c], ring),
     ]
+    results += he_sim.unpack(he_sim.pack([c, c], ring))
     results += he_sim.linear_combine([c, c], np.array([[1, 2]]), ring)
     assert all(isinstance(r, he_sim.Cipher) for r in results)
 
@@ -198,6 +199,29 @@ def test_slot_sum_broadcast_pack(ring, keys):
     packed = he_sim.pack([he_sim.encrypt(keys.pk, 1),
                           he_sim.encrypt(keys.pk, 2)], ring)
     assert he_sim.decrypt(keys.sk, packed) == [1, 2]
+
+
+def test_segmented_slot_ops(ring, keys):
+    # the layout of r repetitions side by side: tile, per-segment sums,
+    # per-segment broadcast, split into scalars; all free, depth kept
+    vec = he_sim.mul(he_sim.encrypt(keys.pk, [5, 6, 7]),
+                     he_sim.encrypt(keys.pk, 1), ring)
+    with he_sim.metering() as m:
+        tiled = he_sim.pack([vec] * 2, ring)
+        sums = he_sim.slot_sum(he_sim.add(tiled, [0, 0, 0, 1, 1, 1], ring),
+                               ring, 2)
+        spread = he_sim.broadcast(sums, 6, ring)
+        parts = he_sim.unpack(spread)
+    assert he_sim.decrypt(keys.sk, tiled) == [5, 6, 7, 5, 6, 7]
+    assert he_sim.decrypt(keys.sk, sums) == [18, 21]
+    assert he_sim.decrypt(keys.sk, spread) == [18, 18, 18, 21, 21, 21]
+    assert [he_sim.decrypt(keys.sk, p) for p in parts] == [18] * 3 + [21] * 3
+    assert {p.depth for p in parts + [tiled, sums, spread]} == {1}
+    assert m.mult_gates == 0
+    with pytest.raises(he_sim.BackendError):
+        he_sim.slot_sum(vec, ring, 2)
+    with pytest.raises(he_sim.BackendError):
+        he_sim.broadcast(sums, 5, ring)
 
 
 def test_linear_combine_matches_matmul_oracle(ring, keys):

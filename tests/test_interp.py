@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from kishnn import he_sim, interp
 from kishnn.interp import (PolyTable, build_named_tables, eval_poly_ps,
-                           eval_poly_ps_reference, is_smaller, lagrange_table,
-                           load_table, save_table)
-from kishnn.ring import ParameterError, select_ring_params
+                           eval_poly_ps_reference, is_smaller, lagrange_table)
+from kishnn.ring import select_ring_params
 
 
 def vandermonde_interpolate(values, modulus):
@@ -209,39 +208,6 @@ def test_lookup_matches_reference_on_constant_and_linear(grid, degree):
     for depth in (0, 1, 5, 12):
         lookup, reference = _both_paths(table, [0, 1, P - 1], depth, ring)
         assert lookup == reference
-
-
-def test_save_load_round_trip(ring, tmp_path):
-    table = build_named_tables(ring).sqrt
-    path = tmp_path / "sqrt.tbl"
-    save_table(table, path)
-    assert load_table(path, "sqrt") == table
-
-
-def test_load_rejects_bad_magic(ring, tmp_path):
-    table = build_named_tables(ring).sqrt
-    path = tmp_path / "t.tbl"
-    save_table(table, path)
-    blob = bytearray(path.read_bytes())
-    blob[0] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ParameterError, match="magic"):
-        load_table(path, "sqrt")
-
-
-def test_load_rejects_wrong_name(ring, tmp_path):
-    path = tmp_path / "t.tbl"
-    save_table(build_named_tables(ring).sqrt, path)
-    with pytest.raises(ParameterError, match="different function"):
-        load_table(path, "is_neg")
-
-
-def test_load_rejects_truncation(ring, tmp_path):
-    path = tmp_path / "t.tbl"
-    save_table(build_named_tables(ring).sqrt, path)
-    path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(ParameterError, match="truncated"):
-        load_table(path, "sqrt")
 
 
 def test_rings_differing_only_in_n_share_tables():

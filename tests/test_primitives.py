@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kishnn import he_sim, interp, primitives
-from kishnn.primitives import (CoinSpec, coin_toss, compute_dist_l1,
-                               compute_dists, derive_seed, prob_avg)
+from kishnn.primitives import (CoinSpec, coin_toss, compute_dists,
+                               derive_seed, prob_avg)
 from kishnn.ring import ParameterError, select_ring_params
 
 
@@ -147,6 +147,23 @@ def test_prob_avg_is_seed_deterministic(ring, keys):
     assert a == b
 
 
+def test_prob_avg_segments_draw_from_their_own_seeds(ring, keys):
+    # one batch over r segments, one seed each, is r one-seed batches
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, 47, size=40)
+    seeds = tuple(derive_seed(s, "segments") for s in range(3))
+    packed = prob_avg(he_sim.encrypt(keys.pk, np.tile(x, 3)),
+                      CoinSpec("square", 40 * 24, seeds), ring)
+    alone = [he_sim.decrypt(keys.sk, prob_avg(
+        he_sim.encrypt(keys.pk, x), CoinSpec("square", 40 * 24, s), ring))
+        for s in seeds]
+    assert he_sim.decrypt(keys.sk, packed) == alone
+    assert len(set(alone)) > 1
+    with pytest.raises(ParameterError):
+        prob_avg(he_sim.encrypt(keys.pk, x[:5]),
+                 CoinSpec("identity", 5, seeds[:2]), ring)
+
+
 def test_prob_avg_outcome_stays_encrypted(ring, keys):
     xs = he_sim.encrypt(keys.pk, [7, 9, 11])
     spec = CoinSpec("identity", 3, 0)
@@ -163,12 +180,6 @@ def test_compute_dists_matches_numpy_oracle(ring, keys):
         got = he_sim.decrypt(keys.sk, compute_dists(enc_q, pts, ring))
         expect = np.abs(pts - q).sum(axis=1)
         assert got == list(expect)
-
-
-def test_compute_dist_l1_single_point(ring, keys):
-    enc_q = [he_sim.encrypt(keys.pk, 3), he_sim.encrypt(keys.pk, 20)]
-    d = compute_dist_l1(enc_q, (10, 4), ring)
-    assert he_sim.decrypt(keys.sk, d) == 7 + 16
 
 
 def test_compute_dists_dimension_mismatch(ring, keys):

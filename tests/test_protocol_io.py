@@ -1,3 +1,4 @@
+import socket
 import struct
 import threading
 
@@ -205,13 +206,15 @@ def test_responses_are_deterministic_for_a_seed(setup):
     assert r1 == r2
 
 
-def _query_bytes(ring, values):
+def _query_bytes(ring, values, key_ids=None, pk=(7).to_bytes(8, "little")):
     """A query message with raw 64-bit ciphertext values, built field by
-    field as the wire carries it."""
+    field as the wire carries it; every ciphertext carries key id 7 unless
+    key_ids says otherwise."""
+    key_ids = key_ids or [7] * len(values)
     fields = [struct.pack("<QQQQQ", ring.modulus, ring.coord_bound, ring.dim,
                           ring.dist_bound, ring.n),
-              (7).to_bytes(8, "little")]
-    fields += [struct.pack("<QHQ", v, 0, 7) for v in values]
+              pk]
+    fields += [struct.pack("<QHQ", v, 0, k) for v, k in zip(values, key_ids)]
     out = protocol_io.MAGIC + bytes([protocol_io.PROTOCOL_VERSION, 1])
     out += struct.pack("<I", len(fields))
     for f in fields:
@@ -259,4 +262,143 @@ def test_server_survives_a_hostile_ciphertext(setup):
     with tcp_connect("127.0.0.1", addr["port"]) as transport:
         bit = run_client(transport, [2, 3], pp)
     t.join(timeout=10)
+    assert bit == classify_with_majority([2, 3], db, pp)
+
+
+def _serve_in_background(db, pp, connections):
+    """serve_tcp on an ephemeral port in a daemon thread: (thread, port)."""
+    addr = {}
+    done = threading.Event()
+
+    def serve():
+        serve_tcp("127.0.0.1", 0, db, pp, max_connections=connections,
+                  ready=lambda a: (addr.update(port=a[1]), done.set()))
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    assert done.wait(timeout=10)
+    return t, addr["port"]
+
+
+def _timed(sock):
+    """A transport over sock whose reads fail after 5 s instead of
+    blocking."""
+    sock.settimeout(5)
+    return protocol_io.Transport(sock.makefile("rb"), sock.makefile("wb"),
+                                 closer=sock.close)
+
+
+def _raw_connection(port):
+    return _timed(socket.create_connection(("127.0.0.1", port)))
+
+
+def _timed_pair():
+    return tuple(_timed(sock) for sock in socket.socketpair())
+
+
+def test_query_with_mixed_key_ids_is_a_decode_error(setup):
+    ring, _, _ = setup
+    decode_message(_query_bytes(ring, [2, 3], key_ids=[7, 7]))
+    with pytest.raises(DecodeError, match="another key"):
+        decode_message(_query_bytes(ring, [2, 3], key_ids=[7, 8]))
+    with pytest.raises(DecodeError, match="another key"):
+        decode_message(_query_bytes(ring, [2, 3], key_ids=[8, 8]))
+    for pk in (b"", (7).to_bytes(4, "little"), (7).to_bytes(9, "little")):
+        with pytest.raises(DecodeError, match="key field"):
+            decode_message(_query_bytes(ring, [2, 3], pk=pk))
+
+
+def test_server_survives_a_mixed_key_query(setup):
+    _, db, pp = setup
+    t, port = _serve_in_background(db, pp, connections=2)
+    with _raw_connection(port) as transport:
+        transport.wfile.write(_query_bytes(pp.ring, [2, 3], key_ids=[7, 8]))
+        transport.wfile.flush()
+        reply = protocol_io.read_message(transport)
+    assert isinstance(reply, ErrorMessage)
+    with tcp_connect("127.0.0.1", port) as transport:
+        bit = run_client(transport, [2, 3], pp)
+    t.join(timeout=10)
+    assert bit == classify_with_majority([2, 3], db, pp)
+
+
+def test_oversized_field_is_refused_before_it_is_read(setup):
+    _, db, pp = setup
+    header = (protocol_io.MAGIC + bytes([protocol_io.PROTOCOL_VERSION, 1])
+              + struct.pack("<II", 3, 2 ** 32 - 1))
+    client_end, server_end = _timed_pair()
+    client_end.wfile.write(header)
+    client_end.wfile.flush()
+    with pytest.raises(DecodeError, match="cap") as err:
+        protocol_io.read_message(server_end)
+    assert err.value.offset == 10
+    client_end.close()
+    server_end.close()
+    t, port = _serve_in_background(db, pp, connections=2)
+    with _raw_connection(port) as transport:
+        transport.wfile.write(header)
+        transport.wfile.flush()
+        reply = protocol_io.read_message(transport)
+    assert isinstance(reply, ErrorMessage) and "cap" in reply.reason
+    with tcp_connect("127.0.0.1", port) as transport:
+        bit = run_client(transport, [2, 3], pp)
+    t.join(timeout=10)
+    assert bit == classify_with_majority([2, 3], db, pp)
+
+
+@pytest.mark.parametrize("kind,nfields", [(1, 2 + 2 ** 16 + 1),
+                                          (2, 2 ** 16 + 1), (3, 2), (9, 1)])
+def test_header_beyond_the_caps_is_a_decode_error(kind, nfields):
+    header = (protocol_io.MAGIC + bytes([protocol_io.PROTOCOL_VERSION, kind])
+              + struct.pack("<I", nfields))
+    client_end, server_end = _timed_pair()
+    client_end.wfile.write(header)
+    client_end.wfile.flush()
+    with pytest.raises(DecodeError):
+        protocol_io.read_message(server_end)
+    with pytest.raises(DecodeError):
+        decode_message(header)
+    client_end.close()
+    server_end.close()
+
+
+def test_server_survives_a_peer_that_hangs_up_mid_message(setup):
+    _, db, pp = setup
+    t, port = _serve_in_background(db, pp, connections=2)
+    with _raw_connection(port) as transport:
+        transport.wfile.write(protocol_io.MAGIC[:3])
+        transport.wfile.flush()
+    with tcp_connect("127.0.0.1", port) as transport:
+        bit = run_client(transport, [2, 3], pp)
+    t.join(timeout=10)
+    assert bit == classify_with_majority([2, 3], db, pp)
+
+
+def test_a_failing_query_gets_an_error_and_the_connection_goes_on(
+        setup, monkeypatch):
+    _, db, pp = setup
+    calls = []
+    answer = protocol_io.answer_query
+
+    def fails_once(msg, db_, pp_):
+        calls.append(msg)
+        if len(calls) == 1:
+            raise he_sim.KeyMismatchError("operands bound to different keys")
+        return answer(msg, db_, pp_)
+
+    monkeypatch.setattr(protocol_io, "answer_query", fails_once)
+    client_end, server_end = loopback_pair()
+    results = {}
+
+    def serve():
+        results["answered"] = run_server(server_end, db, pp)
+
+    t = threading.Thread(target=serve)
+    t.start()
+    with pytest.raises(ProtocolError, match="different keys"):
+        run_client(client_end, [2, 3], pp)
+    bit = run_client(client_end, [2, 3], pp)
+    client_end.close()
+    t.join(timeout=10)
+    assert results["answered"] == 1
     assert bit == classify_with_majority([2, 3], db, pp)
