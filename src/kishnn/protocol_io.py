@@ -217,6 +217,10 @@ def decode_message(data: bytes):
             if c.key_id != key_id:
                 raise DecodeError(o, "ciphertext bound to another key than "
                                      "the query's")
+            if c.depth != 0:
+                # a fresh encryption; deeper tags would overflow the
+                # response's 16-bit depth field
+                raise DecodeError(o, "query ciphertext is not fresh")
         try:
             return QueryMessage(PROTOCOL_VERSION, ring, bytes(fields[1]), enc_q)
         except ParameterError as exc:
@@ -415,7 +419,7 @@ def run_client(transport: Transport, query, pp: ProtocolParams) -> int:
 def serve_tcp(host: str, port: int, db: LabeledDatabase, pp: ProtocolParams,
               *, max_connections=None, ready=None) -> None:
     """Accept TCP connections and serve each one serially.  A connection
-    whose stream fails (the peer hangs up mid-message) ends alone."""
+    that fails, such as one whose peer hangs up mid-message, ends alone."""
     with socket.create_server((host, port)) as listener:
         if ready is not None:
             ready(listener.getsockname())
@@ -426,5 +430,7 @@ def serve_tcp(host: str, port: int, db: LabeledDatabase, pp: ProtocolParams,
                 with _socket_transport(conn) as transport:
                     run_server(transport, db, pp)
             except TransportError:
-                pass
+                pass  # the peer went away; nothing to answer
+            except Exception:  # one connection must not end the loop
+                traceback.print_exc()
             served += 1

@@ -89,6 +89,24 @@ def test_response_codec_property(value, depth, key_id, half_reps):
     assert decode_message(encode_message(msg)) == msg
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_decoding_any_bytes_gives_a_message_or_a_decode_error(setup, data):
+    # a valid query or response with some bytes overwritten, or raw bytes
+    _, db, pp = setup
+    _, msg = make_query([5, 6], pp)
+    valid = [encode_message(msg), encode_message(answer_query(msg, db, pp))]
+    raw = bytearray(data.draw(st.sampled_from(valid)))
+    for _ in range(data.draw(st.integers(1, 6))):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(
+            st.integers(0, 255))
+    for blob in (bytes(raw), data.draw(st.binary(max_size=64))):
+        try:
+            decode_message(blob)
+        except DecodeError:
+            pass
+
+
 def test_message_sizes_independent_of_database_size():
     sizes = {}
     for n in (50, 569):
@@ -206,7 +224,8 @@ def test_responses_are_deterministic_for_a_seed(setup):
     assert r1 == r2
 
 
-def _query_bytes(ring, values, key_ids=None, pk=(7).to_bytes(8, "little")):
+def _query_bytes(ring, values, key_ids=None, pk=(7).to_bytes(8, "little"),
+                 depth=0):
     """A query message with raw 64-bit ciphertext values, built field by
     field as the wire carries it; every ciphertext carries key id 7 unless
     key_ids says otherwise."""
@@ -214,7 +233,8 @@ def _query_bytes(ring, values, key_ids=None, pk=(7).to_bytes(8, "little")):
     fields = [struct.pack("<QQQQQ", ring.modulus, ring.coord_bound, ring.dim,
                           ring.dist_bound, ring.n),
               pk]
-    fields += [struct.pack("<QHQ", v, 0, k) for v, k in zip(values, key_ids)]
+    fields += [struct.pack("<QHQ", v, depth, k)
+               for v, k in zip(values, key_ids)]
     out = protocol_io.MAGIC + bytes([protocol_io.PROTOCOL_VERSION, 1])
     out += struct.pack("<I", len(fields))
     for f in fields:
@@ -308,11 +328,22 @@ def test_query_with_mixed_key_ids_is_a_decode_error(setup):
             decode_message(_query_bytes(ring, [2, 3], pk=pk))
 
 
-def test_server_survives_a_mixed_key_query(setup):
+def test_query_ciphertext_must_be_fresh(setup):
+    ring, _, _ = setup
+    for depth in (1, 2 ** 16 - 1):
+        with pytest.raises(DecodeError, match="not fresh"):
+            decode_message(_query_bytes(ring, [2, 3], depth=depth))
+
+
+@pytest.mark.parametrize("hostile", [{"key_ids": [7, 8]},
+                                     {"depth": 2 ** 16 - 1}])
+def test_server_survives_a_hostile_key_or_depth(setup, hostile):
+    # mixed key ids used to raise inside the circuit, and a deep query
+    # used to overflow the response's depth field; either ended the server
     _, db, pp = setup
     t, port = _serve_in_background(db, pp, connections=2)
     with _raw_connection(port) as transport:
-        transport.wfile.write(_query_bytes(pp.ring, [2, 3], key_ids=[7, 8]))
+        transport.wfile.write(_query_bytes(pp.ring, [2, 3], **hostile))
         transport.wfile.flush()
         reply = protocol_io.read_message(transport)
     assert isinstance(reply, ErrorMessage)
@@ -371,6 +402,28 @@ def test_server_survives_a_peer_that_hangs_up_mid_message(setup):
     with tcp_connect("127.0.0.1", port) as transport:
         bit = run_client(transport, [2, 3], pp)
     t.join(timeout=10)
+    assert bit == classify_with_majority([2, 3], db, pp)
+
+
+def test_a_failing_connection_ends_alone(setup, monkeypatch):
+    _, db, pp = setup
+    serve_one = protocol_io.run_server
+    calls = []
+
+    def fails_once(transport, db_, pp_):
+        calls.append(transport)
+        if len(calls) == 1:
+            raise RuntimeError("connection handler failed")
+        return serve_one(transport, db_, pp_)
+
+    monkeypatch.setattr(protocol_io, "run_server", fails_once)
+    t, port = _serve_in_background(db, pp, connections=2)
+    with _raw_connection(port) as transport:
+        assert protocol_io.read_message(transport, allow_eof=True) is None
+    with tcp_connect("127.0.0.1", port) as transport:
+        bit = run_client(transport, [2, 3], pp)
+    t.join(timeout=10)
+    assert not t.is_alive()
     assert bit == classify_with_majority([2, 3], db, pp)
 
 
