@@ -197,7 +197,7 @@ def count_classes(xs: Cipher, t_star: Cipher, labels, pp: ProtocolParams,
     ring = pp.ring
     tables = interp.build_named_tables(ring)
     reps = t_star.size
-    labels = np.tile(np.asarray(labels, dtype=np.int64), reps)
+    labels = np.concatenate([np.asarray(labels, dtype=np.int64)] * reps)
     if mapped:
         xs = interp.eval_poly_ps(tables.dist_map, xs, ring)
     xs = he_sim.pack([xs] * reps, ring)

@@ -178,10 +178,9 @@ def prob_avg(xs, spec: CoinSpec, params: RingParams) -> Cipher:
 def _strata(seeds: tuple, n: int) -> np.ndarray:
     """(pi(i) + u_i) / n for slot i of each seed's n-slot segment, drawn
     once per (seeds, n) and shared by the batches that read it, read-only."""
-    parts = []
-    for seed in seeds:
+    u = np.empty(len(seeds) * n)
+    for s, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        parts.append((rng.permutation(n) + rng.random(n)) / n)
-    u = np.concatenate(parts)
+        u[s * n:(s + 1) * n] = (rng.permutation(n) + rng.random(n)) / n
     u.flags.writeable = False
     return u
