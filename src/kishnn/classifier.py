@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from . import he_sim, interp, primitives
 from .he_sim import Cipher
 from .primitives import CoinSpec, derive_seed
-from .ring import ParameterError, RingParams, phi_inverse
+from .ring import ParameterError, RingParams
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,10 @@ class ProtocolParams:
 
 def make_protocol_params(ring: RingParams, k: int, n: int,
                          repetitions: int = 5, rng_seed: int = 0) -> ProtocolParams:
-    z = int(round(phi_inverse(k / n)))
+    """Protocol parameters; z_k = round(Phi^-1(k/n)) is plaintext."""
+    if not 1 <= k < n:
+        raise ParameterError("need 1 <= k < n")
+    z = round(NormalDist().inv_cdf(k / n))
     return ProtocolParams(ring=ring, k=k, n=n, z_k=z,
                           repetitions=repetitions, rng_seed=rng_seed)
 
@@ -65,16 +69,6 @@ class LabeledDatabase:
                                np.delete(self.labels, i))
 
 
-@dataclass(frozen=True)
-class SigmaDigits:
-    """Digit-couple ciphertexts feeding the spread estimate."""
-
-    mu2_low: Cipher
-    mu2_high: Cipher
-    musq_low: Cipher
-    musq_high: Cipher
-
-
 def repetition_seeds(pp: ProtocolParams) -> tuple:
     """The seed of each repetition: repetition r is the one-repetition
     circuit of a ProtocolParams whose rng_seed is entry r."""
@@ -82,45 +76,39 @@ def repetition_seeds(pp: ProtocolParams) -> tuple:
                  for r in range(pp.repetitions))
 
 
-def _moment_coins(f: str, m: int, pp: ProtocolParams, mapped: bool,
-                  seeds) -> CoinSpec:
-    """Coins of one moment batch, one numerator seed per repetition.
-    Every batch shares one numerator draw, so the errors of mu* and mu_2*
-    largely cancel in mu_2* - mu*^2."""
+def _moment_coins(f: str, m: int, pp: ProtocolParams, seeds) -> CoinSpec:
+    """Coins of one moment batch on the mapped distances t(x), one
+    numerator seed per repetition.  Every batch shares one numerator draw,
+    so the errors of mu* and mu_2* largely cancel in mu_2* - mu*^2."""
     seeds = (pp.rng_seed,) if seeds is None else seeds
     return CoinSpec(f, m, tuple(derive_seed(s, "moments") for s in seeds),
-                    interp.dist_map(pp.ring) if mapped else ())
+                    interp.dist_map(pp.ring))
 
 
-def estimate_mu(xs: Cipher, pp: ProtocolParams, mapped: bool = False,
-                seeds=None) -> Cipher:
-    """Coin-sum estimate of the mean distance (denominator n).
+def estimate_mu(xs: Cipher, pp: ProtocolParams, seeds=None) -> Cipher:
+    """Coin-sum estimate of the mean of the mapped distances t(x) (see
+    interp.dist_map), denominator n.
 
-    With mapped, the mean of t(x) (see interp.dist_map), at the same cost.
     xs holds one copy of the distances per repetition seed in seeds
     (default: the one repetition seeded by pp.rng_seed), and the estimate
     holds one slot per repetition.
     """
     return primitives.prob_avg(
-        xs, _moment_coins("identity", pp.n, pp, mapped, seeds), pp.ring)
+        xs, _moment_coins("identity", pp.n, pp, seeds), pp.ring)
 
 
-def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams,
-                        mapped: bool = False, seeds=None):
-    """Digit couple (low, high) of the second moment mu_2 of the distances.
+def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams, seeds=None) -> Cipher:
+    """High base-p digit of the second moment mu_2 = mean(t(x)^2).
 
-    With mapped, of mu_2 = mean(t(x)^2), at the same cost.  One coin batch
-    with denominator n*p gives the high digit, and p * high is unbiased
-    for mu_2 as long as no coin saturates, i.e. while every squared
-    (mapped) distance is at most n*p; the map guarantees this.  The high
-    digit alone already counts all of mu_2, so the low digit is the
-    constant 0.  xs and seeds are laid out as for estimate_mu.
+    One coin batch with denominator n*p gives the high digit, and
+    p * high is unbiased for mu_2 as long as no coin saturates, i.e.
+    while every squared mapped distance is at most n*p; the map
+    guarantees this.  The high digit alone counts all of mu_2, so mu_2
+    has no low digit.  xs and seeds are laid out as for estimate_mu.
     """
-    high = primitives.prob_avg(
-        xs, _moment_coins("square", pp.n * pp.ring.coord_bound, pp, mapped,
-                          seeds),
+    return primitives.prob_avg(
+        xs, _moment_coins("square", pp.n * pp.ring.coord_bound, pp, seeds),
         pp.ring)
-    return he_sim.embed_like(high, np.zeros(high.size, np.int64)), high
 
 
 def square_mu_digits(mu_star: Cipher, pp: ProtocolParams):
@@ -138,22 +126,18 @@ def square_mu_digits(mu_star: Cipher, pp: ProtocolParams):
     return low, high
 
 
-def sqrt_of_digit_diff(high_a: Cipher, low_a: Cipher, high_b: Cipher,
-                       low_b: Cipher, pp: ProtocolParams) -> Cipher:
-    """Oblivious sqrt(max(a - b, 0)) from base-p digit couples of a and b.
+def _sqrt_of_digits(dh: Cipher, dl: Cipher, pp: ProtocolParams) -> Cipher:
+    """sqrt(max(dh * p + dl, 0)) by a three-way branch on dh: sqrt(dl)
+    when dh = 0, sqrt(p + dl) when dh = 1, sqrt(dh * p) otherwise.
 
-    Three-way branch on dh = high(a) - high(b): sqrt(dl) when dh = 0,
-    sqrt(p + dl) when dh = 1, sqrt(dh * p) otherwise, with dl the low
-    digit difference.  Low digits may be signed.  Every square-root table
-    reads its argument as signed and returns 0 below zero, so a negative
-    difference (a variance estimate that coin noise pushed below zero)
-    gives 0.  Selector bits come from the is-zero table and every branch
-    is combined by multiply-and-add, so nothing is revealed.
+    dl may be signed.  Every square-root table reads its argument as
+    signed and returns 0 below zero, so a negative difference (a variance
+    estimate that coin noise pushed below zero) gives 0.  Selector bits
+    come from the is-zero table and every branch is combined by
+    multiply-and-add, so nothing is revealed.
     """
     ring = pp.ring
     tables = interp.build_named_tables(ring)
-    dh = he_sim.sub(high_a, high_b, ring)
-    dl = he_sim.sub(low_a, low_b, ring)
     b0 = interp.eval_poly_ps(tables.is_zero, dh, ring)
     b1 = interp.eval_poly_ps(tables.is_zero, he_sim.sub(dh, 1, ring), ring)
     b2 = he_sim.rsub(1, he_sim.add(b0, b1, ring), ring)
@@ -166,14 +150,23 @@ def sqrt_of_digit_diff(high_a: Cipher, low_a: Cipher, high_b: Cipher,
     return acc
 
 
-def estimate_sigma(sd: SigmaDigits, pp: ProtocolParams) -> Cipher:
-    """Spread of the distance distribution from the moment digit-couples.
+def sqrt_of_digit_diff(high_a: Cipher, low_a: Cipher, high_b: Cipher,
+                       low_b: Cipher, pp: ProtocolParams) -> Cipher:
+    """Oblivious sqrt(max(a - b, 0)) from base-p digit couples of a and b;
+    low digits may be signed."""
+    ring = pp.ring
+    return _sqrt_of_digits(he_sim.sub(high_a, high_b, ring),
+                           he_sim.sub(low_a, low_b, ring), pp)
 
-    The variance is mu_2 - mu^2, so the digit difference is taken with the
-    second moment on the positive side.
-    """
-    return sqrt_of_digit_diff(sd.mu2_high, sd.mu2_low,
-                              sd.musq_high, sd.musq_low, pp)
+
+def estimate_sigma(mu2_high: Cipher, musq_low: Cipher, musq_high: Cipher,
+                   pp: ProtocolParams) -> Cipher:
+    """Spread sqrt(max(mu_2 - mu^2, 0)) of the mapped distances, from the
+    high digit of mu_2 and the digit couple of mu*^2.  mu_2 has no low
+    digit, so the low difference is -low(mu*^2), which is free."""
+    ring = pp.ring
+    return _sqrt_of_digits(he_sim.sub(mu2_high, musq_high, ring),
+                           he_sim.rsub(0, musq_low, ring), pp)
 
 
 def threshold(mu_star: Cipher, sigma_star: Cipher, pp: ProtocolParams) -> Cipher:
@@ -182,24 +175,22 @@ def threshold(mu_star: Cipher, sigma_star: Cipher, pp: ProtocolParams) -> Cipher
     return he_sim.add(mu_star, he_sim.mul(sigma_star, z, pp.ring), pp.ring)
 
 
-def count_classes(xs: Cipher, t_star: Cipher, labels, pp: ProtocolParams,
-                  mapped: bool = False):
-    """Per-class counts of points strictly below the threshold.
+def count_classes(xs: Cipher, t_star: Cipher, labels, pp: ProtocolParams):
+    """Per-class counts of points whose mapped distance t(x) lies strictly
+    below the threshold.
 
-    With mapped, the distances first go through the dist_map table, so
-    they are compared in the units a mapped threshold was estimated in.
-    t_star holds one threshold per repetition: the n (mapped) distances
-    are laid out once per repetition and compared against that
-    repetition's threshold in one batched sign test, whose bits are reused
-    for both sums; the label masks are plaintext.  The counts hold one
-    slot per repetition.
+    The distances first go through the dist_map table, so they are
+    compared in the units the threshold was estimated in.  t_star holds
+    one threshold per repetition: the n mapped distances are laid out
+    once per repetition and compared against that repetition's threshold
+    in one batched sign test, whose bits are reused for both sums; the
+    label masks are plaintext.  The counts hold one slot per repetition.
     """
     ring = pp.ring
     tables = interp.build_named_tables(ring)
     reps = t_star.size
     labels = np.concatenate([np.asarray(labels, dtype=np.int64)] * reps)
-    if mapped:
-        xs = interp.eval_poly_ps(tables.dist_map, xs, ring)
+    xs = interp.eval_poly_ps(tables.dist_map, xs, ring)
     xs = he_sim.pack([xs] * reps, ring)
     tb = he_sim.broadcast(t_star, xs.size, ring)
     bits = interp.eval_poly_ps(tables.is_neg, he_sim.sub(xs, tb, ring), ring)
@@ -215,13 +206,10 @@ def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
     laid out once per repetition for the moment coins."""
     xs = primitives.compute_dists(enc_q, db.points, pp.ring)
     tiled = he_sim.pack([xs] * len(seeds), pp.ring)
-    mu_star = estimate_mu(tiled, pp, mapped=True, seeds=seeds)
-    mu2_low, mu2_high = estimate_mu2_digits(tiled, pp, mapped=True,
-                                            seeds=seeds)
+    mu_star = estimate_mu(tiled, pp, seeds=seeds)
+    mu2_high = estimate_mu2_digits(tiled, pp, seeds=seeds)
     musq_low, musq_high = square_mu_digits(mu_star, pp)
-    sd = SigmaDigits(mu2_low=mu2_low, mu2_high=mu2_high,
-                     musq_low=musq_low, musq_high=musq_high)
-    sigma_star = estimate_sigma(sd, pp)
+    sigma_star = estimate_sigma(mu2_high, musq_low, musq_high, pp)
     t_star = threshold(mu_star, sigma_star, pp)
     return xs, t_star
 
@@ -249,7 +237,7 @@ def server_classify(pk, enc_q: list, db: LabeledDatabase,
         # disagree, and the moment coins could saturate without an error
         raise ParameterError("ring was selected for a different database size")
     xs, t_star = _threshold_pipeline(enc_q, db, pp, repetition_seeds(pp))
-    c0, c1 = count_classes(xs, t_star, db.labels, pp, mapped=True)
+    c0, c1 = count_classes(xs, t_star, db.labels, pp)
     return interp.is_smaller(c0, c1, pp.ring)
 
 

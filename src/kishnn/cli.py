@@ -1,4 +1,4 @@
-"""Command-line entry points: serve, query, evaluate, bench, diagnose.
+"""Command-line entry points: serve, query, evaluate, diagnose.
 
 Every command takes a single --seed; all randomness flows from it through
 named sub-streams, so any run is bit-reproducible.
@@ -79,14 +79,6 @@ def build_parser() -> _Parser:
     _add_common(p, "dataset", "grid", "k", "reps", "seed", "out")
     p.add_argument("--mode", choices=("plain", "secure"), default="plain")
 
-    p = subs.add_parser("bench",
-                        help="gate/depth/time sweeps over n and grid size")
-    _add_common(p, "dataset", "grid", "k", "seed", "out")
-    p.add_argument("--n-sweep", default="",
-                   help="comma-separated database sizes (duplication sweep)")
-    p.add_argument("--grid-sweep", default="",
-                   help="comma-separated grid sizes")
-
     p = subs.add_parser("diagnose",
                         help="distance-distribution Gaussianity diagnostic")
     _add_common(p, "dataset", "grid", "seed", "out")
@@ -103,10 +95,6 @@ def _host_port(text: str) -> tuple:
 def _load_grid(args) -> data_eval.GridDataset:
     raw = data_eval.load_wdbc(args.dataset)
     return data_eval.grid_dataset(raw, args.grid)
-
-
-def _int_list(text: str) -> list:
-    return [int(t) for t in text.split(",") if t.strip()]
 
 
 def cmd_serve(args) -> int:
@@ -176,19 +164,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    gd = _load_grid(args)
-    rows = data_eval.sweep_benchmarks(
-        gd, args.k, n_sweep=_int_list(args.n_sweep),
-        grid_sweep=_int_list(args.grid_sweep), seed=args.seed)
-    if args.out:
-        data_eval.write_csv(args.out, data_eval.BENCH_FIELDS, rows)
-    print(",".join(data_eval.BENCH_FIELDS))
-    for row in rows:
-        print(",".join(str(row[f]) for f in data_eval.BENCH_FIELDS))
-    return 0
-
-
 def cmd_diagnose(args) -> int:
     gd = _load_grid(args)
     db = gd.database()
@@ -204,7 +179,7 @@ def cmd_diagnose(args) -> int:
 
 
 _COMMANDS = {"serve": cmd_serve, "query": cmd_query, "evaluate": cmd_evaluate,
-             "bench": cmd_bench, "diagnose": cmd_diagnose}
+             "diagnose": cmd_diagnose}
 
 
 def main(argv=None) -> int:

@@ -10,9 +10,9 @@ the secure pipeline under leave-one-out cross-validation.
 from __future__ import annotations
 
 import csv
-import time
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .classifier import (LabeledDatabase, ProtocolParams,
                          classify_with_majority, make_protocol_params)
 from .he_sim import EvalMetrics
 from .primitives import derive_seed
-from .ring import ParameterError, normal_cdf, select_ring_params
+from .ring import ParameterError, select_ring_params
 
 
 class DataFormatError(ValueError):
@@ -199,15 +199,6 @@ def grid_dataset(raw: RawDataset, g: int) -> GridDataset:
     return GridDataset(points=pts, labels=raw.labels, grid=g, quant_meta=meta)
 
 
-def apply_quant_meta(point2d, g: int, quant_meta) -> np.ndarray:
-    """Map one real query point onto the grid of an existing dataset."""
-    out = []
-    for x, (offset, scale) in zip(point2d, quant_meta):
-        cell = int(np.rint((x - offset) * scale))
-        out.append(min(max(cell, 0), g - 1))
-    return np.array(out, dtype=np.int64)
-
-
 def plain_knn(db: LabeledDatabase, q, k: int) -> int:
     """Exact L1 k-nearest-neighbor majority vote.
 
@@ -288,11 +279,11 @@ def gaussian_sd_diagnostic(db: LabeledDatabase, q) -> float:
         warnings.warn("all distances are equal; distribution is degenerate")
         return 1.0
     lo, hi = int(dists.min()), int(dists.max())
+    cdf = NormalDist().cdf
     gaps = []
     for u in range(lo, hi + 1):
         emp = float((dists == u).sum()) / db.n
-        gauss = (normal_cdf((u + 0.5 - mu) / sigma)
-                 - normal_cdf((u - 0.5 - mu) / sigma))
+        gauss = cdf((u + 0.5 - mu) / sigma) - cdf((u - 0.5 - mu) / sigma)
         gaps.append(abs(emp - gauss))
     return max(gaps)
 
@@ -302,45 +293,6 @@ def distance_histogram(db: LabeledDatabase, q) -> list:
     dists = np.abs(db.points - np.asarray(q, dtype=np.int64)).sum(axis=1)
     values, counts = np.unique(dists, return_counts=True)
     return [(int(v), int(c)) for v, c in zip(values, counts)]
-
-
-BENCH_FIELDS = ("grid", "n", "mult_gates", "max_depth", "wall_time")
-
-
-def _duplicate_to(db: LabeledDatabase, n: int) -> LabeledDatabase:
-    """Grow a database to n points by cyclic duplication."""
-    idx = np.arange(n) % db.n
-    return LabeledDatabase(db.points[idx], db.labels[idx])
-
-
-def _bench_row(grid: int, db: LabeledDatabase, k: int, seed: int) -> dict:
-    ring = select_ring_params(grid, dim=2, n=db.n)
-    pp = make_protocol_params(ring, k=k, n=db.n, repetitions=1, rng_seed=seed)
-    rng = np.random.default_rng(derive_seed(seed, "bench-query"))
-    q = rng.integers(0, grid, size=2)
-    start = time.perf_counter()
-    _, metrics = he_sim.metered_scope(
-        lambda: classify_with_majority(q, db, pp))
-    wall = time.perf_counter() - start
-    return {"grid": grid, "n": db.n, "mult_gates": metrics.mult_gates,
-            "max_depth": metrics.max_depth, "wall_time": round(wall, 6)}
-
-
-def sweep_benchmarks(gd: GridDataset, k: int, *, n_sweep=(), grid_sweep=(),
-                     seed: int = 0) -> list:
-    """Benchmark rows for a database-size sweep (by point duplication,
-    fixed grid) and a grid-size sweep (fixed n)."""
-    if not n_sweep and not grid_sweep:
-        raise ParameterError("at least one sweep range is required")
-    rows = []
-    base = gd.database()
-    for n in n_sweep:
-        rows.append(_bench_row(gd.grid, _duplicate_to(base, n), k, seed))
-    for grid in grid_sweep:
-        scaled, _ = quantize(gd.points.astype(np.float64), grid)
-        rows.append(_bench_row(grid, LabeledDatabase(scaled, gd.labels),
-                               k, seed))
-    return rows
 
 
 def write_csv(path, fieldnames, rows) -> None:

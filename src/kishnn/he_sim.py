@@ -125,13 +125,6 @@ def metering():
             _note(m.max_depth, m.mult_gates, m.add_gates)
 
 
-def metered_scope(body):
-    """Run body() and return (result, EvalMetrics) for the gates it ran."""
-    with metering() as m:
-        result = body()
-    return result, m
-
-
 def keygen(ring: RingParams, seed: int) -> KeyPair:
     """Deterministic mock key generation; distinct seeds, distinct keys."""
     h = hashlib.blake2b(f"kishnn-key:{seed}:{ring.modulus}".encode(),

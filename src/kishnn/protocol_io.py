@@ -33,6 +33,11 @@ _CIPHER_STRUCT = struct.Struct("<QHQ")  # value blob, depth, key id
 _RING_STRUCT = struct.Struct("<QQQQQ")
 _KEY_BYTES = 8
 
+# Connections are served one after another, so a peer that sends nothing
+# would hold every other client off; each read or write on a served
+# connection gives up after this many seconds.
+READ_TIMEOUT_S = 10.0
+
 # What a header of each kind may announce, checked before any payload is
 # read: (most fields, longest field).  A query holds the ring, the key and
 # one ciphertext per coordinate; a response one ciphertext per repetition.
@@ -419,18 +424,23 @@ def run_client(transport: Transport, query, pp: ProtocolParams) -> int:
 def serve_tcp(host: str, port: int, db: LabeledDatabase, pp: ProtocolParams,
               *, max_connections=None, ready=None) -> None:
     """Accept TCP connections and serve each one serially.  A connection
-    that fails, such as one whose peer hangs up mid-message, ends alone."""
+    that fails, such as one whose peer hangs up mid-message or sends
+    nothing for READ_TIMEOUT_S seconds, ends alone."""
     with socket.create_server((host, port)) as listener:
         if ready is not None:
             ready(listener.getsockname())
         served = 0
         while max_connections is None or served < max_connections:
-            conn, _addr = listener.accept()
+            conn, addr = listener.accept()
+            conn.settimeout(READ_TIMEOUT_S)
             try:
                 with _socket_transport(conn) as transport:
                     run_server(transport, db, pp)
-            except TransportError:
-                pass  # the peer went away; nothing to answer
+            except TransportError as exc:
+                # the peer went away or went silent; nothing to answer
+                if isinstance(exc.__cause__, TimeoutError):
+                    print(f"kishnn: closed {addr[0]}:{addr[1]}: timed out "
+                          f"after {READ_TIMEOUT_S:g} s", file=sys.stderr)
             except Exception:  # one connection must not end the loop
                 traceback.print_exc()
             served += 1

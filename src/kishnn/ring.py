@@ -1,12 +1,10 @@
 """Exact arithmetic in the evaluation ring Z_P.
 
-Parameter selection, base-p digit decomposition and the standard-normal
-quantile used to turn k/n into a threshold offset.
+Parameter selection, primality and base-p digit decomposition.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -112,52 +110,3 @@ def base_p_decompose(v: int, params: RingParams) -> DigitPair:
         raise ParameterError(f"value {v} outside [0, {p * p})")
     return DigitPair(low=v % p, high=v // p)
 
-
-# Coefficients of Acklam's rational approximation to the normal quantile.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-
-def normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def phi_inverse(q: float) -> float:
-    """Standard-normal quantile, |Phi(result) - q| <= 1e-9.
-
-    Rational approximation plus one Halley refinement step against the
-    exact erf-based CDF.
-    """
-    if not 0.0 < q < 1.0:
-        raise ParameterError(f"quantile argument {q} outside (0, 1)")
-    q_low = 0.02425
-    if q < q_low:
-        u = math.sqrt(-2.0 * math.log(q))
-        z = ((((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u
-              + _C[5]) /
-             ((((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1.0))
-    elif q <= 1.0 - q_low:
-        u = q - 0.5
-        r = u * u
-        z = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r
-              + _A[5]) * u /
-             (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r
-              + 1.0))
-    else:
-        u = math.sqrt(-2.0 * math.log(1.0 - q))
-        z = -((((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u
-               + _C[5]) /
-              ((((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1.0))
-    # One Halley step: e = Phi(z) - q, refine against the exact CDF.
-    e = normal_cdf(z) - q
-    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        u = e / pdf
-        z = z - u / (1.0 + z * u / 2.0)
-    return z

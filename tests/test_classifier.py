@@ -7,9 +7,10 @@ from kishnn import he_sim, classifier, interp
 from kishnn.classifier import (LabeledDatabase, ProtocolParams,
                                classify_with_majority, count_classes,
                                estimate_mu, estimate_mu2_digits,
-                               kappa_of_run, make_protocol_params,
-                               server_classify, sqrt_of_digit_diff,
-                               square_mu_digits, threshold)
+                               estimate_sigma, kappa_of_run,
+                               make_protocol_params, server_classify,
+                               sqrt_of_digit_diff, square_mu_digits,
+                               threshold)
 from kishnn.ring import ParameterError, base_p_decompose, select_ring_params
 
 from conftest import two_cluster_db
@@ -44,6 +45,31 @@ def test_make_protocol_params_rounds_quantile(ring100):
     assert pp.z_k == -2
 
 
+def normal_quantile_by_bisection(q):
+    """Independent oracle: bisect the erf-based normal CDF."""
+    lo, hi = -10.0, 10.0
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < q:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_z_k_matches_a_bisection_oracle(ring100):
+    for n in (2, 8, 40, 100, 568, 569, 1000, 5690):
+        for k in range(1, min(n, 60)):
+            pp = make_pp(ring100, k=k, n=n)
+            assert pp.z_k == round(normal_quantile_by_bisection(k / n)), (k, n)
+
+
+@pytest.mark.parametrize("k,n", [(0, 10), (10, 10), (11, 10)])
+def test_make_protocol_params_rejects_k_outside_1_to_n(ring100, k, n):
+    with pytest.raises(ParameterError, match="1 <= k < n"):
+        make_pp(ring100, k=k, n=n)
+
+
 def test_labeled_database_without():
     db = LabeledDatabase(np.array([[1, 2], [3, 4], [5, 6]]),
                          np.array([0, 1, 0]))
@@ -53,16 +79,16 @@ def test_labeled_database_without():
 
 
 def test_estimate_mu_tracks_sample_mean(ring100, keys):
-    # estimator regime: values bounded by the coin denominator n
+    # mu* estimates the mean of the mapped distances t(x); the map keeps
+    # every t(x) within the coin denominator n
     rng = np.random.default_rng(1)
-    xs_plain = rng.integers(0, 41, size=40)
+    xs_plain = rng.integers(0, ring100.dist_bound + 1, size=40)
     xs = he_sim.encrypt(keys.pk, xs_plain)
-    pp = make_pp(ring100, k=5, n=40)
     values = []
     for s in range(120):
         est = estimate_mu(xs, make_pp(ring100, k=5, n=40, seed=s))
         values.append(ring100.signed(he_sim.decrypt(keys.sk, est)))
-    mean = float(xs_plain.mean())
+    mean = float(np.asarray(interp.dist_map(ring100))[xs_plain].mean())
     assert abs(np.mean(values) - mean) < 3.0
     assert np.std(values) < 2.5 * math.sqrt(mean)
 
@@ -101,6 +127,25 @@ def test_sqrt_of_digit_diff_sandwich(ring100, keys):
     assert violations == 0
 
 
+def test_estimate_sigma_is_the_digit_diff_with_a_zero_low_digit(ring100,
+                                                                keys):
+    # mu_2 has no low digit: estimate_sigma(h2, ls, hs) is
+    # sqrt_of_digit_diff(h2, 0, hs, ls), at the same gates and depth
+    pp = make_pp(ring100, k=5, n=40)
+    rng = np.random.default_rng(3)
+    mu = he_sim.encrypt(keys.pk, rng.integers(0, 41, size=200))
+    mu2_high = he_sim.encrypt(keys.pk, rng.integers(0, 20, size=200))
+    zero = he_sim.encrypt(keys.pk, np.zeros(200, dtype=np.int64))
+    musq_low, musq_high = square_mu_digits(mu, pp)
+    with he_sim.metering() as got_m:
+        got = estimate_sigma(mu2_high, musq_low, musq_high, pp)
+    with he_sim.metering() as want_m:
+        want = sqrt_of_digit_diff(mu2_high, zero, musq_high, musq_low, pp)
+    assert he_sim.decrypt(keys.sk, got) == he_sim.decrypt(keys.sk, want)
+    assert (got_m.mult_gates, got_m.max_depth) == (want_m.mult_gates,
+                                                   want_m.max_depth)
+
+
 @pytest.mark.parametrize("a_digits,b_digits", [
     ((0, 0), (4, 0)),     # a - b = -400, high difference below zero
     ((0, 0), (2, 50)),    # a - b = -250, high and low differences negative
@@ -117,10 +162,9 @@ def test_sqrt_of_digit_diff_is_zero_below_zero(ring100, keys, a_digits,
     assert he_sim.decrypt(keys.sk, got) == 0
 
 
-@pytest.mark.parametrize("mapped", [False, True])
-def test_mu2_digits_are_unbiased_for_the_second_moment(mapped):
-    # p * high + signed(low) estimates mu_2 on the criterion-9 profile,
-    # where x^2 > n for almost every slot: a low digit with coin
+def test_mu2_digits_are_unbiased_for_the_second_moment():
+    # p * high estimates mu_2 = mean(t(x)^2) on the criterion-9 profile,
+    # where t(x)^2 > n for almost every slot: a low digit with coin
     # denominator n would saturate and add about n mod P to the estimate
     n = 569
     ring = select_ring_params(100, dim=2, n=n)
@@ -128,16 +172,14 @@ def test_mu2_digits_are_unbiased_for_the_second_moment(mapped):
     rng = np.random.default_rng(6)
     x = np.clip(np.rint(rng.normal(60, 20, size=n)), 0,
                 ring.dist_bound).astype(np.int64)
-    tx = np.asarray(interp.dist_map(ring))[x] if mapped else x
+    tx = np.asarray(interp.dist_map(ring))[x]
     mu2 = float((tx * tx).mean())
     xs = he_sim.encrypt(keys.pk, x)
     ests = []
     for s in range(400):
         pp = make_pp(ring, k=13, n=n, seed=s)
-        low, high = (estimate_mu2_digits(xs, pp, mapped=True) if mapped
-                     else estimate_mu2_digits(xs, pp))
-        ests.append(100 * he_sim.decrypt(keys.sk, high)
-                    + ring.signed(he_sim.decrypt(keys.sk, low)))
+        ests.append(100 * he_sim.decrypt(keys.sk,
+                                         estimate_mu2_digits(xs, pp)))
     se = np.std(ests, ddof=1) / math.sqrt(len(ests))
     assert abs(np.mean(ests) - mu2) <= 3 * se
 
@@ -153,14 +195,21 @@ def test_threshold_combines_linearly(ring100, keys):
 
 
 def test_count_classes_matches_plain_count(ring100, keys):
+    # the threshold is in mapped units: a point counts when t(x) < 30
     pp = make_pp(ring100, k=5, n=8)
     xs_plain = [5, 40, 12, 80, 3, 33, 60, 9]
     labels = [0, 1, 0, 1, 1, 0, 1, 0]
+    tmap = interp.dist_map(ring100)
+
+    def plain_counts(t):
+        below = [l for x, l in zip(xs_plain, labels) if t(x) < 30]
+        return below.count(0), below.count(1)
+
+    expect0, expect1 = plain_counts(lambda x: tmap[x])
+    assert (expect0, expect1) != plain_counts(lambda x: x)
     xs = he_sim.encrypt(keys.pk, xs_plain)
-    t = he_sim.encrypt(keys.pk, 35)
+    t = he_sim.encrypt(keys.pk, 30)
     c0, c1 = count_classes(xs, t, labels, pp)
-    expect0 = sum(1 for x, l in zip(xs_plain, labels) if x < 35 and l == 0)
-    expect1 = sum(1 for x, l in zip(xs_plain, labels) if x < 35 and l == 1)
     assert he_sim.decrypt(keys.sk, c0) == expect0
     assert he_sim.decrypt(keys.sk, c1) == expect1
 
@@ -258,6 +307,25 @@ def test_depth_constant_in_database_size():
             server_classify(keys.pk, enc_q, db, pp)
         depths.add(m.max_depth)
     assert len(depths) == 1
+
+
+def test_depth_grows_sublinearly_in_grid():
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, 50, size=(60, 2))
+    labels = rng.integers(0, 2, size=60)
+    depths = []
+    for grid in (50, 100, 200):
+        ring = select_ring_params(grid, dim=2, n=60)
+        db = LabeledDatabase(base * (grid - 1) // 49, labels)
+        pp = make_pp(ring, k=3, n=60)
+        keys = he_sim.keygen(ring, 1)
+        q = rng.integers(0, grid, size=2)
+        enc_q = [he_sim.encrypt(keys.pk, int(c)) for c in q]
+        with he_sim.metering() as m:
+            server_classify(keys.pk, enc_q, db, pp)
+        depths.append(m.max_depth)
+    assert depths[0] <= depths[1] <= depths[2]
+    assert depths[2] - depths[1] <= depths[1] - depths[0] + 1
 
 
 def test_kappa_of_run_requires_trapdoor(ring100, monkeypatch):

@@ -46,17 +46,6 @@ def test_evaluate_writes_csv(capsys, wdbc_path, tmp_path):
     assert len(lines) == 570
 
 
-def test_bench_row_count(capsys, wdbc_path, tmp_path):
-    out_path = tmp_path / "bench.csv"
-    code, out, _ = run(capsys, "bench", "--dataset", wdbc_path,
-                       "--grid", "50", "--k", "3",
-                       "--n-sweep", "100,200,400", "--out", str(out_path))
-    assert code == 0
-    lines = out_path.read_text().strip().splitlines()
-    assert len(lines) == 4  # header + 3 rows
-    assert out.splitlines()[0].startswith("grid,n,mult_gates")
-
-
 def test_query_loopback_prints_bit(capsys, wdbc_path):
     code, out, _ = run(capsys, "query", "40", "40",
                        "--transport", "loopback", "--dataset", wdbc_path,

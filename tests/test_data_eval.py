@@ -9,7 +9,7 @@ from kishnn.classifier import LabeledDatabase
 from kishnn.data_eval import (DataFormatError, RawDataset, f1_score,
                               gaussian_sd_diagnostic, grid_dataset,
                               leave_one_out_f1, load_wdbc, plain_knn,
-                              project_2d, quantize, sweep_benchmarks)
+                              project_2d, quantize)
 
 
 
@@ -262,42 +262,3 @@ def test_distance_histogram_counts():
                          np.zeros(3, dtype=np.int64))
     rows = data_eval.distance_histogram(db, (0, 0))
     assert rows == [(1, 2), (4, 1)]
-
-
-# ------------------------------------------------------------- benchmark
-
-
-@pytest.fixture(scope="module")
-def small_grid_dataset():
-    rng = np.random.default_rng(5)
-    pts = rng.integers(0, 50, size=(60, 2))
-    labels = rng.integers(0, 2, size=60)
-    return data_eval.GridDataset(pts, labels, grid=50,
-                                 quant_meta=((0.0, 1.0), (0.0, 1.0)))
-
-
-def test_bench_schema(small_grid_dataset, tmp_path):
-    rows = sweep_benchmarks(small_grid_dataset, 3, n_sweep=(60,))
-    assert len(rows) == 1
-    assert tuple(rows[0]) == data_eval.BENCH_FIELDS
-    out = tmp_path / "bench.csv"
-    data_eval.write_csv(out, data_eval.BENCH_FIELDS, rows)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == ",".join(data_eval.BENCH_FIELDS)
-    assert len(lines) == 2
-    assert len(lines[1].split(",")) == len(data_eval.BENCH_FIELDS)
-
-
-def test_bench_gates_linear_in_n(small_grid_dataset):
-    rows = sweep_benchmarks(small_grid_dataset, 3, n_sweep=(100, 200, 400))
-    gates = [r["mult_gates"] for r in rows]
-    assert abs(gates[1] / gates[0] - 2) < 0.05 * 2
-    assert abs(gates[2] / gates[0] - 4) < 0.05 * 4
-
-
-def test_bench_depth_grows_sublinearly_in_grid(small_grid_dataset):
-    rows = sweep_benchmarks(small_grid_dataset, 3,
-                            grid_sweep=(50, 100, 200))
-    depths = [r["max_depth"] for r in rows]
-    assert depths[0] <= depths[1] <= depths[2]
-    assert depths[2] - depths[1] <= depths[1] - depths[0] + 1

@@ -405,6 +405,22 @@ def test_server_survives_a_peer_that_hangs_up_mid_message(setup):
     assert bit == classify_with_majority([2, 3], db, pp)
 
 
+def test_an_idle_connection_times_out_alone(setup, monkeypatch, capsys):
+    # a client that connects and sends nothing used to hold the serial
+    # accept loop, so the next client's query was never answered
+    _, db, pp = setup
+    monkeypatch.setattr(protocol_io, "READ_TIMEOUT_S", 0.5)
+    t, port = _serve_in_background(db, pp, connections=2)
+    with _raw_connection(port) as idle:
+        with _raw_connection(port) as transport:
+            bit = run_client(transport, [2, 3], pp)
+        assert protocol_io.read_message(idle, allow_eof=True) is None
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert bit == classify_with_majority([2, 3], db, pp)
+    assert capsys.readouterr().err.count("timed out after 0.5 s") == 1
+
+
 def test_a_failing_connection_ends_alone(setup, monkeypatch):
     _, db, pp = setup
     serve_one = protocol_io.run_server

@@ -1,4 +1,7 @@
 import pathlib
+import shlex
+
+from kishnn import cli
 
 from conftest import two_cluster_db
 
@@ -11,6 +14,16 @@ def _library_snippet() -> str:
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
+def _cli_commands() -> list:
+    """The argv of every `kishnn ...` line in README's CLI block."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## CLI", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("kishnn ")]
+
+
 def test_readme_library_example_runs():
     points, labels = two_cluster_db(20, 100, gap=1, seed=5)
     scope = {"points": points, "labels": labels}
@@ -18,3 +31,34 @@ def test_readme_library_example_runs():
     assert scope["label"] in (0, 1)
     assert scope["bit"] in (0, 1)
     assert scope["pp"].n == len(points) == scope["ring"].n
+
+
+def test_readme_cli_examples_parse():
+    # a subcommand or flag the parser no longer knows exits with a usage
+    # error; every subcommand appears in the block
+    commands = _cli_commands()
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every example that needs no server, with its output file under
+    # tmp_path; the dataset path is relative to the repository root
+    monkeypatch.chdir(README.parent)
+    ran = []
+    for argv in _cli_commands():
+        if "tcp" in argv:  # the server and its client
+            continue
+        outs = [i + 1 for i, a in enumerate(argv) if a == "--out"]
+        for i in outs:
+            argv[i] = str(tmp_path / argv[i])
+        assert cli.main(argv) == 0, argv
+        for i in outs:
+            assert pathlib.Path(argv[i]).stat().st_size > 0
+        ran.append(argv[0])
+    out = capsys.readouterr().out
+    assert sorted(ran) == ["diagnose", "evaluate", "query"]
+    assert "F1=" in out and "sd_gaussian=" in out
+    assert out.splitlines()[-1] in ("0", "1")

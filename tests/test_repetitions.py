@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from kishnn import data_eval, he_sim, interp, primitives, protocol_io
-from kishnn.classifier import (SigmaDigits, classify_with_majority,
-                               count_classes, estimate_mu,
-                               estimate_mu2_digits, estimate_sigma,
-                               make_protocol_params, server_classify,
-                               square_mu_digits, threshold)
+from kishnn.classifier import (classify_with_majority, count_classes,
+                               estimate_mu, estimate_mu2_digits,
+                               estimate_sigma, make_protocol_params,
+                               server_classify, square_mu_digits, threshold)
 from kishnn.primitives import derive_seed
 from kishnn.ring import select_ring_params
 
@@ -38,13 +37,11 @@ def one_repetition(enc_q, db, pp):
     with he_sim.metering() as m:
         with he_sim.metering() as dist:
             xs = primitives.compute_dists(enc_q, db.points, ring)
-        mu = estimate_mu(xs, pp, mapped=True)
-        mu2_low, mu2_high = estimate_mu2_digits(xs, pp, mapped=True)
+        mu = estimate_mu(xs, pp)
         musq_low, musq_high = square_mu_digits(mu, pp)
-        sigma = estimate_sigma(SigmaDigits(mu2_low, mu2_high, musq_low,
-                                           musq_high), pp)
-        c0, c1 = count_classes(xs, threshold(mu, sigma, pp), db.labels, pp,
-                               mapped=True)
+        sigma = estimate_sigma(estimate_mu2_digits(xs, pp), musq_low,
+                               musq_high, pp)
+        c0, c1 = count_classes(xs, threshold(mu, sigma, pp), db.labels, pp)
         bit = interp.is_smaller(c0, c1, ring)
     with he_sim.metering() as mapped:
         interp.eval_poly_ps(interp.build_named_tables(ring).dist_map, xs,

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kishnn.ring import (DigitPair, ParameterError, RingParams,
-                         base_p_decompose, is_prime, normal_cdf, phi_inverse,
-                         select_ring_params)
+                         base_p_decompose, is_prime, select_ring_params)
 
 
 def brute_is_prime(m: int) -> bool:
@@ -68,36 +67,6 @@ def test_base_p_decompose_range_check():
         base_p_decompose(36, ring)  # >= p^2
     with pytest.raises(ParameterError):
         base_p_decompose(-1, ring)
-
-
-def test_normal_cdf_known_values():
-    assert normal_cdf(0.0) == pytest.approx(0.5)
-    assert normal_cdf(1.96) == pytest.approx(0.975, abs=1e-3)
-    assert normal_cdf(-1.96) == pytest.approx(0.025, abs=1e-3)
-
-
-@given(st.floats(0.001, 0.999))
-def test_phi_inverse_inverts_cdf(q):
-    assert normal_cdf(phi_inverse(q)) == pytest.approx(q, abs=1e-9)
-
-
-def test_phi_inverse_against_bisection_oracle():
-    # independent oracle: bisect the cdf
-    for q in (0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 13 / 568):
-        lo, hi = -10.0, 10.0
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            if normal_cdf(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        assert phi_inverse(q) == pytest.approx((lo + hi) / 2, abs=1e-9)
-
-
-def test_quantile_for_thirteen_of_568_is_about_minus_two():
-    z = phi_inverse(13 / 568)
-    assert -2.5 < z < -1.9
-    assert round(z) == -2
 
 
 def trial_division_is_prime(m: int) -> bool:
