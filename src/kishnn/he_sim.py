@@ -20,6 +20,10 @@ import numpy as np
 
 from .ring import RingParams
 
+# Slot count from which ops reduce by floor division (`_reduce`): numpy
+# vectorises int64 `//` by a scalar but not `%`; below it `%` is faster.
+_WIDE = 768
+
 
 class KeyMismatchError(ValueError):
     pass
@@ -127,12 +131,23 @@ def metering():
 
 def keygen(ring: RingParams, seed: int) -> KeyPair:
     """Deterministic mock key generation; distinct seeds, distinct keys."""
+    if (ring.modulus - 1) ** 2 >= 2 ** 63:
+        raise BackendError(f"modulus {ring.modulus}: products of residues "
+                           "would wrap in the int64 slots")
     h = hashlib.blake2b(f"kishnn-key:{seed}:{ring.modulus}".encode(),
                         digest_size=8)
     key_id = int.from_bytes(h.digest(), "little")
     return KeyPair(pk=PublicKey(key_id, ring.modulus),
                    sk=SecretKey(key_id, ring.modulus),
                    ring=ring)
+
+
+def _reduce(v: np.ndarray, modulus: int) -> np.ndarray:
+    """v mod modulus into a fresh array, v untouched.  Exact for every int64
+    v: a wrap in (v // modulus)·modulus cancels in the difference."""
+    q = v // modulus
+    q *= modulus
+    return np.subtract(v, q, out=q)
 
 
 def _as_slots(values) -> np.ndarray:
@@ -171,7 +186,10 @@ def embed_like(c: Cipher, values) -> Cipher:
 
 def _plain(b, modulus: int):
     """A plaintext operand reduced into the ring; a Python int stays one."""
-    return b % modulus if isinstance(b, int) else _as_slots(b) % modulus
+    if isinstance(b, int):
+        return b % modulus
+    v = _as_slots(b)
+    return v % modulus if v.size < _WIDE else _reduce(v, modulus)
 
 
 def _coerce(a: Cipher, b, modulus: int):
@@ -185,25 +203,30 @@ def _coerce(a: Cipher, b, modulus: int):
 
 def add(a: Cipher, b, ring: RingParams) -> Cipher:
     """a + b mod the ring; b may be a Cipher or plaintext scalar/vector."""
-    bv, bd, bc = _coerce(a, b, ring.modulus)
+    p = ring.modulus
+    bv, bd, bc = _coerce(a, b, p)
     depth = max(a.depth, bd)
-    out = Cipher((a._values + bv) % ring.modulus, depth, a.key_id)
+    v = a._values + bv
+    out = Cipher(v % p if v.size < _WIDE else _reduce(v, p), depth, a.key_id)
     _note(depth, adds=out.size if bc else 0)
     return out
 
 
 def sub(a: Cipher, b, ring: RingParams) -> Cipher:
-    bv, bd, bc = _coerce(a, b, ring.modulus)
+    p = ring.modulus
+    bv, bd, bc = _coerce(a, b, p)
     depth = max(a.depth, bd)
-    out = Cipher((a._values - bv) % ring.modulus, depth, a.key_id)
+    v = a._values - bv
+    out = Cipher(v % p if v.size < _WIDE else _reduce(v, p), depth, a.key_id)
     _note(depth, adds=out.size if bc else 0)
     return out
 
 
 def rsub(b, a: Cipher, ring: RingParams) -> Cipher:
     """Plaintext-minus-cipher, free (scalar mult by -1 plus add)."""
-    bv = _plain(b, ring.modulus)
-    out = Cipher((bv - a._values) % ring.modulus, a.depth, a.key_id)
+    p = ring.modulus
+    v = _plain(b, p) - a._values
+    out = Cipher(v % p if v.size < _WIDE else _reduce(v, p), a.depth, a.key_id)
     _note(a.depth)
     return out
 
@@ -214,8 +237,10 @@ def mul(a: Cipher, b, ring: RingParams) -> Cipher:
     Cipher-by-cipher products cost one mult gate per slot and one depth
     level; plaintext-scalar products are free.
     """
-    bv, bd, bc = _coerce(a, b, ring.modulus)
-    vals = (a._values * bv) % ring.modulus
+    p = ring.modulus
+    bv, bd, bc = _coerce(a, b, p)
+    v = a._values * bv
+    vals = v % p if v.size < _WIDE else _reduce(v, p)
     if bc:
         depth = max(a.depth, bd) + 1
         out = Cipher(vals, depth, a.key_id)
@@ -231,7 +256,9 @@ def slot_sum(c: Cipher, ring: RingParams, segments: int = 1) -> Cipher:
     segments-slot cipher (rotations, masks and adds, free)."""
     if c.size % segments:
         raise BackendError("slots do not split into equal segments")
-    vals = c._values.reshape(segments, -1).sum(axis=1) % ring.modulus
+    p = ring.modulus
+    v = c._values.reshape(segments, -1).sum(axis=1)
+    vals = v % p if v.size < _WIDE else _reduce(v, p)
     out = Cipher(vals, c.depth, c.key_id)
     _note(c.depth)
     return out

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kishnn import data_eval
+from kishnn import classifier, data_eval, he_sim
 from kishnn.classifier import LabeledDatabase
 from kishnn.data_eval import (DataFormatError, RawDataset, f1_score,
                               gaussian_sd_diagnostic, grid_dataset,
                               leave_one_out_f1, load_wdbc, plain_knn,
                               project_2d, quantize)
+from kishnn.ring import select_ring_params
 
 
 
@@ -235,6 +236,25 @@ def test_loo_secure_is_bit_exact_against_recorded_values(wdbc_path):
                       "2f9f110f01d1840e8db1219dcb4e57f1")
     assert report.metrics.mult_gates == 2_000_040
     assert report.metrics.max_depth == 68
+
+
+def test_wide_query_is_bit_exact_against_recorded_values(wdbc_path,
+                                                         trapdoor):
+    # WDBC grown cyclically to 5,690 points, the widest n-sweep shape, so
+    # every slot op reduces by floor division; recorded from the
+    # implementation that reduced with `%` only
+    base = grid_dataset(load_wdbc(wdbc_path), 250).database()
+    idx = np.arange(10 * base.n) % base.n
+    db = LabeledDatabase(base.points[idx], base.labels[idx])
+    assert db.n >= he_sim._WIDE
+    point = np.random.default_rng(5).integers(0, 250, size=2)
+    pp = classifier.make_protocol_params(
+        select_ring_params(250, dim=2, n=db.n), k=13, n=db.n,
+        repetitions=1, rng_seed=5)
+    with he_sim.metering() as m:
+        bit = classifier.classify_with_majority(point, db, pp)
+    assert (bit, m.mult_gates, m.max_depth) == (1, 3_152_908, 68)
+    assert classifier.kappa_of_run(db, point, pp, 5) == 2450
 
 
 # ------------------------------------------------------------ diagnostic

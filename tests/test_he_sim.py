@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kishnn import he_sim
 from kishnn.he_sim import BackendError, KeyMismatchError
-from kishnn.ring import select_ring_params
+from kishnn.ring import RingParams, is_prime, select_ring_params
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,78 @@ def test_ring_arithmetic_matches_modular_oracle(a, b):
     assert he_sim.decrypt(keys.sk, he_sim.sub(ca, cb, ring)) == (a - b) % 23
     assert he_sim.decrypt(keys.sk, he_sim.mul(ca, cb, ring)) == (a * b) % 23
     assert he_sim.decrypt(keys.sk, he_sim.rsub(b, ca, ring)) == (b - a) % 23
+
+
+_INT64_EDGES = (-2**63, 2**63 - 1)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_slot_ops_match_a_mod_oracle_either_side_of_the_crossover(data):
+    # narrow ciphers reduce with `%`, wide ones by floor division; both
+    # must give Python's residues for every operand kind, int64 plaintexts
+    # at the edges included, and leave every operand as it was
+    ring = select_ring_params(250, dim=2, n=569)
+    p = ring.modulus
+    keys = he_sim.keygen(ring, 5)
+    n = data.draw(st.sampled_from(
+        [1, 568, he_sim._WIDE - 1, he_sim._WIDE, 2 * he_sim._WIDE + 1]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, p, size=n)
+    b = rng.integers(0, p, size=n)
+    vec = rng.integers(-2**63, 2**63 - 1, size=n, endpoint=True)
+    small = rng.random(n) < 0.5
+    vec[small] = rng.integers(-3 * p, 3 * p, size=int(small.sum()))
+    vec[:3] = (*_INT64_EDGES, -p)[:n]
+    scalar = data.draw(st.sampled_from((*_INT64_EDGES, -p, p, 0))
+                       | st.integers(-2**70, 2**70))
+    vec_before = vec.copy()
+    ca, cb = he_sim.encrypt(keys.pk, a), he_sim.encrypt(keys.pk, b)
+    a_vals, b_vals = ca._values, cb._values
+
+    def check(out, ys, oracle):
+        want = [oracle(int(x), int(y)) % p for x, y in zip(a, ys)]
+        assert he_sim.decrypt(keys.sk, out) == (want if n > 1 else want[0])
+        assert not np.shares_memory(out._values, vec)
+
+    for other, ys in ((cb, b), (vec, vec), (scalar, [scalar] * n)):
+        check(he_sim.add(ca, other, ring), ys, lambda x, y: x + y)
+        check(he_sim.sub(ca, other, ring), ys, lambda x, y: x - y)
+        check(he_sim.mul(ca, other, ring), ys, lambda x, y: x * y)
+        if other is not cb:  # rsub takes a plaintext minuend
+            check(he_sim.rsub(other, ca, ring), ys, lambda x, y: y - x)
+    pair_sums = he_sim.slot_sum(he_sim.pack([ca, cb], ring), ring, n)
+    expect = [int(s) % p for s in np.concatenate([a, b]).reshape(n, 2).sum(1)]
+    assert he_sim.decrypt(keys.sk, pair_sums) == (expect if n > 1
+                                                  else expect[0])
+    assert ca._values is a_vals and cb._values is b_vals
+    assert (a_vals == a).all() and (b_vals == b).all()
+    assert (vec == vec_before).all()
+
+
+def test_keygen_refuses_a_ring_whose_products_wrap_int64():
+    # at modulus 2^63 - 25, mul(P - 2, 3) wrapped in the int64 slots and
+    # decrypted to a wrong residue; the largest prime with (P - 1)^2 below
+    # 2^63 still gets keys, and its products are exact
+    def ring_of(m):
+        return RingParams(modulus=m, coord_bound=2, dim=1, dist_bound=1, n=1)
+
+    with pytest.raises(BackendError):
+        he_sim.keygen(ring_of(2**63 - 25), 0)
+    edge = 3_037_000_500  # (P - 1)^2 < 2^63 exactly when P <= this
+    while not is_prime(edge):
+        edge -= 1
+    above = 3_037_000_501
+    while not is_prime(above):
+        above += 1
+    with pytest.raises(BackendError):
+        he_sim.keygen(ring_of(above), 0)
+    ring = ring_of(edge)
+    keys = he_sim.keygen(ring, 0)
+    c = he_sim.encrypt(keys.pk, [edge - 1, edge - 2])
+    assert he_sim.decrypt(keys.sk, he_sim.mul(c, c, ring)) == [1, 4]
+    assert he_sim.decrypt(keys.sk, he_sim.add(c, c, ring)) == [edge - 2,
+                                                               edge - 4]
 
 
 def test_depth_bookkeeping(ring, keys):
