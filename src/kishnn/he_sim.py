@@ -256,9 +256,7 @@ def slot_sum(c: Cipher, ring: RingParams, segments: int = 1) -> Cipher:
     segments-slot cipher (rotations, masks and adds, free)."""
     if c.size % segments:
         raise BackendError("slots do not split into equal segments")
-    p = ring.modulus
-    v = c._values.reshape(segments, -1).sum(axis=1)
-    vals = v % p if v.size < _WIDE else _reduce(v, p)
+    vals = c._values.reshape(segments, -1).sum(axis=1) % ring.modulus
     out = Cipher(vals, c.depth, c.key_id)
     _note(c.depth)
     return out

@@ -133,6 +133,7 @@ def test_slot_ops_match_a_mod_oracle_either_side_of_the_crossover(data):
         check(he_sim.mul(ca, other, ring), ys, lambda x, y: x * y)
         if other is not cb:  # rsub takes a plaintext minuend
             check(he_sim.rsub(other, ca, ring), ys, lambda x, y: y - x)
+    # slot_sum's result has one slot per segment, so it keeps `%`
     pair_sums = he_sim.slot_sum(he_sim.pack([ca, cb], ring), ring, n)
     expect = [int(s) % p for s in np.concatenate([a, b]).reshape(n, 2).sum(1)]
     assert he_sim.decrypt(keys.sk, pair_sums) == (expect if n > 1
