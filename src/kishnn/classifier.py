@@ -14,7 +14,7 @@ as one circuit, one slot segment per repetition.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -30,7 +30,7 @@ class ProtocolParams:
     ring: RingParams
     k: int
     n: int
-    z_k: int  # round(Phi^-1(k/n)), plaintext
+    z_k: int = field(init=False)  # round(Phi^-1(k/n)), plaintext
     repetitions: int = 5
     rng_seed: int = 0
 
@@ -39,16 +39,11 @@ class ProtocolParams:
             raise ParameterError("need 1 <= k < n")
         if self.repetitions % 2 != 1:
             raise ParameterError("repetition count must be odd")
+        object.__setattr__(self, "z_k",
+                           round(NormalDist().inv_cdf(self.k / self.n)))
 
 
-def make_protocol_params(ring: RingParams, k: int, n: int,
-                         repetitions: int = 5, rng_seed: int = 0) -> ProtocolParams:
-    """Protocol parameters; z_k = round(Phi^-1(k/n)) is plaintext."""
-    if not 1 <= k < n:
-        raise ParameterError("need 1 <= k < n")
-    z = round(NormalDist().inv_cdf(k / n))
-    return ProtocolParams(ring=ring, k=k, n=n, z_k=z,
-                          repetitions=repetitions, rng_seed=rng_seed)
+make_protocol_params = ProtocolParams
 
 
 @dataclass(frozen=True)
@@ -214,7 +209,7 @@ def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
     return xs, t_star
 
 
-def server_classify(pk, enc_q: list, db: LabeledDatabase,
+def server_classify(enc_q: list, db: LabeledDatabase,
                     pp: ProtocolParams) -> Cipher:
     """The full server circuit; returns one encrypted class bit per
     repetition, packed one per slot.
@@ -241,12 +236,23 @@ def server_classify(pk, enc_q: list, db: LabeledDatabase,
     return interp.is_smaller(c0, c1, pp.ring)
 
 
+def encrypt_query(pk, query, ring: RingParams) -> list:
+    """The client's query, one fresh cipher per coordinate; a point off the
+    grid is refused, not classified as some other point."""
+    coords = [int(c) for c in query]
+    if len(coords) != ring.dim or not all(0 <= c < ring.coord_bound
+                                          for c in coords):
+        raise ParameterError(f"query {coords} is not a grid point: need "
+                             f"{ring.dim} coordinates in "
+                             f"[0, {ring.coord_bound})")
+    return [he_sim.encrypt(pk, c) for c in coords]
+
+
 def classify_with_majority(query, db: LabeledDatabase,
                            pp: ProtocolParams) -> int:
     """Client-side wrapper: run the protocol, majority-vote its bits."""
     keys = he_sim.keygen(pp.ring, derive_seed(pp.rng_seed, "keys"))
-    enc_q = [he_sim.encrypt(keys.pk, int(c)) for c in query]
-    bits = server_classify(keys.pk, enc_q, db, pp)
+    bits = server_classify(encrypt_query(keys.pk, query, pp.ring), db, pp)
     votes = sum(he_sim.decrypt(keys.sk, b) for b in he_sim.unpack(bits))
     return 1 if 2 * votes > pp.repetitions else 0
 
@@ -263,7 +269,7 @@ def kappa_of_run(db: LabeledDatabase, query, pp: ProtocolParams,
         raise RuntimeError("kappa_of_run is a test-build diagnostic; "
                            "set KISHNN_TEST_TRAPDOOR=1 to enable")
     keys = he_sim.keygen(pp.ring, derive_seed(seed, "kappa-keys"))
-    enc_q = [he_sim.encrypt(keys.pk, int(c)) for c in query]
+    enc_q = encrypt_query(keys.pk, query, pp.ring)
     _, t_star = _threshold_pipeline(enc_q, db, pp, (seed,))
     t_val = pp.ring.signed(he_sim.decrypt(keys.sk, t_star))
     dists = np.abs(np.asarray(db.points, dtype=np.int64)

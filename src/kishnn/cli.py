@@ -99,7 +99,7 @@ def _load_grid(args) -> data_eval.GridDataset:
 
 def cmd_serve(args) -> int:
     gd = _load_grid(args)
-    pp = data_eval._protocol_for(gd, args.k, args.reps, args.seed, gd.n)
+    pp = data_eval._protocol_for(gd, args.k, args.reps, args.seed)
     db = gd.database()
     if args.transport == "stdio":
         protocol_io.run_server(protocol_io.stdio_transport(), db, pp)
@@ -118,7 +118,7 @@ def cmd_query(args) -> int:
         if args.dataset is None:
             raise ParameterError("loopback transport needs --dataset")
         gd = _load_grid(args)
-        pp = data_eval._protocol_for(gd, args.k, args.reps, args.seed, gd.n)
+        pp = data_eval._protocol_for(gd, args.k, args.reps, args.seed)
         client_end, server_end = protocol_io.loopback_pair()
         server = threading.Thread(
             target=protocol_io.run_server,

@@ -224,9 +224,9 @@ def f1_score(predicted: np.ndarray, truth: np.ndarray) -> float:
 
 
 def _protocol_for(gd: GridDataset, k: int, repetitions: int,
-                  seed: int, n: int) -> ProtocolParams:
-    ring = select_ring_params(gd.grid, dim=2, n=n)
-    return make_protocol_params(ring, k=k, n=n, repetitions=repetitions,
+                  seed: int) -> ProtocolParams:
+    ring = select_ring_params(gd.grid, dim=2, n=gd.n)
+    return make_protocol_params(ring, k=k, n=gd.n, repetitions=repetitions,
                                 rng_seed=seed)
 
 

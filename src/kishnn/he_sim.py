@@ -42,14 +42,12 @@ class PublicKey:
 @dataclass(frozen=True)
 class SecretKey:
     key_id: int
-    modulus: int
 
 
 @dataclass(frozen=True)
 class KeyPair:
     pk: PublicKey
     sk: SecretKey
-    ring: RingParams
 
 
 class Cipher:
@@ -137,9 +135,7 @@ def keygen(ring: RingParams, seed: int) -> KeyPair:
     h = hashlib.blake2b(f"kishnn-key:{seed}:{ring.modulus}".encode(),
                         digest_size=8)
     key_id = int.from_bytes(h.digest(), "little")
-    return KeyPair(pk=PublicKey(key_id, ring.modulus),
-                   sk=SecretKey(key_id, ring.modulus),
-                   ring=ring)
+    return KeyPair(pk=PublicKey(key_id, ring.modulus), sk=SecretKey(key_id))
 
 
 def _reduce(v: np.ndarray, modulus: int) -> np.ndarray:

@@ -140,10 +140,9 @@ def coin_toss(x: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
     return _coin_batch(x, np.array([r]), spec, params)
 
 
-def prob_avg(xs, spec: CoinSpec, params: RingParams) -> Cipher:
-    """Estimate (1/m) * sum_i f(x_i) as a sum of coins.
+def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
+    """Estimate (1/m) * sum_i f(x_i) over the slots of xs as a sum of coins.
 
-    xs is either a packed ciphertext or a list of single-slot ciphers.
     The numerators are stratified: r_i = floor(m * (pi(i) + u_i) / n) + 1,
     with pi a random permutation of the n slots and u_i uniform in [0, 1).
     Each r_i is uniform on [1, m], so each coin keeps probability
@@ -160,8 +159,6 @@ def prob_avg(xs, spec: CoinSpec, params: RingParams) -> Cipher:
     result holds one estimate per segment: one coin batch evaluates them
     all side by side.
     """
-    if not isinstance(xs, Cipher):
-        xs = he_sim.pack(list(xs), params)
     seeds = spec.rng_seed
     if not isinstance(seeds, tuple):
         seeds = (seeds,)

@@ -17,20 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import he_sim
-from .classifier import LabeledDatabase, ProtocolParams, server_classify
-from .he_sim import Cipher, PublicKey
+from .classifier import (LabeledDatabase, ProtocolParams, encrypt_query,
+                         server_classify)
+from .he_sim import Cipher
 from .primitives import derive_seed
 from .ring import ParameterError, RingParams
 
 MAGIC = b"KISH"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _KIND_QUERY = 1
 _KIND_RESPONSE = 2
 _KIND_ERROR = 3
 
 _CIPHER_STRUCT = struct.Struct("<QHQ")  # value blob, depth, key id
-_RING_STRUCT = struct.Struct("<QQQQQ")
+_RING_STRUCT = struct.Struct("<QQQQ")  # modulus, coord_bound, dim, n
 _KEY_BYTES = 8
 
 # Connections are served one after another, so a peer that sends nothing
@@ -66,20 +67,16 @@ class DecodeError(ValueError):
 
 @dataclass(frozen=True)
 class QueryMessage:
-    protocol_version: int
     ring: RingParams
     pk: bytes  # opaque 8-byte key identifier
     enc_q: tuple  # one scalar ciphertext per coordinate
 
     def __post_init__(self):
-        if self.protocol_version != PROTOCOL_VERSION:
-            raise ParameterError("unsupported protocol version")
         if len(self.enc_q) != self.ring.dim:
             raise ParameterError("query dimension does not match ring")
 
     def __eq__(self, other):
         return (isinstance(other, QueryMessage)
-                and self.protocol_version == other.protocol_version
                 and self.ring == other.ring
                 and self.pk == other.pk
                 and _cipher_states(self.enc_q) == _cipher_states(other.enc_q))
@@ -125,8 +122,7 @@ def _decode_cipher(blob: bytes, offset: int, bound: int = 2 ** 63) -> Cipher:
 
 
 def _encode_ring(ring: RingParams) -> bytes:
-    return _RING_STRUCT.pack(ring.modulus, ring.coord_bound, ring.dim,
-                             ring.dist_bound, ring.n)
+    return _RING_STRUCT.pack(ring.modulus, ring.coord_bound, ring.dim, ring.n)
 
 
 def _decode_ring(blob: bytes, offset: int) -> RingParams:
@@ -227,7 +223,7 @@ def decode_message(data: bytes):
                 # response's 16-bit depth field
                 raise DecodeError(o, "query ciphertext is not fresh")
         try:
-            return QueryMessage(PROTOCOL_VERSION, ring, bytes(fields[1]), enc_q)
+            return QueryMessage(ring, bytes(fields[1]), enc_q)
         except ParameterError as exc:
             raise DecodeError(offsets[0], str(exc)) from exc
     if kind == _KIND_RESPONSE:
@@ -346,10 +342,8 @@ def write_message(transport: Transport, msg) -> None:
 def make_query(query, pp: ProtocolParams):
     """Client-side key generation and query encryption."""
     keys = he_sim.keygen(pp.ring, derive_seed(pp.rng_seed, "keys"))
-    enc_q = tuple(he_sim.encrypt(keys.pk, int(c) % pp.ring.modulus)
-                  for c in query)
-    msg = QueryMessage(PROTOCOL_VERSION, pp.ring,
-                       keys.pk.key_id.to_bytes(8, "little"), enc_q)
+    enc_q = tuple(encrypt_query(keys.pk, query, pp.ring))
+    msg = QueryMessage(pp.ring, keys.pk.key_id.to_bytes(8, "little"), enc_q)
     return keys, msg
 
 
@@ -361,10 +355,7 @@ def answer_query(msg: QueryMessage, db: LabeledDatabase, pp: ProtocolParams):
     """
     if msg.ring != pp.ring:
         raise ProtocolError("ring parameters do not match the served database")
-    if len(msg.enc_q) != pp.ring.dim:
-        raise ProtocolError("query dimension mismatch")
-    pk = PublicKey(int.from_bytes(msg.pk, "little"), pp.ring.modulus)
-    bits = server_classify(pk, list(msg.enc_q), db, pp)
+    bits = server_classify(list(msg.enc_q), db, pp)
     return ResponseMessage(tuple(he_sim.unpack(bits)))
 
 

@@ -24,7 +24,6 @@ class RingParams:
     modulus: int
     coord_bound: int  # grid size g; coordinates live in [0, g)
     dim: int
-    dist_bound: int  # largest L1 distance: dim * (coord_bound - 1)
     n: int
 
     def __post_init__(self):
@@ -34,6 +33,10 @@ class RingParams:
             raise ParameterError(f"modulus {self.modulus} is not prime")
         if self.modulus <= 2 * self.dist_bound:
             raise ParameterError("modulus must exceed 2 * dist_bound")
+
+    @property
+    def dist_bound(self) -> int:  # the largest L1 distance on the grid
+        return self.dim * (self.coord_bound - 1)
 
     def reduce(self, v: int) -> int:
         """Embed a (possibly negative) integer into Z_modulus."""
@@ -95,12 +98,10 @@ def select_ring_params(grid_size: int, dim: int, n: int) -> RingParams:
     """
     if grid_size < 2 or dim < 1 or n < 1:
         raise ParameterError("need grid_size >= 2, dim >= 1, n >= 1")
-    dist_bound = dim * (grid_size - 1)
-    m = 2 * dist_bound + 1
+    m = 2 * dim * (grid_size - 1) + 1
     while not is_prime(m):
         m += 1
-    return RingParams(modulus=m, coord_bound=grid_size, dim=dim,
-                      dist_bound=dist_bound, n=n)
+    return RingParams(modulus=m, coord_bound=grid_size, dim=dim, n=n)
 
 
 def base_p_decompose(v: int, params: RingParams) -> DigitPair:

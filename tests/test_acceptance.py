@@ -75,7 +75,7 @@ def _metered_run(grid: int, n: int, seed: int = 0):
     keys = keygen(ring, 1)
     enc_q = [encrypt(keys.pk, 10), encrypt(keys.pk, 20)]
     with he_sim.metering() as m:
-        server_classify(keys.pk, enc_q, db, pp)
+        server_classify(enc_q, db, pp)
     return m
 
 

@@ -33,11 +33,11 @@ def make_pp(ring, k, n, reps=1, seed=0):
 
 def test_protocol_params_validation(ring100):
     with pytest.raises(ParameterError):
-        ProtocolParams(ring100, k=0, n=10, z_k=-2)
+        ProtocolParams(ring100, k=0, n=10)
     with pytest.raises(ParameterError):
-        ProtocolParams(ring100, k=10, n=10, z_k=-2)
+        ProtocolParams(ring100, k=10, n=10)
     with pytest.raises(ParameterError):
-        ProtocolParams(ring100, k=3, n=10, z_k=-2, repetitions=4)
+        ProtocolParams(ring100, k=3, n=10, repetitions=4)
 
 
 def test_make_protocol_params_rounds_quantile(ring100):
@@ -219,9 +219,9 @@ def test_server_classify_validates_shapes(ring100, keys):
     db = LabeledDatabase(pts, labels)
     pp = make_pp(ring100, k=5, n=40)
     with pytest.raises(ParameterError):
-        server_classify(keys.pk, [he_sim.encrypt(keys.pk, 1)], db, pp)
+        server_classify([he_sim.encrypt(keys.pk, 1)], db, pp)
     with pytest.raises(ParameterError):
-        server_classify(keys.pk, [he_sim.encrypt(keys.pk, 1)] * 2,
+        server_classify([he_sim.encrypt(keys.pk, 1)] * 2,
                         LabeledDatabase(pts[:10], labels[:10]), pp)
 
 
@@ -235,7 +235,18 @@ def test_server_classify_rejects_a_ring_for_another_size(keys):
     pp = make_pp(ring, k=5, n=50)
     enc_q = [he_sim.encrypt(keys.pk, 3), he_sim.encrypt(keys.pk, 4)]
     with pytest.raises(ParameterError, match="database size"):
-        server_classify(keys.pk, enc_q, db, pp)
+        server_classify(enc_q, db, pp)
+
+
+@pytest.mark.parametrize("point", [(-1, 5), (100, 5), (1, 2, 3)])
+def test_client_refuses_a_point_off_the_grid(ring100, point):
+    # (100, 5) used to be classified without an error, as a point of the
+    # grid it is not on
+    pts, labels = two_cluster_db(20, 100, gap=1)
+    db = LabeledDatabase(pts, labels)
+    pp = make_pp(ring100, k=5, n=40)
+    with pytest.raises(ParameterError, match="not a grid point"):
+        classify_with_majority(point, db, pp)
 
 
 def test_server_never_decrypts(ring100, keys):
@@ -244,7 +255,7 @@ def test_server_never_decrypts(ring100, keys):
     pp = make_pp(ring100, k=5, n=40)
     enc_q = [he_sim.encrypt(keys.pk, 3), he_sim.encrypt(keys.pk, 4)]
     with he_sim.metering() as m:
-        bit = server_classify(keys.pk, enc_q, db, pp)
+        bit = server_classify(enc_q, db, pp)
     assert m.decrypt_calls == 0
     assert isinstance(bit, he_sim.Cipher)
 
@@ -304,7 +315,7 @@ def test_depth_constant_in_database_size():
         keys = he_sim.keygen(ring, 1)
         enc_q = [he_sim.encrypt(keys.pk, 10), he_sim.encrypt(keys.pk, 20)]
         with he_sim.metering() as m:
-            server_classify(keys.pk, enc_q, db, pp)
+            server_classify(enc_q, db, pp)
         depths.add(m.max_depth)
     assert len(depths) == 1
 
@@ -322,7 +333,7 @@ def test_depth_grows_sublinearly_in_grid():
         q = rng.integers(0, grid, size=2)
         enc_q = [he_sim.encrypt(keys.pk, int(c)) for c in q]
         with he_sim.metering() as m:
-            server_classify(keys.pk, enc_q, db, pp)
+            server_classify(enc_q, db, pp)
         depths.append(m.max_depth)
     assert depths[0] <= depths[1] <= depths[2]
     assert depths[2] - depths[1] <= depths[1] - depths[0] + 1

@@ -55,6 +55,17 @@ def test_query_loopback_prints_bit(capsys, wdbc_path):
     assert out.strip() in ("0", "1")
 
 
+@pytest.mark.parametrize("point", [("-1", "5"), ("50", "5")])
+def test_query_loopback_refuses_a_point_off_the_grid(capsys, wdbc_path,
+                                                     point):
+    # -1 used to be reduced mod P and answered as P - 1 with exit code 0
+    code, out, err = run(capsys, "query", *point, "--transport", "loopback",
+                         "--dataset", wdbc_path, "--grid", "50", "--reps", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not a grid point" in err
+
+
 def test_query_loopback_needs_dataset(capsys):
     code, _, err = run(capsys, "query", "1", "2", "--transport", "loopback")
     assert code == 2

@@ -148,7 +148,7 @@ def test_keygen_refuses_a_ring_whose_products_wrap_int64():
     # decrypted to a wrong residue; the largest prime with (P - 1)^2 below
     # 2^63 still gets keys, and its products are exact
     def ring_of(m):
-        return RingParams(modulus=m, coord_bound=2, dim=1, dist_bound=1, n=1)
+        return RingParams(modulus=m, coord_bound=2, dim=1, n=1)
 
     with pytest.raises(BackendError):
         he_sim.keygen(ring_of(2**63 - 25), 0)

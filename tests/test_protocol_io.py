@@ -14,7 +14,7 @@ from kishnn.protocol_io import (DecodeError, ErrorMessage, ProtocolError,
                                 decode_message, encode_message, loopback_pair,
                                 make_query, run_client, run_server, serve_tcp,
                                 tcp_connect)
-from kishnn.ring import select_ring_params
+from kishnn.ring import ParameterError, select_ring_params
 
 from conftest import two_cluster_db
 
@@ -67,10 +67,11 @@ def test_truncated_field_fails_at_payload_length(setup):
 def test_bad_version_and_trailing_bytes(setup):
     _, _, pp = setup
     raw = bytearray(encode_message(make_query([5, 6], pp)[1]))
-    raw[4] = 9
-    with pytest.raises(DecodeError) as err:
-        decode_message(bytes(raw))
-    assert err.value.offset == 4
+    for version in (1, 9):  # 1 carried the ring's dist_bound
+        raw[4] = version
+        with pytest.raises(DecodeError) as err:
+            decode_message(bytes(raw))
+        assert err.value.offset == 4
     good = encode_message(make_query([5, 6], pp)[1])
     with pytest.raises(DecodeError):
         decode_message(good + b"x")
@@ -105,6 +106,41 @@ def test_decoding_any_bytes_gives_a_message_or_a_decode_error(setup, data):
             decode_message(blob)
         except DecodeError:
             pass
+
+
+@pytest.mark.parametrize("dim,size", [(1, 80), (2, 102), (3, 124)])
+def test_query_wire_layout(dim, size):
+    # header, then one length prefix per field: the ring (modulus,
+    # coord_bound, dim, n), the 8-byte key and one ciphertext (value,
+    # depth, key id) per coordinate
+    ring = select_ring_params(20, dim=dim, n=20)
+    pp = make_protocol_params(ring, k=3, n=20, repetitions=3)
+    raw = encode_message(make_query(list(range(dim)), pp)[1])
+    assert len(raw) == 10 + 4 * (2 + dim) + 32 + 8 + 18 * dim == size
+    assert raw[4] == protocol_io.PROTOCOL_VERSION == 2
+
+
+@pytest.mark.parametrize("reps", [1, 3, 5])
+def test_response_wire_layout(reps):
+    cipher = he_sim.Cipher(np.array([1], dtype=np.int64), depth=3, key_id=7)
+    raw = encode_message(ResponseMessage((cipher,) * reps))
+    assert len(raw) == 10 + 22 * reps
+
+
+@pytest.mark.parametrize("point", [(-1, 5), (20, 5), (1, 2, 3)])
+def test_client_refuses_a_point_off_the_grid(setup, point):
+    # make_query used to reduce -1 mod P and send the point (P - 1, 5)
+    _, db, pp = setup
+    with pytest.raises(ParameterError, match="not a grid point"):
+        make_query(point, pp)
+    client_end, server_end = loopback_pair()
+    t = threading.Thread(target=run_server, args=(server_end, db, pp))
+    t.start()
+    with pytest.raises(ParameterError, match="not a grid point"):
+        run_client(client_end, point, pp)
+    client_end.close()
+    t.join(timeout=10)
+    assert not t.is_alive()
 
 
 def test_message_sizes_independent_of_database_size():
@@ -154,7 +190,7 @@ def test_dimension_mismatch_gets_error_response(setup):
     keys, msg = make_query([2, 3], pp)
     # well-formed query, but its ring disagrees with the server's view
     other_ring = select_ring_params(20, dim=2, n=21)
-    bad = QueryMessage(1, other_ring, msg.pk, msg.enc_q)
+    bad = QueryMessage(other_ring, msg.pk, msg.enc_q)
     protocol_io.write_message(client_end, bad)
     reply = protocol_io.read_message(client_end)
     client_end.close()
@@ -230,8 +266,8 @@ def _query_bytes(ring, values, key_ids=None, pk=(7).to_bytes(8, "little"),
     field as the wire carries it; every ciphertext carries key id 7 unless
     key_ids says otherwise."""
     key_ids = key_ids or [7] * len(values)
-    fields = [struct.pack("<QQQQQ", ring.modulus, ring.coord_bound, ring.dim,
-                          ring.dist_bound, ring.n),
+    fields = [struct.pack("<QQQQ", ring.modulus, ring.coord_bound, ring.dim,
+                          ring.n),
               pk]
     fields += [struct.pack("<QHQ", v, depth, k)
                for v, k in zip(values, key_ids)]

@@ -70,7 +70,7 @@ def test_packed_repetitions_match_independent_circuits(grid, n, seed, reps):
     for q in queries:
         enc_q = [he_sim.encrypt(keys.pk, int(c)) for c in q]
         with he_sim.metering() as packed:
-            bits = server_classify(keys.pk, enc_q, db, pp)
+            bits = server_classify(enc_q, db, pp)
         got = [he_sim.decrypt(keys.sk, b) for b in he_sim.unpack(bits)]
         singles = [one_repetition(
             enc_q, db, replace(pp, repetitions=1,

@@ -29,11 +29,11 @@ def test_select_ring_params_small_grids():
 
 def test_ring_params_validation():
     with pytest.raises(ParameterError):
-        RingParams(modulus=24, coord_bound=6, dim=2, dist_bound=10, n=5)
+        RingParams(modulus=24, coord_bound=6, dim=2, n=5)
     with pytest.raises(ParameterError):  # modulus too small for the range
-        RingParams(modulus=19, coord_bound=6, dim=2, dist_bound=10, n=5)
+        RingParams(modulus=19, coord_bound=6, dim=2, n=5)
     with pytest.raises(ParameterError):
-        RingParams(modulus=23, coord_bound=1, dim=2, dist_bound=0, n=5)
+        RingParams(modulus=23, coord_bound=1, dim=2, n=5)
 
 
 @given(st.integers(-500, 500))
@@ -98,6 +98,5 @@ def test_is_prime_on_large_and_adversarial_inputs(m, prime):
 
 def test_a_ring_near_two_to_the_63_is_checked_quickly():
     # trial division would take minutes on this modulus
-    ring = RingParams(modulus=2 ** 63 - 25, coord_bound=2, dim=1,
-                      dist_bound=1, n=1)
+    ring = RingParams(modulus=2 ** 63 - 25, coord_bound=2, dim=1, n=1)
     assert ring.modulus == 2 ** 63 - 25
