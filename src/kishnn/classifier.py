@@ -166,8 +166,8 @@ def estimate_sigma(mu2_high: Cipher, musq_low: Cipher, musq_high: Cipher,
 
 def threshold(mu_star: Cipher, sigma_star: Cipher, pp: ProtocolParams) -> Cipher:
     """T* = mu* + z_k * sigma*; z_k is plaintext, so this is free."""
-    z = pp.ring.reduce(pp.z_k)
-    return he_sim.add(mu_star, he_sim.mul(sigma_star, z, pp.ring), pp.ring)
+    return he_sim.add(mu_star, he_sim.mul(sigma_star, pp.z_k, pp.ring),
+                      pp.ring)
 
 
 def count_classes(xs: Cipher, t_star: Cipher, labels, pp: ProtocolParams):

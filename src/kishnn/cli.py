@@ -53,26 +53,23 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = subs.add_parser("serve",
-                        help="answer encrypted queries over a transport")
+    p = subs.add_parser("serve", help="answer encrypted queries over TCP")
     _add_common(p, "dataset", "grid", "k", "reps", "seed")
-    p.add_argument("--transport", choices=("tcp", "stdio"), default="tcp")
     p.add_argument("--listen", default="127.0.0.1:7878",
-                   help="host:port to listen on (tcp transport)")
+                   help="host:port to listen on")
 
     p = subs.add_parser("query",
                         help="classify one 2D grid query point")
     p.add_argument("coords", nargs=2, type=int, metavar=("X", "Y"))
     _add_common(p, "grid", "k", "reps", "seed")
-    p.add_argument("--transport", choices=("tcp", "stdio", "loopback"),
-                   default="tcp")
+    p.add_argument("--transport", choices=("tcp", "loopback"), default="tcp")
     p.add_argument("--connect", default="127.0.0.1:7878",
                    help="host:port of the server (tcp transport)")
     p.add_argument("--dataset", default=None,
                    help="data file (required for the loopback transport)")
     p.add_argument("--n", type=int, default=None,
                    help="database size the remote server holds "
-                        "(tcp/stdio transports)")
+                        "(tcp transport)")
 
     p = subs.add_parser("evaluate",
                         help="leave-one-out F1 in plain or secure mode")
@@ -101,9 +98,6 @@ def cmd_serve(args) -> int:
     gd = _load_grid(args)
     pp = data_eval._protocol_for(gd, args.k, args.reps, args.seed)
     db = gd.database()
-    if args.transport == "stdio":
-        protocol_io.run_server(protocol_io.stdio_transport(), db, pp)
-        return 0
     host, port = _host_port(args.listen)
 
     def announce(addr):
@@ -132,17 +126,13 @@ def cmd_query(args) -> int:
             server_end.close()
     else:
         if args.n is None:
-            raise ParameterError("tcp/stdio transports need --n (the served "
+            raise ParameterError("tcp transport needs --n (the served "
                                  "database size, used for ring agreement)")
         ring = select_ring_params(args.grid, dim=2, n=args.n)
         pp = make_protocol_params(ring, k=args.k, n=args.n,
                                   repetitions=args.reps, rng_seed=args.seed)
-        if args.transport == "tcp":
-            host, port = _host_port(args.connect)
-            transport = protocol_io.tcp_connect(host, port)
-        else:
-            transport = protocol_io.stdio_transport()
-        with transport:
+        host, port = _host_port(args.connect)
+        with protocol_io.tcp_connect(host, port) as transport:
             bit = protocol_io.run_client(transport, args.coords, pp)
     print(bit)
     return 0

@@ -254,11 +254,6 @@ class NamedTables:
     is_neg: PolyTable
     dist_map: PolyTable
 
-    def all(self):
-        return (self.sqrt, self.square_div_p, self.is_zero,
-                self.sqrt_plus_p, self.sqrt_times_p, self.is_neg,
-                self.dist_map)
-
 
 class _TablesKey:
     """What the named tables depend on -- modulus, coord_bound, dist_bound

@@ -8,6 +8,7 @@ their sizes are independent of the database size.
 
 from __future__ import annotations
 
+import io
 import socket
 import struct
 import sys
@@ -160,11 +161,14 @@ def encode_message(msg) -> bytes:
 
 
 def _check_header(head: bytes) -> tuple:
-    """(kind, field count) of a full 10-byte header, within the caps."""
+    """(kind, field count) of a 10-byte header, within the caps; a shorter
+    one is refused at its first missing or wrong byte."""
     if head[:4] != MAGIC:
         raise DecodeError(0, "bad magic")
-    if head[4] != PROTOCOL_VERSION:
-        raise DecodeError(4, "unsupported version")
+    if len(head) < 5 or head[4] != PROTOCOL_VERSION:
+        raise DecodeError(min(4, len(head)), "unsupported version")
+    if len(head) < 10:
+        raise DecodeError(len(head), "truncated header")
     kind = head[5]
     if kind not in _CAPS:
         raise DecodeError(5, f"unknown message kind {kind}")
@@ -174,37 +178,40 @@ def _check_header(head: bytes) -> tuple:
     return kind, nfields
 
 
-def _check_field_length(kind: int, flen: int, offset: int) -> None:
-    if flen > _CAPS[kind][1]:
-        raise DecodeError(offset, f"field of {flen} bytes exceeds the cap "
-                                  "for this kind")
+def _split(head: bytes, read) -> tuple:
+    """Frame one message from its header and read(count), which returns
+    the next count bytes or raises: (kind, fields, their offsets, end).
+    Each field length is checked against the cap of the message's kind
+    before the payload it announces is read."""
+    kind, nfields = _check_header(head)
+    pos = len(head)
+    fields = []
+    offsets = []
+    for _ in range(nfields):
+        (flen,) = struct.unpack("<I", read(4))
+        if flen > _CAPS[kind][1]:
+            raise DecodeError(pos, f"field of {flen} bytes exceeds the cap "
+                                   "for this kind")
+        pos += 4
+        offsets.append(pos)
+        fields.append(read(flen))
+        pos += flen
+    return kind, fields, offsets, pos
 
 
 def decode_message(data: bytes):
     """Parse one message; raises DecodeError with the offending byte offset."""
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise DecodeError(0, "bad magic")
-    if len(data) < 5 or data[4] != PROTOCOL_VERSION:
-        raise DecodeError(min(4, len(data)), "unsupported version")
-    if len(data) < 10:
-        raise DecodeError(len(data), "truncated header")
-    kind, nfields = _check_header(data[:10])
-    pos = 10
-    fields = []
-    offsets = []
-    for _ in range(nfields):
-        if pos + 4 > len(data):
-            raise DecodeError(len(data), "truncated field length")
-        (flen,) = struct.unpack_from("<I", data, pos)
-        _check_field_length(kind, flen, pos)
-        pos += 4
-        if pos + flen > len(data):
-            raise DecodeError(len(data), "truncated field payload")
-        offsets.append(pos)
-        fields.append(data[pos:pos + flen])
-        pos += flen
-    if pos != len(data):
-        raise DecodeError(pos, "trailing bytes after message")
+    stream = io.BytesIO(data)
+
+    def read(count):
+        chunk = stream.read(count)
+        if len(chunk) != count:
+            raise DecodeError(len(data), "truncated message")
+        return chunk
+
+    kind, fields, offsets, end = _split(stream.read(10), read)
+    if end != len(data):
+        raise DecodeError(end, "trailing bytes after message")
     if kind == _KIND_QUERY:
         if len(fields) < 3:
             raise DecodeError(len(data), "query needs ring, key and coordinates")
@@ -241,16 +248,16 @@ def decode_message(data: bytes):
 
 
 # ---------------------------------------------------------------------------
-# Transports: any reliable ordered byte stream, exposed as a file pair.
+# Transports: a connected socket, exposed as a buffered binary file pair.
 
 
 class Transport:
-    """A reliable ordered byte stream with buffered binary file endpoints."""
+    """A connected socket with buffered binary file endpoints."""
 
-    def __init__(self, rfile, wfile, closer=None):
-        self.rfile = rfile
-        self.wfile = wfile
-        self._closer = closer
+    def __init__(self, sock: socket.socket):
+        self.rfile = sock.makefile("rb")
+        self.wfile = sock.makefile("wb")
+        self._sock = sock
 
     def close(self) -> None:
         for f in (self.rfile, self.wfile):
@@ -258,8 +265,7 @@ class Transport:
                 f.close()
             except OSError:
                 pass
-        if self._closer is not None:
-            self._closer()
+        self._sock.close()
 
     def __enter__(self):
         return self
@@ -268,15 +274,10 @@ class Transport:
         self.close()
 
 
-def _socket_transport(sock: socket.socket) -> Transport:
-    return Transport(sock.makefile("rb"), sock.makefile("wb"),
-                     closer=sock.close)
-
-
 def loopback_pair() -> tuple:
     """In-process transport pair (client_end, server_end)."""
     a, b = socket.socketpair()
-    return _socket_transport(a), _socket_transport(b)
+    return Transport(a), Transport(b)
 
 
 def tcp_connect(host: str, port: int) -> Transport:
@@ -284,11 +285,7 @@ def tcp_connect(host: str, port: int) -> Transport:
         sock = socket.create_connection((host, port))
     except OSError as exc:
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
-    return _socket_transport(sock)
-
-
-def stdio_transport() -> Transport:
-    return Transport(sys.stdin.buffer, sys.stdout.buffer)
+    return Transport(sock)
 
 
 def _read_exact(rfile, count: int, *, allow_eof_at_start=False):
@@ -309,21 +306,21 @@ def read_message(transport: Transport, *, allow_eof=False):
     """Read one self-delimiting message from the stream.
 
     The header and every field length are checked against the caps of
-    the message's kind before the bytes they announce are read.  Returns
-    None on clean end-of-stream when allow_eof is set.
+    the message's kind before the bytes they announce are read; the
+    framed bytes are then decoded.  Returns None on clean end-of-stream
+    when allow_eof is set.
     """
-    rfile = transport.rfile
-    head = _read_exact(rfile, 10, allow_eof_at_start=allow_eof)
+    head = _read_exact(transport.rfile, 10, allow_eof_at_start=allow_eof)
     if head is None:
         return None
-    kind, nfields = _check_header(head)
     buf = bytearray(head)
-    for _ in range(nfields):
-        lenb = _read_exact(rfile, 4)
-        (flen,) = struct.unpack("<I", lenb)
-        _check_field_length(kind, flen, len(buf))
-        buf += lenb
-        buf += _read_exact(rfile, flen)
+
+    def read(count):
+        chunk = _read_exact(transport.rfile, count)
+        buf.extend(chunk)
+        return chunk
+
+    _split(head, read)
     return decode_message(bytes(buf))
 
 
@@ -425,7 +422,7 @@ def serve_tcp(host: str, port: int, db: LabeledDatabase, pp: ProtocolParams,
             conn, addr = listener.accept()
             conn.settimeout(READ_TIMEOUT_S)
             try:
-                with _socket_transport(conn) as transport:
+                with Transport(conn) as transport:
                     run_server(transport, db, pp)
             except TransportError as exc:
                 # the peer went away or went silent; nothing to answer

@@ -38,10 +38,6 @@ class RingParams:
     def dist_bound(self) -> int:  # the largest L1 distance on the grid
         return self.dim * (self.coord_bound - 1)
 
-    def reduce(self, v: int) -> int:
-        """Embed a (possibly negative) integer into Z_modulus."""
-        return v % self.modulus
-
     def signed(self, v: int) -> int:
         """Interpret a ring element as a signed value (upper half negative)."""
         v %= self.modulus

@@ -1,5 +1,9 @@
+import threading
+
 import pytest
 
+from kishnn import data_eval, protocol_io
+from kishnn.classifier import classify_with_majority
 from kishnn.cli import main
 
 
@@ -89,3 +93,32 @@ def test_seeded_runs_are_reproducible(capsys, wdbc_path):
     c1, out1, _ = run(capsys, *args)
     c2, out2, _ = run(capsys, *args)
     assert c1 == c2 == 0 and out1 == out2
+
+
+def test_query_tcp_talks_to_a_served_database(capsys, wdbc_path):
+    # the client half of README's server/client pair, against serve_tcp
+    gd = data_eval.grid_dataset(data_eval.load_wdbc(wdbc_path), 100)
+    pp = data_eval._protocol_for(gd, 13, 5, 0)
+    db = gd.database()
+    ready = threading.Event()
+    addr = {}
+
+    def serve():
+        protocol_io.serve_tcp("127.0.0.1", 0, db, pp, max_connections=2,
+                              ready=lambda a: (addr.update(port=a[1]),
+                                               ready.set()))
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    assert ready.wait(timeout=10)
+    args = ["query", "40", "60", "--transport", "tcp", "--connect",
+            f"127.0.0.1:{addr['port']}", "--grid", "100", "--k", "13",
+            "--reps", "5", "--seed", "0"]
+    code, out, _ = run(capsys, *args, "--n", "569")
+    assert code == 0
+    assert out.strip() == str(classify_with_majority((40, 60), db, pp))
+    code, out, err = run(capsys, *args, "--n", "568")
+    assert code == 2 and out == ""
+    assert "server rejected the query" in err
+    t.join(timeout=10)
+    assert not t.is_alive()

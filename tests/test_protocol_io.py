@@ -108,6 +108,58 @@ def test_decoding_any_bytes_gives_a_message_or_a_decode_error(setup, data):
             pass
 
 
+def _outcome(read):
+    """What one reader made of some bytes: a message, the offset and
+    reason of a DecodeError, or a TransportError."""
+    try:
+        return read()
+    except DecodeError as exc:
+        return exc.offset, str(exc)
+    except protocol_io.TransportError:
+        return protocol_io.TransportError
+
+
+def _read_through_a_stream(blob):
+    client_end, server_end = loopback_pair()
+    client_end.wfile.write(blob)
+    client_end.close()
+    with server_end:
+        return _outcome(lambda: protocol_io.read_message(server_end))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_both_readers_agree(setup, data):
+    # decode_message on bytes and read_message on a stream that ends after
+    # them frame a message by the same loop, so they fail alike; only a
+    # truncation or trailing bytes tell them apart
+    _, db, pp = setup
+    _, msg = make_query([5, 6], pp)
+    valid = [encode_message(m) for m in
+             (msg, answer_query(msg, db, pp), ErrorMessage("nope"))]
+    raw = bytearray(data.draw(st.sampled_from(valid)))
+    edit = data.draw(st.sampled_from(("truncate", "flip", "append")))
+    if edit == "truncate":
+        del raw[data.draw(st.integers(10, len(raw) - 1)):]
+    elif edit == "flip":
+        for _ in range(data.draw(st.integers(1, 6))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(
+                st.integers(1, 255))
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=32))
+    blob = bytes(raw)
+    decoded = _outcome(lambda: decode_message(blob))
+    streamed = _read_through_a_stream(blob)
+    if isinstance(decoded, tuple) and "truncated" in decoded[1]:
+        assert decoded[0] == len(blob)
+        assert streamed is protocol_io.TransportError
+    elif isinstance(decoded, tuple) and "trailing" in decoded[1]:
+        prefix = blob[:decoded[0]]
+        assert streamed == _outcome(lambda: decode_message(prefix))
+    else:
+        assert streamed == decoded
+
+
 @pytest.mark.parametrize("dim,size", [(1, 80), (2, 102), (3, 124)])
 def test_query_wire_layout(dim, size):
     # header, then one length prefix per field: the ring (modulus,
@@ -340,8 +392,7 @@ def _timed(sock):
     """A transport over sock whose reads fail after 5 s instead of
     blocking."""
     sock.settimeout(5)
-    return protocol_io.Transport(sock.makefile("rb"), sock.makefile("wb"),
-                                 closer=sock.close)
+    return protocol_io.Transport(sock)
 
 
 def _raw_connection(port):

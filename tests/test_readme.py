@@ -49,7 +49,7 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(README.parent)
     ran = []
     for argv in _cli_commands():
-        if "tcp" in argv:  # the server and its client
+        if argv[0] == "serve" or "tcp" in argv:  # the server and its client
             continue
         outs = [i + 1 for i, a in enumerate(argv) if a == "--out"]
         for i in outs:
