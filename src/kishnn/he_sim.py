@@ -11,6 +11,7 @@ lookup is metered as the circuit that evaluates the table.
 from __future__ import annotations
 
 import hashlib
+import operator
 import threading
 import time
 from contextlib import contextmanager
@@ -20,9 +21,12 @@ import numpy as np
 
 from .ring import RingParams
 
-# Slot count from which ops reduce by floor division (`_reduce`): numpy
+# Slot count from which slots reduce by floor division (`_reduce`): numpy
 # vectorises int64 `//` by a scalar but not `%`; below it `%` is faster.
 _WIDE = 768
+
+# Every slot bound must stay below this for the int64 slots to be exact.
+_INT64 = 2 ** 63
 
 
 class KeyMismatchError(ValueError):
@@ -42,6 +46,7 @@ class PublicKey:
 @dataclass(frozen=True)
 class SecretKey:
     key_id: int
+    modulus: int
 
 
 @dataclass(frozen=True)
@@ -54,15 +59,19 @@ class Cipher:
     """Simulated ciphertext: hidden slot values + depth tag + key binding.
 
     The slot values are deliberately private; evaluator-side code must go
-    through add/mul/slot ops and can only learn values via decrypt.
+    through add/mul/slot ops and can only learn values via decrypt.  They
+    are reduced lazily: a _bound of None means every slot lies in [0, P),
+    otherwise every slot v has |v| <= _bound and is read mod P.
     """
 
-    __slots__ = ("_values", "depth", "key_id")
+    __slots__ = ("_values", "depth", "key_id", "_bound")
 
-    def __init__(self, values: np.ndarray, depth: int, key_id: int):
+    def __init__(self, values: np.ndarray, depth: int, key_id: int,
+                 bound: int | None = None):
         self._values = values
         self.depth = depth
         self.key_id = key_id
+        self._bound = bound
 
     @property
     def size(self) -> int:
@@ -135,7 +144,8 @@ def keygen(ring: RingParams, seed: int) -> KeyPair:
     h = hashlib.blake2b(f"kishnn-key:{seed}:{ring.modulus}".encode(),
                         digest_size=8)
     key_id = int.from_bytes(h.digest(), "little")
-    return KeyPair(pk=PublicKey(key_id, ring.modulus), sk=SecretKey(key_id))
+    return KeyPair(pk=PublicKey(key_id, ring.modulus),
+                   sk=SecretKey(key_id, ring.modulus))
 
 
 def _reduce(v: np.ndarray, modulus: int) -> np.ndarray:
@@ -144,6 +154,21 @@ def _reduce(v: np.ndarray, modulus: int) -> np.ndarray:
     q = v // modulus
     q *= modulus
     return np.subtract(v, q, out=q)
+
+
+def _mod(v: np.ndarray, modulus: int) -> np.ndarray:
+    return v % modulus if v.size < _WIDE else _reduce(v, modulus)
+
+
+def _mag(bound, modulus: int) -> int:
+    """The largest |v| of slots with this _bound: modulus - 1 if reduced."""
+    return modulus - 1 if bound is None else bound
+
+
+def _canonical(v, bound, modulus: int):
+    """v with unreduced vector slots brought into [0, modulus); a Python int
+    operand is a signed residue and stays as it is."""
+    return v if bound is None or isinstance(v, int) else _mod(v, modulus)
 
 
 def _as_slots(values) -> np.ndarray:
@@ -167,62 +192,79 @@ def decrypt(sk: SecretKey, c: Cipher):
         raise KeyMismatchError("ciphertext bound to a different key")
     if _scopes.stack:
         _scopes.stack[-1].decrypt_calls += 1
+    v = _canonical(c._values, c._bound, sk.modulus)
     if c.size == 1:
-        return int(c._values[0])
-    return [int(v) for v in c._values]
+        return int(v[0])
+    return [int(x) for x in v]
+
+
+def _magnitude(v: np.ndarray) -> int:
+    return max(-int(v.min()), int(v.max())) if v.size else 0
 
 
 def embed_like(c: Cipher, values) -> Cipher:
     """Plaintext constant carried as a depth-0 ciphertext (free)."""
     a = _as_slots(values)
-    out = Cipher(a.copy(), depth=0, key_id=c.key_id)
+    out = Cipher(a.copy(), 0, c.key_id, _magnitude(a))
     _note(0)
     return out
 
 
-def _plain(b, modulus: int):
-    """A plaintext operand reduced into the ring; a Python int stays one."""
+def _plain(b, modulus: int) -> tuple:
+    """A plaintext operand as (values, bound): a Python int as its signed
+    residue, a vector as it is while its magnitude stays below the
+    modulus and reduced into [0, modulus) otherwise."""
     if isinstance(b, int):
-        return b % modulus
+        r = b % modulus
+        if r > modulus // 2:
+            r -= modulus
+        return r, abs(r)
     v = _as_slots(b)
-    return v % modulus if v.size < _WIDE else _reduce(v, modulus)
+    bound = _magnitude(v)
+    return (v, bound) if bound < modulus else (_mod(v, modulus), None)
 
 
-def _coerce(a: Cipher, b, modulus: int):
-    """Return (b_values, b_depth, is_cipher) with key checking."""
+def _operands(a: Cipher, b, modulus: int, combine) -> tuple:
+    """(a values, b values, result bound, b depth, b is a cipher) of a
+    binary op whose result is bounded by combine(|a|, |b|).  The operands
+    are reduced first only when that bound would not fit in int64."""
     if isinstance(b, Cipher):
         if b.key_id != a.key_id:
             raise KeyMismatchError("operands bound to different keys")
-        return b._values, b.depth, True
-    return _plain(b, modulus), 0, False
+        bv, bb, bd, bc = b._values, b._bound, b.depth, True
+    else:
+        (bv, bb), bd, bc = _plain(b, modulus), 0, False
+    av, ab = a._values, a._bound
+    bound = combine(_mag(ab, modulus), _mag(bb, modulus))
+    if bound >= _INT64:  # below 2^63 again, as keygen checked (P - 1)^2
+        av, bv = _canonical(av, ab, modulus), _canonical(bv, bb, modulus)
+        bound = combine(modulus - 1, modulus - 1)
+    return av, bv, bound, bd, bc
 
 
 def add(a: Cipher, b, ring: RingParams) -> Cipher:
     """a + b mod the ring; b may be a Cipher or plaintext scalar/vector."""
-    p = ring.modulus
-    bv, bd, bc = _coerce(a, b, p)
+    av, bv, bound, bd, bc = _operands(a, b, ring.modulus, operator.add)
     depth = max(a.depth, bd)
-    v = a._values + bv
-    out = Cipher(v % p if v.size < _WIDE else _reduce(v, p), depth, a.key_id)
+    out = Cipher(av + bv, depth, a.key_id, bound)
     _note(depth, adds=out.size if bc else 0)
     return out
 
 
 def sub(a: Cipher, b, ring: RingParams) -> Cipher:
-    p = ring.modulus
-    bv, bd, bc = _coerce(a, b, p)
+    av, bv, bound, bd, bc = _operands(a, b, ring.modulus, operator.add)
     depth = max(a.depth, bd)
-    v = a._values - bv
-    out = Cipher(v % p if v.size < _WIDE else _reduce(v, p), depth, a.key_id)
+    out = Cipher(av - bv, depth, a.key_id, bound)
     _note(depth, adds=out.size if bc else 0)
     return out
 
 
 def rsub(b, a: Cipher, ring: RingParams) -> Cipher:
     """Plaintext-minus-cipher, free (scalar mult by -1 plus add)."""
-    p = ring.modulus
-    v = _plain(b, p) - a._values
-    out = Cipher(v % p if v.size < _WIDE else _reduce(v, p), a.depth, a.key_id)
+    if isinstance(b, Cipher):
+        raise BackendError("rsub takes a plaintext minuend")
+    av, bv, bound, _, _ = _operands(a, b, ring.modulus, operator.add)
+    out = Cipher(bv - av, a.depth, a.key_id, bound)
     _note(a.depth)
     return out
 
@@ -233,17 +275,10 @@ def mul(a: Cipher, b, ring: RingParams) -> Cipher:
     Cipher-by-cipher products cost one mult gate per slot and one depth
     level; plaintext-scalar products are free.
     """
-    p = ring.modulus
-    bv, bd, bc = _coerce(a, b, p)
-    v = a._values * bv
-    vals = v % p if v.size < _WIDE else _reduce(v, p)
-    if bc:
-        depth = max(a.depth, bd) + 1
-        out = Cipher(vals, depth, a.key_id)
-        _note(depth, mults=out.size)
-    else:
-        out = Cipher(vals, a.depth, a.key_id)
-        _note(a.depth)
+    av, bv, bound, bd, bc = _operands(a, b, ring.modulus, operator.mul)
+    depth = max(a.depth, bd) + 1 if bc else a.depth
+    out = Cipher(av * bv, depth, a.key_id, bound)
+    _note(depth, mults=out.size if bc else 0)
     return out
 
 
@@ -252,8 +287,12 @@ def slot_sum(c: Cipher, ring: RingParams, segments: int = 1) -> Cipher:
     segments-slot cipher (rotations, masks and adds, free)."""
     if c.size % segments:
         raise BackendError("slots do not split into equal segments")
-    vals = c._values.reshape(segments, -1).sum(axis=1) % ring.modulus
-    out = Cipher(vals, c.depth, c.key_id)
+    p, run = ring.modulus, c.size // segments
+    v, bound = c._values, c._bound
+    if run * _mag(bound, p) >= _INT64:
+        v, bound = _canonical(v, bound, p), None
+    vals = v.reshape(segments, -1).sum(axis=1)
+    out = Cipher(vals, c.depth, c.key_id, run * _mag(bound, p))
     _note(c.depth)
     return out
 
@@ -265,7 +304,8 @@ def broadcast(c: Cipher, nslots: int, ring: RingParams) -> Cipher:
         return c
     if nslots % c.size:
         raise BackendError("can only broadcast into a multiple of the slots")
-    out = Cipher(np.repeat(c._values, nslots // c.size), c.depth, c.key_id)
+    out = Cipher(np.repeat(c._values, nslots // c.size), c.depth, c.key_id,
+                 c._bound)
     _note(c.depth)
     return out
 
@@ -280,7 +320,10 @@ def pack(ciphers: list, ring: RingParams) -> Cipher:
         raise KeyMismatchError("cannot pack ciphers under different keys")
     vals = np.concatenate([c._values for c in ciphers])
     depth = max(c.depth for c in ciphers)
-    out = Cipher(vals, depth, key_id)
+    bound = None
+    if any(c._bound is not None for c in ciphers):
+        bound = max(_mag(c._bound, ring.modulus) for c in ciphers)
+    out = Cipher(vals, depth, key_id, bound)
     _note(depth)
     return out
 
@@ -288,7 +331,7 @@ def pack(ciphers: list, ring: RingParams) -> Cipher:
 def unpack(c: Cipher) -> list:
     """One single-slot cipher per slot of c (free), the inverse of pack."""
     _note(c.depth)
-    return [Cipher(c._values[i:i + 1], c.depth, c.key_id)
+    return [Cipher(c._values[i:i + 1], c.depth, c.key_id, c._bound)
             for i in range(c.size)]
 
 
@@ -296,11 +339,16 @@ def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
                  depth: int) -> Cipher:
     """Slot-wise values[c], charged as the circuit that evaluates it.
 
-    values holds a function over all of Z_P (a table's values); mults and
-    adds are that circuit's gates per slot and depth its output depth,
-    which is also the deepest level it reaches.
+    values holds a function over all of Z_P (a table's values, each in
+    [0, P)); mults and adds are that circuit's gates per slot and depth
+    its output depth, which is also the deepest level it reaches.  Slots
+    are reduced first only when they could leave [-P, P), where
+    values[v] already reads the entry of v mod P.
     """
-    out = Cipher(values[c._values], depth, c.key_id)
+    v = c._values
+    if c._bound is not None and c._bound >= values.size:
+        v = _mod(v, values.size)
+    out = Cipher(values[v], depth, c.key_id)
     _note(depth, mults * out.size, adds * out.size)
     return out
 
@@ -315,7 +363,8 @@ def linear_combine(ciphers: list, weights: np.ndarray, ring: RingParams) -> list
     if any(c.key_id != key_id for c in ciphers):
         raise KeyMismatchError("operands bound to different keys")
     depth = max(c.depth for c in ciphers)
-    stack = np.stack([c._values for c in ciphers])  # (j, slots)
+    stack = np.stack([_canonical(c._values, c._bound, ring.modulus)
+                      for c in ciphers])  # (j, slots)
     w = np.asarray(weights, dtype=np.int64) % ring.modulus
     vals = (w @ stack) % ring.modulus  # (i, slots)
     _note(depth)

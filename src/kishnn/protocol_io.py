@@ -101,14 +101,22 @@ class ErrorMessage:
     reason: str
 
 
+def _wire_value(c: Cipher) -> int:
+    """The one slot of c, which must already be a residue in [0, P)."""
+    if c._bound is not None:
+        raise ParameterError("an unreduced ciphertext cannot travel on the "
+                             "wire")
+    return int(c._values[0])
+
+
 def _cipher_states(ciphers) -> tuple:
-    return tuple((int(c._values[0]), c.depth, c.key_id) for c in ciphers)
+    return tuple((_wire_value(c), c.depth, c.key_id) for c in ciphers)
 
 
 def _encode_cipher(c: Cipher) -> bytes:
     if c.size != 1:
         raise ParameterError("only scalar ciphertexts travel on the wire")
-    return _CIPHER_STRUCT.pack(int(c._values[0]), c.depth, c.key_id)
+    return _CIPHER_STRUCT.pack(_wire_value(c), c.depth, c.key_id)
 
 
 def _decode_cipher(blob: bytes, offset: int, bound: int = 2 ** 63) -> Cipher:

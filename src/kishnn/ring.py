@@ -5,6 +5,7 @@ Parameter selection, primality and base-p digit decomposition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -55,13 +56,15 @@ class DigitPair:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=256)
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin primality test.
 
     The first twelve prime bases decide every m below 3.18 * 10^23
     (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
     2017), far past any 64-bit modulus the wire can carry, in O(log^3 m)
-    time.
+    time.  Memoised, as select_ring_params and then RingParams test the
+    same modulus.
     """
     if m < 2:
         return False

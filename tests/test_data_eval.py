@@ -238,27 +238,50 @@ def test_loo_secure_is_bit_exact_against_recorded_values(wdbc_path):
     assert report.metrics.max_depth == 68
 
 
-def test_wide_query_is_bit_exact_against_recorded_values(wdbc_path,
-                                                         trapdoor):
-    # WDBC grown cyclically to 5,690 points, the widest n-sweep shape, so
-    # every slot op on the n distances reduces by floor division; recorded
-    # from the implementation that reduced with `%` only.  The run's
-    # threshold selects 140 points, all of class 1: the class counts stay
-    # below P/2 = 498, so the pinned bit is the true majority
+def _wide_query(wdbc_path):
+    """WDBC grown cyclically to 5,690 points, the widest n-sweep shape,
+    with one query point and one repetition."""
     base = grid_dataset(load_wdbc(wdbc_path), 250).database()
     idx = np.arange(10 * base.n) % base.n
     db = LabeledDatabase(base.points[idx], base.labels[idx])
-    assert db.n >= he_sim._WIDE
     point = np.random.default_rng(27).integers(0, 250, size=2)
     pp = classifier.make_protocol_params(
         select_ring_params(250, dim=2, n=db.n), k=13, n=db.n,
         repetitions=1, rng_seed=27)
+    return db, point, pp
+
+
+def test_wide_query_is_bit_exact_against_recorded_values(wdbc_path,
+                                                         trapdoor):
+    # the n distances reduce by floor division; recorded from the
+    # implementation that reduced every op's result with `%` only.  The
+    # run's threshold selects 140 points, all of class 1: the class counts
+    # stay below P/2 = 498, so the pinned bit is the true majority
+    db, point, pp = _wide_query(wdbc_path)
+    assert db.n >= he_sim._WIDE
     with he_sim.metering() as m:
         bit = classifier.classify_with_majority(point, db, pp)
     assert (bit, m.mult_gates, m.max_depth) == (1, 3_152_908, 68)
     run_seed = classifier.repetition_seeds(pp)[0]
     assert classifier.kappa_of_run(db, point, pp, run_seed) == 140
     assert 2 * 140 < pp.ring.modulus
+
+
+def test_wide_query_reduces_its_slots_only_where_they_are_read(
+        wdbc_path, monkeypatch):
+    # slots stay unreduced until a lookup (two distance signs, two coin
+    # batches, the distance map and the class sign test) has to read them;
+    # reducing every op's result and plaintext took 26 passes
+    db, point, pp = _wide_query(wdbc_path)
+    reduce, calls = he_sim._reduce, []
+
+    def counted(v, modulus):
+        calls.append(v.size)
+        return reduce(v, modulus)
+
+    monkeypatch.setattr(he_sim, "_reduce", counted)
+    assert classifier.classify_with_majority(point, db, pp) == 1
+    assert len(calls) <= 6
 
 
 # ------------------------------------------------------------ diagnostic

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kishnn import he_sim
+from kishnn import he_sim, interp
 from kishnn.he_sim import BackendError, KeyMismatchError
 from kishnn.ring import RingParams, is_prime, select_ring_params
+
+
+def _largest_keyed_prime() -> int:
+    edge = 3_037_000_500  # (P - 1)^2 < 2^63 exactly when P <= this
+    while not is_prime(edge):
+        edge -= 1
+    return edge
+
+
+_KEYED_EDGE = _largest_keyed_prime()
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +81,12 @@ def test_evaluator_api_never_returns_plaintext(ring):
     results += he_sim.unpack(he_sim.pack([c, c], ring))
     results += he_sim.linear_combine([c, c], np.array([[1, 2]]), ring)
     assert all(isinstance(r, he_sim.Cipher) for r in results)
+
+
+def test_rsub_refuses_a_cipher_minuend(ring, keys):
+    c = he_sim.encrypt(keys.pk, 3)
+    with pytest.raises(BackendError):
+        he_sim.rsub(c, c, ring)
 
 
 def test_mixed_key_operands_rejected(ring, keys):
@@ -152,9 +168,7 @@ def test_keygen_refuses_a_ring_whose_products_wrap_int64():
 
     with pytest.raises(BackendError):
         he_sim.keygen(ring_of(2**63 - 25), 0)
-    edge = 3_037_000_500  # (P - 1)^2 < 2^63 exactly when P <= this
-    while not is_prime(edge):
-        edge -= 1
+    edge = _KEYED_EDGE
     above = 3_037_000_501
     while not is_prime(above):
         above += 1
@@ -315,3 +329,159 @@ def test_embed_like_is_free_constant(ring, keys):
                    ring)
     e = he_sim.embed_like(c, 7)
     assert e.depth == 0 and he_sim.decrypt(keys.sk, e) == 7
+
+
+@pytest.mark.parametrize("value,residue", [(23 + 3, 3), (-1, 22), (23, 0)])
+def test_embed_like_reads_its_constant_mod_p(ring, keys, value, residue):
+    # an embedded constant off [0, P) decrypts and looks up as its residue
+    c = he_sim.encrypt(keys.pk, [1, 2])
+    e = he_sim.embed_like(c, np.full(2, value))
+    assert he_sim.decrypt(keys.sk, e) == [residue] * 2
+    is_zero = interp.build_named_tables(ring).is_zero
+    bits = interp.eval_poly_ps(is_zero, e, ring)
+    assert he_sim.decrypt(keys.sk, bits) == [int(residue == 0)] * 2
+    assert he_sim.decrypt(keys.sk, he_sim.add(e, c, ring)) == [
+        (residue + 1) % 23, (residue + 2) % 23]
+
+
+_CHAIN_RINGS = {
+    997: select_ring_params(250, dim=2, n=569),
+    _KEYED_EDGE: RingParams(modulus=_KEYED_EDGE, coord_bound=2, dim=1, n=1),
+}
+_CHAIN_STEPS = ("add", "sub", "rsub", "mul", "slot_sum", "pack", "broadcast",
+                "unpack")
+_CHAIN_MAX_SLOTS = 2 * 5690
+_ARITH = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+          "mul": lambda x, y: x * y, "rsub": lambda x, y: y - x}
+
+
+def test_ops_reduce_unreduced_slots_before_they_overflow():
+    # squares of residues near the largest prime keygen accepts are just
+    # below 2^63: one more product, a doubling or a slot sum would wrap,
+    # so each op must reduce its operands first; at P = 997 a square
+    # leaves [-P, P), so a lookup must reduce it first
+    p = _KEYED_EDGE
+    ring = _CHAIN_RINGS[p]
+    keys = he_sim.keygen(ring, 0)
+    vals = [p - 1, p - 2, p - 3, 2]
+    c = he_sim.encrypt(keys.pk, vals)
+    sq = he_sim.mul(c, c, ring)
+    sq_want = [v * v % p for v in vals]
+    neg = he_sim.rsub(0, sq, ring)
+    for out, want in (
+            (he_sim.mul(sq, sq, ring), [w * w % p for w in sq_want]),
+            (he_sim.mul(sq, p // 2, ring), [w * (p // 2) % p for w in sq_want]),
+            (he_sim.add(sq, sq, ring), [2 * w % p for w in sq_want]),
+            (he_sim.sub(sq, neg, ring), [2 * w % p for w in sq_want]),
+            (he_sim.slot_sum(sq, ring), sum(sq_want) % p),
+            (he_sim.slot_sum(sq, ring, 2), [sum(sq_want[:2]) % p,
+                                            sum(sq_want[2:]) % p])):
+        assert he_sim.decrypt(keys.sk, out) == want
+    ring = _CHAIN_RINGS[997]
+    keys = he_sim.keygen(ring, 0)
+    c = he_sim.encrypt(keys.pk, [996, 995, 3, 0])
+    table = interp.build_named_tables(ring).dist_map
+    got = interp.eval_poly_ps(table, he_sim.mul(c, c, ring), ring)
+    assert he_sim.decrypt(keys.sk, got) == [
+        int(table.values[v * v % 997]) for v in (996, 995, 3, 0)]
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_op_chains_match_python_mod_p(data):
+    # random chains of lazily reduced ops against Python's mod-P results.
+    # At the largest prime keygen accepts, products and sums of unreduced
+    # slots pass 2^63, so the int64 guards of mul, add/sub/rsub and
+    # slot_sum must fire; at P = 997 unreduced slots leave [-P, P) and
+    # table lookups must reduce them (a table over Z_P exists only there)
+    p = data.draw(st.sampled_from(sorted(_CHAIN_RINGS)), label="P")
+    ring = _CHAIN_RINGS[p]
+    keys = he_sim.keygen(ring, 5)
+    n = data.draw(st.sampled_from([1, 568, he_sim._WIDE, 5690]), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    steps = _CHAIN_STEPS + (("lookup",) if p == 997 else ())
+    if p == 997:
+        tables = interp.build_named_tables(ring)
+        tables = (tables.is_neg, tables.is_zero, tables.dist_map)
+
+    def fresh(size):
+        vals = rng.integers(0, p, size=size)
+        return he_sim.encrypt(keys.pk, vals), [int(v) for v in vals]
+
+    def plain_vector(size):
+        if data.draw(st.booleans(), label="int64 edges"):
+            vec = rng.integers(-2**63, 2**63 - 1, size=size, endpoint=True)
+            vec[:2] = _INT64_EDGES[:size]
+            return vec
+        return rng.integers(-(p - 1), p, size=size)  # used unreduced
+
+    (x, xs), (y, ys) = fresh(n), fresh(n)
+    pool = [(x, xs), (y, ys)]
+    c, want = x, xs
+    if data.draw(st.booleans(), label="start from a product"):
+        c, want = he_sim.mul(x, y, ring), [u * v % p for u, v in zip(xs, ys)]
+        pool.append((c, want))
+    kept = [(x, x._values, x._values.copy()) for x, _ in pool]
+    for _ in range(data.draw(st.integers(2, 12), label="length")):
+        step = data.draw(st.sampled_from(steps), label="step")
+        plain = plain_before = None
+        if step in _ARITH:
+            kinds = ("vector", "int") if step == "rsub" else (
+                "cipher", "vector", "int")
+            kind = data.draw(st.sampled_from(kinds), label="operand")
+            if kind == "cipher":
+                same = [x for x in pool if x[0].size == c.size]
+                other, ys = same[data.draw(st.integers(0, len(same) - 1))]
+            elif kind == "vector":
+                other = plain = plain_vector(c.size)
+                plain_before = plain.copy()
+                ys = [int(v) for v in plain]
+            else:
+                other = data.draw(st.sampled_from((*_INT64_EDGES, -p, p, 0))
+                                  | st.integers(-2**70, 2**70))
+                ys = [other] * c.size
+            if step == "rsub":
+                out = he_sim.rsub(other, c, ring)
+            else:
+                out = getattr(he_sim, step)(c, other, ring)
+            want = [_ARITH[step](x, y) % p for x, y in zip(want, ys)]
+        elif step == "lookup":
+            table = tables[data.draw(st.integers(0, len(tables) - 1))]
+            out = interp.eval_poly_ps(table, c, ring)
+            want = [int(table.values[x]) for x in want]
+        elif step == "slot_sum":
+            segments = data.draw(st.sampled_from(
+                [d for d in (1, 2, 8, c.size) if c.size % d == 0]))
+            run = c.size // segments
+            out = he_sim.slot_sum(c, ring, segments)
+            want = [sum(want[i * run:(i + 1) * run]) % p
+                    for i in range(segments)]
+        elif step == "pack":
+            fits = [x for x in pool if x[0].size + c.size <= _CHAIN_MAX_SLOTS]
+            if not fits:
+                continue
+            other, ys = fits[data.draw(st.integers(0, len(fits) - 1))]
+            out = he_sim.pack([c, other], ring)
+            want = want + ys
+        elif step == "broadcast":
+            times = data.draw(st.sampled_from([1, 2]))
+            target = n * times if c.size == 1 else c.size * times
+            if target > _CHAIN_MAX_SLOTS:
+                continue
+            out = he_sim.broadcast(c, target, ring)
+            want = [w for w in want for _ in range(target // c.size)]
+        else:  # unpack, then go on with every part repacked or with one
+            parts = he_sim.unpack(c)
+            assert [he_sim.decrypt(keys.sk, x) for x in parts] == want
+            i = data.draw(st.integers(-1, c.size - 1))
+            out = he_sim.pack(parts, ring) if i < 0 else parts[i]
+            want = want if i < 0 else [want[i]]
+        assert he_sim.decrypt(keys.sk, out) == (want if out.size > 1
+                                                 else want[0])
+        assert all(x._values is v and (v == copy).all()
+                   for x, v, copy in kept)
+        if plain is not None:
+            assert (plain == plain_before).all()
+            assert not np.shares_memory(out._values, plain)
+        c = out
+        pool.append((c, want))
+        kept.append((c, c._values, c._values.copy()))

@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -76,6 +77,29 @@ def test_bad_version_and_trailing_bytes(setup):
     with pytest.raises(DecodeError):
         decode_message(good + b"x")
 
+
+def test_an_unreduced_cipher_is_refused_on_the_wire(setup):
+    # a cipher whose slot is not yet reduced mod P (here 2P - 2) would
+    # send a non-residue, so neither the encoder nor a comparison reads it
+    ring, _, pp = setup
+    keys, query = make_query([5, 6], pp)
+    c = he_sim.encrypt(keys.pk, ring.modulus - 1)
+    lazy = he_sim.add(c, c, ring)
+    with pytest.raises(ParameterError):
+        encode_message(ResponseMessage((lazy,)))
+    with pytest.raises(ParameterError):
+        encode_message(QueryMessage(ring, query.pk, (c, lazy)))
+    with pytest.raises(ParameterError):
+        ResponseMessage((lazy,)) == ResponseMessage((c,))
+
+
+def test_every_response_cipher_decodes_to_a_residue(setup):
+    ring, db, pp = setup
+    for point in ([0, 0], [19, 19], [5, 6], [10, 3], [19, 0]):
+        _, msg = make_query(point, pp)
+        reply = decode_message(encode_message(answer_query(msg, db, pp)))
+        assert len(reply.enc_class) == pp.repetitions
+        assert all(0 <= c._values[0] < ring.modulus for c in reply.enc_class)
 
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**16 - 1),
        st.integers(0, 2**64 - 1), st.integers(1, 4))
@@ -341,6 +365,14 @@ def test_ciphertext_beyond_int64_is_a_decode_error(setup, value):
     with pytest.raises(DecodeError):
         decode_message(response)
 
+
+def test_a_wire_ring_with_a_composite_modulus_is_refused(setup):
+    ring, _, _ = setup
+    composite = types.SimpleNamespace(modulus=999, coord_bound=ring.coord_bound,
+                                      dim=ring.dim, n=ring.n)
+    for _ in range(2):  # also once the primality test has memoised 999
+        with pytest.raises(DecodeError):
+            decode_message(_query_bytes(composite, [2, 3]))
 
 def test_query_value_at_or_above_the_modulus_is_a_decode_error(setup):
     ring, _, _ = setup

@@ -36,6 +36,19 @@ def test_ring_params_validation():
         RingParams(modulus=23, coord_bound=1, dim=2, n=5)
 
 
+def test_every_ring_checks_its_modulus_through_the_memoised_test():
+    # select_ring_params and RingParams test the same modulus; the second
+    # test is a cache hit, and a composite modulus is refused every time
+    before = is_prime.cache_info()
+    ring = select_ring_params(250, dim=2, n=569)
+    assert is_prime.cache_info().hits > before.hits
+    assert RingParams(ring.modulus, 250, 2, 569) == ring
+    assert is_prime.cache_info().maxsize is not None
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            RingParams(modulus=999, coord_bound=250, dim=2, n=569)
+
+
 @given(st.integers(-500, 500))
 def test_reduce_signed_round_trip(v):
     ring = select_ring_params(6, dim=2, n=5)
