@@ -60,8 +60,10 @@ class LabeledDatabase:
         return len(self.labels)
 
     def without(self, i: int) -> "LabeledDatabase":
-        return LabeledDatabase(np.delete(self.points, i, axis=0),
-                               np.delete(self.labels, i))
+        """The database minus point i, 0 <= i < n, in the same order."""
+        return LabeledDatabase(
+            np.concatenate((self.points[:i], self.points[i + 1:])),
+            np.concatenate((self.labels[:i], self.labels[i + 1:])))
 
 
 def repetition_seeds(pp: ProtocolParams) -> tuple:

@@ -363,9 +363,11 @@ def linear_combine(ciphers: list, weights: np.ndarray, ring: RingParams) -> list
     if any(c.key_id != key_id for c in ciphers):
         raise KeyMismatchError("operands bound to different keys")
     depth = max(c.depth for c in ciphers)
-    stack = np.stack([_canonical(c._values, c._bound, ring.modulus)
-                      for c in ciphers])  # (j, slots)
     w = np.asarray(weights, dtype=np.int64) % ring.modulus
-    vals = (w @ stack) % ring.modulus  # (i, slots)
+    vals = np.zeros((len(w), ciphers[0].size), dtype=np.int64)  # (i, slots)
+    for wj, c in zip(w.T, ciphers):
+        # reduced after every term, so each sum stays below P^2 < 2^63
+        vals += np.outer(wj, _canonical(c._values, c._bound, ring.modulus))
+        vals %= ring.modulus
     _note(depth)
     return [Cipher(row.copy(), depth, key_id) for row in vals]

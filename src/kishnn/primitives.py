@@ -48,6 +48,12 @@ class CoinSpec:
         if self.m < 1:
             raise ParameterError("coin denominator m must be >= 1")
 
+    def __hash__(self):
+        # the map enters by its length only, as hashing every entry would
+        # cost most of a plan lookup; equality still compares the whole
+        # map, so plan keys stay exact
+        return hash((self.f, self.m, self.rng_seed, len(self.dist_map)))
+
     def apply(self, x: int) -> int:
         if self.dist_map:
             x = self.dist_map[x]
@@ -114,23 +120,30 @@ def compute_dists(enc_q: list, points: np.ndarray, params: RingParams) -> Cipher
     return total
 
 
-def _coin_batch(xs: Cipher, rs: np.ndarray, spec: CoinSpec,
-                params: RingParams) -> Cipher:
-    """One coin per slot of xs, with pre-drawn numerators rs in [1, m].
-
-    The coin is [r <= f(x)] = [x >= ceil(f^-1(r))], realized as the
-    complement of the strict comparison.  Draws whose inverse exceeds the
-    distance bound are deterministically 0 and get masked out in
-    plaintext, which keeps every comparison argument sign-safe.
-    """
-    tables = interp.build_named_tables(params)
+def _coin_points(rs: np.ndarray, spec: CoinSpec, dist_bound: int) -> tuple:
+    """(r' capped at dist_bound, [r' <= dist_bound]), r' = inverse_ceil(r)."""
     rprime = spec.inverse_ceil_array(rs)
-    mask = (rprime <= params.dist_bound).astype(np.int64)
-    clamped = np.minimum(rprime, params.dist_bound)
+    return (np.minimum(rprime, dist_bound),
+            (rprime <= dist_bound).astype(np.int64))
+
+
+def _coins(xs: Cipher, clamped: np.ndarray, mask: np.ndarray,
+           params: RingParams) -> Cipher:
+    """One coin [x >= r'] per slot of xs, the complement of the strict
+    comparison.  Draws whose r' exceeds the distance bound are 0 and get
+    masked out in plaintext, which keeps every comparison sign-safe."""
+    tables = interp.build_named_tables(params)
     arg = he_sim.sub(xs, clamped, params)
     neg = interp.eval_poly_ps(tables.is_neg, arg, params)  # [x < r']
     bit = he_sim.rsub(1, neg, params)  # [x >= r']
     return he_sim.mul(bit, mask, params)  # free plaintext mask
+
+
+def _coin_batch(xs: Cipher, rs: np.ndarray, spec: CoinSpec,
+                params: RingParams) -> Cipher:
+    """One coin per slot of xs, with pre-drawn numerators rs in [1, m]:
+    [r <= f(x)] = [x >= ceil(f^-1(r))]."""
+    return _coins(xs, *_coin_points(rs, spec, params.dist_bound), params)
 
 
 def coin_toss(x: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
@@ -164,17 +177,30 @@ def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
         seeds = (seeds,)
     if xs.size % len(seeds):
         raise ParameterError("slots do not split into one segment per seed")
-    u = _strata(seeds, xs.size // len(seeds))
+    plan = _coin_plan(spec, seeds, xs.size // len(seeds), params.dist_bound)
+    return he_sim.slot_sum(_coins(xs, *plan, params), params, len(seeds))
+
+
+@functools.lru_cache(maxsize=32)
+def _coin_plan(spec: CoinSpec, seeds: tuple, n: int, dist_bound: int) -> tuple:
+    """prob_avg's read-only (clamped, mask) for n-slot segments, seeds
+    being spec.rng_seed as a tuple.  The numerators are plaintext draws, so
+    this never depends on the query.  At 16 B per slot, the cache holds at
+    most 32 * 16 = 512 B per slot of the widest batch."""
+    u = _strata(seeds, n)
     # float rounding of m * u may reach m; clamp to keep r_i in [1, m]
     rs = np.minimum((spec.m * u).astype(np.int64), spec.m - 1) + 1
-    bits = _coin_batch(xs, rs, spec, params)
-    return he_sim.slot_sum(bits, params, len(seeds))
+    plan = _coin_points(rs, spec, dist_bound)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 @functools.lru_cache(maxsize=4)
 def _strata(seeds: tuple, n: int) -> np.ndarray:
-    """(pi(i) + u_i) / n for slot i of each seed's n-slot segment, drawn
-    once per (seeds, n) and shared by the batches that read it, read-only."""
+    """(pi(i) + u_i) / n for slot i of each seed's n-slot segment, read-only.
+    Cached so that a query's mu and mu_2 plans, which share seeds, share one
+    draw when both miss, as on leave-one-out, where every seed is fresh."""
     u = np.empty(len(seeds) * n)
     for s, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)

@@ -405,7 +405,8 @@ def run_server(transport: Transport, db: LabeledDatabase,
 
 
 def run_client(transport: Transport, query, pp: ProtocolParams) -> int:
-    """Send one query, decrypt the response bits, return the majority."""
+    """Send one query, decrypt the response bits, return the majority.
+    A response value that is not a bit raises ProtocolError."""
     keys, msg = make_query(query, pp)
     write_message(transport, msg)
     reply = read_message(transport)
@@ -413,8 +414,10 @@ def run_client(transport: Transport, query, pp: ProtocolParams) -> int:
         raise ProtocolError(f"server rejected the query: {reply.reason}")
     if not isinstance(reply, ResponseMessage):
         raise ProtocolError("unexpected message kind in response")
-    votes = sum(he_sim.decrypt(keys.sk, c) for c in reply.enc_class)
-    return 1 if 2 * votes > len(reply.enc_class) else 0
+    bits = [he_sim.decrypt(keys.sk, c) for c in reply.enc_class]
+    if any(b not in (0, 1) for b in bits):
+        raise ProtocolError("response holds a value that is not a bit")
+    return 1 if 2 * sum(bits) > len(bits) else 0
 
 
 def serve_tcp(host: str, port: int, db: LabeledDatabase, pp: ProtocolParams,

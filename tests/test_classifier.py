@@ -76,6 +76,10 @@ def test_labeled_database_without():
     rest = db.without(1)
     assert rest.n == 2 and (rest.points == [[1, 2], [5, 6]]).all()
     assert list(rest.labels) == [0, 0]
+    for i in (0, 1, 2):  # first, middle and last, as np.delete drops them
+        rest = db.without(i)
+        assert np.array_equal(rest.points, np.delete(db.points, i, axis=0))
+        assert np.array_equal(rest.labels, np.delete(db.labels, i))
 
 
 def test_estimate_mu_tracks_sample_mean(ring100, keys):

@@ -324,6 +324,16 @@ def test_linear_combine_matches_matmul_oracle(ring, keys):
     assert m.mult_gates == 0  # plaintext combination is free
 
 
+def test_linear_combine_is_exact_at_the_largest_prime():
+    # (P - 1)^2 fits int64 at P = 3,037,000,493, but a sum of two does not
+    ring = RingParams(modulus=3_037_000_493, coord_bound=2, dim=1, n=1)
+    keys = he_sim.keygen(ring, seed=0)
+    top = ring.modulus - 1
+    ciphers = [he_sim.encrypt(keys.pk, [top, 1])] * 2
+    out = he_sim.linear_combine(ciphers, np.array([[top, top]]), ring)
+    assert he_sim.decrypt(keys.sk, out[0]) == [2, ring.modulus - 2]
+
+
 def test_embed_like_is_free_constant(ring, keys):
     c = he_sim.mul(he_sim.encrypt(keys.pk, 2), he_sim.encrypt(keys.pk, 2),
                    ring)

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kishnn import he_sim, interp, primitives
+from kishnn import data_eval, he_sim, interp, primitives
+from kishnn.classifier import (LabeledDatabase, classify_with_majority,
+                               make_protocol_params)
 from kishnn.primitives import (CoinSpec, coin_toss, compute_dists,
                                derive_seed, prob_avg)
 from kishnn.ring import ParameterError, select_ring_params
+
+from conftest import WDBC_PATH
 
 
 @pytest.fixture(scope="module")
@@ -210,3 +214,81 @@ def test_server_side_needs_no_secret_key(ring, keys):
         xs = compute_dists(enc_q, pts, ring)
         prob_avg(xs, CoinSpec("identity", 3, 1), ring)
     assert m.decrypt_calls == 0
+
+
+def _numerators(spec, seeds, n):
+    """The stratified numerators prob_avg draws, drawn here from _strata."""
+    u = primitives._strata(seeds, n)
+    return np.minimum((spec.m * u).astype(np.int64), spec.m - 1) + 1
+
+
+@pytest.mark.parametrize("segments", [1, 3])
+@pytest.mark.parametrize("mapped", [False, True])
+def test_prob_avg_is_the_coin_batch_on_its_strata(ring, keys, segments,
+                                                  mapped):
+    n, m = 40, 40 * 24
+    x = np.random.default_rng(segments).integers(0, ring.dist_bound + 1,
+                                                 size=segments * n)
+    xs = he_sim.encrypt(keys.pk, x)
+    seeds = tuple(derive_seed(s, f"plan-{mapped}") for s in range(segments))
+    tmap = interp.dist_map(ring) if mapped else ()
+    # both functions with one m and one set of seeds: only f tells the
+    # two plans apart
+    for f in ("identity", "square"):
+        spec = CoinSpec(f, m, seeds, tmap)
+        bits = he_sim.decrypt(keys.sk, primitives._coin_batch(
+            xs, _numerators(spec, seeds, n), spec, ring))
+        expect = np.reshape(bits, (segments, n)).sum(axis=1).tolist()
+        got = he_sim.decrypt(keys.sk, prob_avg(xs, spec, ring))
+        assert (got if segments > 1 else [got]) == expect
+
+
+def test_coin_plan_arrays_are_read_only(ring):
+    seeds = (derive_seed(0, "read-only"),)
+    spec = CoinSpec("square", 40 * 24, seeds)
+    for a in primitives._coin_plan(spec, seeds, 40, ring.dist_bound):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_coin_plans_of_two_grids_differ(ring):
+    # same spec, seeds and n; only dist_bound (46 and 58) differs
+    seeds = (derive_seed(0, "grids"),)
+    spec = CoinSpec("identity", 50 * 30, seeds)
+    rings = (ring, select_ring_params(30, dim=2, n=50))
+    plans = [primitives._coin_plan(spec, seeds, 50, r.dist_bound)
+             for r in rings]
+    assert not np.array_equal(plans[0][0], plans[1][0])
+    for r, (clamped, mask) in zip(rings, plans):
+        expect = primitives._coin_points(_numerators(spec, seeds, 50), spec,
+                                         r.dist_bound)
+        assert np.array_equal(clamped, expect[0])
+        assert np.array_equal(mask, expect[1])
+
+
+def test_a_second_n_sweep_pass_reuses_every_coin_plan():
+    # WDBC repeated to 569 * j points, j = 1..10, at grid 250: one query
+    # per size, one repetition, one seed
+    base = data_eval.grid_dataset(data_eval.load_wdbc(WDBC_PATH),
+                                  250).database()
+    rng = np.random.default_rng(0)
+    jobs = []
+    for j in range(1, 11):
+        idx = np.arange(j * base.n) % base.n
+        db = LabeledDatabase(base.points[idx], base.labels[idx])
+        pp = make_protocol_params(select_ring_params(250, dim=2, n=db.n),
+                                  k=13, n=db.n, repetitions=1, rng_seed=3)
+        jobs.append((db, pp, rng.integers(0, 250, size=2)))
+
+    def one_pass():
+        out = []
+        for db, pp, q in jobs:
+            with he_sim.metering() as m:
+                bit = classify_with_majority(q, db, pp)
+            out.append((bit, m.mult_gates, m.max_depth))
+        return out
+
+    first = one_pass()
+    misses = primitives._coin_plan.cache_info().misses
+    assert one_pass() == first
+    assert primitives._coin_plan.cache_info().misses == misses

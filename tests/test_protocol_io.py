@@ -240,6 +240,30 @@ def test_loopback_end_to_end(setup):
     assert bit in (0, 1)
 
 
+@pytest.mark.parametrize("forged", [2, 80, 5000])
+def test_client_refuses_a_response_value_that_is_not_a_bit(setup, forged):
+    # at P = 79 a slot of 5000 decodes and decrypts raw; as a vote it would
+    # outweigh the two honest zeros beside it
+    _, _, pp = setup
+    client_end, server_end = loopback_pair()
+
+    def forger():
+        query = protocol_io.read_message(server_end)
+        key_id = int.from_bytes(query.pk, "little")
+        slots = (0, 0, forged)
+        protocol_io.write_message(server_end, ResponseMessage(tuple(
+            he_sim.Cipher(np.array([v]), 1, key_id) for v in slots)))
+
+    t = threading.Thread(target=forger)
+    t.start()
+    with pytest.raises(ProtocolError, match="not a bit"):
+        run_client(client_end, [2, 3], pp)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    client_end.close()
+    server_end.close()
+
+
 def test_two_sequential_queries_one_connection(setup):
     _, db, pp = setup
     client_end, server_end = loopback_pair()
