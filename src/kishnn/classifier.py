@@ -13,6 +13,7 @@ as one circuit, one slot segment per repetition.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -48,19 +49,40 @@ make_protocol_params = ProtocolParams
 
 @dataclass(frozen=True)
 class LabeledDatabase:
+    """Points and labels, each a private read-only int64 copy, so the
+    plaintext operands built from them on first use cannot go stale."""
+
     points: np.ndarray  # (n, d) grid coordinates
     labels: np.ndarray  # (n,) bits
 
     def __post_init__(self):
         if len(self.points) != len(self.labels):
             raise ParameterError("points and labels length mismatch")
+        for name in ("points", "labels"):
+            a = np.array(getattr(self, name), dtype=np.int64)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    # Built on first use, not at construction, which would add their
+    # scans to every database's set-up: 32 B per point at d = 2.
+    @functools.cached_property
+    def columns(self) -> tuple:
+        """compute_dists' operand: one he_sim.Plain per coordinate."""
+        return tuple(he_sim.Plain(col) for col in self.points.T)
+
+    @functools.cached_property
+    def label_masks(self) -> tuple:
+        """count_classes' operand: the he_sim.Plains (1 - labels, labels)."""
+        return he_sim.Plain(1 - self.labels), he_sim.Plain(self.labels)
+
     def without(self, i: int) -> "LabeledDatabase":
         """The database minus point i, 0 <= i < n, in the same order."""
+        if not 0 <= i < self.n:
+            raise ParameterError(f"no point {i} in a database of {self.n}")
         return LabeledDatabase(
             np.concatenate((self.points[:i], self.points[i + 1:])),
             np.concatenate((self.labels[:i], self.labels[i + 1:])))
@@ -172,27 +194,28 @@ def threshold(mu_star: Cipher, sigma_star: Cipher, pp: ProtocolParams) -> Cipher
                       pp.ring)
 
 
-def count_classes(xs: Cipher, t_star: Cipher, labels, pp: ProtocolParams):
+def count_classes(xs: Cipher, t_star: Cipher, masks: tuple,
+                  pp: ProtocolParams):
     """Per-class counts of points whose mapped distance t(x) lies strictly
-    below the threshold.
+    below the threshold; masks is the plaintext pair (1 - labels, labels)
+    as LabeledDatabase.label_masks gives it.
 
     The distances first go through the dist_map table, so they are
     compared in the units the threshold was estimated in.  t_star holds
     one threshold per repetition: the n mapped distances are laid out
     once per repetition and compared against that repetition's threshold
-    in one batched sign test, whose bits are reused for both sums; the
-    label masks are plaintext.  The counts hold one slot per repetition.
+    in one batched sign test, whose bits are reused for both sums.  The
+    counts hold one slot per repetition.
     """
     ring = pp.ring
     tables = interp.build_named_tables(ring)
     reps = t_star.size
-    labels = np.concatenate([np.asarray(labels, dtype=np.int64)] * reps)
     xs = interp.eval_poly_ps(tables.dist_map, xs, ring)
     xs = he_sim.pack([xs] * reps, ring)
     tb = he_sim.broadcast(t_star, xs.size, ring)
     bits = interp.eval_poly_ps(tables.is_neg, he_sim.sub(xs, tb, ring), ring)
-    c0 = he_sim.slot_sum(he_sim.mul(bits, 1 - labels, ring), ring, reps)
-    c1 = he_sim.slot_sum(he_sim.mul(bits, labels, ring), ring, reps)
+    c0, c1 = (he_sim.slot_sum(he_sim.mul(bits, mask.tile(reps), ring), ring,
+                              reps) for mask in masks)
     return c0, c1
 
 
@@ -201,7 +224,7 @@ def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
     """Distances (n slots) and thresholds (one slot per repetition seed),
     shared by classify and kappa.  The distances are computed once and
     laid out once per repetition for the moment coins."""
-    xs = primitives.compute_dists(enc_q, db.points, pp.ring)
+    xs = primitives.compute_dists(enc_q, db.columns, pp.ring)
     tiled = he_sim.pack([xs] * len(seeds), pp.ring)
     mu_star = estimate_mu(tiled, pp, seeds=seeds)
     mu2_high = estimate_mu2_digits(tiled, pp, seeds=seeds)
@@ -234,7 +257,7 @@ def server_classify(enc_q: list, db: LabeledDatabase,
         # disagree, and the moment coins could saturate without an error
         raise ParameterError("ring was selected for a different database size")
     xs, t_star = _threshold_pipeline(enc_q, db, pp, repetition_seeds(pp))
-    c0, c1 = count_classes(xs, t_star, db.labels, pp)
+    c0, c1 = count_classes(xs, t_star, db.label_masks, pp)
     return interp.is_smaller(c0, c1, pp.ring)
 
 
@@ -274,7 +297,6 @@ def kappa_of_run(db: LabeledDatabase, query, pp: ProtocolParams,
     enc_q = encrypt_query(keys.pk, query, pp.ring)
     _, t_star = _threshold_pipeline(enc_q, db, pp, (seed,))
     t_val = pp.ring.signed(he_sim.decrypt(keys.sk, t_star))
-    dists = np.abs(np.asarray(db.points, dtype=np.int64)
-                   - np.asarray(query, dtype=np.int64)).sum(axis=1)
+    dists = np.abs(db.points - np.asarray(query, dtype=np.int64)).sum(axis=1)
     mapped = np.asarray(interp.dist_map(pp.ring))[dists]
     return int((mapped < t_val).sum())

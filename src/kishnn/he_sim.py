@@ -174,7 +174,7 @@ def _canonical(v, bound, modulus: int):
 def _as_slots(values) -> np.ndarray:
     a = np.atleast_1d(np.asarray(values, dtype=np.int64))
     if a.ndim != 1:
-        raise BackendError("cipher slots must be one-dimensional")
+        raise BackendError("slots must be one-dimensional")
     return a
 
 
@@ -210,18 +210,50 @@ def embed_like(c: Cipher, values) -> Cipher:
     return out
 
 
+class Plain:
+    """A plaintext vector operand whose magnitude is found once.
+
+    It holds a private read-only int64 copy of its slots, so writes to the
+    source change neither its values nor its bound, and an op reads the
+    bound instead of scanning the slots again.
+    """
+
+    __slots__ = ("values", "bound")
+
+    def __init__(self, values):
+        a = _as_slots(values).copy()
+        a.flags.writeable = False
+        self.values, self.bound = a, _magnitude(a)
+
+    @property
+    def size(self) -> int:
+        return int(self.values.size)
+
+    def tile(self, reps: int) -> "Plain":
+        """The slots repeated reps times end to end, with the same bound."""
+        if reps == 1:
+            return self
+        out = Plain.__new__(Plain)
+        out.values, out.bound = np.tile(self.values, reps), self.bound
+        out.values.flags.writeable = False
+        return out
+
+
 def _plain(b, modulus: int) -> tuple:
     """A plaintext operand as (values, bound): a Python int as its signed
-    residue, a vector as it is while its magnitude stays below the
-    modulus and reduced into [0, modulus) otherwise."""
+    residue, a vector (a Plain, or anything else wrapped in one) as it is
+    while its magnitude stays below the modulus and reduced into
+    [0, modulus) otherwise."""
     if isinstance(b, int):
         r = b % modulus
         if r > modulus // 2:
             r -= modulus
         return r, abs(r)
-    v = _as_slots(b)
-    bound = _magnitude(v)
-    return (v, bound) if bound < modulus else (_mod(v, modulus), None)
+    if not isinstance(b, Plain):
+        b = Plain(b)
+    if b.bound < modulus:
+        return b.values, b.bound
+    return _mod(b.values, modulus), None
 
 
 def _operands(a: Cipher, b, modulus: int, combine) -> tuple:
@@ -341,14 +373,15 @@ def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
 
     values holds a function over all of Z_P (a table's values, each in
     [0, P)); mults and adds are that circuit's gates per slot and depth
-    its output depth, which is also the deepest level it reaches.  Slots
-    are reduced first only when they could leave [-P, P), where
-    values[v] already reads the entry of v mod P.
+    its output depth, which is also the deepest level it reaches.  numpy
+    reads every index v in [-P, P) as v mod P, so slots are reduced first
+    only when one lies outside, which numpy's own index check reports.
     """
-    v = c._values
-    if c._bound is not None and c._bound >= values.size:
-        v = _mod(v, values.size)
-    out = Cipher(values[v], depth, c.key_id)
+    try:
+        looked_up = values[c._values]
+    except IndexError:
+        looked_up = values[_mod(c._values, values.size)]
+    out = Cipher(looked_up, depth, c.key_id)
     _note(depth, mults * out.size, adds * out.size)
     return out
 

@@ -81,38 +81,57 @@ class CoinSpec:
             s += (s + 1) * (s + 1) <= v
             c = s + 1
         if self.dist_map:
-            return _map_inverse(self.dist_map).take(c, mode="clip")
+            return _map_inverse(_MapKey(self.dist_map)).take(c, mode="clip")
         return c
 
 
+class _MapKey:
+    """A distance map as a cache key.  It hashes in O(1), by its length
+    and last entry, but compares the whole map, so keys stay exact."""
+
+    __slots__ = ("tmap",)
+
+    def __init__(self, tmap: tuple):
+        self.tmap = tmap
+
+    def __hash__(self):
+        return hash((len(self.tmap), self.tmap[-1]))
+
+    def __eq__(self, other):
+        return self.tmap is other.tmap or self.tmap == other.tmap
+
+
 @functools.lru_cache(maxsize=8)
-def _map_inverse(tmap: tuple) -> np.ndarray:
+def _map_inverse(key: _MapKey) -> np.ndarray:
     """inv[c] = min{x : tmap[x] >= c} for c in [0, max + 1] of a
-    nondecreasing map; the last entry, len(tmap), also stands for every
-    larger c (read with take(..., mode="clip")).  interp.dist_map gives one
-    tuple per map range (B, R), so this is one table per (B, R).
+    nondecreasing map tmap = key.tmap; the last entry, len(tmap), also
+    stands for every larger c (read with take(..., mode="clip")).
+    interp.dist_map gives one tuple per map range (B, R), so this is one
+    table per (B, R).
     """
+    tmap = key.tmap
     inv = np.searchsorted(np.asarray(tmap), np.arange(tmap[-1] + 2),
                           side="left")
     inv.flags.writeable = False
     return inv
 
 
-def compute_dists(enc_q: list, points: np.ndarray, params: RingParams) -> Cipher:
-    """All n L1 distances |q - s_i| as one packed ciphertext.
+def compute_dists(enc_q: list, columns: tuple, params: RingParams) -> Cipher:
+    """All n L1 distances |q - s_i| as one packed ciphertext, from the
+    points' coordinates as one he_sim.Plain of n slots per dimension
+    (LabeledDatabase.columns).
 
     Per coordinate: b = [q < s] via the sign test, then (1 - 2b)(q - s)
     recovers the absolute difference with a single non-scalar mult.
     """
-    points = np.asarray(points, dtype=np.int64)
-    n, d = points.shape
+    d = len(columns)
     if len(enc_q) != d:
         raise ParameterError(f"query has {len(enc_q)} coords, points have {d}")
     tables = interp.build_named_tables(params)
     total = None
-    for j in range(d):
-        qj = he_sim.broadcast(enc_q[j], n, params)
-        diff = he_sim.sub(qj, points[:, j], params)  # q_j - s_ij, free
+    for qj, col in zip(enc_q, columns):
+        qj = he_sim.broadcast(qj, col.size, params)
+        diff = he_sim.sub(qj, col, params)  # q_j - s_ij, free
         b = interp.eval_poly_ps(tables.is_neg, diff, params)  # [q_j < s_ij]
         sign = he_sim.rsub(1, he_sim.mul(b, 2, params), params)  # 1 - 2b
         term = he_sim.mul(sign, diff, params)  # |q_j - s_ij|
@@ -121,13 +140,14 @@ def compute_dists(enc_q: list, points: np.ndarray, params: RingParams) -> Cipher
 
 
 def _coin_points(rs: np.ndarray, spec: CoinSpec, dist_bound: int) -> tuple:
-    """(r' capped at dist_bound, [r' <= dist_bound]), r' = inverse_ceil(r)."""
+    """(r' capped at dist_bound, [r' <= dist_bound]) as he_sim.Plains,
+    r' = inverse_ceil(r)."""
     rprime = spec.inverse_ceil_array(rs)
-    return (np.minimum(rprime, dist_bound),
-            (rprime <= dist_bound).astype(np.int64))
+    return (he_sim.Plain(np.minimum(rprime, dist_bound)),
+            he_sim.Plain(rprime <= dist_bound))
 
 
-def _coins(xs: Cipher, clamped: np.ndarray, mask: np.ndarray,
+def _coins(xs: Cipher, clamped: he_sim.Plain, mask: he_sim.Plain,
            params: RingParams) -> Cipher:
     """One coin [x >= r'] per slot of xs, the complement of the strict
     comparison.  Draws whose r' exceeds the distance bound are 0 and get
@@ -183,17 +203,14 @@ def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
 
 @functools.lru_cache(maxsize=32)
 def _coin_plan(spec: CoinSpec, seeds: tuple, n: int, dist_bound: int) -> tuple:
-    """prob_avg's read-only (clamped, mask) for n-slot segments, seeds
+    """prob_avg's (clamped, mask) he_sim.Plains for n-slot segments, seeds
     being spec.rng_seed as a tuple.  The numerators are plaintext draws, so
     this never depends on the query.  At 16 B per slot, the cache holds at
     most 32 * 16 = 512 B per slot of the widest batch."""
     u = _strata(seeds, n)
     # float rounding of m * u may reach m; clamp to keep r_i in [1, m]
     rs = np.minimum((spec.m * u).astype(np.int64), spec.m - 1) + 1
-    plan = _coin_points(rs, spec, dist_bound)
-    for a in plan:
-        a.flags.writeable = False
-    return plan
+    return _coin_points(rs, spec, dist_bound)
 
 
 @functools.lru_cache(maxsize=4)

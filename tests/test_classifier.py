@@ -82,6 +82,46 @@ def test_labeled_database_without():
         assert np.array_equal(rest.labels, np.delete(db.labels, i))
 
 
+@pytest.mark.parametrize("i", [-1, 3, 7])
+def test_labeled_database_without_refuses_a_missing_point(i):
+    # -1 used to drop nothing and append points; 3 and 7 dropped nothing
+    db = LabeledDatabase(np.array([[1, 2], [3, 4], [5, 6]]),
+                         np.array([0, 1, 0]))
+    with pytest.raises(ParameterError, match="no point"):
+        db.without(i)
+
+
+def test_labeled_database_operands_cannot_go_stale():
+    pts, labels = np.array([[1, 2], [3, 4]]), np.array([0, 1])
+    db = LabeledDatabase(pts, labels)
+    pts[0, 0], labels[0] = 9, 1  # the database holds its own copies
+    assert [c.values.tolist() for c in db.columns] == [[1, 3], [2, 4]]
+    assert [m.values.tolist() for m in db.label_masks] == [[1, 0], [0, 1]]
+    for a in (db.points, db.labels):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert db.columns is db.columns and db.label_masks is db.label_masks
+
+
+def test_a_warm_query_scans_no_plaintext(ring100, monkeypatch):
+    # the coin plan, point columns and label masks are bounded when first
+    # built; a second query on the same database rescans none of them
+    pts, labels = two_cluster_db(20, 100, gap=1)
+    db = LabeledDatabase(pts, labels)
+    pp = make_pp(ring100, k=5, n=40, reps=3, seed=2)
+    first = classify_with_majority((40, 50), db, pp)
+    scans = []
+    magnitude = he_sim._magnitude
+
+    def counted(v):
+        scans.append(v.size)
+        return magnitude(v)
+
+    monkeypatch.setattr(he_sim, "_magnitude", counted)
+    assert classify_with_majority((40, 50), db, pp) == first
+    assert scans == []
+
+
 def test_estimate_mu_tracks_sample_mean(ring100, keys):
     # mu* estimates the mean of the mapped distances t(x); the map keeps
     # every t(x) within the coin denominator n
@@ -213,7 +253,8 @@ def test_count_classes_matches_plain_count(ring100, keys):
     assert (expect0, expect1) != plain_counts(lambda x: x)
     xs = he_sim.encrypt(keys.pk, xs_plain)
     t = he_sim.encrypt(keys.pk, 30)
-    c0, c1 = count_classes(xs, t, labels, pp)
+    masks = LabeledDatabase(np.zeros((8, 2)), labels).label_masks
+    c0, c1 = count_classes(xs, t, masks, pp)
     assert he_sim.decrypt(keys.sk, c0) == expect0
     assert he_sim.decrypt(keys.sk, c1) == expect1
 

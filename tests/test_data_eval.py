@@ -269,19 +269,21 @@ def test_wide_query_is_bit_exact_against_recorded_values(wdbc_path,
 
 def test_wide_query_reduces_its_slots_only_where_they_are_read(
         wdbc_path, monkeypatch):
-    # slots stay unreduced until a lookup (two distance signs, two coin
-    # batches, the distance map and the class sign test) has to read them;
-    # reducing every op's result and plaintext took 26 passes
+    # every slot this query looks up lies in [-P, P), where values[v]
+    # already reads the entry of v mod P, so no pass reduces, over n slots
+    # or over one.  Reducing wherever a slot's bound reached P took 6
+    # n-slot and 7 one-slot passes; reducing every op's result, 26
     db, point, pp = _wide_query(wdbc_path)
-    reduce, calls = he_sim._reduce, []
+    mod, sizes = he_sim._mod, []
 
     def counted(v, modulus):
-        calls.append(v.size)
-        return reduce(v, modulus)
+        sizes.append(v.size)
+        return mod(v, modulus)
 
-    monkeypatch.setattr(he_sim, "_reduce", counted)
+    monkeypatch.setattr(he_sim, "_mod", counted)
     assert classifier.classify_with_majority(point, db, pp) == 1
-    assert len(calls) <= 6
+    wide = [s for s in sizes if s >= he_sim._WIDE]
+    assert (len(wide), len(sizes) - len(wide)) == (0, 0)
 
 
 # ------------------------------------------------------------ diagnostic

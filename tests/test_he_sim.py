@@ -354,6 +354,47 @@ def test_embed_like_reads_its_constant_mod_p(ring, keys, value, residue):
         (residue + 1) % 23, (residue + 2) % 23]
 
 
+def test_plain_is_a_private_copy_bounded_once(ring, keys):
+    src = np.array([3, -5, 7])
+    p = he_sim.Plain(src)
+    src[:] = 1000  # a later write to the source reaches neither
+    assert p.values.tolist() == [3, -5, 7] and p.bound == 7
+    with pytest.raises(ValueError):
+        p.values[0] = 0
+    c = he_sim.encrypt(keys.pk, [1, 1, 1])
+    assert he_sim.decrypt(keys.sk, he_sim.add(c, p, ring)) == [4, 19, 8]
+
+
+def test_plain_tile_keeps_its_bound_without_a_scan(monkeypatch):
+    p = he_sim.Plain([1, -9, 4])
+
+    def scan(v):
+        raise AssertionError("tile rescanned its slots")
+
+    monkeypatch.setattr(he_sim, "_magnitude", scan)
+    t = p.tile(3)
+    assert t.values.tolist() == [1, -9, 4] * 3 and t.bound == 9
+    assert p.tile(1) is p
+    with pytest.raises(ValueError):
+        t.values[0] = 0
+
+
+def test_plain_off_the_ring_is_reduced_first(ring, keys):
+    # a bound of P or more must not pass into a cipher's slots as if its
+    # entries were residues
+    vals = [23, -24, 2 * 23 + 3, 5]
+    p = he_sim.Plain(vals)
+    assert p.bound >= ring.modulus
+    c = he_sim.encrypt(keys.pk, [1, 2, 3, 4])
+    for op, f in ((he_sim.add, lambda x, y: x + y),
+                  (he_sim.sub, lambda x, y: x - y),
+                  (he_sim.mul, lambda x, y: x * y)):
+        assert he_sim.decrypt(keys.sk, op(c, p, ring)) == [
+            f(x, y) % 23 for x, y in zip([1, 2, 3, 4], vals)]
+    assert he_sim.decrypt(keys.sk, he_sim.rsub(p, c, ring)) == [
+        (y - x) % 23 for x, y in zip([1, 2, 3, 4], vals)]
+
+
 _CHAIN_RINGS = {
     997: select_ring_params(250, dim=2, n=569),
     _KEYED_EDGE: RingParams(modulus=_KEYED_EDGE, coord_bound=2, dim=1, n=1),
@@ -435,14 +476,19 @@ def test_op_chains_match_python_mod_p(data):
         step = data.draw(st.sampled_from(steps), label="step")
         plain = plain_before = None
         if step in _ARITH:
-            kinds = ("vector", "int") if step == "rsub" else (
-                "cipher", "vector", "int")
+            kinds = ("vector", "plain", "int") if step == "rsub" else (
+                "cipher", "vector", "plain", "int")
             kind = data.draw(st.sampled_from(kinds), label="operand")
             if kind == "cipher":
                 same = [x for x in pool if x[0].size == c.size]
                 other, ys = same[data.draw(st.integers(0, len(same) - 1))]
             elif kind == "vector":
                 other = plain = plain_vector(c.size)
+                plain_before = plain.copy()
+                ys = [int(v) for v in plain]
+            elif kind == "plain":  # bounded once, reduced if |v| >= P
+                other = he_sim.Plain(plain_vector(c.size))
+                plain = other.values
                 plain_before = plain.copy()
                 ys = [int(v) for v in plain]
             else:

@@ -24,6 +24,11 @@ def keys(ring):
     return he_sim.keygen(ring, seed=4)
 
 
+def columns(pts):
+    """compute_dists' operand for the (n, d) points pts."""
+    return LabeledDatabase(pts, np.zeros(len(pts))).columns
+
+
 def test_derive_seed_repeatable_and_labelled():
     assert derive_seed(5, "a") == derive_seed(5, "a")
     assert derive_seed(5, "a") != derive_seed(5, "b")
@@ -181,7 +186,7 @@ def test_compute_dists_matches_numpy_oracle(ring, keys):
         pts = rng.integers(0, 24, size=(8, 2))
         q = rng.integers(0, 24, size=2)
         enc_q = [he_sim.encrypt(keys.pk, int(v)) for v in q]
-        got = he_sim.decrypt(keys.sk, compute_dists(enc_q, pts, ring))
+        got = he_sim.decrypt(keys.sk, compute_dists(enc_q, columns(pts), ring))
         expect = np.abs(pts - q).sum(axis=1)
         assert got == list(expect)
 
@@ -189,7 +194,7 @@ def test_compute_dists_matches_numpy_oracle(ring, keys):
 def test_compute_dists_dimension_mismatch(ring, keys):
     enc_q = [he_sim.encrypt(keys.pk, 1)]
     with pytest.raises(ParameterError):
-        compute_dists(enc_q, np.zeros((4, 2), dtype=int), ring)
+        compute_dists(enc_q, columns(np.zeros((4, 2), dtype=int)), ring)
 
 
 def test_compute_dists_gate_count_linear_in_n(ring, keys):
@@ -199,7 +204,7 @@ def test_compute_dists_gate_count_linear_in_n(ring, keys):
     def gates(n):
         pts = rng.integers(0, 24, size=(n, 2))
         with he_sim.metering() as m:
-            compute_dists(q, pts, ring)
+            compute_dists(q, columns(pts), ring)
         return m.mult_gates
 
     g40, g80 = gates(40), gates(80)
@@ -211,7 +216,7 @@ def test_server_side_needs_no_secret_key(ring, keys):
     pts = np.array([[1, 2], [3, 4], [5, 6]])
     enc_q = [he_sim.encrypt(keys.pk, 7), he_sim.encrypt(keys.pk, 8)]
     with he_sim.metering() as m:
-        xs = compute_dists(enc_q, pts, ring)
+        xs = compute_dists(enc_q, columns(pts), ring)
         prob_avg(xs, CoinSpec("identity", 3, 1), ring)
     assert m.decrypt_calls == 0
 
@@ -248,7 +253,7 @@ def test_coin_plan_arrays_are_read_only(ring):
     spec = CoinSpec("square", 40 * 24, seeds)
     for a in primitives._coin_plan(spec, seeds, 40, ring.dist_bound):
         with pytest.raises(ValueError):
-            a[0] = 0
+            a.values[0] = 0
 
 
 def test_coin_plans_of_two_grids_differ(ring):
@@ -258,12 +263,27 @@ def test_coin_plans_of_two_grids_differ(ring):
     rings = (ring, select_ring_params(30, dim=2, n=50))
     plans = [primitives._coin_plan(spec, seeds, 50, r.dist_bound)
              for r in rings]
-    assert not np.array_equal(plans[0][0], plans[1][0])
+    assert not np.array_equal(plans[0][0].values, plans[1][0].values)
     for r, (clamped, mask) in zip(rings, plans):
         expect = primitives._coin_points(_numerators(spec, seeds, 50), spec,
                                          r.dist_bound)
-        assert np.array_equal(clamped, expect[0])
-        assert np.array_equal(mask, expect[1])
+        assert np.array_equal(clamped.values, expect[0].values)
+        assert np.array_equal(mask.values, expect[1].values)
+
+
+def test_maps_alike_in_length_and_last_entry_get_their_own_inverse():
+    # the inverse cache hashes a map by its length and last entry only,
+    # so these two collide there and must still be told apart
+    maps = ((0, 1, 2, 5), (0, 3, 4, 5))
+    for tmap in maps + maps:
+        inv = primitives._map_inverse(primitives._MapKey(tmap))
+        expect = [min(x for x in range(len(tmap) + 1)
+                      if x == len(tmap) or tmap[x] >= c)
+                  for c in range(tmap[-1] + 2)]
+        assert inv.tolist() == expect
+    twin = tuple(list(maps[0]))  # an equal map in another object
+    assert primitives._map_inverse(primitives._MapKey(twin)) is (
+        primitives._map_inverse(primitives._MapKey(maps[0])))
 
 
 def test_a_second_n_sweep_pass_reuses_every_coin_plan():

@@ -36,12 +36,13 @@ def one_repetition(enc_q, db, pp):
     ring = pp.ring
     with he_sim.metering() as m:
         with he_sim.metering() as dist:
-            xs = primitives.compute_dists(enc_q, db.points, ring)
+            xs = primitives.compute_dists(enc_q, db.columns, ring)
         mu = estimate_mu(xs, pp)
         musq_low, musq_high = square_mu_digits(mu, pp)
         sigma = estimate_sigma(estimate_mu2_digits(xs, pp), musq_low,
                                musq_high, pp)
-        c0, c1 = count_classes(xs, threshold(mu, sigma, pp), db.labels, pp)
+        c0, c1 = count_classes(xs, threshold(mu, sigma, pp), db.label_masks,
+                               pp)
         bit = interp.is_smaller(c0, c1, ring)
     with he_sim.metering() as mapped:
         interp.eval_poly_ps(interp.build_named_tables(ring).dist_map, xs,
