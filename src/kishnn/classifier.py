@@ -50,7 +50,8 @@ make_protocol_params = ProtocolParams
 @dataclass(frozen=True)
 class LabeledDatabase:
     """Points and labels, each a private read-only int64 copy, so the
-    plaintext operands built from them on first use cannot go stale."""
+    plaintext operands built from them on first use cannot go stale.
+    Coordinates must be non-negative and labels bits."""
 
     points: np.ndarray  # (n, d) grid coordinates
     labels: np.ndarray  # (n,) bits
@@ -62,6 +63,10 @@ class LabeledDatabase:
             a = np.array(getattr(self, name), dtype=np.int64)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        if (self.labels >> 1).any():
+            raise ParameterError("labels must be 0 or 1")
+        if (self.points < 0).any():
+            raise ParameterError("coordinates must be non-negative")
 
     @property
     def n(self) -> int:
@@ -80,12 +85,31 @@ class LabeledDatabase:
         return he_sim.Plain(1 - self.labels), he_sim.Plain(self.labels)
 
     def without(self, i: int) -> "LabeledDatabase":
-        """The database minus point i, 0 <= i < n, in the same order."""
+        """The database minus point i, 0 <= i < n, in the same order.
+
+        Its points passed this database's checks, and its operands are
+        this database's minus slot i, each keeping its parent's bound (a
+        subset's magnitude is at most its parent's), so nothing is
+        checked or scanned again.
+        """
         if not 0 <= i < self.n:
             raise ParameterError(f"no point {i} in a database of {self.n}")
-        return LabeledDatabase(
-            np.concatenate((self.points[:i], self.points[i + 1:])),
-            np.concatenate((self.labels[:i], self.labels[i + 1:])))
+
+        def drop(a):
+            return np.concatenate((a[:i], a[i + 1:]))
+
+        def plains(ops):
+            return tuple(he_sim.Plain._bounded(drop(p.values), p.bound)
+                         for p in ops)
+
+        points, labels = drop(self.points), drop(self.labels)
+        points.flags.writeable = labels.flags.writeable = False
+        out = LabeledDatabase.__new__(LabeledDatabase)
+        # the fields and the cached operands, as the frozen class stores them
+        vars(out).update(points=points, labels=labels,
+                         columns=plains(self.columns),
+                         label_masks=plains(self.label_masks))
+        return out
 
 
 def repetition_seeds(pp: ProtocolParams) -> tuple:
@@ -256,6 +280,9 @@ def server_classify(enc_q: list, db: LabeledDatabase,
         # the distance map's range and the coin denominators would then
         # disagree, and the moment coins could saturate without an error
         raise ParameterError("ring was selected for a different database size")
+    # a column's bound is its largest coordinate (a held-out one's parent's)
+    if any(col.bound >= pp.ring.coord_bound for col in db.columns):
+        raise ParameterError("database points lie off the ring's grid")
     xs, t_star = _threshold_pipeline(enc_q, db, pp, repetition_seeds(pp))
     c0, c1 = count_classes(xs, t_star, db.label_masks, pp)
     return interp.is_smaller(c0, c1, pp.ring)

@@ -11,7 +11,6 @@ lookup is metered as the circuit that evaluates the table.
 from __future__ import annotations
 
 import hashlib
-import operator
 import threading
 import time
 from contextlib import contextmanager
@@ -180,6 +179,8 @@ def _as_slots(values) -> np.ndarray:
 
 def encrypt(pk: PublicKey, m) -> Cipher:
     """Encrypt one reduced ring element (or a packed vector of them)."""
+    if isinstance(m, int) and 0 <= m < pk.modulus:  # a query coordinate
+        return Cipher(np.array([m], dtype=np.int64), 0, pk.key_id)
     a = _as_slots(m)
     if ((a < 0) | (a >= pk.modulus)).any():
         raise BackendError("plaintext must be reduced mod the ring modulus")
@@ -193,7 +194,7 @@ def decrypt(sk: SecretKey, c: Cipher):
     if _scopes.stack:
         _scopes.stack[-1].decrypt_calls += 1
     v = _canonical(c._values, c._bound, sk.modulus)
-    if c.size == 1:
+    if v.size == 1:
         return int(v[0])
     return [int(x) for x in v]
 
@@ -225,6 +226,15 @@ class Plain:
         a.flags.writeable = False
         self.values, self.bound = a, _magnitude(a)
 
+    @classmethod
+    def _bounded(cls, values: np.ndarray, bound: int) -> "Plain":
+        """A Plain of a fresh int64 array, made read-only here, whose
+        bound its construction proves, so it is not scanned."""
+        out = cls.__new__(cls)
+        values.flags.writeable = False
+        out.values, out.bound = values, bound
+        return out
+
     @property
     def size(self) -> int:
         return int(self.values.size)
@@ -233,33 +243,31 @@ class Plain:
         """The slots repeated reps times end to end, with the same bound."""
         if reps == 1:
             return self
-        out = Plain.__new__(Plain)
-        out.values, out.bound = np.tile(self.values, reps), self.bound
-        out.values.flags.writeable = False
-        return out
+        return Plain._bounded(np.tile(self.values, reps), self.bound)
 
 
 def _plain(b, modulus: int) -> tuple:
-    """A plaintext operand as (values, bound): a Python int as its signed
-    residue, a vector (a Plain, or anything else wrapped in one) as it is
-    while its magnitude stays below the modulus and reduced into
-    [0, modulus) otherwise."""
-    if isinstance(b, int):
-        r = b % modulus
-        if r > modulus // 2:
-            r -= modulus
-        return r, abs(r)
+    """A plaintext operand as (values, bound): a vector (a Plain, or
+    anything else wrapped in one) as it is while its magnitude stays below
+    the modulus and reduced into [0, modulus) otherwise, a Python int as
+    its signed residue."""
     if not isinstance(b, Plain):
+        if isinstance(b, int):
+            r = b % modulus
+            if r > modulus // 2:
+                r -= modulus
+            return r, abs(r)
         b = Plain(b)
     if b.bound < modulus:
         return b.values, b.bound
     return _mod(b.values, modulus), None
 
 
-def _operands(a: Cipher, b, modulus: int, combine) -> tuple:
+def _operands(a: Cipher, b, modulus: int, product: bool) -> tuple:
     """(a values, b values, result bound, b depth, b is a cipher) of a
-    binary op whose result is bounded by combine(|a|, |b|).  The operands
-    are reduced first only when that bound would not fit in int64."""
+    binary op whose result is bounded by |a| * |b| if product, else by
+    |a| + |b|.  The operands are reduced first only when that bound would
+    not fit in int64."""
     if isinstance(b, Cipher):
         if b.key_id != a.key_id:
             raise KeyMismatchError("operands bound to different keys")
@@ -267,38 +275,39 @@ def _operands(a: Cipher, b, modulus: int, combine) -> tuple:
     else:
         (bv, bb), bd, bc = _plain(b, modulus), 0, False
     av, ab = a._values, a._bound
-    bound = combine(_mag(ab, modulus), _mag(bb, modulus))
+    am = modulus - 1 if ab is None else ab
+    bm = modulus - 1 if bb is None else bb
+    bound = am * bm if product else am + bm
     if bound >= _INT64:  # below 2^63 again, as keygen checked (P - 1)^2
         av, bv = _canonical(av, ab, modulus), _canonical(bv, bb, modulus)
-        bound = combine(modulus - 1, modulus - 1)
+        bound = (modulus - 1) ** 2 if product else 2 * (modulus - 1)
     return av, bv, bound, bd, bc
 
 
 def add(a: Cipher, b, ring: RingParams) -> Cipher:
     """a + b mod the ring; b may be a Cipher or plaintext scalar/vector."""
-    av, bv, bound, bd, bc = _operands(a, b, ring.modulus, operator.add)
+    av, bv, bound, bd, bc = _operands(a, b, ring.modulus, False)
     depth = max(a.depth, bd)
-    out = Cipher(av + bv, depth, a.key_id, bound)
-    _note(depth, adds=out.size if bc else 0)
-    return out
+    v = av + bv
+    _note(depth, adds=v.size if bc else 0)
+    return Cipher(v, depth, a.key_id, bound)
 
 
 def sub(a: Cipher, b, ring: RingParams) -> Cipher:
-    av, bv, bound, bd, bc = _operands(a, b, ring.modulus, operator.add)
+    av, bv, bound, bd, bc = _operands(a, b, ring.modulus, False)
     depth = max(a.depth, bd)
-    out = Cipher(av - bv, depth, a.key_id, bound)
-    _note(depth, adds=out.size if bc else 0)
-    return out
+    v = av - bv
+    _note(depth, adds=v.size if bc else 0)
+    return Cipher(v, depth, a.key_id, bound)
 
 
 def rsub(b, a: Cipher, ring: RingParams) -> Cipher:
     """Plaintext-minus-cipher, free (scalar mult by -1 plus add)."""
     if isinstance(b, Cipher):
         raise BackendError("rsub takes a plaintext minuend")
-    av, bv, bound, _, _ = _operands(a, b, ring.modulus, operator.add)
-    out = Cipher(bv - av, a.depth, a.key_id, bound)
+    av, bv, bound, _, _ = _operands(a, b, ring.modulus, False)
     _note(a.depth)
-    return out
+    return Cipher(bv - av, a.depth, a.key_id, bound)
 
 
 def mul(a: Cipher, b, ring: RingParams) -> Cipher:
@@ -307,20 +316,20 @@ def mul(a: Cipher, b, ring: RingParams) -> Cipher:
     Cipher-by-cipher products cost one mult gate per slot and one depth
     level; plaintext-scalar products are free.
     """
-    av, bv, bound, bd, bc = _operands(a, b, ring.modulus, operator.mul)
+    av, bv, bound, bd, bc = _operands(a, b, ring.modulus, True)
     depth = max(a.depth, bd) + 1 if bc else a.depth
-    out = Cipher(av * bv, depth, a.key_id, bound)
-    _note(depth, mults=out.size if bc else 0)
-    return out
+    v = av * bv
+    _note(depth, mults=v.size if bc else 0)
+    return Cipher(v, depth, a.key_id, bound)
 
 
 def slot_sum(c: Cipher, ring: RingParams, segments: int = 1) -> Cipher:
     """Sum each of `segments` equal runs of slots into one slot, giving a
     segments-slot cipher (rotations, masks and adds, free)."""
-    if c.size % segments:
-        raise BackendError("slots do not split into equal segments")
-    p, run = ring.modulus, c.size // segments
     v, bound = c._values, c._bound
+    if v.size % segments:
+        raise BackendError("slots do not split into equal segments")
+    p, run = ring.modulus, v.size // segments
     if run * _mag(bound, p) >= _INT64:
         v, bound = _canonical(v, bound, p), None
     vals = v.reshape(segments, -1).sum(axis=1)
@@ -332,11 +341,12 @@ def slot_sum(c: Cipher, ring: RingParams, segments: int = 1) -> Cipher:
 def broadcast(c: Cipher, nslots: int, ring: RingParams) -> Cipher:
     """Replicate each slot of c over a run of nslots / c.size consecutive
     slots (free); a single-slot cipher fills all nslots."""
-    if c.size == nslots:
+    size = c._values.size
+    if size == nslots:
         return c
-    if nslots % c.size:
+    if nslots % size:
         raise BackendError("can only broadcast into a multiple of the slots")
-    out = Cipher(np.repeat(c._values, nslots // c.size), c.depth, c.key_id,
+    out = Cipher(np.repeat(c._values, nslots // size), c.depth, c.key_id,
                  c._bound)
     _note(c.depth)
     return out
@@ -364,7 +374,7 @@ def unpack(c: Cipher) -> list:
     """One single-slot cipher per slot of c (free), the inverse of pack."""
     _note(c.depth)
     return [Cipher(c._values[i:i + 1], c.depth, c.key_id, c._bound)
-            for i in range(c.size)]
+            for i in range(c._values.size)]
 
 
 def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
@@ -381,9 +391,8 @@ def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
         looked_up = values[c._values]
     except IndexError:
         looked_up = values[_mod(c._values, values.size)]
-    out = Cipher(looked_up, depth, c.key_id)
-    _note(depth, mults * out.size, adds * out.size)
-    return out
+    _note(depth, mults * looked_up.size, adds * looked_up.size)
+    return Cipher(looked_up, depth, c.key_id)
 
 
 def linear_combine(ciphers: list, weights: np.ndarray, ring: RingParams) -> list:

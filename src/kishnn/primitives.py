@@ -141,10 +141,10 @@ def compute_dists(enc_q: list, columns: tuple, params: RingParams) -> Cipher:
 
 def _coin_points(rs: np.ndarray, spec: CoinSpec, dist_bound: int) -> tuple:
     """(r' capped at dist_bound, [r' <= dist_bound]) as he_sim.Plains,
-    r' = inverse_ceil(r)."""
+    r' = inverse_ceil(r) >= 0, so their bounds are dist_bound and 1."""
     rprime = spec.inverse_ceil_array(rs)
-    return (he_sim.Plain(np.minimum(rprime, dist_bound)),
-            he_sim.Plain(rprime <= dist_bound))
+    return (he_sim.Plain._bounded(np.minimum(rprime, dist_bound), dist_bound),
+            he_sim.Plain._bounded((rprime <= dist_bound).astype(np.int64), 1))
 
 
 def _coins(xs: Cipher, clamped: he_sim.Plain, mask: he_sim.Plain,
@@ -221,6 +221,10 @@ def _strata(seeds: tuple, n: int) -> np.ndarray:
     u = np.empty(len(seeds) * n)
     for s, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        u[s * n:(s + 1) * n] = (rng.permutation(n) + rng.random(n)) / n
+        seg = u[s * n:(s + 1) * n]
+        seg[:] = np.arange(n)
+        rng.shuffle(seg)  # what rng.permutation(n) does, without its copy
+        seg += rng.random(n)
+    u /= n
     u.flags.writeable = False
     return u

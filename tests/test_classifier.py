@@ -80,6 +80,16 @@ def test_labeled_database_without():
         rest = db.without(i)
         assert np.array_equal(rest.points, np.delete(db.points, i, axis=0))
         assert np.array_equal(rest.labels, np.delete(db.labels, i))
+        # the operands are the parent's minus slot i, with the parent's
+        # bounds, which cover the held-out values
+        fresh = LabeledDatabase(rest.points, rest.labels)
+        for got, expect in zip(rest.columns + rest.label_masks,
+                               fresh.columns + fresh.label_masks,
+                               strict=True):
+            assert np.array_equal(got.values, expect.values)
+            assert got.bound >= expect.bound
+            with pytest.raises(ValueError):
+                got.values[0] = 0
 
 
 @pytest.mark.parametrize("i", [-1, 3, 7])
@@ -119,6 +129,36 @@ def test_a_warm_query_scans_no_plaintext(ring100, monkeypatch):
 
     monkeypatch.setattr(he_sim, "_magnitude", counted)
     assert classify_with_majority((40, 50), db, pp) == first
+    assert scans == []
+
+
+@pytest.mark.parametrize("points,labels", [
+    ([[1, 2], [3, 4]], [0, 5]),  # made the masks -4 and 5
+    ([[1, 2], [3, 4]], [-1, 1]),
+    ([[1, -2], [3, 4]], [0, 1]),
+])
+def test_labeled_database_refuses_what_the_ring_cannot_read(points, labels):
+    with pytest.raises(ParameterError, match="labels|coordinates"):
+        LabeledDatabase(np.array(points), np.array(labels))
+
+
+def test_a_held_out_query_scans_no_plaintext(ring100, monkeypatch):
+    # after the parent's first without, a leave-one-out query (fresh seeds,
+    # fresh held-out database) derives every operand and coin plan bound
+    pts, labels = two_cluster_db(20, 100, gap=1)
+    db = LabeledDatabase(np.vstack([pts, [[50, 50]]]), np.append(labels, 1))
+    db.without(0)
+    scans = []
+    magnitude = he_sim._magnitude
+
+    def counted(v):
+        scans.append(v.size)
+        return magnitude(v)
+
+    monkeypatch.setattr(he_sim, "_magnitude", counted)
+    for i in (0, 20, 40):
+        pp = make_pp(ring100, k=5, n=40, reps=3, seed=1000 + i)
+        classify_with_majority(db.points[i], db.without(i), pp)
     assert scans == []
 
 
@@ -281,6 +321,19 @@ def test_server_classify_rejects_a_ring_for_another_size(keys):
     enc_q = [he_sim.encrypt(keys.pk, 3), he_sim.encrypt(keys.pk, 4)]
     with pytest.raises(ParameterError, match="database size"):
         server_classify(enc_q, db, pp)
+
+
+def test_server_classify_refuses_points_off_the_grid():
+    # grid 24 (P = 97) reads 60..62 as residues: the query (1, 1) got 1
+    # from the circuit and 0 from plain_knn
+    ring = select_ring_params(24, dim=2, n=6)
+    pts = np.array([[c, c] for c in (1, 2, 3, 60, 61, 62)])
+    db = LabeledDatabase(pts, np.array([0, 0, 0, 1, 1, 1]))
+    pp = make_pp(ring, k=1, n=6)
+    with pytest.raises(ParameterError, match="off the ring's grid"):
+        classify_with_majority((1, 1), db, pp)
+    inside = LabeledDatabase(np.minimum(pts, 23), db.labels)
+    assert classify_with_majority((1, 1), inside, pp) == 0
 
 
 @pytest.mark.parametrize("point", [(-1, 5), (100, 5), (1, 2, 3)])

@@ -248,6 +248,29 @@ def test_prob_avg_is_the_coin_batch_on_its_strata(ring, keys, segments,
         assert (got if segments > 1 else [got]) == expect
 
 
+@pytest.mark.parametrize("n", [1, 50, 568])
+@pytest.mark.parametrize("segments", [1, 3])
+def test_strata_are_a_permutation_plus_uniforms_per_seed(n, segments):
+    seeds = tuple(derive_seed(s, f"strata-{n}") for s in range(segments))
+    expect = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        expect.extend((rng.permutation(n) + rng.random(n)) / n)
+    assert np.array_equal(primitives._strata(seeds, n), expect)
+
+
+@pytest.mark.parametrize("mapped", [False, True])
+@pytest.mark.parametrize("f", ["identity", "square"])
+def test_coin_plan_bounds_cover_the_scanned_values(ring, f, mapped):
+    # the plan's bounds come from its construction, not from a scan
+    seeds = (derive_seed(0, f"bounds-{f}-{mapped}"),)
+    spec = CoinSpec(f, 40 * 24, seeds, interp.dist_map(ring) if mapped else ())
+    for p in primitives._coin_plan(spec, seeds, 40, ring.dist_bound):
+        scanned = he_sim.Plain(p.values)
+        assert np.array_equal(p.values, scanned.values)
+        assert p.bound >= scanned.bound
+
+
 def test_coin_plan_arrays_are_read_only(ring):
     seeds = (derive_seed(0, "read-only"),)
     spec = CoinSpec("square", 40 * 24, seeds)

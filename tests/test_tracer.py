@@ -1,13 +1,15 @@
 """The benchmark's span tracer (perfbench/spans.py) against this source:
 every function it wraps still exists, the stage spans of a traced query
-account for every mult gate of server_classify, and the codec spans of a
-served query see every byte on the wire."""
+or leave-one-out pass account for every mult gate of server_classify, and
+the codec spans of a served query see every byte on the wire."""
 
 import importlib.util
 import pathlib
 import threading
 
-from kishnn import classifier, protocol_io
+import numpy as np
+
+from kishnn import classifier, data_eval, protocol_io
 from kishnn.classifier import LabeledDatabase, make_protocol_params
 from kishnn.ring import select_ring_params
 
@@ -40,6 +42,28 @@ def test_benchmark_tracer_wraps_this_source():
     recs = tracer.records()
     assert set(spans.STAGE_SPANS) <= {r["name"] for r in recs}
     assert spans.stage_gate_errors(recs) == []
+
+
+def test_traced_leave_one_out_accounts_for_every_gate():
+    # loo_g250's path: held-out databases with derived operands, fresh
+    # coin plans for every query
+    spans = _load_spans()
+    pts, labels = two_cluster_db(20, 100, gap=1)
+    gd = data_eval.GridDataset(pts, labels, 100, ((0.0, 1.0), (0.0, 1.0)))
+    untraced = data_eval.leave_one_out_f1(gd, 5, "secure", repetitions=1)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        traced = data_eval.leave_one_out_f1(gd, 5, "secure", repetitions=1)
+    finally:
+        tracer.restore()
+    recs = tracer.records()
+    assert set(spans.STAGE_SPANS) <= {r["name"] for r in recs}
+    assert spans.stage_gate_errors(recs) == []
+    assert sum(r["name"] == "classifier.server_classify"
+               for r in recs) == gd.n
+    assert np.array_equal(traced.per_point_predictions,
+                          untraced.per_point_predictions)
 
 
 def test_codec_spans_see_every_wire_byte():
