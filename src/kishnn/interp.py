@@ -1,13 +1,14 @@
 """Polynomial interpolation over Z_P and metered table evaluation.
 
-Any integer function on [0, P) becomes a degree P-1 coefficient table.
-On a ciphertext a table is evaluated by lookup in its values over all of
-Z_P and charged the exact gates and depth of a baby-step/giant-step
-(Paterson-Stockmeyer) evaluation, which keeps the non-scalar
-multiplication count O(sqrt(P)) and the depth O(log P); the literal
-evaluation is kept as the reference.  Includes the named tables the
-classifier needs, among them the upper-half sign test that realizes
-strict comparison.
+Any integer function on [0, P) is a table of its P values, which is a
+polynomial of degree at most P-1; its coefficients are interpolated only
+when read.  On a ciphertext a table is evaluated by lookup in its values
+and charged the exact gates and depth of a baby-step/giant-step
+(Paterson-Stockmeyer) evaluation of that polynomial, which keeps the
+non-scalar multiplication count O(sqrt(P)) and the depth O(log P); the
+literal evaluation is the oracle in tests/test_interp.py.  Includes the
+named tables the classifier needs, among them the upper-half sign test
+that realizes strict comparison.
 """
 
 from __future__ import annotations
@@ -23,38 +24,75 @@ from .he_sim import Cipher
 from .ring import ParameterError, RingParams
 
 
-@dataclass(frozen=True)
-class PolyTable:
-    """Dense coefficient table of one interpolated function over Z_modulus.
+def _require_exact(P: int) -> None:
+    """Refuse a modulus whose power sums could overflow int64: a sum of P
+    products of residues stays below P^3, so P^3 < 2^63 keeps it exact."""
+    if P ** 3 >= 2 ** 63:
+        raise ParameterError(f"modulus {P} too large to interpolate in int64")
 
-    values[x] is the polynomial's value at x for every x in [0, modulus),
-    read-only; a table built from coefficients alone gets them from one
-    vectorised Horner pass.  The degree is found once, at construction.
+
+def _degree(y: np.ndarray, P: int) -> int:
+    """Degree of the polynomial through (i, y[i]) for all i in Z_P.
+
+    Its coefficient of x^(P-1-e) is -sum_i y_i * i^e for e < P-1 (with
+    0^0 = 1), so the degree is P-1-e for the first nonzero power sum, and
+    0 if there is none: one dot product when the degree is P-1.
+    """
+    idx = np.arange(P, dtype=np.int64)
+    power = np.ones(P, dtype=np.int64)
+    for e in range(P - 1):
+        if power @ y % P:
+            return P - 1 - e
+        power = power * idx % P
+    return 0
+
+
+@dataclass(frozen=True, eq=False)
+class PolyTable:
+    """One function over Z_modulus, held as its table of values.
+
+    values[x] is the function's value at x for every x in [0, modulus),
+    read-only, and the table's only data: the interpolating polynomial's
+    degree is found once, at construction, from power sums of the values,
+    and its coefficients are computed only when read.  Tables compare by
+    identity.
     """
 
     modulus: int
-    coeffs: tuple
+    values: np.ndarray = field(repr=False)
     name: str
-    values: np.ndarray = field(default=None, compare=False, repr=False)
-    _degree: int = field(init=False, compare=False, repr=False)
+    _degree: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        nonzero = [i for i, c in enumerate(self.coeffs) if c != 0]
-        object.__setattr__(self, "_degree", nonzero[-1] if nonzero else 0)
-        if self.values is None:
-            x = np.arange(self.modulus, dtype=np.int64)
-            values = np.zeros(self.modulus, dtype=np.int64)
-            for c in reversed(self.coeffs):
-                values = (values * x + c) % self.modulus
-        else:
-            values = np.array(self.values, dtype=np.int64)
-            if values.shape != (self.modulus,):
-                raise ParameterError("table values must cover Z_modulus")
+        P = self.modulus
+        _require_exact(P)
+        values = np.array(self.values, dtype=np.int64)
+        if values.shape != (P,):
+            raise ParameterError("table values must cover Z_modulus")
+        if values.min() < 0 or values.max() >= P:
+            raise ParameterError("table values must lie in [0, modulus)")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_degree", _degree(values, P))
+
+    @functools.cached_property
+    def coeffs(self) -> tuple:
+        """alpha_0 .. alpha_(P-1), interpolated on first read.
+
+        With the full residue domain the master polynomial is x^P - x and
+        all interpolation denominators reduce to -1, so the explicit
+        formula collapses to alpha_j = -sum_i y_i * i^(P-1-j) for j >= 1
+        and alpha_0 = y_0.
+        """
+        P, y = self.modulus, self.values
+        w = _power_matrix(P) @ y % P  # w[e] = sum_i y_i * i^e
+        coeffs = np.empty(P, dtype=np.int64)
+        coeffs[0] = y[0]
+        coeffs[1:] = -w[P - 2::-1] % P  # coeffs[j] = -w[P - 1 - j]
+        return tuple(int(c) for c in coeffs)
 
     def eval_plain(self, x: int) -> int:
-        """Direct plaintext evaluation (Horner)."""
+        """Direct plaintext evaluation of the coefficients (Horner)."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % self.modulus
@@ -66,13 +104,8 @@ class PolyTable:
 
 @functools.lru_cache(maxsize=2)
 def _power_matrix(P: int) -> np.ndarray:
-    """V[e, i] = i^e mod P (with 0^0 = 1), read-only.
-
-    A row of V times a vector of residues sums P products below P^2, so
-    P^3 < 2^63 keeps V @ y exact in int64.
-    """
-    if P ** 3 >= 2 ** 63:
-        raise ParameterError(f"modulus {P} too large to interpolate in int64")
+    """V[e, i] = i^e mod P (with 0^0 = 1), read-only; V @ y is exact in
+    int64 for every modulus PolyTable accepts."""
     idx = np.arange(P, dtype=np.int64)
     V = np.empty((P, P), dtype=np.int64)
     V[0] = 1
@@ -83,29 +116,15 @@ def _power_matrix(P: int) -> np.ndarray:
 
 
 def lagrange_table(f, params: RingParams, name: str = "f") -> PolyTable:
-    """Interpolate f over all of Z_P.
+    """The table of f over all of Z_P, each value reduced mod P.
 
-    With the full residue domain the master polynomial is x^P - x and all
-    interpolation denominators reduce to -1, so the explicit formula
-    collapses to alpha_j = -sum_i f(i) * i^(P-1-j) for j >= 1 and
-    alpha_0 = f(0).
+    The modulus is checked before f is called; the interpolating
+    polynomial stays implicit in the values (see PolyTable).
     """
     P = params.modulus
+    _require_exact(P)
     y = np.array([int(f(i)) % P for i in range(P)], dtype=np.int64)
-    w = _power_matrix(P) @ y % P  # w[e] = sum_i y_i * i^e
-    coeffs = np.empty(P, dtype=np.int64)
-    coeffs[0] = y[0]
-    coeffs[1:] = -w[P - 2::-1] % P  # coeffs[j] = -w[P - 1 - j]
-    return PolyTable(modulus=P, coeffs=tuple(int(c) for c in coeffs),
-                     name=name, values=y)
-
-
-def _balanced_powers(x: Cipher, top: int, ring: RingParams) -> dict:
-    """x^1 .. x^top with a product tree, depth(x^j) = depth(x)+ceil(log2 j)."""
-    xp = {1: x}
-    for j in range(2, top + 1):
-        xp[j] = he_sim.mul(xp[j // 2], xp[(j + 1) // 2], ring)
-    return xp
+    return PolyTable(P, y, name)
 
 
 def _ps_split(deg: int) -> tuple:
@@ -117,8 +136,8 @@ def _ps_split(deg: int) -> tuple:
 
 
 def _power_depths(depth: int, top: int) -> list:
-    """Depths of x^0 (unused) .. x^top from _balanced_powers on an input
-    of the given depth."""
+    """Depths of x^0 (unused) .. x^top, each x^j the product of
+    x^(j//2) and x^ceil(j/2), on an input of the given depth."""
     d = [depth, depth]
     for j in range(2, top + 1):
         d.append(max(d[j // 2], d[(j + 1) // 2]) + 1)
@@ -127,12 +146,19 @@ def _power_depths(depth: int, top: int) -> list:
 
 @functools.lru_cache(maxsize=4096)
 def ps_cost(degree: int, depth_in: int) -> tuple:
-    """(mults per slot, cipher adds per slot, output depth) that
-    eval_poly_ps_reference meters on a table of this degree and an input
-    of depth depth_in, replayed from the schedule's integer recurrences.
+    """(mults per slot, cipher adds per slot, output depth) of the
+    baby-step/giant-step evaluation of a polynomial of this degree on an
+    input of depth depth_in, replayed from the schedule's integer
+    recurrences.
 
-    Every intermediate of the schedule is at most as deep as its output,
-    so the output depth is also the deepest level it meters.
+    The schedule: block size s ~ sqrt(degree+1) and t blocks; baby powers
+    x^2 .. x^min(s, degree) and giant powers y^2 .. y^(t-1) of y = x^s,
+    each power the product of two halves; each block's coefficients
+    combined with the baby powers by plaintext scalars, for free; and
+    the sum of block 0 and each block i times y^i.  The tests run it
+    literally and check it against this count.  Every intermediate of
+    the schedule is at most as deep as its output, so the output depth is
+    also the deepest level it meters.
     """
     if degree == 0:
         return 0, 0, 0  # the constant, embedded for free
@@ -149,57 +175,17 @@ def ps_cost(degree: int, depth_in: int) -> tuple:
 
 
 def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
-    """Evaluate an interpolated table on a ciphertext.
+    """Evaluate a table on a ciphertext.
 
     The result is the lookup table.values[x], and the gates and depth
-    metered are exactly those of the baby-step/giant-step evaluation
-    (eval_poly_ps_reference) on the same input, from ps_cost: non-scalar
+    metered are exactly those of the baby-step/giant-step evaluation of
+    the table's polynomial on the same input, from ps_cost: non-scalar
     gates <= 3*ceil(sqrt(P)) and depth <= log2(P)+4 above the input's.
     """
     if table.modulus != params.modulus:
         raise ParameterError("table interpolated over a different ring")
     mults, adds, depth = ps_cost(table.degree(), x.depth)
     return he_sim.table_lookup(x, table.values, mults, adds, depth)
-
-
-def eval_poly_ps_reference(table: PolyTable, x: Cipher,
-                           params: RingParams) -> Cipher:
-    """Literal baby-step/giant-step evaluation of an interpolated table,
-    the reference eval_poly_ps is checked against.
-
-    Block size ~ sqrt(degree+1); block contents use only plaintext-scalar
-    multiplications, blocks are combined through precomputed giant powers.
-    """
-    if table.modulus != params.modulus:
-        raise ParameterError("table interpolated over a different ring")
-    deg = table.degree()
-    if deg == 0:
-        return he_sim.embed_like(x, np.full(x.size, table.coeffs[0],
-                                            dtype=np.int64))
-    s, t = _ps_split(deg)
-    kmax = min(s, deg)
-    xp = _balanced_powers(x, kmax, ring=params)
-    # Block i holds coefficients c[i*s] .. c[i*s+s-1]; the x^j weights are
-    # plaintext, so the whole block matrix is one free linear combination.
-    weights = np.zeros((t, kmax), dtype=np.int64)
-    consts = np.zeros(t, dtype=np.int64)
-    for i in range(t):
-        consts[i] = table.coeffs[i * s]
-        for j in range(1, s):
-            k = i * s + j
-            if k <= deg:
-                weights[i, j - 1] = table.coeffs[k]
-    blocks = he_sim.linear_combine([xp[j] for j in range(1, kmax + 1)],
-                                   weights, params)
-    blocks = [he_sim.add(b, int(consts[i]), params)
-              for i, b in enumerate(blocks)]
-    if t == 1:
-        return blocks[0]
-    yp = _balanced_powers(xp[s], t - 1, ring=params)
-    acc = blocks[0]
-    for i in range(1, t):
-        acc = he_sim.add(acc, he_sim.mul(blocks[i], yp[i], params), params)
-    return acc
 
 
 def _nearest_isqrt(v: int) -> int:

@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kishnn import he_sim, interp
+from kishnn import classifier, he_sim, interp
+from kishnn.data_eval import grid_dataset, load_wdbc
 from kishnn.interp import (PolyTable, build_named_tables, eval_poly_ps,
-                           eval_poly_ps_reference, is_smaller, lagrange_table)
-from kishnn.ring import select_ring_params
+                           is_smaller, lagrange_table, ps_cost)
+from kishnn.ring import ParameterError, RingParams, is_prime, \
+    select_ring_params
 
 
 def vandermonde_interpolate(values, modulus):
@@ -29,6 +32,62 @@ def vandermonde_interpolate(values, modulus):
                 a[r] = [(v - f * w) % n for v, w in zip(a[r], a[col])]
                 b[r] = (b[r] - f * b[col]) % n
     return tuple(b)
+
+
+def table_from_coeffs(P, coeffs, name):
+    """The table of the polynomial with these coefficients (Horner)."""
+    x = np.arange(P, dtype=np.int64)
+    values = np.zeros(P, dtype=np.int64)
+    for c in reversed(coeffs):
+        values = (values * x + c) % P
+    return PolyTable(P, values, name)
+
+
+def _balanced_powers(x, top, ring):
+    """x^1 .. x^top with a product tree, depth(x^j) = depth(x)+ceil(log2 j)."""
+    xp = {1: x}
+    for j in range(2, top + 1):
+        xp[j] = he_sim.mul(xp[j // 2], xp[(j + 1) // 2], ring)
+    return xp
+
+
+def eval_poly_ps_reference(table, x, params):
+    """Literal baby-step/giant-step evaluation of a table's coefficients,
+    the oracle eval_poly_ps and ps_cost are checked against.
+
+    Block size ~ sqrt(degree+1); block contents use only plaintext-scalar
+    multiplications, blocks are combined through precomputed giant powers.
+    """
+    if table.modulus != params.modulus:
+        raise ParameterError("table interpolated over a different ring")
+    deg = table.degree()
+    if deg == 0:
+        return he_sim.embed_like(x, np.full(x.size, table.coeffs[0],
+                                            dtype=np.int64))
+    s, t = interp._ps_split(deg)
+    kmax = min(s, deg)
+    xp = _balanced_powers(x, kmax, ring=params)
+    # Block i holds coefficients c[i*s] .. c[i*s+s-1]; the x^j weights are
+    # plaintext, so the whole block matrix is one free linear combination.
+    weights = np.zeros((t, kmax), dtype=np.int64)
+    consts = np.zeros(t, dtype=np.int64)
+    for i in range(t):
+        consts[i] = table.coeffs[i * s]
+        for j in range(1, s):
+            k = i * s + j
+            if k <= deg:
+                weights[i, j - 1] = table.coeffs[k]
+    blocks = he_sim.linear_combine([xp[j] for j in range(1, kmax + 1)],
+                                   weights, params)
+    blocks = [he_sim.add(b, int(consts[i]), params)
+              for i, b in enumerate(blocks)]
+    if t == 1:
+        return blocks[0]
+    yp = _balanced_powers(xp[s], t - 1, ring=params)
+    acc = blocks[0]
+    for i in range(1, t):
+        acc = he_sim.add(acc, he_sim.mul(blocks[i], yp[i], params), params)
+    return acc
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +196,7 @@ def test_ps_equals_horner_property(x, seed):
     ring = select_ring_params(6, dim=2, n=20)
     keys = he_sim.keygen(ring, 2)
     rng = np.random.default_rng(seed)
-    table = PolyTable(23, tuple(int(v) for v in rng.integers(0, 23, 23)), "h")
+    table = table_from_coeffs(23, rng.integers(0, 23, 23), "h")
     c = he_sim.encrypt(keys.pk, x)
     assert he_sim.decrypt(keys.sk, eval_poly_ps(table, c, ring)) \
         == table.eval_plain(x)
@@ -146,11 +205,12 @@ def test_ps_equals_horner_property(x, seed):
 def test_table_values_are_the_polynomial_everywhere(ring):
     rng = np.random.default_rng(3)
     coeffs = tuple(int(v) for v in rng.integers(0, 23, 23))
-    from_coeffs = PolyTable(23, coeffs, "c")
+    from_coeffs = table_from_coeffs(23, coeffs, "c")
     interpolated = lagrange_table(lambda x: (5 * x + 1) % 23, ring, "lin")
     for x in range(23):
         assert from_coeffs.values[x] == from_coeffs.eval_plain(x)
         assert interpolated.values[x] == interpolated.eval_plain(x)
+    assert from_coeffs.coeffs == coeffs
     assert not from_coeffs.values.flags.writeable
 
 
@@ -190,7 +250,7 @@ def test_lookup_matches_reference_schedule(grid, kind, degree_frac, seed,
         coeffs = np.zeros(P, dtype=np.int64)
         coeffs[:degree + 1] = rng.integers(0, P, degree + 1)
         coeffs[degree] = rng.integers(1, P)
-        table = PolyTable(P, tuple(int(c) for c in coeffs), "random")
+        table = table_from_coeffs(P, coeffs, "random")
     else:
         table = getattr(build_named_tables(ring), kind)
     xs = [int(v) for v in rng.integers(0, P, slots)]
@@ -204,7 +264,7 @@ def test_lookup_matches_reference_on_constant_and_linear(grid, degree):
     ring = select_ring_params(grid, dim=2, n=50)
     P = ring.modulus
     coeffs = (7, 3)[:degree + 1] + (0,) * (P - 1 - degree)
-    table = PolyTable(P, coeffs, "low")
+    table = table_from_coeffs(P, coeffs, "low")
     for depth in (0, 1, 5, 12):
         lookup, reference = _both_paths(table, [0, 1, P - 1], depth, ring)
         assert lookup == reference
@@ -218,3 +278,63 @@ def test_rings_differing_only_in_n_share_tables():
     assert interp.dist_map(a) is interp.dist_map(b)
     c = select_ring_params(250, dim=2, n=569)  # R = isqrt(569 * 250) = 377
     assert build_named_tables(c) is not build_named_tables(a)
+
+
+def test_degree_from_power_sums_matches_coefficients():
+    # every degree 0..22 at P = 23, from random coefficients
+    rng = np.random.default_rng(7)
+    for degree in range(23):
+        coeffs = [int(c) for c in rng.integers(0, 23, degree + 1)]
+        coeffs[degree] = int(rng.integers(1, 23))
+        table = table_from_coeffs(23, coeffs, "random")
+        assert table.degree() == degree
+        assert table.coeffs == tuple(coeffs) + (0,) * (22 - degree)
+
+
+@pytest.mark.parametrize("grid", [24, 100, 250])
+def test_named_table_degrees_match_interpolated_coefficients(grid):
+    tables = build_named_tables(select_ring_params(grid, dim=2, n=50))
+    for name in NAMED:
+        table = getattr(tables, name)
+        top = max(i for i, c in enumerate(table.coeffs) if c)
+        assert table.degree() == top, name
+        if grid == 250:
+            assert ps_cost(table.degree(), 0) == (92, 31, 11), name
+
+
+def test_setup_and_query_never_interpolate(wdbc_path, monkeypatch):
+    # the lookup and ps_cost need only each table's values and degree
+    def refuse(P):
+        raise AssertionError("coefficients interpolated")
+
+    monkeypatch.setattr(interp, "_power_matrix", refuse)
+    interp.build_named_tables.cache_clear()
+    interp._build_named_tables.cache_clear()
+    db = grid_dataset(load_wdbc(wdbc_path), 250).database()
+    ring = select_ring_params(250, dim=2, n=db.n)
+    build_named_tables(ring)
+    pp = classifier.make_protocol_params(ring, k=13, n=db.n, repetitions=1,
+                                         rng_seed=3)
+    assert classifier.classify_with_majority(db.points[0], db, pp) in (0, 1)
+
+
+def test_table_refuses_values_outside_the_ring(ring, keys):
+    for bad in (np.full(23, 40), np.full(23, -1)):
+        with pytest.raises(ParameterError):
+            PolyTable(modulus=23, values=bad, name="bad")
+    # lagrange_table reduces what f returns, so a lookup stays in Z_P
+    table = lagrange_table(lambda x: 40, ring, "forty")
+    c = he_sim.encrypt(keys.pk, 5)
+    assert he_sim.decrypt(keys.sk, eval_poly_ps(table, c, ring)) == 40 % 23
+
+
+def test_lagrange_refuses_inexact_modulus_before_calling_f():
+    P = next(m for m in itertools.count(2 ** 21 + 1) if is_prime(m))
+    assert P ** 3 >= 2 ** 63
+    big = RingParams(modulus=P, coord_bound=2, dim=1, n=1)
+
+    def f(x):
+        raise AssertionError("f called")
+
+    with pytest.raises(ParameterError):
+        lagrange_table(f, big, "big")
