@@ -84,32 +84,45 @@ class LabeledDatabase:
         """count_classes' operand: the he_sim.Plains (1 - labels, labels)."""
         return he_sim.Plain(1 - self.labels), he_sim.Plain(self.labels)
 
-    def without(self, i: int) -> "LabeledDatabase":
-        """The database minus point i, 0 <= i < n, in the same order.
+    def held_out(self, indices) -> list:
+        """[self.without(i) for i in indices], from one gather per operand.
 
-        Its points passed this database's checks, and its operands are
-        this database's minus slot i, each keeping its parent's bound (a
-        subset's magnitude is at most its parent's), so nothing is
+        Their points passed this database's checks, and their operands
+        are this database's minus slot i, each keeping its parent's bound
+        (a subset's magnitude is at most its parent's), so nothing is
         checked or scanned again.
         """
-        if not 0 <= i < self.n:
-            raise ParameterError(f"no point {i} in a database of {self.n}")
+        for i in indices:
+            if not 0 <= i < self.n:
+                raise ParameterError(f"no point {i} in a database of {self.n}")
+        keep = np.arange(self.n - 1)
+        keep = keep + (keep >= np.reshape(indices, (-1, 1)))  # row r skips i_r
 
-        def drop(a):
-            return np.concatenate((a[:i], a[i + 1:]))
+        def rows(a):
+            a = a.take(keep, axis=0)
+            a.flags.writeable = False
+            return a
 
-        def plains(ops):
-            return tuple(he_sim.Plain._bounded(drop(p.values), p.bound)
-                         for p in ops)
+        def plains(ops):  # one tuple of he_sim.Plains per row
+            ops = [(rows(p.values), p.bound) for p in ops]
+            return [tuple(he_sim.Plain._bounded(v[r], b) for v, b in ops)
+                    for r in range(len(keep))]
 
-        points, labels = drop(self.points), drop(self.labels)
-        points.flags.writeable = labels.flags.writeable = False
-        out = LabeledDatabase.__new__(LabeledDatabase)
-        # the fields and the cached operands, as the frozen class stores them
-        vars(out).update(points=points, labels=labels,
-                         columns=plains(self.columns),
-                         label_masks=plains(self.label_masks))
+        out = []
+        for points, labels, columns, masks in zip(
+                rows(self.points), rows(self.labels), plains(self.columns),
+                plains(self.label_masks)):
+            db = LabeledDatabase.__new__(LabeledDatabase)
+            # fields and cached operands, as the frozen class stores them
+            vars(db).update(points=points, labels=labels, columns=columns,
+                            label_masks=masks)
+            out.append(db)
         return out
+
+    def without(self, i: int) -> "LabeledDatabase":
+        """The database minus point i, 0 <= i < n, in the same order: the
+        one-row case of held_out."""
+        return self.held_out((i,))[0]
 
 
 def repetition_seeds(pp: ProtocolParams) -> tuple:
@@ -119,39 +132,41 @@ def repetition_seeds(pp: ProtocolParams) -> tuple:
                  for r in range(pp.repetitions))
 
 
-def _moment_coins(f: str, m: int, pp: ProtocolParams, seeds) -> CoinSpec:
-    """Coins of one moment batch on the mapped distances t(x), one
-    numerator seed per repetition.  Every batch shares one numerator draw,
-    so the errors of mu* and mu_2* largely cancel in mu_2* - mu*^2."""
-    seeds = (pp.rng_seed,) if seeds is None else seeds
-    return CoinSpec(f, m, tuple(derive_seed(s, "moments") for s in seeds),
-                    interp.dist_map(pp.ring))
+def moment_coins(pp: ProtocolParams, seeds: tuple) -> tuple:
+    """The CoinSpecs of the mu and mu_2 batches on the mapped distances
+    t(x), one numerator seed per repetition seed in seeds.  Both batches
+    share one numerator draw, so the errors of mu* and mu_2* largely
+    cancel in mu_2* - mu*^2."""
+    moments = tuple(derive_seed(s, "moments") for s in seeds)
+    tmap = interp.dist_map(pp.ring)
+    return (CoinSpec("identity", pp.n, moments, tmap),
+            CoinSpec("square", pp.n * pp.ring.coord_bound, moments, tmap))
 
 
-def estimate_mu(xs: Cipher, pp: ProtocolParams, seeds=None) -> Cipher:
+def estimate_mu(xs: Cipher, pp: ProtocolParams, coins=None) -> Cipher:
     """Coin-sum estimate of the mean of the mapped distances t(x) (see
     interp.dist_map), denominator n.
 
-    xs holds one copy of the distances per repetition seed in seeds
-    (default: the one repetition seeded by pp.rng_seed), and the estimate
-    holds one slot per repetition.
+    xs holds one copy of the distances per repetition seed of the coins,
+    moment_coins' first spec (default: the one repetition seeded by
+    pp.rng_seed), and the estimate holds one slot per repetition.
     """
-    return primitives.prob_avg(
-        xs, _moment_coins("identity", pp.n, pp, seeds), pp.ring)
+    coins = coins or moment_coins(pp, (pp.rng_seed,))[0]
+    return primitives.prob_avg(xs, coins, pp.ring)
 
 
-def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams, seeds=None) -> Cipher:
+def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams, coins=None) -> Cipher:
     """High base-p digit of the second moment mu_2 = mean(t(x)^2).
 
     One coin batch with denominator n*p gives the high digit, and
     p * high is unbiased for mu_2 as long as no coin saturates, i.e.
     while every squared mapped distance is at most n*p; the map
     guarantees this.  The high digit alone counts all of mu_2, so mu_2
-    has no low digit.  xs and seeds are laid out as for estimate_mu.
+    has no low digit.  xs and coins, moment_coins' second spec, are laid
+    out as for estimate_mu.
     """
-    return primitives.prob_avg(
-        xs, _moment_coins("square", pp.n * pp.ring.coord_bound, pp, seeds),
-        pp.ring)
+    coins = coins or moment_coins(pp, (pp.rng_seed,))[1]
+    return primitives.prob_avg(xs, coins, pp.ring)
 
 
 def square_mu_digits(mu_star: Cipher, pp: ProtocolParams):
@@ -250,8 +265,9 @@ def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
     laid out once per repetition for the moment coins."""
     xs = primitives.compute_dists(enc_q, db.columns, pp.ring)
     tiled = he_sim.pack([xs] * len(seeds), pp.ring)
-    mu_star = estimate_mu(tiled, pp, seeds=seeds)
-    mu2_high = estimate_mu2_digits(tiled, pp, seeds=seeds)
+    mu_coins, mu2_coins = moment_coins(pp, seeds)
+    mu_star = estimate_mu(tiled, pp, mu_coins)
+    mu2_high = estimate_mu2_digits(tiled, pp, mu2_coins)
     musq_low, musq_high = square_mu_digits(mu_star, pp)
     sigma_star = estimate_sigma(mu2_high, musq_low, musq_high, pp)
     t_star = threshold(mu_star, sigma_star, pp)

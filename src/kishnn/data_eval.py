@@ -16,9 +16,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from . import he_sim
+from . import he_sim, primitives
 from .classifier import (LabeledDatabase, ProtocolParams,
-                         classify_with_majority, make_protocol_params)
+                         classify_with_majority, make_protocol_params,
+                         moment_coins, repetition_seeds)
 from .he_sim import EvalMetrics
 from .primitives import derive_seed
 from .ring import ParameterError, select_ring_params
@@ -230,12 +231,18 @@ def _protocol_for(gd: GridDataset, k: int, repetitions: int,
                                 rng_seed=seed)
 
 
+# Held-out points classified per block: their 32 mu and mu_2 coin plans are
+# as many as the plan cache holds, so a block takes no more plan memory.
+_LOO_BLOCK = 16
+
+
 def leave_one_out_f1(gd: GridDataset, k: int, mode: str = "plain", *,
                      repetitions: int = 5, seed: int = 0) -> EvalReport:
     """Hold out each point, classify it with the rest, score F1.
 
     Per-point seeds are derived from the base seed.  Every held-out
-    database has n - 1 points, so one ring serves them all.
+    database has n - 1 points, so one ring serves them all.  A block's
+    databases and coin plans are made at once, before its queries run.
     """
     if mode not in ("plain", "secure"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -243,19 +250,25 @@ def leave_one_out_f1(gd: GridDataset, k: int, mode: str = "plain", *,
         raise ParameterError("need at least three points for leave-one-out")
     db = gd.database()
     ring = select_ring_params(gd.grid, dim=2, n=gd.n - 1)
-
-    def one(i: int) -> int:
-        rest = db.without(i)
-        q = db.points[i]
-        if mode == "plain":
-            return plain_knn(rest, q, k)
-        pp = make_protocol_params(ring, k=k, n=rest.n,
-                                  repetitions=repetitions,
-                                  rng_seed=derive_seed(seed, f"loo-{i}"))
-        return classify_with_majority(q, rest, pp)
-
+    preds = []
     with he_sim.metering() as total:
-        preds = np.array([one(i) for i in range(gd.n)], dtype=np.int64)
+        for start in range(0, gd.n, _LOO_BLOCK):
+            block = range(start, min(start + _LOO_BLOCK, gd.n))
+            rests = db.held_out(block)
+            if mode == "plain":
+                preds += [plain_knn(rest, db.points[i], k)
+                          for i, rest in zip(block, rests)]
+                continue
+            pps = [make_protocol_params(ring, k=k, n=gd.n - 1,
+                                        repetitions=repetitions,
+                                        rng_seed=derive_seed(seed, f"loo-{i}"))
+                   for i in block]
+            coins = [moment_coins(pp, repetition_seeds(pp)) for pp in pps]
+            with primitives.planned([(c[0].rng_seed, c) for c in coins],
+                                    gd.n - 1, ring.dist_bound):
+                preds += [classify_with_majority(db.points[i], rest, pp)
+                          for i, rest, pp in zip(block, rests, pps)]
+    preds = np.array(preds, dtype=np.int64)
     sd = gaussian_sd_diagnostic(db.without(0), db.points[0])
     return EvalReport(f1=f1_score(preds, db.labels),
                       per_point_predictions=preds,

@@ -118,12 +118,14 @@ def _power_matrix(P: int) -> np.ndarray:
 def lagrange_table(f, params: RingParams, name: str = "f") -> PolyTable:
     """The table of f over all of Z_P, each value reduced mod P.
 
-    The modulus is checked before f is called; the interpolating
-    polynomial stays implicit in the values (see PolyTable).
+    f is called once, on the array of all P residues, and returns the
+    array of their values.  The modulus is checked before f is called;
+    the interpolating polynomial stays implicit in the values (see
+    PolyTable).
     """
     P = params.modulus
     _require_exact(P)
-    y = np.array([int(f(i)) % P for i in range(P)], dtype=np.int64)
+    y = np.asarray(f(np.arange(P, dtype=np.int64)), dtype=np.int64) % P
     return PolyTable(P, y, name)
 
 
@@ -188,13 +190,13 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
     return he_sim.table_lookup(x, table.values, mults, adds, depth)
 
 
-def _nearest_isqrt(v: int) -> int:
-    r = math.isqrt(v)
-    return r + 1 if v - r * r > r else r
-
-
-def _round_div(a: int, b: int) -> int:
-    return (2 * a + b) // (2 * b)
+def _nearest_isqrt(v: np.ndarray) -> np.ndarray:
+    """round(sqrt(v)) of each entry of v, exactly, and 0 where v < 0."""
+    v = np.maximum(v, 0)
+    r = np.sqrt(v).astype(np.int64)
+    r -= r * r > v  # float sqrt is off by at most one
+    r += (r + 1) * (r + 1) <= v
+    return r + (v - r * r > r)
 
 
 def _map_range(params: RingParams) -> int:
@@ -274,50 +276,32 @@ def build_named_tables(params: RingParams) -> NamedTables:
 @functools.lru_cache(maxsize=8)
 def _build_named_tables(key: _TablesKey) -> NamedTables:
     params = key.params
-    P = params.modulus
-    p = params.coord_bound
-    tmap = dist_map(params)
+    P, p, B = params.modulus, params.coord_bound, params.dist_bound
+    tmap = np.asarray(dist_map(params))
+
+    def signed(x):  # params.signed of every residue: upper half negative
+        return np.where(x > P // 2, x - P, x)
+
+    def table(name, f):
+        return lagrange_table(f, params, name)
 
     # The square-root tables read upper-half arguments as negative numbers
     # and clamp them to 0: a coin-noise variance estimate below zero means
-    # a spread of 0, not a wrapped-around large one.
-    def sqrt_f(x):
-        v = params.signed(x)
-        return _nearest_isqrt(v) if v >= 0 else 0
-
-    def square_div_p_f(x):
-        return _round_div(x * x, p)
-
-    def is_zero_f(x):
-        return 1 if x == 0 else 0
-
-    def sqrt_plus_p_f(x):
-        # Upper-half arguments are negative representatives; the shifted
-        # square root must see p + signed(x), else the digit-couple branch
-        # for a negative low difference breaks.
-        v = p + params.signed(x)
-        return _nearest_isqrt(v) if v >= 0 else 0
-
-    def sqrt_times_p_f(x):
-        v = params.signed(x)
-        return _nearest_isqrt(v * p) if v >= 0 else 0
-
-    def is_neg_f(x):
-        return 1 if x > P / 2 else 0
-
-    def dist_map_f(x):
-        # Only [0, dist_bound] holds distances; clamp the rest monotonely.
-        v = params.signed(x)
-        return tmap[min(v, params.dist_bound)] if v >= 0 else 0
-
+    # a spread of 0, not a wrapped-around large one.  The shifted square
+    # root must see p + signed(x), else the digit-couple branch for a
+    # negative low difference breaks.  Only [0, dist_bound] holds
+    # distances, so the map clamps the rest monotonely (t(0) = 0).
     return NamedTables(
-        sqrt=lagrange_table(sqrt_f, params, "sqrt"),
-        square_div_p=lagrange_table(square_div_p_f, params, "square_div_p"),
-        is_zero=lagrange_table(is_zero_f, params, "is_zero"),
-        sqrt_plus_p=lagrange_table(sqrt_plus_p_f, params, "sqrt_plus_p"),
-        sqrt_times_p=lagrange_table(sqrt_times_p_f, params, "sqrt_times_p"),
-        is_neg=lagrange_table(is_neg_f, params, "is_neg"),
-        dist_map=lagrange_table(dist_map_f, params, "dist_map"),
+        sqrt=table("sqrt", lambda x: _nearest_isqrt(signed(x))),
+        square_div_p=table("square_div_p",
+                           lambda x: (2 * x * x + p) // (2 * p)),
+        is_zero=table("is_zero", lambda x: x == 0),
+        sqrt_plus_p=table("sqrt_plus_p",
+                          lambda x: _nearest_isqrt(p + signed(x))),
+        sqrt_times_p=table("sqrt_times_p",
+                           lambda x: _nearest_isqrt(signed(x) * p)),
+        is_neg=table("is_neg", lambda x: x > P / 2),
+        dist_map=table("dist_map", lambda x: tmap[np.clip(signed(x), 0, B)]),
     )
 
 

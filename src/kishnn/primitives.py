@@ -7,10 +7,9 @@ coin-sum moment estimator built from it.
 
 from __future__ import annotations
 
-import bisect
+import contextlib
 import functools
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,25 +53,11 @@ class CoinSpec:
         # map, so plan keys stay exact
         return hash((self.f, self.m, self.rng_seed, len(self.dist_map)))
 
-    def apply(self, x: int) -> int:
-        if self.dist_map:
-            x = self.dist_map[x]
-        return x * x if self.f == "square" else x
-
-    def inverse_ceil(self, r: int) -> int:
-        """Smallest x with apply(x) >= r, in exact integer arithmetic.
-
-        r >= 1.  Without a map this is ceil(f^-1(r)); with one it is
-        min{x : t(x) >= ceil(f^-1(r))}, or len(dist_map) when no distance
-        reaches r.
-        """
-        c = math.isqrt(r - 1) + 1 if self.f == "square" else r
-        if self.dist_map:
-            return bisect.bisect_left(self.dist_map, c)
-        return c
-
     def inverse_ceil_array(self, rs: np.ndarray) -> np.ndarray:
-        """inverse_ceil of every entry of rs (int64, each >= 1)."""
+        """The smallest x with f(x) >= r for each entry r >= 1 of rs
+        (int64), in exact integer arithmetic: ceil(f^-1(r)) without a map,
+        and with one min{x : t(x) >= ceil(f^-1(r))}, or len(dist_map) when
+        no distance reaches it."""
         c = np.asarray(rs, dtype=np.int64)
         if self.f == "square":
             v = c - 1
@@ -140,8 +125,9 @@ def compute_dists(enc_q: list, columns: tuple, params: RingParams) -> Cipher:
 
 
 def _coin_points(rs: np.ndarray, spec: CoinSpec, dist_bound: int) -> tuple:
-    """(r' capped at dist_bound, [r' <= dist_bound]) as he_sim.Plains,
-    r' = inverse_ceil(r) >= 0, so their bounds are dist_bound and 1."""
+    """(r' capped at dist_bound, [r' <= dist_bound]) as he_sim.Plains of
+    the shape of the numerators rs, r' = spec.inverse_ceil_array(rs) >= 0,
+    so their bounds are dist_bound and 1."""
     rprime = spec.inverse_ceil_array(rs)
     return (he_sim.Plain._bounded(np.minimum(rprime, dist_bound), dist_bound),
             he_sim.Plain._bounded((rprime <= dist_bound).astype(np.int64), 1))
@@ -157,20 +143,6 @@ def _coins(xs: Cipher, clamped: he_sim.Plain, mask: he_sim.Plain,
     neg = interp.eval_poly_ps(tables.is_neg, arg, params)  # [x < r']
     bit = he_sim.rsub(1, neg, params)  # [x >= r']
     return he_sim.mul(bit, mask, params)  # free plaintext mask
-
-
-def _coin_batch(xs: Cipher, rs: np.ndarray, spec: CoinSpec,
-                params: RingParams) -> Cipher:
-    """One coin per slot of xs, with pre-drawn numerators rs in [1, m]:
-    [r <= f(x)] = [x >= ceil(f^-1(r))]."""
-    return _coins(xs, *_coin_points(rs, spec, params.dist_bound), params)
-
-
-def coin_toss(x: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
-    """One doubly-blinded coin: Pr[bit = 1] = min(f(x), m) / m."""
-    rng = np.random.default_rng(spec.rng_seed)
-    r = int(rng.integers(1, spec.m + 1))
-    return _coin_batch(x, np.array([r]), spec, params)
 
 
 def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
@@ -197,27 +169,65 @@ def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
         seeds = (seeds,)
     if xs.size % len(seeds):
         raise ParameterError("slots do not split into one segment per seed")
-    plan = _coin_plan(spec, seeds, xs.size // len(seeds), params.dist_bound)
+    key = (spec, seeds, xs.size // len(seeds), params.dist_bound)
+    plan = _prepared.get(key) or _coin_plan(*key)
     return he_sim.slot_sum(_coins(xs, *plan, params), params, len(seeds))
+
+
+_prepared = {}  # the plans planned() serves, keyed as _coin_plan's cache
 
 
 @functools.lru_cache(maxsize=32)
 def _coin_plan(spec: CoinSpec, seeds: tuple, n: int, dist_bound: int) -> tuple:
     """prob_avg's (clamped, mask) he_sim.Plains for n-slot segments, seeds
-    being spec.rng_seed as a tuple.  The numerators are plaintext draws, so
-    this never depends on the query.  At 16 B per slot, the cache holds at
-    most 32 * 16 = 512 B per slot of the widest batch."""
-    u = _strata(seeds, n)
-    # float rounding of m * u may reach m; clamp to keep r_i in [1, m]
-    rs = np.minimum((spec.m * u).astype(np.int64), spec.m - 1) + 1
-    return _coin_points(rs, spec, dist_bound)
+    being spec.rng_seed as a tuple: _plan_coins on one row.  The numerators
+    are plaintext draws, so this never depends on the query.  At 16 B per
+    slot, the cache holds at most 32 * 16 = 512 B per slot of the widest
+    batch."""
+    return _plan_coins([(seeds, (spec,))], n, dist_bound)[
+        spec, seeds, n, dist_bound]
 
 
-@functools.lru_cache(maxsize=4)
+def _plan_coins(rows: list, n: int, dist_bound: int) -> dict:
+    """prob_avg's plans for n-slot segments of a block of queries, by
+    (spec, seeds, n, dist_bound).
+
+    rows holds one (seeds, specs) pair per query, the seeds being its
+    specs' rng_seed as a tuple; the j-th specs of all rows must share f,
+    m and map.  Each query's seeds get one strata draw, and each spec's
+    numerators, inverses, clamps and masks are computed over the whole
+    block at once.
+    """
+    u = _strata(sum((seeds for seeds, _ in rows), ()), n)
+    plans = {}
+    for j, spec in enumerate(rows[0][1]):
+        # float rounding of m * u may reach m; clamp to keep r_i in [1, m]
+        rs = np.minimum((spec.m * u).astype(np.int64), spec.m - 1) + 1
+        clamped, mask = _coin_points(rs, spec, dist_bound)
+        for (seeds, specs), c, k in zip(
+                rows, clamped.values.reshape(len(rows), -1),
+                mask.values.reshape(len(rows), -1)):
+            plans[specs[j], seeds, n, dist_bound] = (
+                he_sim.Plain._bounded(c, dist_bound),
+                he_sim.Plain._bounded(k, 1))
+    return plans
+
+
+@contextlib.contextmanager
+def planned(rows: list, n: int, dist_bound: int):
+    """Serve _plan_coins(rows, n, dist_bound) to prob_avg for the body of a
+    with statement only: no plan outlives it."""
+    plans = _plan_coins(rows, n, dist_bound)
+    _prepared.update(plans)
+    try:
+        yield
+    finally:
+        for key in plans:
+            _prepared.pop(key, None)
+
+
 def _strata(seeds: tuple, n: int) -> np.ndarray:
-    """(pi(i) + u_i) / n for slot i of each seed's n-slot segment, read-only.
-    Cached so that a query's mu and mu_2 plans, which share seeds, share one
-    draw when both miss, as on leave-one-out, where every seed is fresh."""
+    """(pi(i) + u_i) / n for slot i of each seed's n-slot segment."""
     u = np.empty(len(seeds) * n)
     for s, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -226,5 +236,4 @@ def _strata(seeds: tuple, n: int) -> np.ndarray:
         rng.shuffle(seg)  # what rng.permutation(n) does, without its copy
         seg += rng.random(n)
     u /= n
-    u.flags.writeable = False
     return u

@@ -1,12 +1,12 @@
 """Exact arithmetic in the evaluation ring Z_P.
 
-Parameter selection, primality and base-p digit decomposition.
+Parameter selection and primality.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class ParameterError(ValueError):
@@ -26,6 +26,8 @@ class RingParams:
     coord_bound: int  # grid size g; coordinates live in [0, g)
     dim: int
     n: int
+    # hashed once: every query looks its ring up in the table caches
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coord_bound < 2 or self.dim < 1 or self.n < 1:
@@ -34,6 +36,11 @@ class RingParams:
             raise ParameterError(f"modulus {self.modulus} is not prime")
         if self.modulus <= 2 * self.dist_bound:
             raise ParameterError("modulus must exceed 2 * dist_bound")
+        object.__setattr__(self, "_hash", hash(
+            (self.modulus, self.coord_bound, self.dim, self.n)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dist_bound(self) -> int:  # the largest L1 distance on the grid
@@ -43,14 +50,6 @@ class RingParams:
         """Interpret a ring element as a signed value (upper half negative)."""
         v %= self.modulus
         return v if v <= self.modulus // 2 else v - self.modulus
-
-
-@dataclass(frozen=True)
-class DigitPair:
-    """Base-p digits of a value v < coord_bound**2: v = high*p + low."""
-
-    low: int
-    high: int
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -100,13 +99,12 @@ def select_ring_params(grid_size: int, dim: int, n: int) -> RingParams:
     m = 2 * dim * (grid_size - 1) + 1
     while not is_prime(m):
         m += 1
-    return RingParams(modulus=m, coord_bound=grid_size, dim=dim, n=n)
+    return _selected(m, grid_size, dim, n)
 
 
-def base_p_decompose(v: int, params: RingParams) -> DigitPair:
-    """Split v < coord_bound**2 into (v mod p, v div p) digits."""
-    p = params.coord_bound
-    if not 0 <= v < p * p:
-        raise ParameterError(f"value {v} outside [0, {p * p})")
-    return DigitPair(low=v % p, high=v // p)
-
+@functools.lru_cache(maxsize=64, typed=True)
+def _selected(*fields) -> RingParams:
+    """One RingParams per selection, so the caches keyed on rings find a
+    selected ring by identity and do not compare it with an equal one;
+    typed, so a ring selected from numpy integers keeps them to itself."""
+    return RingParams(*fields)

@@ -1,9 +1,10 @@
 import pathlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from kishnn.ring import RingParams, select_ring_params
+from kishnn.ring import ParameterError, RingParams, select_ring_params
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 WDBC_PATH = DATA_DIR / "wdbc.csv"
@@ -52,3 +53,20 @@ def two_cluster_db(n_per: int, grid: int, gap: int, seed: int = 0):
     pts = np.vstack([a, b])
     labels = np.array([0] * n_per + [1] * n_per, dtype=np.int64)
     return pts, labels
+
+
+@dataclass(frozen=True)
+class DigitPair:
+    """Base-p digits of a value v < coord_bound**2: v = high*p + low."""
+
+    low: int
+    high: int
+
+
+def base_p_decompose(v: int, params: RingParams) -> DigitPair:
+    """Split v < coord_bound**2 into (v mod p, v div p) digits; the tests'
+    oracle for the circuit's base-p digit couples."""
+    p = params.coord_bound
+    if not 0 <= v < p * p:
+        raise ParameterError(f"value {v} outside [0, {p * p})")
+    return DigitPair(low=v % p, high=v // p)

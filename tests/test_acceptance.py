@@ -12,16 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from kishnn import data_eval, he_sim, primitives, protocol_io
+from kishnn import data_eval, he_sim, protocol_io
 from kishnn.classifier import (LabeledDatabase, kappa_of_run,
                                make_protocol_params, server_classify,
                                sqrt_of_digit_diff)
 from kishnn.he_sim import encrypt, keygen
 from kishnn.interp import build_named_tables, eval_poly_ps, is_smaller
 from kishnn.primitives import CoinSpec, derive_seed, prob_avg
-from kishnn.ring import base_p_decompose, select_ring_params
+from kishnn.ring import select_ring_params
 
-from conftest import WDBC_PATH
+from conftest import WDBC_PATH, base_p_decompose
+from test_primitives import apply, coin_batch
 
 
 import conftest
@@ -136,10 +137,9 @@ def test_criterion_06_coin_unbiasedness():
         xs = encrypt(keys.pk, [x] * tosses)
         rng = np.random.default_rng(spec.rng_seed)
         rs = rng.integers(1, m + 1, size=tosses)
-        bits = he_sim.decrypt(keys.sk,
-                              primitives._coin_batch(xs, rs, spec, ring))
+        bits = he_sim.decrypt(keys.sk, coin_batch(xs, rs, spec, ring))
         freq = sum(bits) / tosses
-        expect = min(spec.apply(x), m) / m
+        expect = min(apply(spec, x), m) / m
         se = math.sqrt(max(expect * (1 - expect), 1e-12) / tosses)
         dev = abs(freq - expect) / se if se else abs(freq - expect)
         worst = max(worst, dev if expect not in (0.0, 1.0)

@@ -11,9 +11,9 @@ from kishnn.classifier import (LabeledDatabase, ProtocolParams,
                                make_protocol_params, server_classify,
                                sqrt_of_digit_diff, square_mu_digits,
                                threshold)
-from kishnn.ring import ParameterError, base_p_decompose, select_ring_params
+from kishnn.ring import ParameterError, select_ring_params
 
-from conftest import two_cluster_db
+from conftest import base_p_decompose, two_cluster_db
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +101,32 @@ def test_labeled_database_without_refuses_a_missing_point(i):
         db.without(i)
 
 
+def test_held_out_rows_are_the_databases_without_each_point():
+    # 9 points, so held_out(range(9)) takes the first, middle and last
+    # rows of one gather; each row must be without(i) in every respect
+    rng = np.random.default_rng(8)
+    db = LabeledDatabase(rng.integers(0, 30, size=(9, 2)),
+                         rng.integers(0, 2, size=9))
+    rows = db.held_out(range(9))
+    assert len(rows) == 9 and db.held_out([]) == []
+    for i in (0, 4, 8):
+        got, expect = rows[i], db.without(i)
+        assert np.array_equal(got.points, np.delete(db.points, i, axis=0))
+        for a, b in ((got.points, expect.points),
+                     (got.labels, expect.labels)):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable and not b.flags.writeable
+        for a, b in zip(got.columns + got.label_masks,
+                        expect.columns + expect.label_masks, strict=True):
+            assert np.array_equal(a.values, b.values)
+            assert a.bound == b.bound
+            assert not a.values.flags.writeable
+            assert not b.values.flags.writeable
+    for bad in ([0, 9], [-1], [3, 12, 4]):
+        with pytest.raises(ParameterError, match="no point"):
+            db.held_out(bad)
+
+
 def test_labeled_database_operands_cannot_go_stale():
     pts, labels = np.array([[1, 2], [3, 4]]), np.array([0, 1])
     db = LabeledDatabase(pts, labels)
@@ -160,6 +186,28 @@ def test_a_held_out_query_scans_no_plaintext(ring100, monkeypatch):
         pp = make_pp(ring100, k=5, n=40, reps=3, seed=1000 + i)
         classify_with_majority(db.points[i], db.without(i), pp)
     assert scans == []
+
+
+def test_a_query_derives_its_moment_coins_once(ring100, monkeypatch):
+    # mu and mu_2 share one derivation of the moment seeds and the map
+    pts, labels = two_cluster_db(20, 100, gap=1)
+    db = LabeledDatabase(pts, labels)
+    pp = make_pp(ring100, k=5, n=40, reps=3, seed=4)
+    with he_sim.metering() as before:
+        bit = classify_with_majority((40, 50), db, pp)
+    calls = []
+    derive = classifier.moment_coins
+
+    def counted(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(classifier, "moment_coins", counted)
+    with he_sim.metering() as after:
+        assert classify_with_majority((40, 50), db, pp) == bit
+    assert [seeds for _, seeds in calls] == [classifier.repetition_seeds(pp)]
+    assert (after.mult_gates, after.max_depth) == (before.mult_gates,
+                                                   before.max_depth)
 
 
 def test_estimate_mu_tracks_sample_mean(ring100, keys):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kishnn import classifier, data_eval, he_sim
+from kishnn import classifier, data_eval, he_sim, primitives
 from kishnn.classifier import LabeledDatabase
 from kishnn.data_eval import (DataFormatError, RawDataset, f1_score,
                               gaussian_sd_diagnostic, grid_dataset,
                               leave_one_out_f1, load_wdbc, plain_knn,
                               project_2d, quantize)
-from kishnn.ring import select_ring_params
+from kishnn.ring import RingParams, select_ring_params
 
 
 
@@ -236,6 +236,86 @@ def test_loo_secure_is_bit_exact_against_recorded_values(wdbc_path):
                       "2f9f110f01d1840e8db1219dcb4e57f1")
     assert report.metrics.mult_gates == 2_000_040
     assert report.metrics.max_depth == 68
+
+
+def _wdbc_head(wdbc_path, n, grid=100):
+    gd = grid_dataset(load_wdbc(wdbc_path), grid)
+    return data_eval.GridDataset(gd.points[:n], gd.labels[:n], gd.grid,
+                                 gd.quant_meta)
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_blocked_leave_one_out_is_the_point_by_point_one(wdbc_path, seed,
+                                                         reps, monkeypatch):
+    # 37 points: two full blocks and a short one
+    gd = _wdbc_head(wdbc_path, 37)
+    assert gd.n % data_eval._LOO_BLOCK
+    db = gd.database()
+    ring = select_ring_params(gd.grid, dim=2, n=gd.n - 1)
+    expect = []
+    for i in range(gd.n):
+        pp = classifier.make_protocol_params(
+            ring, k=5, n=gd.n - 1, repetitions=reps,
+            rng_seed=primitives.derive_seed(seed, f"loo-{i}"))
+        with he_sim.metering() as m:
+            bit = classifier.classify_with_majority(db.points[i],
+                                                    db.without(i), pp)
+        expect.append((bit, m.mult_gates, m.max_depth))
+    calls = []
+    classify = data_eval.classify_with_majority
+
+    def metered(*args):
+        with he_sim.metering() as m:
+            bit = classify(*args)
+        calls.append((bit, m.mult_gates, m.max_depth))
+        return bit
+
+    monkeypatch.setattr(data_eval, "classify_with_majority", metered)
+    report = leave_one_out_f1(gd, 5, "secure", repetitions=reps, seed=seed)
+    assert calls == expect
+    assert report.per_point_predictions.tolist() == [b for b, _, _ in expect]
+    assert report.f1 == f1_score(report.per_point_predictions, gd.labels)
+
+
+def test_no_prepared_coin_plan_outlives_its_pass(wdbc_path, monkeypatch):
+    # every query is served its block's plans, which leave with the block,
+    # also when a query fails
+    gd = _wdbc_head(wdbc_path, 37)
+    misses = primitives._coin_plan.cache_info().misses
+    leave_one_out_f1(gd, 5, "secure", repetitions=1, seed=2)
+    assert primitives._coin_plan.cache_info().misses == misses
+    assert primitives._prepared == {}
+    classify, calls = data_eval.classify_with_majority, []
+
+    def failing(*args):
+        calls.append(len(primitives._prepared))
+        if len(calls) == 20:
+            raise RuntimeError("query failed")
+        return classify(*args)
+
+    monkeypatch.setattr(data_eval, "classify_with_majority", failing)
+    with pytest.raises(RuntimeError, match="query failed"):
+        leave_one_out_f1(gd, 5, "secure", repetitions=1, seed=2)
+    assert calls[0] == calls[16] == 2 * data_eval._LOO_BLOCK
+    assert primitives._prepared == {}
+
+
+def test_a_leave_one_out_pass_never_compares_rings(wdbc_path, monkeypatch):
+    # a pass selects its ring again, as the selected ring it was, so the
+    # table and map caches find it without comparing it with an equal one
+    gd = _wdbc_head(wdbc_path, 20)
+    leave_one_out_f1(gd, 5, "secure", repetitions=1)
+    compared = []
+    eq = RingParams.__eq__
+
+    def counted(a, b):
+        compared.append(1)
+        return eq(a, b)
+
+    monkeypatch.setattr(RingParams, "__eq__", counted)
+    leave_one_out_f1(gd, 5, "secure", repetitions=1)
+    assert compared == []
 
 
 def _wide_query(wdbc_path):

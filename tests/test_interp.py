@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -103,7 +104,7 @@ def keys(ring):
 def test_lagrange_matches_vandermonde_oracle(ring):
     rng = np.random.default_rng(0)
     values = rng.integers(0, 23, size=23)
-    table = lagrange_table(lambda x: int(values[x]), ring, "rand")
+    table = lagrange_table(lambda x: values[x], ring, "rand")
     assert table.coeffs == vandermonde_interpolate(values, 23)
 
 
@@ -114,7 +115,8 @@ def test_lagrange_reproduces_function_everywhere(ring):
 
 def test_eval_poly_ps_agrees_with_plain_everywhere(ring, keys):
     rng = np.random.default_rng(1)
-    table = lagrange_table(lambda x: int(rng.integers(0, 23)), ring, "r")
+    table = lagrange_table(lambda x: rng.integers(0, 23, size=x.shape), ring,
+                           "r")
     for x in range(23):
         c = he_sim.encrypt(keys.pk, x)
         got = he_sim.decrypt(keys.sk, eval_poly_ps(table, c, ring))
@@ -323,7 +325,7 @@ def test_table_refuses_values_outside_the_ring(ring, keys):
         with pytest.raises(ParameterError):
             PolyTable(modulus=23, values=bad, name="bad")
     # lagrange_table reduces what f returns, so a lookup stays in Z_P
-    table = lagrange_table(lambda x: 40, ring, "forty")
+    table = lagrange_table(lambda x: np.full(x.shape, 40), ring, "forty")
     c = he_sim.encrypt(keys.pk, 5)
     assert he_sim.decrypt(keys.sk, eval_poly_ps(table, c, ring)) == 40 % 23
 
@@ -338,3 +340,30 @@ def test_lagrange_refuses_inexact_modulus_before_calling_f():
 
     with pytest.raises(ParameterError):
         lagrange_table(f, big, "big")
+
+
+def test_lagrange_calls_f_once_on_every_residue(ring):
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return 3 * x + 1
+
+    table = lagrange_table(f, ring, "affine")
+    assert len(calls) == 1
+    assert calls[0].tolist() == list(range(23))
+    assert table.values.tolist() == [(3 * x + 1) % 23 for x in range(23)]
+
+
+def test_named_table_values_are_the_scalar_builds():
+    # sha256 of every named table's values, in NAMED order, grids 24, 30,
+    # 100 and 250 by n = 50, 569 and 5,690, recorded from the build that
+    # called each table's function once per residue in Python
+    h = hashlib.sha256()
+    for grid in (24, 30, 100, 250):
+        for n in (50, 569, 5690):
+            tables = build_named_tables(select_ring_params(grid, dim=2, n=n))
+            for name in NAMED:
+                h.update(getattr(tables, name).values.astype("<i8").tobytes())
+    assert h.hexdigest() == ("7d9a3165365f9fbc18f14e1065fe522c"
+                             "dc777471adf67f799cb1f607d283c3d6")

@@ -1,17 +1,53 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kishnn import data_eval, he_sim, interp, primitives
+from kishnn import classifier, data_eval, he_sim, interp, primitives
 from kishnn.classifier import (LabeledDatabase, classify_with_majority,
                                make_protocol_params)
-from kishnn.primitives import (CoinSpec, coin_toss, compute_dists,
-                               derive_seed, prob_avg)
+from kishnn.primitives import CoinSpec, compute_dists, derive_seed, prob_avg
 from kishnn.ring import ParameterError, select_ring_params
 
 from conftest import WDBC_PATH
+
+
+# Scalar oracles of the coins: the circuit draws and inverts its numerators
+# as arrays (CoinSpec.inverse_ceil_array, primitives.prob_avg).
+def apply(spec, x: int) -> int:
+    """The coin function of spec at x: f(x), or f(t(x)) with a map t."""
+    if spec.dist_map:
+        x = spec.dist_map[x]
+    return x * x if spec.f == "square" else x
+
+
+def inverse_ceil(spec, r: int) -> int:
+    """Smallest x with apply(spec, x) >= r, in exact integer arithmetic.
+
+    r >= 1.  Without a map this is ceil(f^-1(r)); with one it is
+    min{x : t(x) >= ceil(f^-1(r))}, or len(dist_map) when no distance
+    reaches r.
+    """
+    c = math.isqrt(r - 1) + 1 if spec.f == "square" else r
+    if spec.dist_map:
+        return bisect.bisect_left(spec.dist_map, c)
+    return c
+
+
+def coin_batch(xs, rs, spec, params):
+    """One coin per slot of xs, with pre-drawn numerators rs in [1, m]:
+    [r <= f(x)] = [x >= ceil(f^-1(r))]."""
+    return primitives._coins(
+        xs, *primitives._coin_points(rs, spec, params.dist_bound), params)
+
+
+def coin_toss(x, spec, params):
+    """One doubly-blinded coin: Pr[bit = 1] = min(f(x), m) / m."""
+    rng = np.random.default_rng(spec.rng_seed)
+    r = int(rng.integers(1, spec.m + 1))
+    return coin_batch(x, np.array([r]), spec, params)
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +81,10 @@ def test_coin_spec_validation():
 @given(st.sampled_from(["identity", "square"]), st.integers(1, 500))
 def test_inverse_ceil_is_minimal_preimage(f, r):
     spec = CoinSpec(f, 1000, 0)
-    t = spec.inverse_ceil(r)
+    t = inverse_ceil(spec, r)
     # smallest integer whose image reaches r
-    assert spec.apply(t) >= r
-    assert t == 0 or spec.apply(t - 1) < r
+    assert apply(spec, t) >= r
+    assert t == 0 or apply(spec, t - 1) < r
 
 
 @pytest.mark.parametrize("x,f,m", [(10, "identity", 46), (3, "square", 46),
@@ -60,7 +96,7 @@ def test_coin_toss_unbiased(ring, keys, x, f, m):
     for i in range(tosses):
         spec = CoinSpec(f, m, derive_seed(i, "toss"))
         ones += he_sim.decrypt(keys.sk, coin_toss(c, spec, ring))
-    expect = min(spec.apply(x), m) / m
+    expect = min(apply(spec, x), m) / m
     se = math.sqrt(expect * (1 - expect) / tosses) + 1e-9
     assert abs(ones / tosses - expect) <= 4 * se + 1e-6
 
@@ -117,13 +153,13 @@ def test_coin_spec_folds_a_distance_map():
     # the coin on x fires on t(x): r' is the least x with t(x) >= r
     tmap = (0, 2, 2, 5, 7)
     spec = CoinSpec("identity", 10, 0, tmap)
-    assert [spec.apply(x) for x in range(5)] == list(tmap)
+    assert [apply(spec, x) for x in range(5)] == list(tmap)
     for r in range(1, 9):
-        t = spec.inverse_ceil(r)
-        assert all(spec.apply(x) < r for x in range(min(t, 5)))
-        assert t == 5 or spec.apply(t) >= r
+        t = inverse_ceil(spec, r)
+        assert all(apply(spec, x) < r for x in range(min(t, 5)))
+        assert t == 5 or apply(spec, t) >= r
     square = CoinSpec("square", 30, 0, tmap)
-    assert square.apply(3) == 25 and square.inverse_ceil(26) == 4
+    assert apply(square, 3) == 25 and inverse_ceil(square, 26) == 4
 
 
 @pytest.mark.parametrize("f", ["identity", "square"])
@@ -134,7 +170,7 @@ def test_inverse_ceil_array_matches_scalar_for_every_numerator(f, mapped):
     m = ring.n * (ring.coord_bound if f == "square" else 1)
     spec = CoinSpec(f, m, 0, interp.dist_map(ring) if mapped else ())
     rs = np.arange(1, m + 1, dtype=np.int64)
-    expect = [spec.inverse_ceil(r) for r in range(1, m + 1)]
+    expect = [inverse_ceil(spec, r) for r in range(1, m + 1)]
     assert spec.inverse_ceil_array(rs).tolist() == expect
 
 
@@ -144,7 +180,7 @@ def test_inverse_ceil_array_is_exact_beyond_float_precision():
     roots = (2 ** 26 + 1, 2 ** 29 + 7, 2 ** 31 - 1)
     rs = np.array([k * k + d + 1 for k in roots for d in (-1, 0, 1)],
                   dtype=np.int64)
-    expect = [spec.inverse_ceil(int(r)) for r in rs]
+    expect = [inverse_ceil(spec, int(r)) for r in rs]
     assert spec.inverse_ceil_array(rs).tolist() == expect
 
 
@@ -241,7 +277,7 @@ def test_prob_avg_is_the_coin_batch_on_its_strata(ring, keys, segments,
     # two plans apart
     for f in ("identity", "square"):
         spec = CoinSpec(f, m, seeds, tmap)
-        bits = he_sim.decrypt(keys.sk, primitives._coin_batch(
+        bits = he_sim.decrypt(keys.sk, coin_batch(
             xs, _numerators(spec, seeds, n), spec, ring))
         expect = np.reshape(bits, (segments, n)).sum(axis=1).tolist()
         got = he_sim.decrypt(keys.sk, prob_avg(xs, spec, ring))
@@ -335,3 +371,32 @@ def test_a_second_n_sweep_pass_reuses_every_coin_plan():
     misses = primitives._coin_plan.cache_info().misses
     assert one_pass() == first
     assert primitives._coin_plan.cache_info().misses == misses
+
+
+def test_a_plan_prepared_at_grid_100_is_never_served_at_grid_250():
+    # one database, one seed, one n: only the grid differs, and with it
+    # the map, the mu_2 denominator and dist_bound in the plan key
+    pts = np.random.default_rng(6).integers(0, 100, size=(40, 2))
+    db = LabeledDatabase(pts, np.arange(40) % 2)
+    pps = [make_protocol_params(select_ring_params(g, dim=2, n=40), k=5,
+                                n=40, repetitions=1, rng_seed=9)
+           for g in (100, 250)]
+    plain = []
+    for pp in pps:
+        with he_sim.metering() as m:
+            plain.append((classify_with_majority((30, 40), db, pp),
+                          m.mult_gates, m.max_depth))
+    pp100, pp250 = pps
+    coins = classifier.moment_coins(pp100, classifier.repetition_seeds(pp100))
+    rows = [(coins[0].rng_seed, coins)]
+    primitives._coin_plan.cache_clear()
+    with primitives.planned(rows, 40, pp100.ring.dist_bound):
+        with he_sim.metering() as m:
+            bit = classify_with_majority((30, 40), db, pp250)
+        assert primitives._coin_plan.cache_info().misses == 2
+        assert (bit, m.mult_gates, m.max_depth) == plain[1]
+        with he_sim.metering() as m:
+            bit = classify_with_majority((30, 40), db, pp100)
+        assert primitives._coin_plan.cache_info().misses == 2
+        assert (bit, m.mult_gates, m.max_depth) == plain[0]
+    assert primitives._prepared == {}

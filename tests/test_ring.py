@@ -1,9 +1,13 @@
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
-from kishnn.ring import (DigitPair, ParameterError, RingParams,
-                         base_p_decompose, is_prime, select_ring_params)
+from kishnn.ring import (ParameterError, RingParams, is_prime,
+                         select_ring_params)
+
+from conftest import DigitPair, base_p_decompose
 
 
 def brute_is_prime(m: int) -> bool:
@@ -34,6 +38,22 @@ def test_ring_params_validation():
         RingParams(modulus=19, coord_bound=6, dim=2, n=5)
     with pytest.raises(ParameterError):
         RingParams(modulus=23, coord_bound=1, dim=2, n=5)
+
+
+def test_a_ring_is_hashed_once_and_selected_once():
+    # the table, map and plan caches key on rings: a selection returns the
+    # ring selected before, and an equal ring hashes by its stored hash
+    ring = select_ring_params(100, dim=2, n=40)
+    assert select_ring_params(100, dim=2, n=40) is ring
+    twin = RingParams(ring.modulus, 100, 2, 40)
+    assert twin == ring and twin is not ring
+    assert hash(twin) == hash(ring) == ring._hash
+    assert ring._hash == hash((ring.modulus, 100, 2, 40))
+    assert repr(ring) == f"RingParams(modulus={ring.modulus}, " \
+        "coord_bound=100, dim=2, n=40)"
+    assert [f.name for f in fields(RingParams) if f.compare] == [
+        "modulus", "coord_bound", "dim", "n"]
+    assert RingParams(ring.modulus, 100, 2, 41) != ring
 
 
 def test_every_ring_checks_its_modulus_through_the_memoised_test():

@@ -9,11 +9,12 @@ import threading
 
 import numpy as np
 
-from kishnn import classifier, data_eval, protocol_io
+from kishnn import classifier, data_eval, interp, protocol_io
+from kishnn import ring as kring
 from kishnn.classifier import LabeledDatabase, make_protocol_params
 from kishnn.ring import select_ring_params
 
-from conftest import two_cluster_db
+from conftest import WDBC_PATH, two_cluster_db
 
 SPANS_PY = pathlib.Path(__file__).parent.parent / "perfbench" / "spans.py"
 
@@ -92,3 +93,27 @@ def test_codec_spans_see_every_wire_byte():
             ("protocol_io.encode_message", "protocol_io.decode_message")]
     assert sorted(tags) == [["QueryMessage", 102], ["ResponseMessage", 120],
                             ["received", 102], ["received", 120]]
+
+
+def test_a_traced_cold_setup_gives_the_process_layers():
+    # loo_g250's set-up with the table caches cleared: the tracer must see
+    # each table build through interp.lagrange_table, and a ring selection
+    spans = _load_spans()
+    interp.build_named_tables.cache_clear()
+    interp._build_named_tables.cache_clear()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        gd = data_eval.grid_dataset(data_eval.load_wdbc(WDBC_PATH), 250)
+        db = gd.database()
+        rest = db.without(0)
+        ring = kring.select_ring_params(250, dim=2, n=rest.n)
+        pp = make_protocol_params(ring, k=13, n=rest.n, repetitions=1)
+        classifier.classify_with_majority(db.points[0], rest, pp)
+    finally:
+        tracer.restore()
+    recs = tracer.records()
+    layers = spans.process_layers(recs)
+    assert sum(r["name"] == "interp.lagrange_table" for r in recs) == 7
+    assert layers["interp.lagrange_table.ms"] > 0
+    assert layers["data_eval.setup_ms"] > 0
