@@ -14,7 +14,6 @@ as one circuit, one slot segment per repetition.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -138,9 +137,8 @@ def moment_coins(pp: ProtocolParams, seeds: tuple) -> tuple:
     share one numerator draw, so the errors of mu* and mu_2* largely
     cancel in mu_2* - mu*^2."""
     moments = tuple(derive_seed(s, "moments") for s in seeds)
-    tmap = interp.dist_map(pp.ring)
-    return (CoinSpec("identity", pp.n, moments, tmap),
-            CoinSpec("square", pp.n * pp.ring.coord_bound, moments, tmap))
+    return (CoinSpec("identity", pp.n, moments, pp.ring),
+            CoinSpec("square", pp.n * pp.ring.coord_bound, moments, pp.ring))
 
 
 def estimate_mu(xs: Cipher, pp: ProtocolParams, coins=None) -> Cipher:
@@ -208,15 +206,6 @@ def _sqrt_of_digits(dh: Cipher, dl: Cipher, pp: ProtocolParams) -> Cipher:
     return acc
 
 
-def sqrt_of_digit_diff(high_a: Cipher, low_a: Cipher, high_b: Cipher,
-                       low_b: Cipher, pp: ProtocolParams) -> Cipher:
-    """Oblivious sqrt(max(a - b, 0)) from base-p digit couples of a and b;
-    low digits may be signed."""
-    ring = pp.ring
-    return _sqrt_of_digits(he_sim.sub(high_a, high_b, ring),
-                           he_sim.sub(low_a, low_b, ring), pp)
-
-
 def estimate_sigma(mu2_high: Cipher, musq_low: Cipher, musq_high: Cipher,
                    pp: ProtocolParams) -> Cipher:
     """Spread sqrt(max(mu_2 - mu^2, 0)) of the mapped distances, from the
@@ -260,9 +249,9 @@ def count_classes(xs: Cipher, t_star: Cipher, masks: tuple,
 
 def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
                         seeds: tuple):
-    """Distances (n slots) and thresholds (one slot per repetition seed),
-    shared by classify and kappa.  The distances are computed once and
-    laid out once per repetition for the moment coins."""
+    """Distances (n slots) and thresholds (one slot per repetition seed).
+    The distances are computed once and laid out once per repetition for
+    the moment coins."""
     xs = primitives.compute_dists(enc_q, db.columns, pp.ring)
     tiled = he_sim.pack([xs] * len(seeds), pp.ring)
     mu_coins, mu2_coins = moment_coins(pp, seeds)
@@ -324,22 +313,3 @@ def classify_with_majority(query, db: LabeledDatabase,
     votes = sum(he_sim.decrypt(keys.sk, b) for b in he_sim.unpack(bits))
     return 1 if 2 * votes > pp.repetitions else 0
 
-
-def kappa_of_run(db: LabeledDatabase, query, pp: ProtocolParams,
-                 seed: int) -> int:
-    """Diagnostic: how many neighbors one run's threshold actually selects,
-    that is how many points have a mapped distance t(x) below T*.
-
-    Decrypts the threshold through the test trapdoor, so it refuses to run
-    unless KISHNN_TEST_TRAPDOOR=1 is set in the environment.
-    """
-    if os.environ.get("KISHNN_TEST_TRAPDOOR") != "1":
-        raise RuntimeError("kappa_of_run is a test-build diagnostic; "
-                           "set KISHNN_TEST_TRAPDOOR=1 to enable")
-    keys = he_sim.keygen(pp.ring, derive_seed(seed, "kappa-keys"))
-    enc_q = encrypt_query(keys.pk, query, pp.ring)
-    _, t_star = _threshold_pipeline(enc_q, db, pp, (seed,))
-    t_val = pp.ring.signed(he_sim.decrypt(keys.sk, t_star))
-    dists = np.abs(db.points - np.asarray(query, dtype=np.int64)).sum(axis=1)
-    mapped = np.asarray(interp.dist_map(pp.ring))[dists]
-    return int((mapped < t_val).sum())

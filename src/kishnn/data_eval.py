@@ -231,9 +231,9 @@ def _protocol_for(gd: GridDataset, k: int, repetitions: int,
                                 rng_seed=seed)
 
 
-# Held-out points classified per block: their 32 mu and mu_2 coin plans are
-# as many as the plan cache holds, so a block takes no more plan memory.
-_LOO_BLOCK = 16
+# Held-out points classified per block: their mu and mu_2 coin plans fill
+# the plan store, so a block takes no more plan memory.
+_LOO_BLOCK = primitives.PLAN_STORE // 2
 
 
 def leave_one_out_f1(gd: GridDataset, k: int, mode: str = "plain", *,
@@ -264,10 +264,10 @@ def leave_one_out_f1(gd: GridDataset, k: int, mode: str = "plain", *,
                                         rng_seed=derive_seed(seed, f"loo-{i}"))
                    for i in block]
             coins = [moment_coins(pp, repetition_seeds(pp)) for pp in pps]
-            with primitives.planned([(c[0].rng_seed, c) for c in coins],
-                                    gd.n - 1, ring.dist_bound):
-                preds += [classify_with_majority(db.points[i], rest, pp)
-                          for i, rest, pp in zip(block, rests, pps)]
+            primitives.plan_coins([(c[0].rng_seed, c) for c in coins],
+                                  gd.n - 1, ring.dist_bound)
+            preds += [classify_with_majority(db.points[i], rest, pp)
+                      for i, rest, pp in zip(block, rests, pps)]
     preds = np.array(preds, dtype=np.int64)
     sd = gaussian_sd_diagnostic(db.without(0), db.points[0])
     return EvalReport(f1=f1_score(preds, db.labels),

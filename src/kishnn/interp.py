@@ -2,7 +2,7 @@
 
 Any integer function on [0, P) is a table of its P values, which is a
 polynomial of degree at most P-1; its coefficients are interpolated only
-when read.  On a ciphertext a table is evaluated by lookup in its values
+by the tests.  On a ciphertext a table is evaluated by lookup in its values
 and charged the exact gates and depth of a baby-step/giant-step
 (Paterson-Stockmeyer) evaluation of that polynomial, which keeps the
 non-scalar multiplication count O(sqrt(P)) and the depth O(log P); the
@@ -53,9 +53,8 @@ class PolyTable:
 
     values[x] is the function's value at x for every x in [0, modulus),
     read-only, and the table's only data: the interpolating polynomial's
-    degree is found once, at construction, from power sums of the values,
-    and its coefficients are computed only when read.  Tables compare by
-    identity.
+    degree is found once, at construction, from power sums of the values.
+    Tables compare by identity.
     """
 
     modulus: int
@@ -75,44 +74,8 @@ class PolyTable:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_degree", _degree(values, P))
 
-    @functools.cached_property
-    def coeffs(self) -> tuple:
-        """alpha_0 .. alpha_(P-1), interpolated on first read.
-
-        With the full residue domain the master polynomial is x^P - x and
-        all interpolation denominators reduce to -1, so the explicit
-        formula collapses to alpha_j = -sum_i y_i * i^(P-1-j) for j >= 1
-        and alpha_0 = y_0.
-        """
-        P, y = self.modulus, self.values
-        w = _power_matrix(P) @ y % P  # w[e] = sum_i y_i * i^e
-        coeffs = np.empty(P, dtype=np.int64)
-        coeffs[0] = y[0]
-        coeffs[1:] = -w[P - 2::-1] % P  # coeffs[j] = -w[P - 1 - j]
-        return tuple(int(c) for c in coeffs)
-
-    def eval_plain(self, x: int) -> int:
-        """Direct plaintext evaluation of the coefficients (Horner)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.modulus
-        return acc
-
     def degree(self) -> int:
         return self._degree
-
-
-@functools.lru_cache(maxsize=2)
-def _power_matrix(P: int) -> np.ndarray:
-    """V[e, i] = i^e mod P (with 0^0 = 1), read-only; V @ y is exact in
-    int64 for every modulus PolyTable accepts."""
-    idx = np.arange(P, dtype=np.int64)
-    V = np.empty((P, P), dtype=np.int64)
-    V[0] = 1
-    for e in range(1, P):
-        V[e] = V[e - 1] * idx % P
-    V.flags.writeable = False
-    return V
 
 
 def lagrange_table(f, params: RingParams, name: str = "f") -> PolyTable:
@@ -199,16 +162,9 @@ def _nearest_isqrt(v: np.ndarray) -> np.ndarray:
     return r + (v - r * r > r)
 
 
-def _map_range(params: RingParams) -> int:
-    """R = min(B, n, isqrt(n * p)), the largest value of the distance map
-    and the only way the named tables depend on n."""
-    n, p = params.n, params.coord_bound
-    return min(params.dist_bound, n, math.isqrt(n * p))
-
-
-@functools.lru_cache(maxsize=64)
-def dist_map(params: RingParams) -> tuple:
-    """The Gaussianizing distance map t(x) for x in [0, dist_bound].
+def dist_map(params: RingParams) -> np.ndarray:
+    """The Gaussianizing distance map t(x) for x in [0, dist_bound], a
+    read-only view of the dist_map table's values.
 
     t(x) = round(R * ln(1 + x) / ln(1 + B)) with B = dist_bound and
     R = min(B, n, isqrt(n * p)).  The threshold rule is applied to t(x),
@@ -217,22 +173,17 @@ def dist_map(params: RingParams) -> tuple:
     Gaussian's and mu - 2 sigma falls below the nearest neighbor; the
     logarithm stretches that tail.  R keeps
     t(x) <= n and t(x)^2 <= n * p, so neither moment's coins saturate.
-    The map is nondecreasing with t(0) = 0.  Memoised per ring; rings
-    with the same (B, R) share one tuple.
+    The map is nondecreasing with t(0) = 0.
     """
-    return _dist_map(params.dist_bound, _map_range(params))
+    return build_named_tables(params).dist_map.values[:params.dist_bound + 1]
 
 
-@functools.lru_cache(maxsize=8)
-def _dist_map(B: int, R: int) -> tuple:
-    scale = R / math.log1p(B)
-    return tuple(int(math.floor(scale * math.log1p(x) + 0.5))
-                 for x in range(B + 1))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NamedTables:
-    """The interpolated polynomials used by the classifier circuit."""
+    """The interpolated polynomials used by the classifier circuit, and
+    the inverse of the distance map: map_inverse[c] = min{x : t(x) >= c}
+    for c in [0, t(B) + 1], read-only, its last entry B + 1 also standing
+    for every larger c (read it with take(..., mode="clip"))."""
 
     sqrt: PolyTable
     square_div_p: PolyTable
@@ -241,43 +192,24 @@ class NamedTables:
     sqrt_times_p: PolyTable
     is_neg: PolyTable
     dist_map: PolyTable
-
-
-class _TablesKey:
-    """What the named tables depend on -- modulus, coord_bound, dist_bound
-    and the distance map's range R -- carrying the ring to build them from.
-    n enters only through R, so databases of different sizes share tables.
-    """
-
-    __slots__ = ("params", "key")
-
-    def __init__(self, params: RingParams):
-        self.params = params
-        self.key = (params.modulus, params.coord_bound, params.dist_bound,
-                    _map_range(params))
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return self.key == other.key
+    map_inverse: np.ndarray = field(repr=False)
 
 
 @functools.lru_cache(maxsize=64)
 def build_named_tables(params: RingParams) -> NamedTables:
-    """The classifier's tables for a ring, built once per _TablesKey.
-
-    Memoised per ring in front of that cache, so repeated lookups skip the
-    key; rings that differ only in n still share one set of tables.
+    """The classifier's tables for a ring, and the only memo of a ring's
+    constants: the distance map t (see dist_map) is computed here, once,
+    and the tables and t's inverse are built from it.  Every ring, even
+    one that differs from another only in n, owns its set; the memo holds
+    64, far more than the rings a run uses (the n-sweep's ten).
     """
-    return _build_named_tables(_TablesKey(params))
-
-
-@functools.lru_cache(maxsize=8)
-def _build_named_tables(key: _TablesKey) -> NamedTables:
-    params = key.params
-    P, p, B = params.modulus, params.coord_bound, params.dist_bound
-    tmap = np.asarray(dist_map(params))
+    P, p, B, n = (params.modulus, params.coord_bound, params.dist_bound,
+                  params.n)
+    scale = min(B, n, math.isqrt(n * p)) / math.log1p(B)
+    tmap = np.array([math.floor(scale * math.log1p(x) + 0.5)
+                     for x in range(B + 1)], dtype=np.int64)
+    inverse = np.searchsorted(tmap, np.arange(tmap[-1] + 2))
+    inverse.flags.writeable = False
 
     def signed(x):  # params.signed of every residue: upper half negative
         return np.where(x > P // 2, x - P, x)
@@ -302,6 +234,7 @@ def _build_named_tables(key: _TablesKey) -> NamedTables:
                            lambda x: _nearest_isqrt(signed(x) * p)),
         is_neg=table("is_neg", lambda x: x > P / 2),
         dist_map=table("dist_map", lambda x: tmap[np.clip(signed(x), 0, B)]),
+        map_inverse=inverse,
     )
 
 

@@ -7,8 +7,6 @@ coin-sum moment estimator built from it.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -30,8 +28,8 @@ class CoinSpec:
 
     f names an increasing invertible integer function; m is the
     probability denominator, so a coin on x lands 1 with probability
-    min(f(x), m) / m.  With a dist_map t (a nondecreasing table over
-    [0, dist_bound]) the coin is on t(x) instead: probability
+    min(f(x), m) / m.  With map_of a ring, the coin is on that ring's
+    distance map t(x) (interp.dist_map) instead: probability
     min(f(t(x)), m) / m, at no extra cost, because the map is folded into
     the plaintext comparison point.
     """
@@ -39,7 +37,7 @@ class CoinSpec:
     f: str  # "identity" | "square"
     m: int
     rng_seed: int | tuple  # prob_avg: a tuple gives one seed per segment
-    dist_map: tuple = ()
+    map_of: RingParams | None = None
 
     def __post_init__(self):
         if self.f not in ("identity", "square"):
@@ -47,17 +45,11 @@ class CoinSpec:
         if self.m < 1:
             raise ParameterError("coin denominator m must be >= 1")
 
-    def __hash__(self):
-        # the map enters by its length only, as hashing every entry would
-        # cost most of a plan lookup; equality still compares the whole
-        # map, so plan keys stay exact
-        return hash((self.f, self.m, self.rng_seed, len(self.dist_map)))
-
     def inverse_ceil_array(self, rs: np.ndarray) -> np.ndarray:
         """The smallest x with f(x) >= r for each entry r >= 1 of rs
         (int64), in exact integer arithmetic: ceil(f^-1(r)) without a map,
-        and with one min{x : t(x) >= ceil(f^-1(r))}, or len(dist_map) when
-        no distance reaches it."""
+        and with one min{x : t(x) >= ceil(f^-1(r))}, or dist_bound + 1
+        when no distance reaches it."""
         c = np.asarray(rs, dtype=np.int64)
         if self.f == "square":
             v = c - 1
@@ -65,40 +57,10 @@ class CoinSpec:
             s -= s * s > v  # float sqrt is off by at most one
             s += (s + 1) * (s + 1) <= v
             c = s + 1
-        if self.dist_map:
-            return _map_inverse(_MapKey(self.dist_map)).take(c, mode="clip")
+        if self.map_of is not None:
+            return interp.build_named_tables(self.map_of).map_inverse.take(
+                c, mode="clip")
         return c
-
-
-class _MapKey:
-    """A distance map as a cache key.  It hashes in O(1), by its length
-    and last entry, but compares the whole map, so keys stay exact."""
-
-    __slots__ = ("tmap",)
-
-    def __init__(self, tmap: tuple):
-        self.tmap = tmap
-
-    def __hash__(self):
-        return hash((len(self.tmap), self.tmap[-1]))
-
-    def __eq__(self, other):
-        return self.tmap is other.tmap or self.tmap == other.tmap
-
-
-@functools.lru_cache(maxsize=8)
-def _map_inverse(key: _MapKey) -> np.ndarray:
-    """inv[c] = min{x : tmap[x] >= c} for c in [0, max + 1] of a
-    nondecreasing map tmap = key.tmap; the last entry, len(tmap), also
-    stands for every larger c (read with take(..., mode="clip")).
-    interp.dist_map gives one tuple per map range (B, R), so this is one
-    table per (B, R).
-    """
-    tmap = key.tmap
-    inv = np.searchsorted(np.asarray(tmap), np.arange(tmap[-1] + 2),
-                          side="left")
-    inv.flags.writeable = False
-    return inv
 
 
 def compute_dists(enc_q: list, columns: tuple, params: RingParams) -> Cipher:
@@ -163,6 +125,14 @@ def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
     per seed, segment s draws its numerators from seed s alone, and the
     result holds one estimate per segment: one coin batch evaluates them
     all side by side.
+
+    The numerators never depend on the query, so a batch's comparison
+    points and mask, its plan, are kept in the plan store, keyed by
+    (spec, seeds, slots per segment, dist_bound), and a missing one is
+    made and stored by plan_coins.  The store keeps the PLAN_STORE = 32
+    newest plans, enough for the n-sweep's ten sizes or one leave-one-out
+    block; at 16 B per slot, that is at most 512 B per slot of the widest
+    batch.
     """
     seeds = spec.rng_seed
     if not isinstance(seeds, tuple):
@@ -170,22 +140,23 @@ def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
     if xs.size % len(seeds):
         raise ParameterError("slots do not split into one segment per seed")
     key = (spec, seeds, xs.size // len(seeds), params.dist_bound)
-    plan = _prepared.get(key) or _coin_plan(*key)
+    plan = _plans.get(key) or plan_coins([(seeds, (spec,))], *key[2:])[key]
     return he_sim.slot_sum(_coins(xs, *plan, params), params, len(seeds))
 
 
-_prepared = {}  # the plans planned() serves, keyed as _coin_plan's cache
+PLAN_STORE = 32
+_plans = {}  # prob_avg's (clamped, mask) he_sim.Plains, oldest first
 
 
-@functools.lru_cache(maxsize=32)
-def _coin_plan(spec: CoinSpec, seeds: tuple, n: int, dist_bound: int) -> tuple:
-    """prob_avg's (clamped, mask) he_sim.Plains for n-slot segments, seeds
-    being spec.rng_seed as a tuple: _plan_coins on one row.  The numerators
-    are plaintext draws, so this never depends on the query.  At 16 B per
-    slot, the cache holds at most 32 * 16 = 512 B per slot of the widest
-    batch."""
-    return _plan_coins([(seeds, (spec,))], n, dist_bound)[
-        spec, seeds, n, dist_bound]
+def plan_coins(rows: list, n: int, dist_bound: int) -> dict:
+    """Plan a block of queries' coins (_plan_coins), at most PLAN_STORE
+    plans, into the plan store as its newest, first dropping as many of
+    its oldest plans as they need room, and return them."""
+    plans = _plan_coins(rows, n, dist_bound)
+    for key in list(_plans)[:max(0, len(_plans) + len(plans) - PLAN_STORE)]:
+        del _plans[key]
+    _plans.update(plans)
+    return plans
 
 
 def _plan_coins(rows: list, n: int, dist_bound: int) -> dict:
@@ -211,19 +182,6 @@ def _plan_coins(rows: list, n: int, dist_bound: int) -> dict:
                 he_sim.Plain._bounded(c, dist_bound),
                 he_sim.Plain._bounded(k, 1))
     return plans
-
-
-@contextlib.contextmanager
-def planned(rows: list, n: int, dist_bound: int):
-    """Serve _plan_coins(rows, n, dist_bound) to prob_avg for the body of a
-    with statement only: no plan outlives it."""
-    plans = _plan_coins(rows, n, dist_bound)
-    _prepared.update(plans)
-    try:
-        yield
-    finally:
-        for key in plans:
-            _prepared.pop(key, None)
 
 
 def _strata(seeds: tuple, n: int) -> np.ndarray:

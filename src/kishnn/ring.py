@@ -6,6 +6,7 @@ Parameter selection and primality.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 
@@ -92,8 +93,12 @@ def select_ring_params(grid_size: int, dim: int, n: int) -> RingParams:
 
     The modulus is the smallest prime strictly greater than twice the
     maximal L1 distance, so comparisons of any two in-range values are
-    unambiguous.
+    unambiguous.  The arguments may be any integers (numpy's too).
     """
+    try:
+        grid_size, dim, n = map(operator.index, (grid_size, dim, n))
+    except TypeError:
+        raise ParameterError("grid_size, dim and n must be integers") from None
     if grid_size < 2 or dim < 1 or n < 1:
         raise ParameterError("need grid_size >= 2, dim >= 1, n >= 1")
     m = 2 * dim * (grid_size - 1) + 1
@@ -102,9 +107,8 @@ def select_ring_params(grid_size: int, dim: int, n: int) -> RingParams:
     return _selected(m, grid_size, dim, n)
 
 
-@functools.lru_cache(maxsize=64, typed=True)
+@functools.lru_cache(maxsize=64)
 def _selected(*fields) -> RingParams:
-    """One RingParams per selection, so the caches keyed on rings find a
-    selected ring by identity and do not compare it with an equal one;
-    typed, so a ring selected from numpy integers keeps them to itself."""
+    """One RingParams per selection, so the memos keyed on rings find a
+    selected ring by identity and do not compare it with an equal one."""
     return RingParams(*fields)

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from kishnn import classifier, he_sim, interp
+from kishnn.primitives import derive_seed
 from kishnn.ring import ParameterError, RingParams, select_ring_params
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -38,11 +40,6 @@ def mid_ring() -> RingParams:
     return select_ring_params(24, dim=2, n=50)
 
 
-@pytest.fixture
-def trapdoor(monkeypatch):
-    monkeypatch.setenv("KISHNN_TEST_TRAPDOOR", "1")
-
-
 def two_cluster_db(n_per: int, grid: int, gap: int, seed: int = 0):
     """Two well-separated diagonal clusters; labels by cluster."""
     rng = np.random.default_rng(seed)
@@ -70,3 +67,24 @@ def base_p_decompose(v: int, params: RingParams) -> DigitPair:
     if not 0 <= v < p * p:
         raise ParameterError(f"value {v} outside [0, {p * p})")
     return DigitPair(low=v % p, high=v // p)
+
+
+def sqrt_of_digit_diff(high_a, low_a, high_b, low_b, pp):
+    """Oblivious sqrt(max(a - b, 0)) from base-p digit couples of a and b,
+    low digits possibly signed: the circuit's square-root branch on the
+    digit differences."""
+    ring = pp.ring
+    return classifier._sqrt_of_digits(he_sim.sub(high_a, high_b, ring),
+                                      he_sim.sub(low_a, low_b, ring), pp)
+
+
+def kappa_of_run(db, query, pp, seed: int) -> int:
+    """How many neighbors one run's threshold actually selects, that is how
+    many points have a mapped distance t(x) below T*: the one-repetition
+    circuit seeded by seed, its threshold decrypted with the run's keys."""
+    keys = he_sim.keygen(pp.ring, derive_seed(seed, "kappa-keys"))
+    enc_q = classifier.encrypt_query(keys.pk, query, pp.ring)
+    _, t_star = classifier._threshold_pipeline(enc_q, db, pp, (seed,))
+    t_val = pp.ring.signed(he_sim.decrypt(keys.sk, t_star))
+    dists = np.abs(db.points - np.asarray(query, dtype=np.int64)).sum(axis=1)
+    return int((interp.dist_map(pp.ring)[dists] < t_val).sum())

@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 from kishnn import data_eval, he_sim, protocol_io
-from kishnn.classifier import (LabeledDatabase, kappa_of_run,
-                               make_protocol_params, server_classify,
-                               sqrt_of_digit_diff)
+from kishnn.classifier import (LabeledDatabase, make_protocol_params,
+                               server_classify)
 from kishnn.he_sim import encrypt, keygen
 from kishnn.interp import build_named_tables, eval_poly_ps, is_smaller
 from kishnn.primitives import CoinSpec, derive_seed, prob_avg
 from kishnn.ring import select_ring_params
 
-from conftest import WDBC_PATH, base_p_decompose
+from conftest import (WDBC_PATH, base_p_decompose, kappa_of_run,
+                      sqrt_of_digit_diff)
 from test_primitives import apply, coin_batch
 
 
@@ -196,7 +196,7 @@ def test_criterion_08_sigma_sandwich():
     assert ok
 
 
-def test_criterion_09_kappa_concentration(trapdoor):
+def test_criterion_09_kappa_concentration():
     n, k, grid = 569, 13, 100
     mu, sigma = 60, 20  # the most favorable Gaussian found for this grid
     ring = select_ring_params(grid, dim=2, n=n)

@@ -7,13 +7,12 @@ from kishnn import he_sim, classifier, interp
 from kishnn.classifier import (LabeledDatabase, ProtocolParams,
                                classify_with_majority, count_classes,
                                estimate_mu, estimate_mu2_digits,
-                               estimate_sigma, kappa_of_run,
-                               make_protocol_params, server_classify,
-                               sqrt_of_digit_diff, square_mu_digits,
-                               threshold)
+                               estimate_sigma, make_protocol_params,
+                               server_classify, square_mu_digits, threshold)
 from kishnn.ring import ParameterError, select_ring_params
 
-from conftest import base_p_decompose, two_cluster_db
+from conftest import (base_p_decompose, kappa_of_run, sqrt_of_digit_diff,
+                      two_cluster_db)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +188,7 @@ def test_a_held_out_query_scans_no_plaintext(ring100, monkeypatch):
 
 
 def test_a_query_derives_its_moment_coins_once(ring100, monkeypatch):
-    # mu and mu_2 share one derivation of the moment seeds and the map
+    # mu and mu_2 share one derivation of the moment seeds
     pts, labels = two_cluster_db(20, 100, gap=1)
     db = LabeledDatabase(pts, labels)
     pp = make_pp(ring100, k=5, n=40, reps=3, seed=4)
@@ -485,16 +484,7 @@ def test_depth_grows_sublinearly_in_grid():
     assert depths[2] - depths[1] <= depths[1] - depths[0] + 1
 
 
-def test_kappa_of_run_requires_trapdoor(ring100, monkeypatch):
-    monkeypatch.delenv("KISHNN_TEST_TRAPDOOR", raising=False)
-    pts, labels = two_cluster_db(20, 100, gap=1)
-    db = LabeledDatabase(pts, labels)
-    pp = make_pp(ring100, k=5, n=40)
-    with pytest.raises(RuntimeError, match="TRAPDOOR"):
-        kappa_of_run(db, (1, 1), pp, seed=0)
-
-
-def test_kappa_of_run_counts_selected_neighbors(trapdoor, ring100):
+def test_kappa_of_run_counts_selected_neighbors(ring100):
     pts, labels = two_cluster_db(20, 100, gap=1)
     db = LabeledDatabase(pts, labels)
     pp = make_pp(ring100, k=5, n=40)

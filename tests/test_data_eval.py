@@ -12,6 +12,8 @@ from kishnn.data_eval import (DataFormatError, RawDataset, f1_score,
                               project_2d, quantize)
 from kishnn.ring import RingParams, select_ring_params
 
+from conftest import kappa_of_run
+
 
 
 # --------------------------------------------------------------- loading
@@ -278,27 +280,42 @@ def test_blocked_leave_one_out_is_the_point_by_point_one(wdbc_path, seed,
     assert report.f1 == f1_score(report.per_point_predictions, gd.labels)
 
 
-def test_no_prepared_coin_plan_outlives_its_pass(wdbc_path, monkeypatch):
-    # every query is served its block's plans, which leave with the block,
-    # also when a query fails
-    gd = _wdbc_head(wdbc_path, 37)
-    misses = primitives._coin_plan.cache_info().misses
+def test_a_leave_one_out_pass_plans_each_block_once(wdbc_path, monkeypatch):
+    # the pass plans a block's coins before its queries run, so no query
+    # plans any; the store never holds more than PLAN_STORE plans.  20
+    # points: a full block and a short one, whose plans the next pass's
+    # first block must not push out of the store
+    gd = _wdbc_head(wdbc_path, 20)
+    monkeypatch.setattr(primitives, "_plans", {})
+    plan, classify, events = primitives._plan_coins, \
+        data_eval.classify_with_majority, []
+
+    def counted(rows, n, dist_bound):
+        events.append(("plan", len(rows)))
+        return plan(rows, n, dist_bound)
+
+    def watched(*args):
+        events.append(("query", len(primitives._plans)))
+        bit = classify(*args)
+        events.append(("done", len(primitives._plans)))
+        return bit
+
+    monkeypatch.setattr(primitives, "_plan_coins", counted)
+    monkeypatch.setattr(data_eval, "classify_with_majority", watched)
     leave_one_out_f1(gd, 5, "secure", repetitions=1, seed=2)
-    assert primitives._coin_plan.cache_info().misses == misses
-    assert primitives._prepared == {}
-    classify, calls = data_eval.classify_with_majority, []
-
-    def failing(*args):
-        calls.append(len(primitives._prepared))
-        if len(calls) == 20:
-            raise RuntimeError("query failed")
-        return classify(*args)
-
-    monkeypatch.setattr(data_eval, "classify_with_majority", failing)
-    with pytest.raises(RuntimeError, match="query failed"):
-        leave_one_out_f1(gd, 5, "secure", repetitions=1, seed=2)
-    assert calls[0] == calls[16] == 2 * data_eval._LOO_BLOCK
-    assert primitives._prepared == {}
+    plans = [e for e in events if e[0] == "plan"]
+    assert plans == [("plan", 16), ("plan", 4)]
+    queries = [e for e in events if e[0] != "plan"]
+    assert len(queries) == 2 * 20
+    assert all(size <= primitives.PLAN_STORE for _, size in queries)
+    assert queries[:2] == [("query", 2 * data_eval._LOO_BLOCK),
+                           ("done", 2 * data_eval._LOO_BLOCK)]
+    assert data_eval._LOO_BLOCK == primitives.PLAN_STORE // 2
+    # a second pass plans its blocks again, and still no query plans
+    del events[:]
+    leave_one_out_f1(gd, 5, "secure", repetitions=1, seed=2)
+    assert [e[0] for e in events][:3] == ["plan", "query", "done"]
+    assert [e for e in events if e[0] == "plan"] == plans
 
 
 def test_a_leave_one_out_pass_never_compares_rings(wdbc_path, monkeypatch):
@@ -331,8 +348,7 @@ def _wide_query(wdbc_path):
     return db, point, pp
 
 
-def test_wide_query_is_bit_exact_against_recorded_values(wdbc_path,
-                                                         trapdoor):
+def test_wide_query_is_bit_exact_against_recorded_values(wdbc_path):
     # the n distances reduce by floor division; recorded from the
     # implementation that reduced every op's result with `%` only.  The
     # run's threshold selects 140 points, all of class 1: the class counts
@@ -343,7 +359,7 @@ def test_wide_query_is_bit_exact_against_recorded_values(wdbc_path,
         bit = classifier.classify_with_majority(point, db, pp)
     assert (bit, m.mult_gates, m.max_depth) == (1, 3_152_908, 68)
     run_seed = classifier.repetition_seeds(pp)[0]
-    assert classifier.kappa_of_run(db, point, pp, run_seed) == 140
+    assert kappa_of_run(db, point, pp, run_seed) == 140
     assert 2 * 140 < pp.ring.modulus
 
 

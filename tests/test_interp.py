@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kishnn import classifier, he_sim, interp
-from kishnn.data_eval import grid_dataset, load_wdbc
+from kishnn import he_sim, interp
 from kishnn.interp import (PolyTable, build_named_tables, eval_poly_ps,
                            is_smaller, lagrange_table, ps_cost)
+from kishnn.primitives import CoinSpec
 from kishnn.ring import ParameterError, RingParams, is_prime, \
     select_ring_params
 
@@ -44,6 +45,43 @@ def table_from_coeffs(P, coeffs, name):
     return PolyTable(P, values, name)
 
 
+@functools.lru_cache(maxsize=2)
+def _power_matrix(P):
+    """V[e, i] = i^e mod P (with 0^0 = 1); V @ y is exact in int64 for
+    every modulus PolyTable accepts."""
+    idx = np.arange(P, dtype=np.int64)
+    V = np.empty((P, P), dtype=np.int64)
+    V[0] = 1
+    for e in range(1, P):
+        V[e] = V[e - 1] * idx % P
+    return V
+
+
+@functools.lru_cache(maxsize=64)
+def poly_coeffs(table):
+    """alpha_0 .. alpha_(P-1) of the polynomial through a table's values.
+
+    With the full residue domain the master polynomial is x^P - x and all
+    interpolation denominators reduce to -1, so the explicit formula
+    collapses to alpha_j = -sum_i y_i * i^(P-1-j) for j >= 1 and
+    alpha_0 = y_0.
+    """
+    P, y = table.modulus, table.values
+    w = _power_matrix(P) @ y % P  # w[e] = sum_i y_i * i^e
+    out = np.empty(P, dtype=np.int64)
+    out[0] = y[0]
+    out[1:] = -w[P - 2::-1] % P  # out[j] = -w[P - 1 - j]
+    return tuple(int(c) for c in out)
+
+
+def eval_plain(table, x):
+    """Direct plaintext evaluation of the table's coefficients (Horner)."""
+    acc = 0
+    for c in reversed(poly_coeffs(table)):
+        acc = (acc * x + c) % table.modulus
+    return acc
+
+
 def _balanced_powers(x, top, ring):
     """x^1 .. x^top with a product tree, depth(x^j) = depth(x)+ceil(log2 j)."""
     xp = {1: x}
@@ -61,9 +99,9 @@ def eval_poly_ps_reference(table, x, params):
     """
     if table.modulus != params.modulus:
         raise ParameterError("table interpolated over a different ring")
-    deg = table.degree()
+    deg, coeffs = table.degree(), poly_coeffs(table)
     if deg == 0:
-        return he_sim.embed_like(x, np.full(x.size, table.coeffs[0],
+        return he_sim.embed_like(x, np.full(x.size, coeffs[0],
                                             dtype=np.int64))
     s, t = interp._ps_split(deg)
     kmax = min(s, deg)
@@ -73,11 +111,11 @@ def eval_poly_ps_reference(table, x, params):
     weights = np.zeros((t, kmax), dtype=np.int64)
     consts = np.zeros(t, dtype=np.int64)
     for i in range(t):
-        consts[i] = table.coeffs[i * s]
+        consts[i] = coeffs[i * s]
         for j in range(1, s):
             k = i * s + j
             if k <= deg:
-                weights[i, j - 1] = table.coeffs[k]
+                weights[i, j - 1] = coeffs[k]
     blocks = he_sim.linear_combine([xp[j] for j in range(1, kmax + 1)],
                                    weights, params)
     blocks = [he_sim.add(b, int(consts[i]), params)
@@ -105,12 +143,12 @@ def test_lagrange_matches_vandermonde_oracle(ring):
     rng = np.random.default_rng(0)
     values = rng.integers(0, 23, size=23)
     table = lagrange_table(lambda x: values[x], ring, "rand")
-    assert table.coeffs == vandermonde_interpolate(values, 23)
+    assert poly_coeffs(table) == vandermonde_interpolate(values, 23)
 
 
 def test_lagrange_reproduces_function_everywhere(ring):
     table = lagrange_table(lambda x: (x * x + 3) % 23, ring, "sq3")
-    assert all(table.eval_plain(x) == (x * x + 3) % 23 for x in range(23))
+    assert all(eval_plain(table, x) == (x * x + 3) % 23 for x in range(23))
 
 
 def test_eval_poly_ps_agrees_with_plain_everywhere(ring, keys):
@@ -120,7 +158,7 @@ def test_eval_poly_ps_agrees_with_plain_everywhere(ring, keys):
     for x in range(23):
         c = he_sim.encrypt(keys.pk, x)
         got = he_sim.decrypt(keys.sk, eval_poly_ps(table, c, ring))
-        assert got == table.eval_plain(x)
+        assert got == eval_plain(table, x)
 
 
 def test_eval_poly_ps_vectorized_slots(ring, keys):
@@ -128,7 +166,7 @@ def test_eval_poly_ps_vectorized_slots(ring, keys):
     xs = list(range(23))
     c = he_sim.encrypt(keys.pk, xs)
     got = he_sim.decrypt(keys.sk, eval_poly_ps(table, c, ring))
-    assert got == [table.eval_plain(x) for x in xs]
+    assert got == [eval_plain(table, x) for x in xs]
 
 
 @pytest.mark.parametrize("grid,modulus", [(6, 23), (24, 97), (100, 397)])
@@ -155,22 +193,22 @@ def test_named_tables_against_plain_definitions(ring):
         # every square-root table reads its argument as signed, 0 below 0
         signed = x if x <= P // 2 else x - P
         expect_sqrt = near_sqrt(signed) if signed >= 0 else 0
-        assert t.sqrt.eval_plain(x) == expect_sqrt
-        assert t.square_div_p.eval_plain(x) == round(x * x / p + 1e-9) % P
-        assert t.is_zero.eval_plain(x) == (1 if x == 0 else 0)
-        assert t.is_neg.eval_plain(x) == (1 if x > P / 2 else 0)
+        assert eval_plain(t.sqrt, x) == expect_sqrt
+        assert eval_plain(t.square_div_p, x) == round(x * x / p + 1e-9) % P
+        assert eval_plain(t.is_zero, x) == (1 if x == 0 else 0)
+        assert eval_plain(t.is_neg, x) == (1 if x > P / 2 else 0)
         expect_times = near_sqrt(signed * p) if signed >= 0 else 0
-        assert t.sqrt_times_p.eval_plain(x) == expect_times
+        assert eval_plain(t.sqrt_times_p, x) == expect_times
         expect_shift = near_sqrt(p + signed) if p + signed >= 0 else 0
-        assert t.sqrt_plus_p.eval_plain(x) == expect_shift
+        assert eval_plain(t.sqrt_plus_p, x) == expect_shift
 
     # the distance map: monotone from t(0) = 0, squares within n * p
     n, B = ring.n, ring.dist_bound
     R = min(B, n, math.isqrt(n * p))
-    tmap = [t.dist_map.eval_plain(x) for x in range(B + 1)]
+    tmap = [eval_plain(t.dist_map, x) for x in range(B + 1)]
     assert tmap == [math.floor(R * math.log1p(x) / math.log1p(B) + 0.5)
                     for x in range(B + 1)]
-    assert tmap == list(interp.dist_map(ring))
+    assert tmap == interp.dist_map(ring).tolist()
     assert tmap[0] == 0
     assert all(a <= b for a, b in zip(tmap, tmap[1:]))
     assert max(tmap) ** 2 <= n * p
@@ -201,7 +239,7 @@ def test_ps_equals_horner_property(x, seed):
     table = table_from_coeffs(23, rng.integers(0, 23, 23), "h")
     c = he_sim.encrypt(keys.pk, x)
     assert he_sim.decrypt(keys.sk, eval_poly_ps(table, c, ring)) \
-        == table.eval_plain(x)
+        == eval_plain(table, x)
 
 
 def test_table_values_are_the_polynomial_everywhere(ring):
@@ -210,9 +248,9 @@ def test_table_values_are_the_polynomial_everywhere(ring):
     from_coeffs = table_from_coeffs(23, coeffs, "c")
     interpolated = lagrange_table(lambda x: (5 * x + 1) % 23, ring, "lin")
     for x in range(23):
-        assert from_coeffs.values[x] == from_coeffs.eval_plain(x)
-        assert interpolated.values[x] == interpolated.eval_plain(x)
-    assert from_coeffs.coeffs == coeffs
+        assert from_coeffs.values[x] == eval_plain(from_coeffs, x)
+        assert interpolated.values[x] == eval_plain(interpolated, x)
+    assert poly_coeffs(from_coeffs) == coeffs
     assert not from_coeffs.values.flags.writeable
 
 
@@ -272,14 +310,31 @@ def test_lookup_matches_reference_on_constant_and_linear(grid, degree):
         assert lookup == reference
 
 
-def test_rings_differing_only_in_n_share_tables():
-    # at grid 250 every n >= 993 has the map range R = dist_bound = 498
+def test_a_rings_tables_are_built_once(monkeypatch):
+    # the tables, the map and its inverse are one memo entry per ring; at
+    # grid 250 both rings have the map range R = dist_bound = 498, yet a
+    # ring that differs only in n owns its set
     a = select_ring_params(250, dim=2, n=1000)
     b = select_ring_params(250, dim=2, n=5690)
-    assert build_named_tables(a) is build_named_tables(b)
-    assert interp.dist_map(a) is interp.dist_map(b)
-    c = select_ring_params(250, dim=2, n=569)  # R = isqrt(569 * 250) = 377
-    assert build_named_tables(c) is not build_named_tables(a)
+    built, lagrange = [], interp.lagrange_table
+
+    def counted(f, params, name):
+        built.append((params, name))
+        return lagrange(f, params, name)
+
+    monkeypatch.setattr(interp, "lagrange_table", counted)
+    build_named_tables.cache_clear()
+    tables = build_named_tables(a)
+    assert [name for _, name in built] == list(NAMED)
+    for _ in range(2):
+        assert build_named_tables(a) is tables
+        assert np.shares_memory(interp.dist_map(a), tables.dist_map.values)
+        CoinSpec("identity", 1000, 0, a).inverse_ceil_array(np.arange(1, 9))
+    assert len(built) == 7
+    other = build_named_tables(b)
+    assert other is not tables and len(built) == 14
+    assert np.array_equal(other.dist_map.values, tables.dist_map.values)
+    assert build_named_tables.cache_info().maxsize >= 10
 
 
 def test_degree_from_power_sums_matches_coefficients():
@@ -290,7 +345,7 @@ def test_degree_from_power_sums_matches_coefficients():
         coeffs[degree] = int(rng.integers(1, 23))
         table = table_from_coeffs(23, coeffs, "random")
         assert table.degree() == degree
-        assert table.coeffs == tuple(coeffs) + (0,) * (22 - degree)
+        assert poly_coeffs(table) == tuple(coeffs) + (0,) * (22 - degree)
 
 
 @pytest.mark.parametrize("grid", [24, 100, 250])
@@ -298,26 +353,10 @@ def test_named_table_degrees_match_interpolated_coefficients(grid):
     tables = build_named_tables(select_ring_params(grid, dim=2, n=50))
     for name in NAMED:
         table = getattr(tables, name)
-        top = max(i for i, c in enumerate(table.coeffs) if c)
+        top = max(i for i, c in enumerate(poly_coeffs(table)) if c)
         assert table.degree() == top, name
         if grid == 250:
             assert ps_cost(table.degree(), 0) == (92, 31, 11), name
-
-
-def test_setup_and_query_never_interpolate(wdbc_path, monkeypatch):
-    # the lookup and ps_cost need only each table's values and degree
-    def refuse(P):
-        raise AssertionError("coefficients interpolated")
-
-    monkeypatch.setattr(interp, "_power_matrix", refuse)
-    interp.build_named_tables.cache_clear()
-    interp._build_named_tables.cache_clear()
-    db = grid_dataset(load_wdbc(wdbc_path), 250).database()
-    ring = select_ring_params(250, dim=2, n=db.n)
-    build_named_tables(ring)
-    pp = classifier.make_protocol_params(ring, k=13, n=db.n, repetitions=1,
-                                         rng_seed=3)
-    assert classifier.classify_with_majority(db.points[0], db, pp) in (0, 1)
 
 
 def test_table_refuses_values_outside_the_ring(ring, keys):

@@ -1,4 +1,5 @@
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -16,10 +17,16 @@ from conftest import WDBC_PATH
 
 # Scalar oracles of the coins: the circuit draws and inverts its numerators
 # as arrays (CoinSpec.inverse_ceil_array, primitives.prob_avg).
+@functools.lru_cache(maxsize=8)
+def tmap_of(ring) -> tuple:
+    """The distance map t of a ring, as a tuple of ints."""
+    return tuple(interp.dist_map(ring).tolist())
+
+
 def apply(spec, x: int) -> int:
     """The coin function of spec at x: f(x), or f(t(x)) with a map t."""
-    if spec.dist_map:
-        x = spec.dist_map[x]
+    if spec.map_of is not None:
+        x = tmap_of(spec.map_of)[x]
     return x * x if spec.f == "square" else x
 
 
@@ -27,12 +34,12 @@ def inverse_ceil(spec, r: int) -> int:
     """Smallest x with apply(spec, x) >= r, in exact integer arithmetic.
 
     r >= 1.  Without a map this is ceil(f^-1(r)); with one it is
-    min{x : t(x) >= ceil(f^-1(r))}, or len(dist_map) when no distance
+    min{x : t(x) >= ceil(f^-1(r))}, or dist_bound + 1 when no distance
     reaches r.
     """
     c = math.isqrt(r - 1) + 1 if spec.f == "square" else r
-    if spec.dist_map:
-        return bisect.bisect_left(spec.dist_map, c)
+    if spec.map_of is not None:
+        return bisect.bisect_left(tmap_of(spec.map_of), c)
     return c
 
 
@@ -151,15 +158,17 @@ def test_prob_avg_numerators_are_marginally_uniform(ring, keys, x):
 
 def test_coin_spec_folds_a_distance_map():
     # the coin on x fires on t(x): r' is the least x with t(x) >= r
-    tmap = (0, 2, 2, 5, 7)
-    spec = CoinSpec("identity", 10, 0, tmap)
-    assert [apply(spec, x) for x in range(5)] == list(tmap)
-    for r in range(1, 9):
+    ring = select_ring_params(6, dim=2, n=20)
+    tmap = [0, 3, 5, 6, 7, 7, 8, 9, 9, 10, 10]
+    assert interp.dist_map(ring).tolist() == tmap
+    spec = CoinSpec("identity", 12, 0, ring)
+    assert [apply(spec, x) for x in range(11)] == tmap
+    for r in range(1, 13):
         t = inverse_ceil(spec, r)
-        assert all(apply(spec, x) < r for x in range(min(t, 5)))
-        assert t == 5 or apply(spec, t) >= r
-    square = CoinSpec("square", 30, 0, tmap)
-    assert apply(square, 3) == 25 and inverse_ceil(square, 26) == 4
+        assert all(apply(spec, x) < r for x in range(min(t, 11)))
+        assert t == 11 or apply(spec, t) >= r
+    square = CoinSpec("square", 120, 0, ring)
+    assert apply(square, 3) == 36 and inverse_ceil(square, 37) == 4
 
 
 @pytest.mark.parametrize("f", ["identity", "square"])
@@ -168,7 +177,7 @@ def test_inverse_ceil_array_matches_scalar_for_every_numerator(f, mapped):
     # the moment coins' shapes at grid 250, n = 5690: m = n or n * p
     ring = select_ring_params(250, dim=2, n=5690)
     m = ring.n * (ring.coord_bound if f == "square" else 1)
-    spec = CoinSpec(f, m, 0, interp.dist_map(ring) if mapped else ())
+    spec = CoinSpec(f, m, 0, ring if mapped else None)
     rs = np.arange(1, m + 1, dtype=np.int64)
     expect = [inverse_ceil(spec, r) for r in range(1, m + 1)]
     assert spec.inverse_ceil_array(rs).tolist() == expect
@@ -272,11 +281,10 @@ def test_prob_avg_is_the_coin_batch_on_its_strata(ring, keys, segments,
                                                  size=segments * n)
     xs = he_sim.encrypt(keys.pk, x)
     seeds = tuple(derive_seed(s, f"plan-{mapped}") for s in range(segments))
-    tmap = interp.dist_map(ring) if mapped else ()
     # both functions with one m and one set of seeds: only f tells the
     # two plans apart
     for f in ("identity", "square"):
-        spec = CoinSpec(f, m, seeds, tmap)
+        spec = CoinSpec(f, m, seeds, ring if mapped else None)
         bits = he_sim.decrypt(keys.sk, coin_batch(
             xs, _numerators(spec, seeds, n), spec, ring))
         expect = np.reshape(bits, (segments, n)).sum(axis=1).tolist()
@@ -295,13 +303,19 @@ def test_strata_are_a_permutation_plus_uniforms_per_seed(n, segments):
     assert np.array_equal(primitives._strata(seeds, n), expect)
 
 
+def plan_of(spec, seeds, n, dist_bound):
+    """The (clamped, mask) plan of one batch, straight from the planner."""
+    return primitives._plan_coins([(seeds, (spec,))], n, dist_bound)[
+        spec, seeds, n, dist_bound]
+
+
 @pytest.mark.parametrize("mapped", [False, True])
 @pytest.mark.parametrize("f", ["identity", "square"])
 def test_coin_plan_bounds_cover_the_scanned_values(ring, f, mapped):
     # the plan's bounds come from its construction, not from a scan
     seeds = (derive_seed(0, f"bounds-{f}-{mapped}"),)
-    spec = CoinSpec(f, 40 * 24, seeds, interp.dist_map(ring) if mapped else ())
-    for p in primitives._coin_plan(spec, seeds, 40, ring.dist_bound):
+    spec = CoinSpec(f, 40 * 24, seeds, ring if mapped else None)
+    for p in plan_of(spec, seeds, 40, ring.dist_bound):
         scanned = he_sim.Plain(p.values)
         assert np.array_equal(p.values, scanned.values)
         assert p.bound >= scanned.bound
@@ -310,7 +324,7 @@ def test_coin_plan_bounds_cover_the_scanned_values(ring, f, mapped):
 def test_coin_plan_arrays_are_read_only(ring):
     seeds = (derive_seed(0, "read-only"),)
     spec = CoinSpec("square", 40 * 24, seeds)
-    for a in primitives._coin_plan(spec, seeds, 40, ring.dist_bound):
+    for a in plan_of(spec, seeds, 40, ring.dist_bound):
         with pytest.raises(ValueError):
             a.values[0] = 0
 
@@ -320,8 +334,7 @@ def test_coin_plans_of_two_grids_differ(ring):
     seeds = (derive_seed(0, "grids"),)
     spec = CoinSpec("identity", 50 * 30, seeds)
     rings = (ring, select_ring_params(30, dim=2, n=50))
-    plans = [primitives._coin_plan(spec, seeds, 50, r.dist_bound)
-             for r in rings]
+    plans = [plan_of(spec, seeds, 50, r.dist_bound) for r in rings]
     assert not np.array_equal(plans[0][0].values, plans[1][0].values)
     for r, (clamped, mask) in zip(rings, plans):
         expect = primitives._coin_points(_numerators(spec, seeds, 50), spec,
@@ -330,22 +343,22 @@ def test_coin_plans_of_two_grids_differ(ring):
         assert np.array_equal(mask.values, expect[1].values)
 
 
-def test_maps_alike_in_length_and_last_entry_get_their_own_inverse():
-    # the inverse cache hashes a map by its length and last entry only,
-    # so these two collide there and must still be told apart
-    maps = ((0, 1, 2, 5), (0, 3, 4, 5))
-    for tmap in maps + maps:
-        inv = primitives._map_inverse(primitives._MapKey(tmap))
-        expect = [min(x for x in range(len(tmap) + 1)
-                      if x == len(tmap) or tmap[x] >= c)
-                  for c in range(tmap[-1] + 2)]
-        assert inv.tolist() == expect
-    twin = tuple(list(maps[0]))  # an equal map in another object
-    assert primitives._map_inverse(primitives._MapKey(twin)) is (
-        primitives._map_inverse(primitives._MapKey(maps[0])))
+def test_the_map_inverse_is_the_least_preimage():
+    # grids 6 to 250 and n from 3 to 5,690: the least x with t(x) >= c for
+    # every c up to t(B) + 1, B + 1 standing for no x at all
+    for grid in (6, 24, 100, 250):
+        for n in (3, 50, 569, 5690):
+            ring = select_ring_params(grid, dim=2, n=n)
+            tmap, B = tmap_of(ring), ring.dist_bound
+            assert len(tmap) == B + 1
+            inverse = interp.build_named_tables(ring).map_inverse
+            assert inverse.tolist() == [
+                min(x for x in range(B + 2) if x == B + 1 or tmap[x] >= c)
+                for c in range(tmap[-1] + 2)]
+            assert not inverse.flags.writeable
 
 
-def test_a_second_n_sweep_pass_reuses_every_coin_plan():
+def test_a_second_n_sweep_pass_reuses_every_coin_plan(monkeypatch):
     # WDBC repeated to 569 * j points, j = 1..10, at grid 250: one query
     # per size, one repetition, one seed
     base = data_eval.grid_dataset(data_eval.load_wdbc(WDBC_PATH),
@@ -368,12 +381,18 @@ def test_a_second_n_sweep_pass_reuses_every_coin_plan():
         return out
 
     first = one_pass()
-    misses = primitives._coin_plan.cache_info().misses
+    # the second pass plans no coins and builds no table
+    calls = []
+    plan, lagrange = primitives._plan_coins, interp.lagrange_table
+    monkeypatch.setattr(primitives, "_plan_coins",
+                        lambda *a: calls.append("plan") or plan(*a))
+    monkeypatch.setattr(interp, "lagrange_table",
+                        lambda *a: calls.append("table") or lagrange(*a))
     assert one_pass() == first
-    assert primitives._coin_plan.cache_info().misses == misses
+    assert calls == []
 
 
-def test_a_plan_prepared_at_grid_100_is_never_served_at_grid_250():
+def test_a_plan_prepared_at_grid_100_is_never_served_at_grid_250(monkeypatch):
     # one database, one seed, one n: only the grid differs, and with it
     # the map, the mu_2 denominator and dist_bound in the plan key
     pts = np.random.default_rng(6).integers(0, 100, size=(40, 2))
@@ -388,15 +407,35 @@ def test_a_plan_prepared_at_grid_100_is_never_served_at_grid_250():
                           m.mult_gates, m.max_depth))
     pp100, pp250 = pps
     coins = classifier.moment_coins(pp100, classifier.repetition_seeds(pp100))
-    rows = [(coins[0].rng_seed, coins)]
-    primitives._coin_plan.cache_clear()
-    with primitives.planned(rows, 40, pp100.ring.dist_bound):
-        with he_sim.metering() as m:
-            bit = classify_with_majority((30, 40), db, pp250)
-        assert primitives._coin_plan.cache_info().misses == 2
-        assert (bit, m.mult_gates, m.max_depth) == plain[1]
-        with he_sim.metering() as m:
-            bit = classify_with_majority((30, 40), db, pp100)
-        assert primitives._coin_plan.cache_info().misses == 2
-        assert (bit, m.mult_gates, m.max_depth) == plain[0]
-    assert primitives._prepared == {}
+    monkeypatch.setattr(primitives, "_plans", {})
+    primitives.plan_coins([(coins[0].rng_seed, coins)], 40,
+                          pp100.ring.dist_bound)
+    plan, rows_seen = primitives._plan_coins, []
+
+    def counted(rows, n, dist_bound):
+        rows_seen.extend(rows)
+        return plan(rows, n, dist_bound)
+
+    monkeypatch.setattr(primitives, "_plan_coins", counted)
+    with he_sim.metering() as m:
+        bit = classify_with_majority((30, 40), db, pp250)
+    assert len(rows_seen) == 2
+    assert (bit, m.mult_gates, m.max_depth) == plain[1]
+    with he_sim.metering() as m:
+        bit = classify_with_majority((30, 40), db, pp100)
+    assert len(rows_seen) == 2
+    assert (bit, m.mult_gates, m.max_depth) == plain[0]
+
+
+def test_the_plan_store_keeps_its_newest_plans(ring, monkeypatch):
+    # oldest out past PLAN_STORE; fewer than that are all kept
+    store = {}
+    monkeypatch.setattr(primitives, "_plans", store)
+    keys = []
+    for s in range(primitives.PLAN_STORE + 8):
+        seeds = (derive_seed(s, "store"),)
+        keys += primitives.plan_coins(
+            [(seeds, (CoinSpec("identity", 40, seeds),))], 40,
+            ring.dist_bound)
+        assert list(store) == keys[-primitives.PLAN_STORE:]
+    assert primitives.PLAN_STORE == 32

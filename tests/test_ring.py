@@ -1,6 +1,7 @@
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,7 +42,7 @@ def test_ring_params_validation():
 
 
 def test_a_ring_is_hashed_once_and_selected_once():
-    # the table, map and plan caches key on rings: a selection returns the
+    # the table and plan memos key on rings: a selection returns the
     # ring selected before, and an equal ring hashes by its stored hash
     ring = select_ring_params(100, dim=2, n=40)
     assert select_ring_params(100, dim=2, n=40) is ring
@@ -54,6 +55,18 @@ def test_a_ring_is_hashed_once_and_selected_once():
     assert [f.name for f in fields(RingParams) if f.compare] == [
         "modulus", "coord_bound", "dim", "n"]
     assert RingParams(ring.modulus, 100, 2, 41) != ring
+
+
+def test_numpy_integer_arguments_select_the_python_int_ring():
+    ring = select_ring_params(250, dim=2, n=569)
+    assert select_ring_params(np.int64(250), np.int64(2),
+                              np.int64(569)) is ring
+    assert select_ring_params(np.int32(250), 2, np.uint16(569)) is ring
+    assert type(ring.coord_bound) is type(ring.n) is int
+    for bad in ((250.0, 2, 569), ("250", 2, 569), (250, 2.0, 569),
+                (250, 2, 569.0), (250, 2, None)):
+        with pytest.raises(ParameterError, match="integers"):
+            select_ring_params(*bad)
 
 
 def test_every_ring_checks_its_modulus_through_the_memoised_test():

@@ -96,11 +96,10 @@ def test_codec_spans_see_every_wire_byte():
 
 
 def test_a_traced_cold_setup_gives_the_process_layers():
-    # loo_g250's set-up with the table caches cleared: the tracer must see
+    # loo_g250's set-up with the table memo cleared: the tracer must see
     # each table build through interp.lagrange_table, and a ring selection
     spans = _load_spans()
     interp.build_named_tables.cache_clear()
-    interp._build_named_tables.cache_clear()
     tracer = spans.Tracer()
     try:
         tracer.install()
