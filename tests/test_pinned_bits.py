@@ -1,8 +1,9 @@
 """The benchmark's three shapes at grid 250 and k = 13, pinned: the
 predictions (perfbench/workloads.digest, the first 16 hex digits of
-sha256 over the prediction bytes), mult gates per query and depth.  A
-change to how the plaintext side is prepared or cached must leave every
-one of these exactly as recorded."""
+sha256 over the prediction bytes), mult gates and cipher add gates per
+query, and depth.  A change to how the plaintext side is prepared or
+cached, or to how the circuit's ops are batched, must leave every one of
+these exactly as recorded."""
 
 import importlib
 import pathlib
@@ -12,6 +13,9 @@ import pytest
 from kishnn import classifier, data_eval, he_sim
 
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+
+# Cipher add gates per leave-one-out query, by repetition count.
+LOO_ADDS = {1: 107_008, 5: 321_472}
 
 
 @pytest.fixture(scope="module")
@@ -33,20 +37,24 @@ def test_leave_one_out_bits_are_pinned(workloads, reps, seed, digest, gates):
                                         repetitions=reps, seed=seed)
     assert workloads.digest(report.per_point_predictions) == digest
     assert report.metrics.mult_gates == gates * gd.n
+    assert report.metrics.add_gates == LOO_ADDS[reps] * gd.n
     assert report.metrics.max_depth == 68
 
 
 def test_n_sweep_bits_are_pinned(workloads):
     # WDBC x j for j = 1..10, one query point per size from default_rng(0)
-    bits, gates = [], []
+    bits, gates, adds = [], [], []
     for db, point in workloads.setup_nsweep(0, False):
         with he_sim.metering() as m:
             bits.append(classifier.classify_with_majority(
                 point, db, workloads.protocol(db.n, 1, 0)))
         gates.append(m.mult_gates)
+        adds.append(m.add_gates)
         assert m.max_depth == 68
     assert workloads.digest(bits) == "3192b11429125bfa"
     assert sum(gates) == 10 * 1_734_391
+    assert adds == [107_196, 214_168, 321_140, 428_112, 535_084, 642_056,
+                    749_028, 856_000, 962_972, 1_069_944]
 
 
 def test_served_shape_gates_are_pinned(workloads):
@@ -54,4 +62,5 @@ def test_served_shape_gates_are_pinned(workloads):
     with he_sim.metering() as m:
         classifier.classify_with_majority(
             db.points[0], db, workloads.protocol(db.n, workloads.SERVE_REPS, 0))
-    assert (db.n, m.mult_gates, m.max_depth) == (569, 946_642, 68)
+    assert (db.n, m.mult_gates, m.add_gates, m.max_depth) == (
+        569, 946_642, 322_036, 68)
