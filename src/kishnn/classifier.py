@@ -25,6 +25,13 @@ from .primitives import CoinSpec, derive_seed
 from .ring import ParameterError, RingParams
 
 
+@functools.lru_cache(maxsize=256)
+def _z_k(k: int, n: int) -> int:
+    """round(Phi^-1(k/n)), memoised: leave-one-out and the n-sweep make
+    one ProtocolParams per query, with few distinct (k, n)."""
+    return round(NormalDist().inv_cdf(k / n))
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     ring: RingParams
@@ -39,8 +46,14 @@ class ProtocolParams:
             raise ParameterError("need 1 <= k < n")
         if self.repetitions % 2 != 1:
             raise ParameterError("repetition count must be odd")
-        object.__setattr__(self, "z_k",
-                           round(NormalDist().inv_cdf(self.k / self.n)))
+        object.__setattr__(self, "z_k", _z_k(self.k, self.n))
+
+    @functools.cached_property
+    def coins(self) -> tuple:
+        """The mu and mu_2 CoinSpecs of all repetitions,
+        moment_coins(self, repetition_seeds(self)), derived on first use
+        and then read by every query with these parameters."""
+        return moment_coins(self, repetition_seeds(self))
 
 
 make_protocol_params = ProtocolParams
@@ -74,9 +87,10 @@ class LabeledDatabase:
     # Built on first use, not at construction, which would add their
     # scans to every database's set-up: 32 B per point at d = 2.
     @functools.cached_property
-    def columns(self) -> tuple:
-        """compute_dists' operand: one he_sim.Plain per coordinate."""
-        return tuple(he_sim.Plain(col) for col in self.points.T)
+    def coords(self) -> he_sim.Plain:
+        """compute_dists' operand: the coordinates dimension-major, one
+        he_sim.Plain of d*n slots, coordinate j of point i in slot j*n + i."""
+        return he_sim.Plain(self.points.T.ravel())
 
     @functools.cached_property
     def label_masks(self) -> tuple:
@@ -84,37 +98,41 @@ class LabeledDatabase:
         return he_sim.Plain(1 - self.labels), he_sim.Plain(self.labels)
 
     def held_out(self, indices) -> list:
-        """[self.without(i) for i in indices], from one gather per operand.
+        """[self.without(i) for i in indices], from one gather of the
+        coordinates and one of the labels.
 
         Their points passed this database's checks, and their operands
-        are this database's minus slot i, each keeping its parent's bound
-        (a subset's magnitude is at most its parent's), so nothing is
-        checked or scanned again.
+        are this database's minus slot i: the coordinates keep their
+        parent's bound (a subset's magnitude is at most its parent's), the
+        label masks, derived from the gathered labels, the bound 1 of bits.
+        Nothing is checked or scanned again; each point array is a view of
+        its coordinates.
         """
+        n, coords = self.n, self.coords
         for i in indices:
-            if not 0 <= i < self.n:
-                raise ParameterError(f"no point {i} in a database of {self.n}")
-        keep = np.arange(self.n - 1)
+            if not 0 <= i < n:
+                raise ParameterError(f"no point {i} in a database of {n}")
+        keep = np.arange(n - 1)
         keep = keep + (keep >= np.reshape(indices, (-1, 1)))  # row r skips i_r
-
-        def rows(a):
-            a = a.take(keep, axis=0)
+        if not len(keep):
+            return []
+        d = coords.size // n
+        # row r's coordinate j of its point i: the parent's slot j*n + keep
+        slots = (keep[:, None, :] + n * np.arange(d)[:, None]).reshape(
+            len(keep), -1)
+        rows = coords.values.take(slots)
+        labels = self.labels.take(keep)
+        masks = 1 - labels
+        for a in (rows, labels, masks):
             a.flags.writeable = False
-            return a
-
-        def plains(ops):  # one tuple of he_sim.Plains per row
-            ops = [(rows(p.values), p.bound) for p in ops]
-            return [tuple(he_sim.Plain._bounded(v[r], b) for v, b in ops)
-                    for r in range(len(keep))]
-
         out = []
-        for points, labels, columns, masks in zip(
-                rows(self.points), rows(self.labels), plains(self.columns),
-                plains(self.label_masks)):
+        for c, lab, neg in zip(rows, labels, masks):
             db = LabeledDatabase.__new__(LabeledDatabase)
             # fields and cached operands, as the frozen class stores them
-            vars(db).update(points=points, labels=labels, columns=columns,
-                            label_masks=masks)
+            vars(db).update(points=c.reshape(d, -1).T, labels=lab,
+                            coords=he_sim.Plain._bounded(c, coords.bound),
+                            label_masks=(he_sim.Plain._bounded(neg, 1),
+                                         he_sim.Plain._bounded(lab, 1)))
             out.append(db)
         return out
 
@@ -248,13 +266,13 @@ def count_classes(xs: Cipher, t_star: Cipher, masks: tuple,
 
 
 def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
-                        seeds: tuple):
-    """Distances (n slots) and thresholds (one slot per repetition seed).
-    The distances are computed once and laid out once per repetition for
-    the moment coins."""
-    xs = primitives.compute_dists(enc_q, db.columns, pp.ring)
-    tiled = he_sim.pack([xs] * len(seeds), pp.ring)
-    mu_coins, mu2_coins = moment_coins(pp, seeds)
+                        coins: tuple):
+    """Distances (n slots) and thresholds (one slot per seed of coins, the
+    mu and mu_2 CoinSpecs of moment_coins).  The distances are computed
+    once and laid out once per seed for the moment coins."""
+    xs = primitives.compute_dists(enc_q, db.coords, pp.ring)
+    mu_coins, mu2_coins = coins
+    tiled = he_sim.pack([xs] * len(mu_coins.rng_seed), pp.ring)
     mu_star = estimate_mu(tiled, pp, mu_coins)
     mu2_high = estimate_mu2_digits(tiled, pp, mu2_coins)
     musq_low, musq_high = square_mu_digits(mu_star, pp)
@@ -270,12 +288,12 @@ def server_classify(enc_q: list, db: LabeledDatabase,
 
     All pp.repetitions repetitions run as one circuit.  The distances and
     their map t(x) are computed once; repetition r's coins come from
-    repetition_seeds(pp)[r], and its stages run on slot segment r, so its
-    bit is the one-repetition circuit's bit for that seed.  The threshold
-    is estimated on the mapped distances t(x) (see interp.dist_map), and a
-    point counts when t(x) < T*.  Ties (C0 == C1, including the
-    zero-neighbor corner) resolve to class 0 because the final comparison
-    is strict.
+    repetition_seeds(pp)[r] (pp.coins), and its stages run on slot
+    segment r, so its bit is the one-repetition circuit's bit for that
+    seed.  The threshold is estimated on the mapped distances t(x) (see
+    interp.dist_map), and a point counts when t(x) < T*.  Ties (C0 == C1,
+    including the zero-neighbor corner) resolve to class 0 because the
+    final comparison is strict.
     """
     if len(enc_q) != pp.ring.dim:
         raise ParameterError("query dimension does not match ring params")
@@ -285,10 +303,13 @@ def server_classify(enc_q: list, db: LabeledDatabase,
         # the distance map's range and the coin denominators would then
         # disagree, and the moment coins could saturate without an error
         raise ParameterError("ring was selected for a different database size")
-    # a column's bound is its largest coordinate (a held-out one's parent's)
-    if any(col.bound >= pp.ring.coord_bound for col in db.columns):
+    coords = db.coords
+    if coords.values.size != pp.ring.dim * pp.n:
+        raise ParameterError("database dimension does not match ring params")
+    # the bound is the largest coordinate (a held-out one's parent's)
+    if coords.bound >= pp.ring.coord_bound:
         raise ParameterError("database points lie off the ring's grid")
-    xs, t_star = _threshold_pipeline(enc_q, db, pp, repetition_seeds(pp))
+    xs, t_star = _threshold_pipeline(enc_q, db, pp, pp.coins)
     c0, c1 = count_classes(xs, t_star, db.label_masks, pp)
     return interp.is_smaller(c0, c1, pp.ring)
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import he_sim, primitives
 from .classifier import (LabeledDatabase, ProtocolParams,
-                         classify_with_majority, make_protocol_params,
-                         moment_coins, repetition_seeds)
+                         classify_with_majority, make_protocol_params)
 from .he_sim import EvalMetrics
 from .primitives import derive_seed
 from .ring import ParameterError, select_ring_params
@@ -259,13 +258,12 @@ def leave_one_out_f1(gd: GridDataset, k: int, mode: str = "plain", *,
                 preds += [plain_knn(rest, db.points[i], k)
                           for i, rest in zip(block, rests)]
                 continue
-            pps = [make_protocol_params(ring, k=k, n=gd.n - 1,
+            pps = [make_protocol_params(ring, k=k, n=ring.n,
                                         repetitions=repetitions,
                                         rng_seed=derive_seed(seed, f"loo-{i}"))
                    for i in block]
-            coins = [moment_coins(pp, repetition_seeds(pp)) for pp in pps]
-            primitives.plan_coins([(c[0].rng_seed, c) for c in coins],
-                                  gd.n - 1, ring.dist_bound)
+            primitives.plan_coins([pp.coins for pp in pps], ring.n,
+                                  ring.dist_bound)
             preds += [classify_with_majority(db.points[i], rest, pp)
                       for i, rest, pp in zip(block, rests, pps)]
     preds = np.array(preds, dtype=np.int64)

@@ -101,7 +101,7 @@ class _Scopes(threading.local):
 _scopes = _Scopes()
 
 
-def _note(depth: int, mults: int = 0, adds: int = 0) -> None:
+def _note(depth: int, mults: int, adds: int) -> None:
     """Charge gates reaching depth to this thread's innermost open scope."""
     stack = _scopes.stack
     if stack:
@@ -207,7 +207,7 @@ def embed_like(c: Cipher, values) -> Cipher:
     """Plaintext constant carried as a depth-0 ciphertext (free)."""
     a = _as_slots(values)
     out = Cipher(a.copy(), 0, c.key_id, _magnitude(a))
-    _note(0)
+    _note(0, 0, 0)
     return out
 
 
@@ -246,34 +246,31 @@ class Plain:
         return Plain._bounded(np.tile(self.values, reps), self.bound)
 
 
-def _plain(b, modulus: int) -> tuple:
-    """A plaintext operand as (values, bound): a vector (a Plain, or
-    anything else wrapped in one) as it is while its magnitude stays below
-    the modulus and reduced into [0, modulus) otherwise, a Python int as
-    its signed residue."""
-    if not isinstance(b, Plain):
-        if isinstance(b, int):
-            r = b % modulus
-            if r > modulus // 2:
-                r -= modulus
-            return r, abs(r)
-        b = Plain(b)
-    if b.bound < modulus:
-        return b.values, b.bound
-    return _mod(b.values, modulus), None
-
-
 def _operands(a: Cipher, b, modulus: int, product: bool) -> tuple:
     """(a values, b values, result bound, b depth, b is a cipher) of a
     binary op whose result is bounded by |a| * |b| if product, else by
-    |a| + |b|.  The operands are reduced first only when that bound would
-    not fit in int64."""
+    |a| + |b|.  A plaintext b is a Python int, read as its signed residue,
+    or a vector (a Plain, or anything else wrapped in one), read as it is
+    while its magnitude stays below the modulus and reduced into
+    [0, modulus) otherwise.  The operands are reduced first only when the
+    result bound would not fit in int64."""
     if isinstance(b, Cipher):
         if b.key_id != a.key_id:
             raise KeyMismatchError("operands bound to different keys")
         bv, bb, bd, bc = b._values, b._bound, b.depth, True
     else:
-        (bv, bb), bd, bc = _plain(b, modulus), 0, False
+        bd, bc = 0, False
+        if isinstance(b, int):
+            bv = b % modulus
+            if bv > modulus // 2:
+                bv -= modulus
+            bb = abs(bv)
+        else:
+            if not isinstance(b, Plain):
+                b = Plain(b)
+            bv, bb = b.values, b.bound
+            if bb >= modulus:
+                bv, bb = _mod(bv, modulus), None
     av, ab = a._values, a._bound
     am = modulus - 1 if ab is None else ab
     bm = modulus - 1 if bb is None else bb
@@ -289,7 +286,7 @@ def add(a: Cipher, b, ring: RingParams) -> Cipher:
     av, bv, bound, bd, bc = _operands(a, b, ring.modulus, False)
     depth = max(a.depth, bd)
     v = av + bv
-    _note(depth, adds=v.size if bc else 0)
+    _note(depth, 0, v.size if bc else 0)
     return Cipher(v, depth, a.key_id, bound)
 
 
@@ -297,7 +294,7 @@ def sub(a: Cipher, b, ring: RingParams) -> Cipher:
     av, bv, bound, bd, bc = _operands(a, b, ring.modulus, False)
     depth = max(a.depth, bd)
     v = av - bv
-    _note(depth, adds=v.size if bc else 0)
+    _note(depth, 0, v.size if bc else 0)
     return Cipher(v, depth, a.key_id, bound)
 
 
@@ -306,7 +303,7 @@ def rsub(b, a: Cipher, ring: RingParams) -> Cipher:
     if isinstance(b, Cipher):
         raise BackendError("rsub takes a plaintext minuend")
     av, bv, bound, _, _ = _operands(a, b, ring.modulus, False)
-    _note(a.depth)
+    _note(a.depth, 0, 0)
     return Cipher(bv - av, a.depth, a.key_id, bound)
 
 
@@ -319,7 +316,7 @@ def mul(a: Cipher, b, ring: RingParams) -> Cipher:
     av, bv, bound, bd, bc = _operands(a, b, ring.modulus, True)
     depth = max(a.depth, bd) + 1 if bc else a.depth
     v = av * bv
-    _note(depth, mults=v.size if bc else 0)
+    _note(depth, v.size if bc else 0, 0)
     return Cipher(v, depth, a.key_id, bound)
 
 
@@ -330,12 +327,12 @@ def slot_sum(c: Cipher, ring: RingParams, segments: int = 1) -> Cipher:
     if v.size % segments:
         raise BackendError("slots do not split into equal segments")
     p, run = ring.modulus, v.size // segments
-    if run * _mag(bound, p) >= _INT64:
-        v, bound = _canonical(v, bound, p), None
-    vals = v.reshape(segments, -1).sum(axis=1)
-    out = Cipher(vals, c.depth, c.key_id, run * _mag(bound, p))
-    _note(c.depth)
-    return out
+    mag = p - 1 if bound is None else bound
+    if run * mag >= _INT64:
+        v, mag = _canonical(v, bound, p), p - 1
+    vals = np.add.reduce(v.reshape(segments, -1), axis=1)
+    _note(c.depth, 0, 0)
+    return Cipher(vals, c.depth, c.key_id, run * mag)
 
 
 def broadcast(c: Cipher, nslots: int, ring: RingParams) -> Cipher:
@@ -346,9 +343,9 @@ def broadcast(c: Cipher, nslots: int, ring: RingParams) -> Cipher:
         return c
     if nslots % size:
         raise BackendError("can only broadcast into a multiple of the slots")
-    out = Cipher(np.repeat(c._values, nslots // size), c.depth, c.key_id,
+    out = Cipher(c._values.repeat(nslots // size), c.depth, c.key_id,
                  c._bound)
-    _note(c.depth)
+    _note(c.depth, 0, 0)
     return out
 
 
@@ -366,15 +363,27 @@ def pack(ciphers: list, ring: RingParams) -> Cipher:
     if any(c._bound is not None for c in ciphers):
         bound = max(_mag(c._bound, ring.modulus) for c in ciphers)
     out = Cipher(vals, depth, key_id, bound)
-    _note(depth)
+    _note(depth, 0, 0)
     return out
 
 
 def unpack(c: Cipher) -> list:
     """One single-slot cipher per slot of c (free), the inverse of pack."""
-    _note(c.depth)
+    _note(c.depth, 0, 0)
     return [Cipher(c._values[i:i + 1], c.depth, c.key_id, c._bound)
             for i in range(c._values.size)]
+
+
+def split(c: Cipher, parts: int) -> list:
+    """c cut into `parts` equal runs of consecutive slots, one cipher each
+    (free): the run-wise form of unpack, and the inverse of packing
+    `parts` ciphers of one size."""
+    v = c._values
+    if v.size % parts:
+        raise BackendError("slots do not split into equal runs")
+    _note(c.depth, 0, 0)
+    return [Cipher(run, c.depth, c.key_id, c._bound)
+            for run in v.reshape(parts, -1)]
 
 
 def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
@@ -411,5 +420,5 @@ def linear_combine(ciphers: list, weights: np.ndarray, ring: RingParams) -> list
         # reduced after every term, so each sum stays below P^2 < 2^63
         vals += np.outer(wj, _canonical(c._values, c._bound, ring.modulus))
         vals %= ring.modulus
-    _note(depth)
+    _note(depth, 0, 0)
     return [Cipher(row.copy(), depth, key_id) for row in vals]

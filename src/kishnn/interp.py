@@ -149,7 +149,7 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
     """
     if table.modulus != params.modulus:
         raise ParameterError("table interpolated over a different ring")
-    mults, adds, depth = ps_cost(table.degree(), x.depth)
+    mults, adds, depth = ps_cost(table._degree, x.depth)
     return he_sim.table_lookup(x, table.values, mults, adds, depth)
 
 

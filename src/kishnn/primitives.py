@@ -8,7 +8,7 @@ coin-sum moment estimator built from it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,12 +38,25 @@ class CoinSpec:
     m: int
     rng_seed: int | tuple  # prob_avg: a tuple gives one seed per segment
     map_of: RingParams | None = None
+    # hashed once: every coin batch looks its plan up by its spec
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f not in ("identity", "square"):
             raise ParameterError(f"unknown coin function {self.f!r}")
         if self.m < 1:
             raise ParameterError("coin denominator m must be >= 1")
+        object.__setattr__(self, "_hash", hash(
+            (self.f, self.m, self.rng_seed, self.map_of)))
+
+    def __hash__(self):
+        return self._hash
+
+    @property
+    def seeds(self) -> tuple:
+        """rng_seed as a tuple: one seed per segment."""
+        s = self.rng_seed
+        return s if isinstance(s, tuple) else (s,)
 
     def inverse_ceil_array(self, rs: np.ndarray) -> np.ndarray:
         """The smallest x with f(x) >= r for each entry r >= 1 of rs
@@ -63,48 +76,57 @@ class CoinSpec:
         return c
 
 
-def compute_dists(enc_q: list, columns: tuple, params: RingParams) -> Cipher:
-    """All n L1 distances |q - s_i| as one packed ciphertext, from the
-    points' coordinates as one he_sim.Plain of n slots per dimension
-    (LabeledDatabase.columns).
+def compute_dists(enc_q: list, coords: he_sim.Plain,
+                  params: RingParams) -> Cipher:
+    """All n L1 distances |q - s_i| as one packed ciphertext, from the d
+    single-slot query ciphers and the points' coordinates as one
+    dimension-major he_sim.Plain of d*n slots, coordinate j of point i in
+    slot j*n + i (LabeledDatabase.coords).
 
-    Per coordinate: b = [q < s] via the sign test, then (1 - 2b)(q - s)
-    recovers the absolute difference with a single non-scalar mult.
+    The query is packed and each coordinate broadcast over its run of n
+    slots, so one batch over all d*n slots does every coordinate: b =
+    [q < s] via the sign test, then (1 - 2b)(q - s) recovers the absolute
+    difference with a single non-scalar mult.  The product is split into
+    its d runs, which d - 1 cipher adds sum.
     """
-    d = len(columns)
-    if len(enc_q) != d:
-        raise ParameterError(f"query has {len(enc_q)} coords, points have {d}")
+    d = len(enc_q)
+    if d != params.dim or coords.size % d:
+        raise ParameterError(f"query has {d} coordinates, points "
+                             f"{coords.size} coordinate slots, ring "
+                             f"dimension {params.dim}")
     tables = interp.build_named_tables(params)
-    total = None
-    for qj, col in zip(enc_q, columns):
-        qj = he_sim.broadcast(qj, col.size, params)
-        diff = he_sim.sub(qj, col, params)  # q_j - s_ij, free
-        b = interp.eval_poly_ps(tables.is_neg, diff, params)  # [q_j < s_ij]
-        sign = he_sim.rsub(1, he_sim.mul(b, 2, params), params)  # 1 - 2b
-        term = he_sim.mul(sign, diff, params)  # |q_j - s_ij|
-        total = term if total is None else he_sim.add(total, term, params)
+    q = he_sim.broadcast(he_sim.pack(enc_q, params), coords.size, params)
+    diff = he_sim.sub(q, coords, params)  # q_j - s_ij, free
+    b = interp.eval_poly_ps(tables.is_neg, diff, params)  # [q_j < s_ij]
+    sign = he_sim.rsub(1, he_sim.mul(b, 2, params), params)  # 1 - 2b
+    total, *rest = he_sim.split(he_sim.mul(sign, diff, params), d)
+    for term in rest:  # |q_j - s_ij|, summed over j
+        total = he_sim.add(total, term, params)
     return total
 
 
-def _coin_points(rs: np.ndarray, spec: CoinSpec, dist_bound: int) -> tuple:
-    """(r' capped at dist_bound, [r' <= dist_bound]) as he_sim.Plains of
-    the shape of the numerators rs, r' = spec.inverse_ceil_array(rs) >= 0,
-    so their bounds are dist_bound and 1."""
+def _coin_points(rs: np.ndarray, spec: CoinSpec,
+                 dist_bound: int) -> he_sim.Plain:
+    """min(r' - 1, dist_bound) as one he_sim.Plain of the shape of the
+    numerators rs, r' = spec.inverse_ceil_array(rs) >= 1 (every numerator
+    is at least 1, and with a map t(0) = 0), so its bound is dist_bound."""
     rprime = spec.inverse_ceil_array(rs)
-    return (he_sim.Plain._bounded(np.minimum(rprime, dist_bound), dist_bound),
-            he_sim.Plain._bounded((rprime <= dist_bound).astype(np.int64), 1))
+    return he_sim.Plain._bounded(np.minimum(rprime - 1, dist_bound),
+                                 dist_bound)
 
 
-def _coins(xs: Cipher, clamped: he_sim.Plain, mask: he_sim.Plain,
-           params: RingParams) -> Cipher:
-    """One coin [x >= r'] per slot of xs, the complement of the strict
-    comparison.  Draws whose r' exceeds the distance bound are 0 and get
-    masked out in plaintext, which keeps every comparison sign-safe."""
+def _coins(xs: Cipher, plan: he_sim.Plain, params: RingParams) -> Cipher:
+    """One coin [x >= r'] per slot of xs, by one sign test on
+    (r' - 1) - x against the plan min(r' - 1, dist_bound).
+
+    For r' in [1, dist_bound + 1] the argument lies in [-dist_bound,
+    dist_bound], which keeps its sign in the ring (P > 2 * dist_bound),
+    and is negative iff x >= r'.  A draw with r' > dist_bound + 1 compares
+    against dist_bound and gives 0, as no distance reaches it.
+    """
     tables = interp.build_named_tables(params)
-    arg = he_sim.sub(xs, clamped, params)
-    neg = interp.eval_poly_ps(tables.is_neg, arg, params)  # [x < r']
-    bit = he_sim.rsub(1, neg, params)  # [x >= r']
-    return he_sim.mul(bit, mask, params)  # free plaintext mask
+    return interp.eval_poly_ps(tables.is_neg, he_sim.rsub(plan, xs, params),
+                               params)
 
 
 def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
@@ -127,25 +149,23 @@ def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
     all side by side.
 
     The numerators never depend on the query, so a batch's comparison
-    points and mask, its plan, are kept in the plan store, keyed by
-    (spec, seeds, slots per segment, dist_bound), and a missing one is
-    made and stored by plan_coins.  The store keeps the PLAN_STORE = 32
-    newest plans, enough for the n-sweep's ten sizes or one leave-one-out
-    block; at 16 B per slot, that is at most 512 B per slot of the widest
-    batch.
+    points, its plan (one he_sim.Plain, see _coins), are kept in the plan
+    store, keyed by (spec, slots per segment, dist_bound), and a missing
+    one is made and stored by plan_coins.  The store keeps the
+    PLAN_STORE = 32 newest plans, enough for the n-sweep's ten sizes or
+    one leave-one-out block; at 8 B per slot, that is at most 256 B per
+    slot of the widest batch.
     """
-    seeds = spec.rng_seed
-    if not isinstance(seeds, tuple):
-        seeds = (seeds,)
-    if xs.size % len(seeds):
+    segments, size = len(spec.seeds), xs.size
+    if size % segments:
         raise ParameterError("slots do not split into one segment per seed")
-    key = (spec, seeds, xs.size // len(seeds), params.dist_bound)
-    plan = _plans.get(key) or plan_coins([(seeds, (spec,))], *key[2:])[key]
-    return he_sim.slot_sum(_coins(xs, *plan, params), params, len(seeds))
+    key = (spec, size // segments, params.dist_bound)
+    plan = _plans.get(key) or plan_coins([(spec,)], *key[1:])[key]
+    return he_sim.slot_sum(_coins(xs, plan, params), params, segments)
 
 
 PLAN_STORE = 32
-_plans = {}  # prob_avg's (clamped, mask) he_sim.Plains, oldest first
+_plans = {}  # prob_avg's plans, he_sim.Plains, oldest first
 
 
 def plan_coins(rows: list, n: int, dist_bound: int) -> dict:
@@ -161,26 +181,23 @@ def plan_coins(rows: list, n: int, dist_bound: int) -> dict:
 
 def _plan_coins(rows: list, n: int, dist_bound: int) -> dict:
     """prob_avg's plans for n-slot segments of a block of queries, by
-    (spec, seeds, n, dist_bound).
+    (spec, n, dist_bound).
 
-    rows holds one (seeds, specs) pair per query, the seeds being its
-    specs' rng_seed as a tuple; the j-th specs of all rows must share f,
-    m and map.  Each query's seeds get one strata draw, and each spec's
-    numerators, inverses, clamps and masks are computed over the whole
-    block at once.
+    rows holds one tuple of specs per query, all with the same rng_seed
+    (each seed one segment); the j-th specs of all rows must share f, m,
+    map and seed count.  Each query's seeds get one strata draw, and each
+    spec's numerators and comparison points are computed over the whole
+    block at once: one read-only he_sim.Plain of 8 B per slot per plan.
     """
-    u = _strata(sum((seeds for seeds, _ in rows), ()), n)
+    u = _strata(sum((specs[0].seeds for specs in rows), ()), n)
     plans = {}
-    for j, spec in enumerate(rows[0][1]):
+    for j, spec in enumerate(rows[0]):
         # float rounding of m * u may reach m; clamp to keep r_i in [1, m]
         rs = np.minimum((spec.m * u).astype(np.int64), spec.m - 1) + 1
-        clamped, mask = _coin_points(rs, spec, dist_bound)
-        for (seeds, specs), c, k in zip(
-                rows, clamped.values.reshape(len(rows), -1),
-                mask.values.reshape(len(rows), -1)):
-            plans[specs[j], seeds, n, dist_bound] = (
-                he_sim.Plain._bounded(c, dist_bound),
-                he_sim.Plain._bounded(k, 1))
+        points = _coin_points(rs, spec, dist_bound).values
+        for specs, row in zip(rows, points.reshape(len(rows), -1)):
+            plans[specs[j], n, dist_bound] = he_sim.Plain._bounded(
+                row, dist_bound)
     return plans
 
 

@@ -82,8 +82,8 @@ def test_labeled_database_without():
         # the operands are the parent's minus slot i, with the parent's
         # bounds, which cover the held-out values
         fresh = LabeledDatabase(rest.points, rest.labels)
-        for got, expect in zip(rest.columns + rest.label_masks,
-                               fresh.columns + fresh.label_masks,
+        for got, expect in zip((rest.coords,) + rest.label_masks,
+                               (fresh.coords,) + fresh.label_masks,
                                strict=True):
             assert np.array_equal(got.values, expect.values)
             assert got.bound >= expect.bound
@@ -115,8 +115,8 @@ def test_held_out_rows_are_the_databases_without_each_point():
                      (got.labels, expect.labels)):
             assert np.array_equal(a, b)
             assert not a.flags.writeable and not b.flags.writeable
-        for a, b in zip(got.columns + got.label_masks,
-                        expect.columns + expect.label_masks, strict=True):
+        for a, b in zip((got.coords,) + got.label_masks,
+                        (expect.coords,) + expect.label_masks, strict=True):
             assert np.array_equal(a.values, b.values)
             assert a.bound == b.bound
             assert not a.values.flags.writeable
@@ -130,16 +130,16 @@ def test_labeled_database_operands_cannot_go_stale():
     pts, labels = np.array([[1, 2], [3, 4]]), np.array([0, 1])
     db = LabeledDatabase(pts, labels)
     pts[0, 0], labels[0] = 9, 1  # the database holds its own copies
-    assert [c.values.tolist() for c in db.columns] == [[1, 3], [2, 4]]
+    assert db.coords.values.tolist() == [1, 3, 2, 4]  # dimension-major
     assert [m.values.tolist() for m in db.label_masks] == [[1, 0], [0, 1]]
     for a in (db.points, db.labels):
         with pytest.raises(ValueError):
             a[0] = 0
-    assert db.columns is db.columns and db.label_masks is db.label_masks
+    assert db.coords is db.coords and db.label_masks is db.label_masks
 
 
 def test_a_warm_query_scans_no_plaintext(ring100, monkeypatch):
-    # the coin plan, point columns and label masks are bounded when first
+    # the coin plan, coordinates and label masks are bounded when first
     # built; a second query on the same database rescans none of them
     pts, labels = two_cluster_db(20, 100, gap=1)
     db = LabeledDatabase(pts, labels)
@@ -187,13 +187,12 @@ def test_a_held_out_query_scans_no_plaintext(ring100, monkeypatch):
     assert scans == []
 
 
-def test_a_query_derives_its_moment_coins_once(ring100, monkeypatch):
-    # mu and mu_2 share one derivation of the moment seeds
+def test_protocol_params_derive_their_moment_coins_once(ring100,
+                                                        monkeypatch):
+    # mu and mu_2 share one derivation of the moment seeds, made by the
+    # first query of a ProtocolParams and read by every later one
     pts, labels = two_cluster_db(20, 100, gap=1)
     db = LabeledDatabase(pts, labels)
-    pp = make_pp(ring100, k=5, n=40, reps=3, seed=4)
-    with he_sim.metering() as before:
-        bit = classify_with_majority((40, 50), db, pp)
     calls = []
     derive = classifier.moment_coins
 
@@ -202,11 +201,20 @@ def test_a_query_derives_its_moment_coins_once(ring100, monkeypatch):
         return derive(*args)
 
     monkeypatch.setattr(classifier, "moment_coins", counted)
+    pp = make_pp(ring100, k=5, n=40, reps=3, seed=4)
+    with he_sim.metering() as before:
+        bit = classify_with_majority((40, 50), db, pp)
     with he_sim.metering() as after:
         assert classify_with_majority((40, 50), db, pp) == bit
     assert [seeds for _, seeds in calls] == [classifier.repetition_seeds(pp)]
+    assert pp.coins == derive(pp, classifier.repetition_seeds(pp))
     assert (after.mult_gates, after.max_depth) == (before.mult_gates,
                                                    before.max_depth)
+    # an equal ProtocolParams derives its own, once
+    again = make_pp(ring100, k=5, n=40, reps=3, seed=4)
+    for _ in range(2):
+        assert classify_with_majority((40, 50), db, again) == bit
+    assert len(calls) == 2 and again.coins == pp.coins
 
 
 def test_estimate_mu_tracks_sample_mean(ring100, keys):

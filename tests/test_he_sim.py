@@ -79,6 +79,7 @@ def test_evaluator_api_never_returns_plaintext(ring):
         he_sim.pack([c, c], ring),
     ]
     results += he_sim.unpack(he_sim.pack([c, c], ring))
+    results += he_sim.split(he_sim.pack([c, c], ring), 2)
     results += he_sim.linear_combine([c, c], np.array([[1, 2]]), ring)
     assert all(isinstance(r, he_sim.Cipher) for r in results)
 
@@ -311,6 +312,28 @@ def test_segmented_slot_ops(ring, keys):
         he_sim.broadcast(sums, 5, ring)
 
 
+def test_split_cuts_equal_runs_for_free(ring, keys):
+    # the runs of a product keep its depth, key and unreduced slots; split
+    # is the inverse of pack and, into single slots, unpack
+    x = he_sim.encrypt(keys.pk, [5, 6, 7, 8, 9, 10])
+    prod = he_sim.mul(x, he_sim.encrypt(keys.pk, [22] * 6), ring)
+    with he_sim.metering() as m:
+        runs = he_sim.split(prod, 3)
+    assert [he_sim.decrypt(keys.sk, r) for r in runs] == [
+        [5 * 22 % 23, 6 * 22 % 23], [7 * 22 % 23, 8 * 22 % 23],
+        [9 * 22 % 23, 10 * 22 % 23]]
+    assert {(r.size, r.depth, r.key_id) for r in runs} == {
+        (2, 1, keys.pk.key_id)}
+    assert (m.mult_gates, m.add_gates, m.max_depth) == (0, 0, 1)
+    assert he_sim.decrypt(keys.sk, he_sim.pack(runs, ring)) == \
+        he_sim.decrypt(keys.sk, prod)
+    assert [he_sim.decrypt(keys.sk, r) for r in he_sim.split(x, 6)] == [
+        he_sim.decrypt(keys.sk, r) for r in he_sim.unpack(x)]
+    assert he_sim.split(x, 1)[0].size == 6
+    with pytest.raises(BackendError):
+        he_sim.split(x, 4)
+
+
 def test_linear_combine_matches_matmul_oracle(ring, keys):
     rng = np.random.default_rng(0)
     rows = [rng.integers(0, 23, size=6) for _ in range(3)]
@@ -400,7 +423,7 @@ _CHAIN_RINGS = {
     _KEYED_EDGE: RingParams(modulus=_KEYED_EDGE, coord_bound=2, dim=1, n=1),
 }
 _CHAIN_STEPS = ("add", "sub", "rsub", "mul", "slot_sum", "pack", "broadcast",
-                "unpack")
+                "unpack", "split")
 _CHAIN_MAX_SLOTS = 2 * 5690
 _ARITH = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
           "mul": lambda x, y: x * y, "rsub": lambda x, y: y - x}
@@ -525,12 +548,20 @@ def test_op_chains_match_python_mod_p(data):
                 continue
             out = he_sim.broadcast(c, target, ring)
             want = [w for w in want for _ in range(target // c.size)]
-        else:  # unpack, then go on with every part repacked or with one
-            parts = he_sim.unpack(c)
-            assert [he_sim.decrypt(keys.sk, x) for x in parts] == want
-            i = data.draw(st.integers(-1, c.size - 1))
+        else:  # unpack or split, then go on with every part repacked or
+            # with one
+            if step == "unpack":
+                parts = he_sim.unpack(c)
+            else:
+                parts = he_sim.split(c, data.draw(st.sampled_from(
+                    [d for d in (1, 2, 8, c.size) if c.size % d == 0])))
+            run = c.size // len(parts)
+            wants = [want[i:i + run] for i in range(0, c.size, run)]
+            assert [he_sim.decrypt(keys.sk, x) for x in parts] == [
+                w if run > 1 else w[0] for w in wants]
+            i = data.draw(st.integers(-1, len(parts) - 1))
             out = he_sim.pack(parts, ring) if i < 0 else parts[i]
-            want = want if i < 0 else [want[i]]
+            want = want if i < 0 else wants[i]
         assert he_sim.decrypt(keys.sk, out) == (want if out.size > 1
                                                  else want[0])
         assert all(x._values is v and (v == copy).all()

@@ -5,6 +5,7 @@ query, and depth.  A change to how the plaintext side is prepared or
 cached, or to how the circuit's ops are batched, must leave every one of
 these exactly as recorded."""
 
+import collections
 import importlib
 import pathlib
 
@@ -64,3 +65,35 @@ def test_served_shape_gates_are_pinned(workloads):
             db.points[0], db, workloads.protocol(db.n, workloads.SERVE_REPS, 0))
     assert (db.n, m.mult_gates, m.add_gates, m.max_depth) == (
         569, 946_642, 322_036, 68)
+
+
+# he_sim's public ops, one call each per use; a warm query's calls of each.
+# An op added to or removed from the circuit changes this pin on purpose.
+OPS = ("mul", "add", "sub", "rsub", "slot_sum", "broadcast", "pack", "unpack",
+       "split", "table_lookup")
+QUERY_OPS = {"mul": 10, "add": 5, "sub": 6, "rsub": 5, "slot_sum": 4,
+             "broadcast": 2, "pack": 3, "unpack": 1, "split": 1,
+             "table_lookup": 12}
+
+
+@pytest.mark.parametrize("reps", [1, 5])
+def test_a_warm_query_makes_49_ops(workloads, monkeypatch, reps):
+    # a leave-one-out query (n = 568, one repetition) and the served shape
+    # (n = 569, five): the repetitions share every op
+    db = workloads.load_grid().database()
+    point, db = db.points[0], db.without(0) if reps == 1 else db
+    pp = workloads.protocol(db.n, reps, 0)
+    bit = classifier.classify_with_majority(point, db, pp)  # tables, plans
+    calls = collections.Counter()
+
+    def counted(name, op):
+        def call(*args):
+            calls[name] += 1
+            return op(*args)
+        return call
+
+    for name in OPS:
+        monkeypatch.setattr(he_sim, name, counted(name, getattr(he_sim, name)))
+    assert classifier.classify_with_majority(point, db, pp) == bit
+    assert dict(calls) == QUERY_OPS
+    assert sum(calls.values()) == 49

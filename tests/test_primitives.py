@@ -10,7 +10,7 @@ from kishnn import classifier, data_eval, he_sim, interp, primitives
 from kishnn.classifier import (LabeledDatabase, classify_with_majority,
                                make_protocol_params)
 from kishnn.primitives import CoinSpec, compute_dists, derive_seed, prob_avg
-from kishnn.ring import ParameterError, select_ring_params
+from kishnn.ring import ParameterError, RingParams, select_ring_params
 
 from conftest import WDBC_PATH
 
@@ -47,7 +47,7 @@ def coin_batch(xs, rs, spec, params):
     """One coin per slot of xs, with pre-drawn numerators rs in [1, m]:
     [r <= f(x)] = [x >= ceil(f^-1(r))]."""
     return primitives._coins(
-        xs, *primitives._coin_points(rs, spec, params.dist_bound), params)
+        xs, primitives._coin_points(rs, spec, params.dist_bound), params)
 
 
 def coin_toss(x, spec, params):
@@ -67,9 +67,9 @@ def keys(ring):
     return he_sim.keygen(ring, seed=4)
 
 
-def columns(pts):
+def coords(pts):
     """compute_dists' operand for the (n, d) points pts."""
-    return LabeledDatabase(pts, np.zeros(len(pts))).columns
+    return LabeledDatabase(pts, np.zeros(len(pts))).coords
 
 
 def test_derive_seed_repeatable_and_labelled():
@@ -115,6 +115,69 @@ def test_coin_on_zero_and_saturated(ring, keys):
         spec = CoinSpec("identity", 40, derive_seed(i, "edge"))
         assert he_sim.decrypt(keys.sk, coin_toss(zero, spec, ring)) == 0
         assert he_sim.decrypt(keys.sk, coin_toss(full, spec, ring)) == 1
+
+
+@pytest.mark.parametrize("grid, slack", [(24, 5), (100, 1), (250, 1)])
+def test_coins_are_exact_at_the_sign_safe_edge(grid, slack):
+    # every distance x in [0, B] against every comparison point r' in
+    # [1, B + 1], x = 0 and r' = B + 1 included: the one sign test on
+    # (r' - 1) - x spans [-B, B], which P = 2B + 1 only just keeps signed
+    ring = select_ring_params(grid, dim=2, n=50)
+    B = ring.dist_bound
+    assert ring.modulus == 2 * B + slack
+    keys = he_sim.keygen(ring, 1)
+    x = np.tile(np.arange(B + 1), B + 1)
+    rprime = np.repeat(np.arange(1, B + 2), B + 1)
+    spec = CoinSpec("identity", B + 1, 0)  # no map: r' = r
+    assert np.array_equal(spec.inverse_ceil_array(rprime), rprime)
+    bits = he_sim.decrypt(keys.sk, coin_batch(
+        he_sim.encrypt(keys.pk, x), rprime, spec, ring))
+    assert bits == (x >= rprime).astype(int).tolist()
+
+
+def test_coins_past_the_distance_bound_are_zero(ring, keys):
+    # a map-less square coin's r' reaches B + 4 > B + 1: every coin whose
+    # r' no distance reaches is 0, and every other one is [x * x >= r]
+    B = ring.dist_bound
+    rs = np.arange(1, (B + 4) ** 2)
+    spec = CoinSpec("square", len(rs), 0)
+    assert spec.inverse_ceil_array(rs).max() == B + 4
+    x = np.tile(np.arange(B + 1), len(rs))
+    r = np.repeat(rs, B + 1)
+    bits = he_sim.decrypt(keys.sk, coin_batch(he_sim.encrypt(keys.pk, x), r,
+                                              spec, ring))
+    assert bits == (x * x >= r).astype(int).tolist()
+
+
+@pytest.mark.parametrize("f", ["identity", "square"])
+@pytest.mark.parametrize("grid", [100, 250])
+def test_mapped_comparison_points_lie_in_one_to_b_plus_one(f, grid):
+    # t(0) = 0 and every numerator is at least 1, so with the map every
+    # r' lies in [1, B + 1], and the plan min(r' - 1, B) in [0, B]
+    ring = select_ring_params(grid, dim=2, n=568)
+    m = ring.n * (ring.coord_bound if f == "square" else 1)
+    spec = CoinSpec(f, m, 0, ring)
+    rprime = spec.inverse_ceil_array(np.arange(1, m + 1))
+    assert rprime.min() == 1 and rprime.max() <= ring.dist_bound + 1
+    plan = primitives._coin_points(np.arange(1, m + 1), spec, ring.dist_bound)
+    assert plan.values.min() == 0 and plan.bound == ring.dist_bound
+    assert plan.values.max() <= ring.dist_bound
+
+
+def test_a_coin_spec_hashes_once(monkeypatch):
+    # a spec's hash is found at construction, so a plan-store lookup does
+    # not hash its ring again; equal specs still hash and compare equal
+    ring = select_ring_params(24, dim=2, n=50)
+    spec = CoinSpec("square", 40, (1, 2), ring)
+    same = CoinSpec("square", 40, (1, 2), ring)
+    hashed = []
+    ring_hash = RingParams.__hash__
+    monkeypatch.setattr(RingParams, "__hash__",
+                        lambda self: hashed.append(1) or ring_hash(self))
+    assert {spec: 1}[same] == 1 and hash(spec) == hash(same)
+    assert hashed == []
+    assert spec == same and spec != CoinSpec("square", 40, (1, 3), ring)
+    assert spec != CoinSpec("square", 40, (1, 2))
 
 
 def test_prob_avg_expectation(ring, keys):
@@ -231,7 +294,7 @@ def test_compute_dists_matches_numpy_oracle(ring, keys):
         pts = rng.integers(0, 24, size=(8, 2))
         q = rng.integers(0, 24, size=2)
         enc_q = [he_sim.encrypt(keys.pk, int(v)) for v in q]
-        got = he_sim.decrypt(keys.sk, compute_dists(enc_q, columns(pts), ring))
+        got = he_sim.decrypt(keys.sk, compute_dists(enc_q, coords(pts), ring))
         expect = np.abs(pts - q).sum(axis=1)
         assert got == list(expect)
 
@@ -239,7 +302,7 @@ def test_compute_dists_matches_numpy_oracle(ring, keys):
 def test_compute_dists_dimension_mismatch(ring, keys):
     enc_q = [he_sim.encrypt(keys.pk, 1)]
     with pytest.raises(ParameterError):
-        compute_dists(enc_q, columns(np.zeros((4, 2), dtype=int)), ring)
+        compute_dists(enc_q, coords(np.zeros((4, 2), dtype=int)), ring)
 
 
 def test_compute_dists_gate_count_linear_in_n(ring, keys):
@@ -249,7 +312,7 @@ def test_compute_dists_gate_count_linear_in_n(ring, keys):
     def gates(n):
         pts = rng.integers(0, 24, size=(n, 2))
         with he_sim.metering() as m:
-            compute_dists(q, columns(pts), ring)
+            compute_dists(q, coords(pts), ring)
         return m.mult_gates
 
     g40, g80 = gates(40), gates(80)
@@ -261,7 +324,7 @@ def test_server_side_needs_no_secret_key(ring, keys):
     pts = np.array([[1, 2], [3, 4], [5, 6]])
     enc_q = [he_sim.encrypt(keys.pk, 7), he_sim.encrypt(keys.pk, 8)]
     with he_sim.metering() as m:
-        xs = compute_dists(enc_q, columns(pts), ring)
+        xs = compute_dists(enc_q, coords(pts), ring)
         prob_avg(xs, CoinSpec("identity", 3, 1), ring)
     assert m.decrypt_calls == 0
 
@@ -303,10 +366,10 @@ def test_strata_are_a_permutation_plus_uniforms_per_seed(n, segments):
     assert np.array_equal(primitives._strata(seeds, n), expect)
 
 
-def plan_of(spec, seeds, n, dist_bound):
-    """The (clamped, mask) plan of one batch, straight from the planner."""
-    return primitives._plan_coins([(seeds, (spec,))], n, dist_bound)[
-        spec, seeds, n, dist_bound]
+def plan_of(spec, n, dist_bound):
+    """The plan of one batch, straight from the planner."""
+    return primitives._plan_coins([(spec,)], n, dist_bound)[
+        spec, n, dist_bound]
 
 
 @pytest.mark.parametrize("mapped", [False, True])
@@ -315,18 +378,17 @@ def test_coin_plan_bounds_cover_the_scanned_values(ring, f, mapped):
     # the plan's bounds come from its construction, not from a scan
     seeds = (derive_seed(0, f"bounds-{f}-{mapped}"),)
     spec = CoinSpec(f, 40 * 24, seeds, ring if mapped else None)
-    for p in plan_of(spec, seeds, 40, ring.dist_bound):
-        scanned = he_sim.Plain(p.values)
-        assert np.array_equal(p.values, scanned.values)
-        assert p.bound >= scanned.bound
+    p = plan_of(spec, 40, ring.dist_bound)
+    scanned = he_sim.Plain(p.values)
+    assert np.array_equal(p.values, scanned.values)
+    assert p.bound >= scanned.bound
 
 
 def test_coin_plan_arrays_are_read_only(ring):
     seeds = (derive_seed(0, "read-only"),)
     spec = CoinSpec("square", 40 * 24, seeds)
-    for a in plan_of(spec, seeds, 40, ring.dist_bound):
-        with pytest.raises(ValueError):
-            a.values[0] = 0
+    with pytest.raises(ValueError):
+        plan_of(spec, 40, ring.dist_bound).values[0] = 0
 
 
 def test_coin_plans_of_two_grids_differ(ring):
@@ -334,13 +396,12 @@ def test_coin_plans_of_two_grids_differ(ring):
     seeds = (derive_seed(0, "grids"),)
     spec = CoinSpec("identity", 50 * 30, seeds)
     rings = (ring, select_ring_params(30, dim=2, n=50))
-    plans = [plan_of(spec, seeds, 50, r.dist_bound) for r in rings]
-    assert not np.array_equal(plans[0][0].values, plans[1][0].values)
-    for r, (clamped, mask) in zip(rings, plans):
+    plans = [plan_of(spec, 50, r.dist_bound) for r in rings]
+    assert not np.array_equal(plans[0].values, plans[1].values)
+    for r, plan in zip(rings, plans):
         expect = primitives._coin_points(_numerators(spec, seeds, 50), spec,
                                          r.dist_bound)
-        assert np.array_equal(clamped.values, expect[0].values)
-        assert np.array_equal(mask.values, expect[1].values)
+        assert np.array_equal(plan.values, expect.values)
 
 
 def test_the_map_inverse_is_the_least_preimage():
@@ -406,10 +467,8 @@ def test_a_plan_prepared_at_grid_100_is_never_served_at_grid_250(monkeypatch):
             plain.append((classify_with_majority((30, 40), db, pp),
                           m.mult_gates, m.max_depth))
     pp100, pp250 = pps
-    coins = classifier.moment_coins(pp100, classifier.repetition_seeds(pp100))
     monkeypatch.setattr(primitives, "_plans", {})
-    primitives.plan_coins([(coins[0].rng_seed, coins)], 40,
-                          pp100.ring.dist_bound)
+    primitives.plan_coins([pp100.coins], 40, pp100.ring.dist_bound)
     plan, rows_seen = primitives._plan_coins, []
 
     def counted(rows, n, dist_bound):
@@ -435,7 +494,6 @@ def test_the_plan_store_keeps_its_newest_plans(ring, monkeypatch):
     for s in range(primitives.PLAN_STORE + 8):
         seeds = (derive_seed(s, "store"),)
         keys += primitives.plan_coins(
-            [(seeds, (CoinSpec("identity", 40, seeds),))], 40,
-            ring.dist_bound)
+            [(CoinSpec("identity", 40, seeds),)], 40, ring.dist_bound)
         assert list(store) == keys[-primitives.PLAN_STORE:]
     assert primitives.PLAN_STORE == 32

@@ -36,7 +36,7 @@ def one_repetition(enc_q, db, pp):
     ring = pp.ring
     with he_sim.metering() as m:
         with he_sim.metering() as dist:
-            xs = primitives.compute_dists(enc_q, db.columns, ring)
+            xs = primitives.compute_dists(enc_q, db.coords, ring)
         mu = estimate_mu(xs, pp)
         musq_low, musq_high = square_mu_digits(mu, pp)
         sigma = estimate_sigma(estimate_mu2_digits(xs, pp), musq_low,
