@@ -103,10 +103,10 @@ class LabeledDatabase:
 
         Their points passed this database's checks, and their operands
         are this database's minus slot i: the coordinates keep their
-        parent's bound (a subset's magnitude is at most its parent's), the
-        label masks, derived from the gathered labels, the bound 1 of bits.
-        Nothing is checked or scanned again; each point array is a view of
-        its coordinates.
+        parent's bound (a subset's magnitude is at most its parent's), and
+        the label masks, derived from the gathered labels, take the bound 1
+        of bits.  Nothing is checked or scanned again; each point array is
+        a view of its coordinates.
         """
         n, coords = self.n, self.coords
         for i in indices:
