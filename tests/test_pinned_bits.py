@@ -1,7 +1,7 @@
-"""The benchmark's three shapes at grid 250 and k = 13, pinned: the
-predictions (perfbench/workloads.digest, the first 16 hex digits of
-sha256 over the prediction bytes), mult gates and cipher add gates per
-query, and depth.  A change to how the plaintext side is prepared or
+"""The benchmark's three shapes at grid 250 and k = 13, and leave-one-out
+at the CLI's default grid 100, pinned: the predictions
+(perfbench/workloads.digest, the first 16 hex digits of sha256 over the
+prediction bytes), mult gates and cipher add gates per query, and depth.  A change to how the plaintext side is prepared or
 cached, or to how the circuit's ops are batched, must leave every one of
 these exactly as recorded."""
 
@@ -39,6 +39,24 @@ def test_leave_one_out_bits_are_pinned(workloads, reps, seed, digest, gates):
     assert workloads.digest(report.per_point_predictions) == digest
     assert report.metrics.mult_gates == gates * gd.n
     assert report.metrics.add_gates == LOO_ADDS[reps] * gd.n
+    assert report.metrics.max_depth == 68
+
+
+@pytest.mark.parametrize("seed, digest, f1", [
+    (0, "50b206133d32d6c5", 0.8125),
+    (1, "4edac43eac3a89d2", 0.8467),
+])
+def test_grid_100_leave_one_out_bits_are_pinned(workloads, seed, digest, f1):
+    # P = 397, so a threshold that selects more than P/2 points of one
+    # class wraps its count: some of these bits are wrong, and a change
+    # to how the classes are counted must keep even those
+    gd = data_eval.grid_dataset(data_eval.load_wdbc(workloads.DATASET), 100)
+    report = data_eval.leave_one_out_f1(gd, workloads.K, "secure",
+                                        repetitions=1, seed=seed)
+    assert workloads.digest(report.per_point_predictions) == digest
+    assert report.f1 == pytest.approx(f1, abs=5e-5)
+    assert report.metrics.mult_gates == 192_380 * gd.n
+    assert report.metrics.add_gates == 66_028 * gd.n
     assert report.metrics.max_depth == 68
 
 
