@@ -14,6 +14,7 @@ as one circuit, one slot segment per repetition.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -85,7 +86,7 @@ class LabeledDatabase:
         return len(self.labels)
 
     # Built on first use, not at construction, which would add their
-    # scans to every database's set-up: 32 B per point at d = 2.
+    # scans to every database's set-up: 24 B per point at d = 2.
     @functools.cached_property
     def coords(self) -> he_sim.Plain:
         """compute_dists' operand: the coordinates dimension-major, one
@@ -93,9 +94,10 @@ class LabeledDatabase:
         return he_sim.Plain(self.points.T.ravel())
 
     @functools.cached_property
-    def label_masks(self) -> tuple:
-        """count_classes' operand: the he_sim.Plains (1 - labels, labels)."""
-        return he_sim.Plain(1 - self.labels), he_sim.Plain(self.labels)
+    def label_signs(self) -> he_sim.Plain:
+        """count_classes' operand: the he_sim.Plain 1 - 2 * labels, +1 for
+        a point of class 0 and -1 for one of class 1."""
+        return he_sim.Plain._bounded(1 - 2 * self.labels, 1)
 
     def held_out(self, indices) -> list:
         """[self.without(i) for i in indices], from one gather of the
@@ -104,9 +106,9 @@ class LabeledDatabase:
         Their points passed this database's checks, and their operands
         are this database's minus slot i: the coordinates keep their
         parent's bound (a subset's magnitude is at most its parent's), and
-        the label masks, derived from the gathered labels, take the bound 1
-        of bits.  Nothing is checked or scanned again; each point array is
-        a view of its coordinates.
+        the label signs, derived from the gathered labels, take the bound
+        1.  Nothing is checked or scanned again; each point array is a view
+        of its coordinates.
         """
         n, coords = self.n, self.coords
         for i in indices:
@@ -122,17 +124,16 @@ class LabeledDatabase:
             len(keep), -1)
         rows = coords.values.take(slots)
         labels = self.labels.take(keep)
-        masks = 1 - labels
-        for a in (rows, labels, masks):
+        signs = 1 - 2 * labels
+        for a in (rows, labels, signs):
             a.flags.writeable = False
         out = []
-        for c, lab, neg in zip(rows, labels, masks):
+        for c, lab, sign in zip(rows, labels, signs):
             db = LabeledDatabase.__new__(LabeledDatabase)
             # fields and cached operands, as the frozen class stores them
             vars(db).update(points=c.reshape(d, -1).T, labels=lab,
                             coords=he_sim.Plain._bounded(c, coords.bound),
-                            label_masks=(he_sim.Plain._bounded(neg, 1),
-                                         he_sim.Plain._bounded(lab, 1)))
+                            label_signs=he_sim.Plain._bounded(sign, 1))
             out.append(db)
         return out
 
@@ -159,19 +160,19 @@ def moment_coins(pp: ProtocolParams, seeds: tuple) -> tuple:
             CoinSpec("square", pp.n * pp.ring.coord_bound, moments, pp.ring))
 
 
-def estimate_mu(xs: Cipher, pp: ProtocolParams, coins=None) -> Cipher:
+def estimate_mu(xs: Cipher, pp: ProtocolParams, coins: CoinSpec) -> Cipher:
     """Coin-sum estimate of the mean of the mapped distances t(x) (see
     interp.dist_map), denominator n.
 
     xs holds one copy of the distances per repetition seed of the coins,
-    moment_coins' first spec (default: the one repetition seeded by
-    pp.rng_seed), and the estimate holds one slot per repetition.
+    moment_coins' first spec, and the estimate holds one slot per
+    repetition.
     """
-    coins = coins or moment_coins(pp, (pp.rng_seed,))[0]
     return primitives.prob_avg(xs, coins, pp.ring)
 
 
-def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams, coins=None) -> Cipher:
+def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams,
+                        coins: CoinSpec) -> Cipher:
     """High base-p digit of the second moment mu_2 = mean(t(x)^2).
 
     One coin batch with denominator n*p gives the high digit, and
@@ -181,7 +182,6 @@ def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams, coins=None) -> Cipher:
     has no low digit.  xs and coins, moment_coins' second spec, are laid
     out as for estimate_mu.
     """
-    coins = coins or moment_coins(pp, (pp.rng_seed,))[1]
     return primitives.prob_avg(xs, coins, pp.ring)
 
 
@@ -240,18 +240,19 @@ def threshold(mu_star: Cipher, sigma_star: Cipher, pp: ProtocolParams) -> Cipher
                       pp.ring)
 
 
-def count_classes(xs: Cipher, t_star: Cipher, masks: tuple,
-                  pp: ProtocolParams):
-    """Per-class counts of points whose mapped distance t(x) lies strictly
-    below the threshold; masks is the plaintext pair (1 - labels, labels)
-    as LabeledDatabase.label_masks gives it.
+def count_classes(xs: Cipher, t_star: Cipher, signs: he_sim.Plain,
+                  pp: ProtocolParams) -> Cipher:
+    """C0 - C1 mod P, where Cc counts the points of class c whose mapped
+    distance t(x) lies strictly below the threshold: one signed sum of the
+    sign-test bits, with signs the plaintext 1 - 2 * labels as
+    LabeledDatabase.label_signs gives it.
 
     The distances first go through the dist_map table, so they are
     compared in the units the threshold was estimated in.  t_star holds
     one threshold per repetition: the n mapped distances are laid out
     once per repetition and compared against that repetition's threshold
-    in one batched sign test, whose bits are reused for both sums.  The
-    counts hold one slot per repetition.
+    in one batched sign test.  The difference holds one slot per
+    repetition.
     """
     ring = pp.ring
     tables = interp.build_named_tables(ring)
@@ -260,9 +261,8 @@ def count_classes(xs: Cipher, t_star: Cipher, masks: tuple,
     xs = he_sim.pack([xs] * reps, ring)
     tb = he_sim.broadcast(t_star, xs.size, ring)
     bits = interp.eval_poly_ps(tables.is_neg, he_sim.sub(xs, tb, ring), ring)
-    c0, c1 = (he_sim.slot_sum(he_sim.mul(bits, mask.tile(reps), ring), ring,
-                              reps) for mask in masks)
-    return c0, c1
+    return he_sim.slot_sum(he_sim.mul(bits, signs.tile(reps), ring), ring,
+                           reps)
 
 
 def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
@@ -291,9 +291,9 @@ def server_classify(enc_q: list, db: LabeledDatabase,
     repetition_seeds(pp)[r] (pp.coins), and its stages run on slot
     segment r, so its bit is the one-repetition circuit's bit for that
     seed.  The threshold is estimated on the mapped distances t(x) (see
-    interp.dist_map), and a point counts when t(x) < T*.  Ties (C0 == C1,
-    including the zero-neighbor corner) resolve to class 0 because the
-    final comparison is strict.
+    interp.dist_map), a point counts when t(x) < T*, and the bit is
+    [C0 - C1 < 0].  Ties (C0 == C1, including the zero-neighbor corner)
+    resolve to class 0 because the final comparison is strict.
     """
     if len(enc_q) != pp.ring.dim:
         raise ParameterError("query dimension does not match ring params")
@@ -310,14 +310,19 @@ def server_classify(enc_q: list, db: LabeledDatabase,
     if coords.bound >= pp.ring.coord_bound:
         raise ParameterError("database points lie off the ring's grid")
     xs, t_star = _threshold_pipeline(enc_q, db, pp, pp.coins)
-    c0, c1 = count_classes(xs, t_star, db.label_masks, pp)
-    return interp.is_smaller(c0, c1, pp.ring)
+    diff = count_classes(xs, t_star, db.label_signs, pp)
+    return interp.is_smaller(diff, 0, pp.ring)
 
 
 def encrypt_query(pk, query, ring: RingParams) -> list:
     """The client's query, one fresh cipher per coordinate; a point off the
-    grid is refused, not classified as some other point."""
-    coords = [int(c) for c in query]
+    grid, or a coordinate that is not an integer, is refused, not
+    classified as some other point."""
+    try:
+        coords = [operator.index(c) for c in query]
+    except TypeError:
+        raise ParameterError(f"query {query!r} is not a grid point: "
+                             "coordinates must be integers") from None
     if len(coords) != ring.dim or not all(0 <= c < ring.coord_bound
                                           for c in coords):
         raise ParameterError(f"query {coords} is not a grid point: need "
@@ -326,11 +331,18 @@ def encrypt_query(pk, query, ring: RingParams) -> list:
     return [he_sim.encrypt(pk, c) for c in coords]
 
 
+def client_keys(pp: ProtocolParams) -> he_sim.KeyPair:
+    """The client's key pair, derived from pp.rng_seed: the one derivation
+    that classify_with_majority and protocol_io.make_query share."""
+    return he_sim.keygen(pp.ring, derive_seed(pp.rng_seed, "keys"))
+
+
 def classify_with_majority(query, db: LabeledDatabase,
                            pp: ProtocolParams) -> int:
     """Client-side wrapper: run the protocol, majority-vote its bits."""
-    keys = he_sim.keygen(pp.ring, derive_seed(pp.rng_seed, "keys"))
+    keys = client_keys(pp)
     bits = server_classify(encrypt_query(keys.pk, query, pp.ring), db, pp)
-    votes = sum(he_sim.decrypt(keys.sk, b) for b in he_sim.unpack(bits))
+    votes = sum(he_sim.decrypt(keys.sk, b)
+                for b in he_sim.split(bits, bits.size))
     return 1 if 2 * votes > pp.repetitions else 0
 

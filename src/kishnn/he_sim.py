@@ -20,10 +20,6 @@ import numpy as np
 
 from .ring import RingParams
 
-# Slot count from which slots reduce by floor division (`_reduce`): numpy
-# vectorises int64 `//` by a scalar but not `%`; below it `%` is faster.
-_WIDE = 768
-
 # Every slot bound must stay below this for the int64 slots to be exact.
 _INT64 = 2 ** 63
 
@@ -147,16 +143,10 @@ def keygen(ring: RingParams, seed: int) -> KeyPair:
                    sk=SecretKey(key_id, ring.modulus))
 
 
-def _reduce(v: np.ndarray, modulus: int) -> np.ndarray:
-    """v mod modulus into a fresh array, v untouched.  Exact for every int64
-    v: a wrap in (v // modulus)·modulus cancels in the difference."""
-    q = v // modulus
-    q *= modulus
-    return np.subtract(v, q, out=q)
-
-
 def _mod(v: np.ndarray, modulus: int) -> np.ndarray:
-    return v % modulus if v.size < _WIDE else _reduce(v, modulus)
+    """v mod modulus into a fresh array in [0, modulus): the one reduction
+    of vector slots."""
+    return v % modulus
 
 
 def _mag(bound, modulus: int) -> int:
@@ -354,30 +344,23 @@ def pack(ciphers: list, ring: RingParams) -> Cipher:
     [c] * r tiles c r times."""
     if len(ciphers) == 1:
         return ciphers[0]
-    key_id = ciphers[0].key_id
-    if any(c.key_id != key_id for c in ciphers):
-        raise KeyMismatchError("cannot pack ciphers under different keys")
+    key_id, depth, bound, reduced = ciphers[0].key_id, 0, 0, True
+    for c in ciphers:
+        if c.key_id != key_id:
+            raise KeyMismatchError("cannot pack ciphers under different keys")
+        depth = max(depth, c.depth)
+        bound = max(bound, _mag(c._bound, ring.modulus))
+        reduced = reduced and c._bound is None
     vals = np.concatenate([c._values for c in ciphers])
-    depth = max(c.depth for c in ciphers)
-    bound = None
-    if any(c._bound is not None for c in ciphers):
-        bound = max(_mag(c._bound, ring.modulus) for c in ciphers)
-    out = Cipher(vals, depth, key_id, bound)
+    out = Cipher(vals, depth, key_id, None if reduced else bound)
     _note(depth, 0, 0)
     return out
 
 
-def unpack(c: Cipher) -> list:
-    """One single-slot cipher per slot of c (free), the inverse of pack."""
-    _note(c.depth, 0, 0)
-    return [Cipher(c._values[i:i + 1], c.depth, c.key_id, c._bound)
-            for i in range(c._values.size)]
-
-
 def split(c: Cipher, parts: int) -> list:
     """c cut into `parts` equal runs of consecutive slots, one cipher each
-    (free): the run-wise form of unpack, and the inverse of packing
-    `parts` ciphers of one size."""
+    (free), the inverse of packing `parts` ciphers of one size;
+    split(c, c.size) gives one single-slot cipher per slot."""
     v = c._values
     if v.size % parts:
         raise BackendError("slots do not split into equal runs")

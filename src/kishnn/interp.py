@@ -241,8 +241,10 @@ def build_named_tables(params: RingParams) -> NamedTables:
 def is_smaller(x: Cipher, y, params: RingParams) -> Cipher:
     """Strict encrypted comparison bit: 1 iff value(x) < value(y).
 
-    Realized as the upper-half test on x - y; both values must lie in
-    [0, dist_bound] so the difference keeps its sign in the ring.
+    Realized as the upper-half test on x - y, so x - y must lie in
+    (-P/2, P/2) to keep its sign in the ring: two values in
+    [0, dist_bound] do, and so does a difference of class counts while
+    both stay below P/2.
     """
     tables = build_named_tables(params)
     diff = he_sim.sub(x, y, params)

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import he_sim
-from .classifier import (LabeledDatabase, ProtocolParams, encrypt_query,
-                         server_classify)
+from .classifier import (LabeledDatabase, ProtocolParams, client_keys,
+                         encrypt_query, server_classify)
 from .he_sim import Cipher
-from .primitives import derive_seed
 from .ring import ParameterError, RingParams
 
 MAGIC = b"KISH"
@@ -346,7 +345,7 @@ def write_message(transport: Transport, msg) -> None:
 
 def make_query(query, pp: ProtocolParams):
     """Client-side key generation and query encryption."""
-    keys = he_sim.keygen(pp.ring, derive_seed(pp.rng_seed, "keys"))
+    keys = client_keys(pp)
     enc_q = tuple(encrypt_query(keys.pk, query, pp.ring))
     msg = QueryMessage(pp.ring, keys.pk.key_id.to_bytes(8, "little"), enc_q)
     return keys, msg
@@ -361,7 +360,7 @@ def answer_query(msg: QueryMessage, db: LabeledDatabase, pp: ProtocolParams):
     if msg.ring != pp.ring:
         raise ProtocolError("ring parameters do not match the served database")
     bits = server_classify(list(msg.enc_q), db, pp)
-    return ResponseMessage(tuple(he_sim.unpack(bits)))
+    return ResponseMessage(tuple(he_sim.split(bits, bits.size)))
 
 
 def run_server(transport: Transport, db: LabeledDatabase,

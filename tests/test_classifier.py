@@ -8,7 +8,8 @@ from kishnn.classifier import (LabeledDatabase, ProtocolParams,
                                classify_with_majority, count_classes,
                                estimate_mu, estimate_mu2_digits,
                                estimate_sigma, make_protocol_params,
-                               server_classify, square_mu_digits, threshold)
+                               moment_coins, server_classify,
+                               square_mu_digits, threshold)
 from kishnn.ring import ParameterError, select_ring_params
 
 from conftest import (base_p_decompose, kappa_of_run, sqrt_of_digit_diff,
@@ -82,9 +83,8 @@ def test_labeled_database_without():
         # the operands are the parent's minus slot i, with the parent's
         # bounds, which cover the held-out values
         fresh = LabeledDatabase(rest.points, rest.labels)
-        for got, expect in zip((rest.coords,) + rest.label_masks,
-                               (fresh.coords,) + fresh.label_masks,
-                               strict=True):
+        for got, expect in ((rest.coords, fresh.coords),
+                            (rest.label_signs, fresh.label_signs)):
             assert np.array_equal(got.values, expect.values)
             assert got.bound >= expect.bound
             with pytest.raises(ValueError):
@@ -115,8 +115,8 @@ def test_held_out_rows_are_the_databases_without_each_point():
                      (got.labels, expect.labels)):
             assert np.array_equal(a, b)
             assert not a.flags.writeable and not b.flags.writeable
-        for a, b in zip((got.coords,) + got.label_masks,
-                        (expect.coords,) + expect.label_masks, strict=True):
+        for a, b in ((got.coords, expect.coords),
+                     (got.label_signs, expect.label_signs)):
             assert np.array_equal(a.values, b.values)
             assert a.bound == b.bound
             assert not a.values.flags.writeable
@@ -131,15 +131,15 @@ def test_labeled_database_operands_cannot_go_stale():
     db = LabeledDatabase(pts, labels)
     pts[0, 0], labels[0] = 9, 1  # the database holds its own copies
     assert db.coords.values.tolist() == [1, 3, 2, 4]  # dimension-major
-    assert [m.values.tolist() for m in db.label_masks] == [[1, 0], [0, 1]]
+    assert db.label_signs.values.tolist() == [1, -1]
     for a in (db.points, db.labels):
         with pytest.raises(ValueError):
             a[0] = 0
-    assert db.coords is db.coords and db.label_masks is db.label_masks
+    assert db.coords is db.coords and db.label_signs is db.label_signs
 
 
 def test_a_warm_query_scans_no_plaintext(ring100, monkeypatch):
-    # the coin plan, coordinates and label masks are bounded when first
+    # the coin plan, coordinates and label signs are bounded when first
     # built; a second query on the same database rescans none of them
     pts, labels = two_cluster_db(20, 100, gap=1)
     db = LabeledDatabase(pts, labels)
@@ -158,7 +158,7 @@ def test_a_warm_query_scans_no_plaintext(ring100, monkeypatch):
 
 
 @pytest.mark.parametrize("points,labels", [
-    ([[1, 2], [3, 4]], [0, 5]),  # made the masks -4 and 5
+    ([[1, 2], [3, 4]], [0, 5]),  # made the label masks -4 and 5
     ([[1, 2], [3, 4]], [-1, 1]),
     ([[1, -2], [3, 4]], [0, 1]),
 ])
@@ -225,7 +225,8 @@ def test_estimate_mu_tracks_sample_mean(ring100, keys):
     xs = he_sim.encrypt(keys.pk, xs_plain)
     values = []
     for s in range(120):
-        est = estimate_mu(xs, make_pp(ring100, k=5, n=40, seed=s))
+        pp = make_pp(ring100, k=5, n=40, seed=s)
+        est = estimate_mu(xs, pp, moment_coins(pp, (s,))[0])
         values.append(ring100.signed(he_sim.decrypt(keys.sk, est)))
     mean = float(np.asarray(interp.dist_map(ring100))[xs_plain].mean())
     assert abs(np.mean(values) - mean) < 3.0
@@ -317,8 +318,9 @@ def test_mu2_digits_are_unbiased_for_the_second_moment():
     ests = []
     for s in range(400):
         pp = make_pp(ring, k=13, n=n, seed=s)
-        ests.append(100 * he_sim.decrypt(keys.sk,
-                                         estimate_mu2_digits(xs, pp)))
+        mu2_coins = moment_coins(pp, (s,))[1]
+        ests.append(100 * he_sim.decrypt(
+            keys.sk, estimate_mu2_digits(xs, pp, mu2_coins)))
     se = np.std(ests, ddof=1) / math.sqrt(len(ests))
     assert abs(np.mean(ests) - mu2) <= 3 * se
 
@@ -334,7 +336,8 @@ def test_threshold_combines_linearly(ring100, keys):
 
 
 def test_count_classes_matches_plain_count(ring100, keys):
-    # the threshold is in mapped units: a point counts when t(x) < 30
+    # the threshold is in mapped units: a point counts when t(x) < 30, and
+    # the one cipher is C0 - C1, read as a signed residue
     pp = make_pp(ring100, k=5, n=8)
     xs_plain = [5, 40, 12, 80, 3, 33, 60, 9]
     labels = [0, 1, 0, 1, 1, 0, 1, 0]
@@ -348,10 +351,9 @@ def test_count_classes_matches_plain_count(ring100, keys):
     assert (expect0, expect1) != plain_counts(lambda x: x)
     xs = he_sim.encrypt(keys.pk, xs_plain)
     t = he_sim.encrypt(keys.pk, 30)
-    masks = LabeledDatabase(np.zeros((8, 2)), labels).label_masks
-    c0, c1 = count_classes(xs, t, masks, pp)
-    assert he_sim.decrypt(keys.sk, c0) == expect0
-    assert he_sim.decrypt(keys.sk, c1) == expect1
+    signs = LabeledDatabase(np.zeros((8, 2)), labels).label_signs
+    diff = count_classes(xs, t, signs, pp)
+    assert ring100.signed(he_sim.decrypt(keys.sk, diff)) == expect0 - expect1
 
 
 def test_server_classify_validates_shapes(ring100, keys):
@@ -400,6 +402,21 @@ def test_client_refuses_a_point_off_the_grid(ring100, point):
     pp = make_pp(ring100, k=5, n=40)
     with pytest.raises(ParameterError, match="not a grid point"):
         classify_with_majority(point, db, pp)
+
+
+@pytest.mark.parametrize("point", [(3.9, 5), (np.float64(3.0), 5), ("7", 5)])
+def test_client_refuses_a_coordinate_that_is_not_an_integer(ring100, point):
+    # int() used to encrypt (3.9, 5) as (3, 5) and accept ('7', 5)
+    with pytest.raises(ParameterError, match="not a grid point"):
+        classifier.encrypt_query(he_sim.keygen(ring100, 1).pk, point, ring100)
+
+
+def test_client_takes_numpy_integer_coordinates(ring100):
+    keys = he_sim.keygen(ring100, 1)
+    enc = classifier.encrypt_query(keys.pk, np.array([3, 5]), ring100)
+    assert [he_sim.decrypt(keys.sk, c) for c in enc] == [3, 5]
+    enc = classifier.encrypt_query(keys.pk, (np.int32(7), 5), ring100)
+    assert [he_sim.decrypt(keys.sk, c) for c in enc] == [7, 5]
 
 
 def test_server_never_decrypts(ring100, keys):

@@ -349,12 +349,10 @@ def _wide_query(wdbc_path):
 
 
 def test_wide_query_is_bit_exact_against_recorded_values(wdbc_path):
-    # the n distances reduce by floor division; recorded from the
-    # implementation that reduced every op's result with `%` only.  The
-    # run's threshold selects 140 points, all of class 1: the class counts
-    # stay below P/2 = 498, so the pinned bit is the true majority
+    # recorded from the implementation that reduced every op's result.
+    # The run's threshold selects 140 points, all of class 1: the class
+    # counts stay below P/2 = 498, so the pinned bit is the true majority
     db, point, pp = _wide_query(wdbc_path)
-    assert db.n >= he_sim._WIDE
     with he_sim.metering() as m:
         bit = classifier.classify_with_majority(point, db, pp)
     assert (bit, m.mult_gates, m.max_depth) == (1, 3_152_908, 68)
@@ -378,8 +376,7 @@ def test_wide_query_reduces_its_slots_only_where_they_are_read(
 
     monkeypatch.setattr(he_sim, "_mod", counted)
     assert classifier.classify_with_majority(point, db, pp) == 1
-    wide = [s for s in sizes if s >= he_sim._WIDE]
-    assert (len(wide), len(sizes) - len(wide)) == (0, 0)
+    assert sizes == []
 
 
 # ------------------------------------------------------------ diagnostic

@@ -78,7 +78,6 @@ def test_evaluator_api_never_returns_plaintext(ring):
         he_sim.broadcast(c, 5, ring), he_sim.embed_like(c, 1),
         he_sim.pack([c, c], ring),
     ]
-    results += he_sim.unpack(he_sim.pack([c, c], ring))
     results += he_sim.split(he_sim.pack([c, c], ring), 2)
     results += he_sim.linear_combine([c, c], np.array([[1, 2]]), ring)
     assert all(isinstance(r, he_sim.Cipher) for r in results)
@@ -117,15 +116,14 @@ _INT64_EDGES = (-2**63, 2**63 - 1)
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
-def test_slot_ops_match_a_mod_oracle_either_side_of_the_crossover(data):
-    # narrow ciphers reduce with `%`, wide ones by floor division; both
-    # must give Python's residues for every operand kind, int64 plaintexts
-    # at the edges included, and leave every operand as it was
+def test_slot_ops_match_a_mod_oracle_at_every_width(data):
+    # narrow and wide ciphers must give Python's residues for every
+    # operand kind, int64 plaintexts at the edges included, and leave
+    # every operand as it was
     ring = select_ring_params(250, dim=2, n=569)
     p = ring.modulus
     keys = he_sim.keygen(ring, 5)
-    n = data.draw(st.sampled_from(
-        [1, 568, he_sim._WIDE - 1, he_sim._WIDE, 2 * he_sim._WIDE + 1]))
+    n = data.draw(st.sampled_from([1, 568, 1537]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     a = rng.integers(0, p, size=n)
     b = rng.integers(0, p, size=n)
@@ -150,7 +148,6 @@ def test_slot_ops_match_a_mod_oracle_either_side_of_the_crossover(data):
         check(he_sim.mul(ca, other, ring), ys, lambda x, y: x * y)
         if other is not cb:  # rsub takes a plaintext minuend
             check(he_sim.rsub(other, ca, ring), ys, lambda x, y: y - x)
-    # slot_sum's result has one slot per segment, so it keeps `%`
     pair_sums = he_sim.slot_sum(he_sim.pack([ca, cb], ring), ring, n)
     expect = [int(s) % p for s in np.concatenate([a, b]).reshape(n, 2).sum(1)]
     assert he_sim.decrypt(keys.sk, pair_sums) == (expect if n > 1
@@ -291,7 +288,7 @@ def test_slot_sum_broadcast_pack(ring, keys):
 
 def test_segmented_slot_ops(ring, keys):
     # the layout of r repetitions side by side: tile, per-segment sums,
-    # per-segment broadcast, split into scalars; all free, depth kept
+    # per-segment broadcast, split into single slots; all free, depth kept
     vec = he_sim.mul(he_sim.encrypt(keys.pk, [5, 6, 7]),
                      he_sim.encrypt(keys.pk, 1), ring)
     with he_sim.metering() as m:
@@ -299,7 +296,7 @@ def test_segmented_slot_ops(ring, keys):
         sums = he_sim.slot_sum(he_sim.add(tiled, [0, 0, 0, 1, 1, 1], ring),
                                ring, 2)
         spread = he_sim.broadcast(sums, 6, ring)
-        parts = he_sim.unpack(spread)
+        parts = he_sim.split(spread, 6)
     assert he_sim.decrypt(keys.sk, tiled) == [5, 6, 7, 5, 6, 7]
     assert he_sim.decrypt(keys.sk, sums) == [18, 21]
     assert he_sim.decrypt(keys.sk, spread) == [18, 18, 18, 21, 21, 21]
@@ -314,7 +311,7 @@ def test_segmented_slot_ops(ring, keys):
 
 def test_split_cuts_equal_runs_for_free(ring, keys):
     # the runs of a product keep its depth, key and unreduced slots; split
-    # is the inverse of pack and, into single slots, unpack
+    # is the inverse of pack, also into single slots
     x = he_sim.encrypt(keys.pk, [5, 6, 7, 8, 9, 10])
     prod = he_sim.mul(x, he_sim.encrypt(keys.pk, [22] * 6), ring)
     with he_sim.metering() as m:
@@ -328,7 +325,7 @@ def test_split_cuts_equal_runs_for_free(ring, keys):
     assert he_sim.decrypt(keys.sk, he_sim.pack(runs, ring)) == \
         he_sim.decrypt(keys.sk, prod)
     assert [he_sim.decrypt(keys.sk, r) for r in he_sim.split(x, 6)] == [
-        he_sim.decrypt(keys.sk, r) for r in he_sim.unpack(x)]
+        5, 6, 7, 8, 9, 10]
     assert he_sim.split(x, 1)[0].size == 6
     with pytest.raises(BackendError):
         he_sim.split(x, 4)
@@ -423,7 +420,7 @@ _CHAIN_RINGS = {
     _KEYED_EDGE: RingParams(modulus=_KEYED_EDGE, coord_bound=2, dim=1, n=1),
 }
 _CHAIN_STEPS = ("add", "sub", "rsub", "mul", "slot_sum", "pack", "broadcast",
-                "unpack", "split")
+                "split")
 _CHAIN_MAX_SLOTS = 2 * 5690
 _ARITH = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
           "mul": lambda x, y: x * y, "rsub": lambda x, y: y - x}
@@ -470,7 +467,7 @@ def test_op_chains_match_python_mod_p(data):
     p = data.draw(st.sampled_from(sorted(_CHAIN_RINGS)), label="P")
     ring = _CHAIN_RINGS[p]
     keys = he_sim.keygen(ring, 5)
-    n = data.draw(st.sampled_from([1, 568, he_sim._WIDE, 5690]), label="n")
+    n = data.draw(st.sampled_from([1, 568, 5690]), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     steps = _CHAIN_STEPS + (("lookup",) if p == 997 else ())
     if p == 997:
@@ -548,13 +545,9 @@ def test_op_chains_match_python_mod_p(data):
                 continue
             out = he_sim.broadcast(c, target, ring)
             want = [w for w in want for _ in range(target // c.size)]
-        else:  # unpack or split, then go on with every part repacked or
-            # with one
-            if step == "unpack":
-                parts = he_sim.unpack(c)
-            else:
-                parts = he_sim.split(c, data.draw(st.sampled_from(
-                    [d for d in (1, 2, 8, c.size) if c.size % d == 0])))
+        else:  # split, then go on with every part repacked or with one
+            parts = he_sim.split(c, data.draw(st.sampled_from(
+                [d for d in (1, 2, 8, c.size) if c.size % d == 0])))
             run = c.size // len(parts)
             wants = [want[i:i + run] for i in range(0, c.size, run)]
             assert [he_sim.decrypt(keys.sk, x) for x in parts] == [

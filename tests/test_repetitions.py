@@ -12,7 +12,8 @@ from kishnn import data_eval, he_sim, interp, primitives, protocol_io
 from kishnn.classifier import (classify_with_majority, count_classes,
                                estimate_mu, estimate_mu2_digits,
                                estimate_sigma, make_protocol_params,
-                               server_classify, square_mu_digits, threshold)
+                               moment_coins, server_classify,
+                               square_mu_digits, threshold)
 from kishnn.primitives import derive_seed
 from kishnn.ring import select_ring_params
 
@@ -37,13 +38,14 @@ def one_repetition(enc_q, db, pp):
     with he_sim.metering() as m:
         with he_sim.metering() as dist:
             xs = primitives.compute_dists(enc_q, db.coords, ring)
-        mu = estimate_mu(xs, pp)
+        mu_coins, mu2_coins = moment_coins(pp, (pp.rng_seed,))
+        mu = estimate_mu(xs, pp, mu_coins)
         musq_low, musq_high = square_mu_digits(mu, pp)
-        sigma = estimate_sigma(estimate_mu2_digits(xs, pp), musq_low,
-                               musq_high, pp)
-        c0, c1 = count_classes(xs, threshold(mu, sigma, pp), db.label_masks,
-                               pp)
-        bit = interp.is_smaller(c0, c1, ring)
+        sigma = estimate_sigma(estimate_mu2_digits(xs, pp, mu2_coins),
+                               musq_low, musq_high, pp)
+        diff = count_classes(xs, threshold(mu, sigma, pp), db.label_signs,
+                             pp)
+        bit = interp.is_smaller(diff, 0, ring)
     with he_sim.metering() as mapped:
         interp.eval_poly_ps(interp.build_named_tables(ring).dist_map, xs,
                             ring)
@@ -72,7 +74,8 @@ def test_packed_repetitions_match_independent_circuits(grid, n, seed, reps):
         enc_q = [he_sim.encrypt(keys.pk, int(c)) for c in q]
         with he_sim.metering() as packed:
             bits = server_classify(enc_q, db, pp)
-        got = [he_sim.decrypt(keys.sk, b) for b in he_sim.unpack(bits)]
+        got = [he_sim.decrypt(keys.sk, b)
+               for b in he_sim.split(bits, bits.size)]
         singles = [one_repetition(
             enc_q, db, replace(pp, repetitions=1,
                                rng_seed=derive_seed(seed, f"rep-{r}")))
