@@ -45,8 +45,8 @@ class ProtocolParams:
     def __post_init__(self):
         if not 1 <= self.k < self.n:
             raise ParameterError("need 1 <= k < n")
-        if self.repetitions % 2 != 1:
-            raise ParameterError("repetition count must be odd")
+        if self.repetitions < 1 or self.repetitions % 2 != 1:
+            raise ParameterError("repetition count must be odd and positive")
         object.__setattr__(self, "z_k", _z_k(self.k, self.n))
 
     @functools.cached_property
@@ -160,29 +160,31 @@ def moment_coins(pp: ProtocolParams, seeds: tuple) -> tuple:
             CoinSpec("square", pp.n * pp.ring.coord_bound, moments, pp.ring))
 
 
-def estimate_mu(xs: Cipher, pp: ProtocolParams, coins: CoinSpec) -> Cipher:
+def estimate_mu(xs: Cipher, pp: ProtocolParams, coins: CoinSpec,
+                powers: interp.SharedPowers | None = None) -> Cipher:
     """Coin-sum estimate of the mean of the mapped distances t(x) (see
     interp.dist_map), denominator n.
 
     xs holds one copy of the distances per repetition seed of the coins,
     moment_coins' first spec, and the estimate holds one slot per
-    repetition.
+    repetition.  With powers, the record of the distances, the coins are
+    evaluated on their powers (primitives.prob_avg).
     """
-    return primitives.prob_avg(xs, coins, pp.ring)
+    return primitives.prob_avg(xs, coins, pp.ring, powers)
 
 
-def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams,
-                        coins: CoinSpec) -> Cipher:
+def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams, coins: CoinSpec,
+                        powers: interp.SharedPowers | None = None) -> Cipher:
     """High base-p digit of the second moment mu_2 = mean(t(x)^2).
 
     One coin batch with denominator n*p gives the high digit, and
     p * high is unbiased for mu_2 as long as no coin saturates, i.e.
     while every squared mapped distance is at most n*p; the map
     guarantees this.  The high digit alone counts all of mu_2, so mu_2
-    has no low digit.  xs and coins, moment_coins' second spec, are laid
-    out as for estimate_mu.
+    has no low digit.  xs, coins (moment_coins' second spec) and powers
+    are as for estimate_mu.
     """
-    return primitives.prob_avg(xs, coins, pp.ring)
+    return primitives.prob_avg(xs, coins, pp.ring, powers)
 
 
 def square_mu_digits(mu_star: Cipher, pp: ProtocolParams):
@@ -241,14 +243,16 @@ def threshold(mu_star: Cipher, sigma_star: Cipher, pp: ProtocolParams) -> Cipher
 
 
 def count_classes(xs: Cipher, t_star: Cipher, signs: he_sim.Plain,
-                  pp: ProtocolParams) -> Cipher:
+                  pp: ProtocolParams,
+                  powers: interp.SharedPowers | None = None) -> Cipher:
     """C0 - C1 mod P, where Cc counts the points of class c whose mapped
     distance t(x) lies strictly below the threshold: one signed sum of the
     sign-test bits, with signs the plaintext 1 - 2 * labels as
     LabeledDatabase.label_signs gives it.
 
     The distances first go through the dist_map table, so they are
-    compared in the units the threshold was estimated in.  t_star holds
+    compared in the units the threshold was estimated in; with powers,
+    the record of the distances, the map reads their powers.  t_star holds
     one threshold per repetition: the n mapped distances are laid out
     once per repetition and compared against that repetition's threshold
     in one batched sign test.  The difference holds one slot per
@@ -257,7 +261,7 @@ def count_classes(xs: Cipher, t_star: Cipher, signs: he_sim.Plain,
     ring = pp.ring
     tables = interp.build_named_tables(ring)
     reps = t_star.size
-    xs = interp.eval_poly_ps(tables.dist_map, xs, ring)
+    xs = interp.eval_poly_ps(tables.dist_map, xs, ring, powers)
     xs = he_sim.pack([xs] * reps, ring)
     tb = he_sim.broadcast(t_star, xs.size, ring)
     bits = interp.eval_poly_ps(tables.is_neg, he_sim.sub(xs, tb, ring), ring)
@@ -267,18 +271,21 @@ def count_classes(xs: Cipher, t_star: Cipher, signs: he_sim.Plain,
 
 def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
                         coins: tuple):
-    """Distances (n slots) and thresholds (one slot per seed of coins, the
-    mu and mu_2 CoinSpecs of moment_coins).  The distances are computed
-    once and laid out once per seed for the moment coins."""
+    """Distances (n slots), thresholds (one slot per seed of coins, the
+    mu and mu_2 CoinSpecs of moment_coins) and the record of the
+    distances' powers, which the mu coins claim and the mu_2 coins share.
+    The distances are computed once and laid out once per seed for the
+    moment coins."""
     xs = primitives.compute_dists(enc_q, db.coords, pp.ring)
+    powers = interp.SharedPowers(xs)
     mu_coins, mu2_coins = coins
     tiled = he_sim.pack([xs] * len(mu_coins.rng_seed), pp.ring)
-    mu_star = estimate_mu(tiled, pp, mu_coins)
-    mu2_high = estimate_mu2_digits(tiled, pp, mu2_coins)
+    mu_star = estimate_mu(tiled, pp, mu_coins, powers)
+    mu2_high = estimate_mu2_digits(tiled, pp, mu2_coins, powers)
     musq_low, musq_high = square_mu_digits(mu_star, pp)
     sigma_star = estimate_sigma(mu2_high, musq_low, musq_high, pp)
     t_star = threshold(mu_star, sigma_star, pp)
-    return xs, t_star
+    return xs, t_star, powers
 
 
 def server_classify(enc_q: list, db: LabeledDatabase,
@@ -286,8 +293,11 @@ def server_classify(enc_q: list, db: LabeledDatabase,
     """The full server circuit; returns one encrypted class bit per
     repetition, packed one per slot.
 
-    All pp.repetitions repetitions run as one circuit.  The distances and
-    their map t(x) are computed once; repetition r's coins come from
+    All pp.repetitions repetitions run as one circuit.  The distances,
+    their baby- and giant-step powers and their map t(x) are computed
+    once; the mu coins, the mu_2 coins and the map are each a polynomial
+    in the distances, so they share those powers and pay only their own
+    block products (interp.SharedPowers).  Repetition r's coins come from
     repetition_seeds(pp)[r] (pp.coins), and its stages run on slot
     segment r, so its bit is the one-repetition circuit's bit for that
     seed.  The threshold is estimated on the mapped distances t(x) (see
@@ -309,8 +319,8 @@ def server_classify(enc_q: list, db: LabeledDatabase,
     # the bound is the largest coordinate (a held-out one's parent's)
     if coords.bound >= pp.ring.coord_bound:
         raise ParameterError("database points lie off the ring's grid")
-    xs, t_star = _threshold_pipeline(enc_q, db, pp, pp.coins)
-    diff = count_classes(xs, t_star, db.label_signs, pp)
+    xs, t_star, powers = _threshold_pipeline(enc_q, db, pp, pp.coins)
+    diff = count_classes(xs, t_star, db.label_signs, pp, powers)
     return interp.is_smaller(diff, 0, pp.ring)
 
 

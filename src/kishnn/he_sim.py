@@ -370,20 +370,21 @@ def split(c: Cipher, parts: int) -> list:
 
 
 def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
-                 depth: int) -> Cipher:
+                 depth: int, once: int = 0) -> Cipher:
     """Slot-wise values[c], charged as the circuit that evaluates it.
 
     values holds a function over all of Z_P (a table's values, each in
-    [0, P)); mults and adds are that circuit's gates per slot and depth
-    its output depth, which is also the deepest level it reaches.  numpy
-    reads every index v in [-P, P) as v mod P, so slots are reduced first
-    only when one lies outside, which numpy's own index check reports.
+    [0, P)); mults and adds are that circuit's gates per slot, once its
+    mult gates that are not per slot, and depth its output depth, which
+    is also the deepest level it reaches.  numpy reads every index v in
+    [-P, P) as v mod P, so slots are reduced first only when one lies
+    outside, which numpy's own index check reports.
     """
     try:
         looked_up = values[c._values]
     except IndexError:
         looked_up = values[_mod(c._values, values.size)]
-    _note(depth, mults * looked_up.size, adds * looked_up.size)
+    _note(depth, mults * looked_up.size + once, adds * looked_up.size)
     return Cipher(looked_up, depth, c.key_id)
 
 

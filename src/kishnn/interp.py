@@ -6,9 +6,11 @@ by the tests.  On a ciphertext a table is evaluated by lookup in its values
 and charged the exact gates and depth of a baby-step/giant-step
 (Paterson-Stockmeyer) evaluation of that polynomial, which keeps the
 non-scalar multiplication count O(sqrt(P)) and the depth O(log P); the
-literal evaluation is the oracle in tests/test_interp.py.  Includes the
-named tables the classifier needs, among them the upper-half sign test
-that realizes strict comparison.
+literal evaluation is the oracle in tests/test_interp.py.  Tables
+evaluated on plaintext shifts of one input share that input's powers
+(SharedPowers), so each one after the first pays only its block
+products.  Includes the named tables the classifier needs, among them
+the upper-half sign test that realizes strict comparison.
 """
 
 from __future__ import annotations
@@ -111,46 +113,91 @@ def _power_depths(depth: int, top: int) -> list:
 
 @functools.lru_cache(maxsize=4096)
 def ps_cost(degree: int, depth_in: int) -> tuple:
-    """(mults per slot, cipher adds per slot, output depth) of the
+    """(split, power mults, block mults, cipher adds, output depth) of the
     baby-step/giant-step evaluation of a polynomial of this degree on an
-    input of depth depth_in, replayed from the schedule's integer
-    recurrences.
+    input of depth depth_in, gates per slot, replayed from the schedule's
+    integer recurrences.
 
-    The schedule: block size s ~ sqrt(degree+1) and t blocks; baby powers
-    x^2 .. x^min(s, degree) and giant powers y^2 .. y^(t-1) of y = x^s,
-    each power the product of two halves; each block's coefficients
-    combined with the baby powers by plaintext scalars, for free; and
-    the sum of block 0 and each block i times y^i.  The tests run it
-    literally and check it against this count.  Every intermediate of
-    the schedule is at most as deep as its output, so the output depth is
-    also the deepest level it meters.
+    The schedule: block size s ~ sqrt(degree+1) and t blocks, the split
+    (s, t); baby powers x^2 .. x^min(s, degree) and giant powers
+    y^2 .. y^(t-1) of y = x^s, each power the product of two halves; each
+    block's coefficients combined with the baby powers by plaintext
+    scalars, for free; and the sum of block 0 and each block i times y^i,
+    t - 1 block products.  The powers depend only on the input and the
+    split, so tables of one split on one input can share them
+    (SharedPowers).  The tests run the schedule literally and check it
+    against this count.  Every intermediate of the schedule is at most as
+    deep as its output, so the output depth is also the deepest level it
+    meters.
     """
     if degree == 0:
-        return 0, 0, 0  # the constant, embedded for free
+        return None, 0, 0, 0, 0  # the constant, embedded for free
     s, t = _ps_split(degree)
     kmax = min(s, degree)
     baby = _power_depths(depth_in, kmax)
     block = max(baby[1:])  # linear_combine tags every block this deep
     if t == 1:
-        return kmax - 1, 0, block
+        return (s, t), kmax - 1, 0, 0, block
     giant = _power_depths(baby[s], t - 1)
     depth = max(max(block, giant[i]) + 1 for i in range(1, t))
-    # baby powers x^2..x^kmax, giant powers y^2..y^(t-1), t-1 block products
-    return (kmax - 1) + (t - 2) + (t - 1), t - 1, depth
+    # baby powers x^2..x^kmax and giant powers y^2..y^(t-1), then t-1 blocks
+    return (s, t), (kmax - 1) + (t - 2), t - 1, t - 1, depth
 
 
-def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
+class SharedPowers:
+    """The baby- and giant-step powers of one cipher u, computed once for
+    every table evaluated on u (see eval_poly_ps).
+
+    Only their cost is kept: u's slot count and depth, and the split of
+    the table that claimed them, None until one has.
+    """
+
+    __slots__ = ("slots", "depth", "split")
+
+    def __init__(self, u: Cipher):
+        self.slots, self.depth, self.split = u.size, u.depth, None
+
+    def charge(self, split, mults: int, x: Cipher) -> int:
+        """Mult gates of the powers that a table of this split, needing
+        mults of them per slot, reads on x: the powers on u's slots if it
+        is the first table, none if it shares the claimed split, and its
+        own on x's slots otherwise."""
+        size = x.size
+        if x.depth != self.depth or size % self.slots:
+            raise ParameterError("input is not a shift of the powers' cipher")
+        if self.split is None:
+            self.split = split
+            return mults * self.slots
+        return 0 if split == self.split else mults * size
+
+
+def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams,
+                 powers: SharedPowers | None = None) -> Cipher:
     """Evaluate a table on a ciphertext.
 
     The result is the lookup table.values[x], and the gates and depth
     metered are exactly those of the baby-step/giant-step evaluation of
     the table's polynomial on the same input, from ps_cost: non-scalar
     gates <= 3*ceil(sqrt(P)) and depth <= log2(P)+4 above the input's.
+
+    With powers, x is c + u or c - u for a plaintext vector c and the
+    cipher u the record was made from, or u tiled.  The table at x is
+    then a polynomial in u of the same degree with per-slot plaintext
+    coefficients, evaluated on the powers of u, tiled for free.  The
+    first table evaluated on the record claims it and is charged the
+    powers on u's slots; every later one of the same split is charged
+    only its block products, and one of another split its full cost.
+    The output depth is the same either way.
     """
     if table.modulus != params.modulus:
         raise ParameterError("table interpolated over a different ring")
-    mults, adds, depth = ps_cost(table._degree, x.depth)
-    return he_sim.table_lookup(x, table.values, mults, adds, depth)
+    split, power_mults, block_mults, adds, depth = ps_cost(table._degree,
+                                                           x.depth)
+    if powers is None:
+        return he_sim.table_lookup(x, table.values, power_mults + block_mults,
+                                   adds, depth)
+    return he_sim.table_lookup(x, table.values, block_mults, adds, depth,
+                               powers.charge(split, power_mults, x))
 
 
 def _nearest_isqrt(v: np.ndarray) -> np.ndarray:

@@ -115,9 +115,11 @@ def _coin_points(rs: np.ndarray, spec: CoinSpec,
                                  dist_bound)
 
 
-def _coins(xs: Cipher, plan: he_sim.Plain, params: RingParams) -> Cipher:
+def _coins(xs: Cipher, plan: he_sim.Plain, params: RingParams,
+           powers: interp.SharedPowers | None = None) -> Cipher:
     """One coin [x >= r'] per slot of xs, by one sign test on
-    (r' - 1) - x against the plan min(r' - 1, dist_bound).
+    (r' - 1) - x against the plan min(r' - 1, dist_bound), a plaintext
+    shift of xs, so it can read the shared powers of the distances.
 
     For r' in [1, dist_bound + 1] the argument lies in [-dist_bound,
     dist_bound], which keeps its sign in the ring (P > 2 * dist_bound),
@@ -126,10 +128,11 @@ def _coins(xs: Cipher, plan: he_sim.Plain, params: RingParams) -> Cipher:
     """
     tables = interp.build_named_tables(params)
     return interp.eval_poly_ps(tables.is_neg, he_sim.rsub(plan, xs, params),
-                               params)
+                               params, powers)
 
 
-def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
+def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams,
+             powers: interp.SharedPowers | None = None) -> Cipher:
     """Estimate (1/m) * sum_i f(x_i) over the slots of xs as a sum of coins.
 
     The numerators are stratified: r_i = floor(m * (pi(i) + u_i) / n) + 1,
@@ -155,13 +158,17 @@ def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
     PLAN_STORE = 32 newest plans, enough for the n-sweep's ten sizes or
     one leave-one-out block; at 8 B per slot, that is at most 256 B per
     slot of the widest batch.
+
+    With powers, the record of the cipher that xs tiles, the coins are
+    evaluated on its powers (interp.eval_poly_ps).
     """
     segments, size = len(spec.seeds), xs.size
     if size % segments:
         raise ParameterError("slots do not split into one segment per seed")
     key = (spec, size // segments, params.dist_bound)
     plan = _plans.get(key) or plan_coins([(spec,)], *key[1:])[key]
-    return he_sim.slot_sum(_coins(xs, plan, params), params, segments)
+    return he_sim.slot_sum(_coins(xs, plan, params, powers), params,
+                           segments)
 
 
 PLAN_STORE = 32

@@ -40,6 +40,14 @@ def test_protocol_params_validation(ring100):
         ProtocolParams(ring100, k=3, n=10, repetitions=4)
 
 
+@pytest.mark.parametrize("reps", [-1, -3, 0])
+def test_protocol_params_refuse_a_repetition_count_below_one(ring100, reps):
+    # -1 % 2 == 1, so an odd-only check let -1 through, and server_classify
+    # then failed with an IndexError packing zero repetitions
+    with pytest.raises(ParameterError):
+        ProtocolParams(ring100, k=3, n=10, repetitions=reps)
+
+
 def test_make_protocol_params_rounds_quantile(ring100):
     pp = make_pp(ring100, k=13, n=568)
     assert pp.z_k == -2

@@ -70,6 +70,15 @@ def test_query_loopback_refuses_a_point_off_the_grid(capsys, wdbc_path,
     assert err.startswith("error: ") and "not a grid point" in err
 
 
+def test_evaluate_refuses_a_negative_repetition_count(capsys, wdbc_path):
+    # used to end in a traceback from inside the circuit
+    code, out, err = run(capsys, "evaluate", "--dataset", wdbc_path,
+                         "--grid", "100", "--mode", "secure", "--reps", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "repetition" in err
+
+
 def test_query_loopback_needs_dataset(capsys):
     code, _, err = run(capsys, "query", "1", "2", "--transport", "loopback")
     assert code == 2

@@ -310,6 +310,151 @@ def test_lookup_matches_reference_on_constant_and_linear(grid, degree):
         assert lookup == reference
 
 
+def eval_shared_reference(jobs, u, params):
+    """Literal evaluation of tables on plaintext shifts of one cipher u,
+    or of u tiled, from one set of u's powers: the oracle of eval_poly_ps
+    with a SharedPowers record.
+
+    jobs holds (table, shift, sign) triples: the table is evaluated at
+    shift + sign * u, with u tiled to the length of the vector shift and
+    sign +1 or -1.  In slot i that is a polynomial in u of the table's
+    degree whose coefficients are plaintext, interpolated here from the
+    table's values at shift_i + sign * v.  The first table with powers to share
+    computes u's baby and giant powers on u's slots; each table of its
+    split combines the powers, tiled, by per-slot plaintext weights (one
+    linear_combine per single slot) and multiplies the blocks by the
+    giant powers.  A table of another split is evaluated alone.
+    """
+    P, claimed, out = params.modulus, None, []
+    for table, shift, sign in jobs:
+        size = len(shift)
+        reps = size // u.size
+        tiled = he_sim.pack([u] * reps, params)
+        deg, split = table.degree(), interp._ps_split(table.degree())
+        if claimed is None and deg:
+            claimed, (s, t) = split, split
+            xp = _balanced_powers(u, min(s, deg), params)
+            yp = _balanced_powers(xp[s], t - 1, params) if t > 1 else {}
+        if not deg or split != claimed:
+            x = (he_sim.add(tiled, shift, params) if sign > 0
+                 else he_sim.rsub(shift, tiled, params))
+            out.append(eval_poly_ps_reference(table, x, params))
+            continue
+        s, t = split
+        kmax = min(s, deg)
+        slots = [he_sim.split(he_sim.pack([xp[j]] * reps, params), size)
+                 for j in range(1, kmax + 1)]
+        rows = []  # rows[i][b]: block b in slot i
+        for i in range(size):
+            v = (int(shift[i]) + sign * np.arange(P)) % P
+            coeffs = poly_coeffs(PolyTable(P, table.values[v], "shifted"))
+            weights = np.zeros((t, kmax), dtype=np.int64)
+            for b in range(t):
+                for j in range(1, s):
+                    if b * s + j <= deg:
+                        weights[b, j - 1] = coeffs[b * s + j]
+            blocks = he_sim.linear_combine([c[i] for c in slots], weights,
+                                           params)
+            rows.append([he_sim.add(blk, coeffs[b * s], params)
+                         for b, blk in enumerate(blocks)])
+        acc = he_sim.pack([r[0] for r in rows], params)
+        for b in range(1, t):
+            block = he_sim.pack([r[b] for r in rows], params)
+            giant = he_sim.pack([yp[b]] * reps, params)
+            acc = he_sim.add(acc, he_sim.mul(block, giant, params), params)
+        out.append(acc)
+    return out
+
+
+def _shared_paths(jobs, us, depth, ring):
+    """([(value, output depth) per table], mult gates, add gates, max
+    depth) of the lookups on one SharedPowers record and of the literal
+    shared schedule, on the same inputs."""
+    keys = he_sim.keygen(ring, 5)
+    results = []
+    for literal in (False, True):
+        u = he_sim.encrypt(keys.pk, us)
+        u.depth = depth
+        with he_sim.metering() as m:
+            if literal:
+                outs = eval_shared_reference(jobs, u, ring)
+            else:
+                powers, outs = interp.SharedPowers(u), []
+                for table, shift, sign in jobs:
+                    tiled = he_sim.pack([u] * (len(shift) // u.size), ring)
+                    x = (he_sim.add(tiled, shift, ring) if sign > 0
+                         else he_sim.rsub(shift, tiled, ring))
+                    outs.append(eval_poly_ps(table, x, ring, powers))
+        results.append(([(he_sim.decrypt(keys.sk, r), r.depth) for r in outs],
+                        m.mult_gates, m.add_gates, m.max_depth))
+    return results
+
+
+# Rings of modulus 23 and 97, and of 13 and 17 (grid 4 and 5), where the
+# distance map's split can differ from the other tables'
+SHARED_GRIDS = (4, 5, 6, 24)
+
+
+@given(grid=st.sampled_from(SHARED_GRIDS), n=st.integers(2, 60),
+       kinds=st.lists(st.sampled_from(NAMED + ("random",)), min_size=1,
+                      max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1), slots=st.integers(1, 4),
+       depth=st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_shared_powers_match_the_literal_schedule(grid, n, kinds, seed,
+                                                  slots, depth):
+    # one to three tables, each on u tiled 1 to 3 times
+    ring = select_ring_params(grid, dim=2, n=n)
+    P = ring.modulus
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for kind in kinds:
+        if kind == "random":
+            degree = int(rng.integers(0, P))
+            coeffs = np.zeros(P, dtype=np.int64)
+            coeffs[:degree + 1] = rng.integers(0, P, degree + 1)
+            coeffs[degree] = rng.integers(1, P)
+            table = table_from_coeffs(P, coeffs, "random")
+        else:
+            table = getattr(build_named_tables(ring), kind)
+        reps = int(rng.integers(1, 4))
+        jobs.append((table, rng.integers(0, P, reps * slots),
+                     int(rng.choice((-1, 1)))))
+    us = [int(v) for v in rng.integers(0, P, slots)]
+    lookup, literal = _shared_paths(jobs, us, depth, ring)
+    assert lookup == literal
+    for (table, shift, sign), (value, _) in zip(jobs, lookup[0]):
+        tiled = np.tile(us, len(shift) // slots)
+        want = table.values[(shift + sign * tiled) % P]
+        assert np.atleast_1d(value).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("grid, n, shared", [(4, 50, False), (5, 3, False),
+                                             (5, 50, True), (6, 50, True),
+                                             (24, 50, True)])
+def test_the_circuit_tables_share_powers_when_their_splits_match(grid, n,
+                                                                 shared):
+    # the circuit's pattern: two coin batches on shifts of the tiled
+    # distances, then the map on the distances; at grid 4, and at grid 5
+    # for n = 3, the map's split differs, and it pays its full cost
+    ring = select_ring_params(grid, dim=2, n=n)
+    tables = build_named_tables(ring)
+    P, reps, slots, depth = ring.modulus, 3, 4, 12
+    rng = np.random.default_rng(grid)
+    coins = [(tables.is_neg, rng.integers(0, P, reps * slots), -1)
+             for _ in range(2)]
+    jobs = coins + [(tables.dist_map, np.zeros(slots, dtype=np.int64), 1)]
+    us = [int(v) for v in rng.integers(0, ring.dist_bound + 1, slots)]
+    lookup, literal = _shared_paths(jobs, us, depth, ring)
+    assert lookup == literal
+    split, power, block, *_ = ps_cost(tables.is_neg.degree(), depth)
+    map_split, map_power, map_block, *_ = ps_cost(tables.dist_map.degree(),
+                                                  depth)
+    assert (map_split == split) == shared
+    map_cost = map_block + (0 if shared else map_power)
+    assert lookup[1] == slots * (power + 2 * reps * block + map_cost)
+
+
 def test_a_rings_tables_are_built_once(monkeypatch):
     # the tables, the map and its inverse are one memo entry per ring; at
     # grid 250 both rings have the map range R = dist_bound = 498, yet a
@@ -356,7 +501,8 @@ def test_named_table_degrees_match_interpolated_coefficients(grid):
         top = max(i for i, c in enumerate(poly_coeffs(table)) if c)
         assert table.degree() == top, name
         if grid == 250:
-            assert ps_cost(table.degree(), 0) == (92, 31, 11), name
+            assert ps_cost(table.degree(), 0) == ((32, 32), 61, 31, 31,
+                                                  11), name
 
 
 def test_table_refuses_values_outside_the_ring(ring, keys):

@@ -1,9 +1,10 @@
 """The benchmark's three shapes at grid 250 and k = 13, and leave-one-out
 at the CLI's default grid 100, pinned: the predictions
 (perfbench/workloads.digest, the first 16 hex digits of sha256 over the
-prediction bytes), mult gates and cipher add gates per query, and depth.  A change to how the plaintext side is prepared or
-cached, or to how the circuit's ops are batched, must leave every one of
-these exactly as recorded."""
+prediction bytes), mult gates and cipher add gates per query, depth, and
+one leave-one-out query's gates by stage.  A change to how the plaintext
+side is prepared or cached, or to how the circuit's ops are batched, must
+leave every one of these exactly as recorded."""
 
 import collections
 import importlib
@@ -11,7 +12,7 @@ import pathlib
 
 import pytest
 
-from kishnn import classifier, data_eval, he_sim
+from kishnn import classifier, data_eval, he_sim, interp, primitives
 
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
@@ -27,10 +28,10 @@ def workloads():
 
 
 @pytest.mark.parametrize("reps, seed, digest, gates", [
-    (1, 0, "8f84e8d50cbbe252", 315_320),
-    (1, 1, "37e3fce361bed2d8", 315_320),
-    (5, 0, "3a3543f0a2d0a006", 944_984),
-    (5, 1, "f5ab5f2d1d6611a6", 944_984),
+    (1, 0, "8f84e8d50cbbe252", 246_024),
+    (1, 1, "37e3fce361bed2d8", 246_024),
+    (5, 0, "3a3543f0a2d0a006", 598_504),
+    (5, 1, "f5ab5f2d1d6611a6", 598_504),
 ])
 def test_leave_one_out_bits_are_pinned(workloads, reps, seed, digest, gates):
     gd = workloads.load_grid()
@@ -55,7 +56,7 @@ def test_grid_100_leave_one_out_bits_are_pinned(workloads, seed, digest, f1):
                                         repetitions=1, seed=seed)
     assert workloads.digest(report.per_point_predictions) == digest
     assert report.f1 == pytest.approx(f1, abs=5e-5)
-    assert report.metrics.mult_gates == 192_380 * gd.n
+    assert report.metrics.mult_gates == 150_348 * gd.n
     assert report.metrics.add_gates == 66_027 * gd.n
     assert report.metrics.max_depth == 68
 
@@ -71,7 +72,7 @@ def test_n_sweep_bits_are_pinned(workloads):
         adds.append(m.add_gates)
         assert m.max_depth == 68
     assert workloads.digest(bits) == "3192b11429125bfa"
-    assert sum(gates) == 10 * 1_734_391
+    assert sum(gates) == 10 * 1_352_592
     assert adds == [107_195, 214_167, 321_139, 428_111, 535_083, 642_055,
                     749_027, 855_999, 962_971, 1_069_943]
 
@@ -82,7 +83,7 @@ def test_served_shape_gates_are_pinned(workloads):
         classifier.classify_with_majority(
             db.points[0], db, workloads.protocol(db.n, workloads.SERVE_REPS, 0))
     assert (db.n, m.mult_gates, m.add_gates, m.max_depth) == (
-        569, 946_642, 322_031, 68)
+        569, 599_552, 322_031, 68)
 
 
 # he_sim's public ops, one call each per use; a warm query's calls of each.
@@ -114,3 +115,42 @@ def test_a_warm_query_makes_47_ops(workloads, monkeypatch, reps):
     assert classifier.classify_with_majority(point, db, pp) == bit
     assert dict(calls) == QUERY_OPS
     assert sum(calls.values()) == 47
+
+
+# A leave-one-out query's (mult gates, depth) by stage, at n = 568 and one
+# repetition.  The mu coins claim the powers of the distances, so their
+# stage carries them; the mu_2 coins and the map pay only block products.
+STAGES = {
+    (interp, "is_smaller"): (92, 68),
+    (primitives, "compute_dists"): (105_648, 12),
+    (classifier, "estimate_mu"): (52_256, 23),
+    (classifier, "estimate_mu2_digits"): (17_608, 23),
+    (classifier, "square_mu_digits"): (93, 34),
+    (classifier, "estimate_sigma"): (463, 46),
+    (classifier, "threshold"): (0, 46),
+    (classifier, "count_classes"): (69_864, 57),
+}
+
+
+def test_a_leave_one_out_query_splits_its_gates_by_stage(workloads,
+                                                          monkeypatch):
+    db = workloads.load_grid().database()
+    point, db = db.points[0], db.without(0)
+    seen = {}
+
+    def metered(key, stage):
+        def call(*args):
+            with he_sim.metering() as m:
+                out = stage(*args)
+            seen[key] = (m.mult_gates, m.max_depth)
+            return out
+        return call
+
+    for module, name in STAGES:
+        monkeypatch.setattr(module, name,
+                            metered((module, name), getattr(module, name)))
+    with he_sim.metering() as total:
+        classifier.classify_with_majority(point, db,
+                                          workloads.protocol(db.n, 1, 0))
+    assert seen == STAGES
+    assert sum(g for g, _ in seen.values()) == total.mult_gates == 246_024

@@ -33,24 +33,31 @@ def database(grid, n):
 
 def one_repetition(enc_q, db, pp):
     """The one-repetition circuit seeded by pp.rng_seed, built stage by
-    stage: (bit, gates, depth, distance gates, map gates)."""
+    stage: (bit, gates, depth, gates of what a packed circuit computes
+    once for all its repetitions)."""
     ring = pp.ring
     with he_sim.metering() as m:
         with he_sim.metering() as dist:
             xs = primitives.compute_dists(enc_q, db.coords, ring)
+        powers = interp.SharedPowers(xs)
         mu_coins, mu2_coins = moment_coins(pp, (pp.rng_seed,))
-        mu = estimate_mu(xs, pp, mu_coins)
+        mu = estimate_mu(xs, pp, mu_coins, powers)
         musq_low, musq_high = square_mu_digits(mu, pp)
-        sigma = estimate_sigma(estimate_mu2_digits(xs, pp, mu2_coins),
+        sigma = estimate_sigma(estimate_mu2_digits(xs, pp, mu2_coins, powers),
                                musq_low, musq_high, pp)
         diff = count_classes(xs, threshold(mu, sigma, pp), db.label_signs,
-                             pp)
+                             pp, powers)
         bit = interp.is_smaller(diff, 0, ring)
-    with he_sim.metering() as mapped:
-        interp.eval_poly_ps(interp.build_named_tables(ring).dist_map, xs,
-                            ring)
-    return (bit, m.mult_gates, m.max_depth, dist.mult_gates,
-            mapped.mult_gates)
+    # computed once: the distances, the powers of the distances that the
+    # mu coins claim, and the map's block products, or the whole map if
+    # its split differs from the coins'
+    tables = interp.build_named_tables(ring)
+    split, power, *_ = interp.ps_cost(tables.is_neg.degree(), xs.depth)
+    map_split, map_power, map_blocks, *_ = interp.ps_cost(
+        tables.dist_map.degree(), xs.depth)
+    once = dist.mult_gates + db.n * (
+        power + map_blocks + (0 if map_split == split else map_power))
+    return bit, m.mult_gates, m.max_depth, once
 
 
 CASES = [(grid, n, seed, reps)
@@ -81,10 +88,9 @@ def test_packed_repetitions_match_independent_circuits(grid, n, seed, reps):
                                rng_seed=derive_seed(seed, f"rep-{r}")))
             for r in range(reps)]
         assert got == [he_sim.decrypt(keys.sk, s[0]) for s in singles]
-        _, g1, depth, dist_gates, map_gates = singles[0]
+        _, g1, depth, once = singles[0]
         assert {s[1:] for s in singles} == {singles[0][1:]}
-        assert packed.mult_gates == (reps * g1
-                                     - (reps - 1) * (dist_gates + map_gates))
+        assert packed.mult_gates == reps * g1 - (reps - 1) * once
         assert packed.max_depth == depth
         seen.update(got)
 
@@ -104,11 +110,12 @@ def test_packed_repetitions_match_independent_circuits(grid, n, seed, reps):
 
 def test_serve_shaped_query_cost():
     # WDBC, 569 points, grid 250, the server's 5 repetitions: distances
-    # (105,834 gates) and their map (52,348) once, the rest five times
+    # (105,834 gates), their 61 powers per slot (34,709) and the map's 31
+    # block products per slot (17,639) once, the rest five times
     db = database(250, 569)
     ring = select_ring_params(250, dim=2, n=569)
     pp = make_protocol_params(ring, k=13, n=569, repetitions=5, rng_seed=0)
     with he_sim.metering() as m:
         classify_with_majority((40, 60), db, pp)
-    assert m.mult_gates == 5 * 315_874 - 4 * 158_182 == 946_642
+    assert m.mult_gates == 5 * 246_456 - 4 * 158_182 == 599_552
     assert m.max_depth == 68
