@@ -208,22 +208,20 @@ def _sqrt_of_digits(dh: Cipher, dl: Cipher, pp: ProtocolParams) -> Cipher:
 
     dl may be signed.  Every square-root table reads its argument as
     signed and returns 0 below zero, so a negative difference (a variance
-    estimate that coin noise pushed below zero) gives 0.  Selector bits
-    come from the is-zero table and every branch is combined by
+    estimate that coin noise pushed below zero) gives 0.  The sqrt(dh * p)
+    table is also 0 at dh = 0 and dh = 1, so only the other two branches
+    need selector bits: two from the is-zero table, each combined by
     multiply-and-add, so nothing is revealed.
     """
     ring = pp.ring
     tables = interp.build_named_tables(ring)
     b0 = interp.eval_poly_ps(tables.is_zero, dh, ring)
     b1 = interp.eval_poly_ps(tables.is_zero, he_sim.sub(dh, 1, ring), ring)
-    b2 = he_sim.rsub(1, he_sim.add(b0, b1, ring), ring)
     v0 = interp.eval_poly_ps(tables.sqrt, dl, ring)
     v1 = interp.eval_poly_ps(tables.sqrt_plus_p, dl, ring)
     v2 = interp.eval_poly_ps(tables.sqrt_times_p, dh, ring)
-    acc = he_sim.mul(b0, v0, ring)
-    acc = he_sim.add(acc, he_sim.mul(b1, v1, ring), ring)
-    acc = he_sim.add(acc, he_sim.mul(b2, v2, ring), ring)
-    return acc
+    acc = he_sim.add(he_sim.mul(b0, v0, ring), he_sim.mul(b1, v1, ring), ring)
+    return he_sim.add(acc, v2, ring)
 
 
 def estimate_sigma(mu2_high: Cipher, musq_low: Cipher, musq_high: Cipher,
@@ -263,7 +261,7 @@ def count_classes(xs: Cipher, t_star: Cipher, signs: he_sim.Plain,
     reps = t_star.size
     xs = interp.eval_poly_ps(tables.dist_map, xs, ring, powers)
     xs = he_sim.pack([xs] * reps, ring)
-    tb = he_sim.broadcast(t_star, xs.size, ring)
+    tb = he_sim.broadcast(t_star, xs.size)
     bits = interp.eval_poly_ps(tables.is_neg, he_sim.sub(xs, tb, ring), ring)
     return he_sim.slot_sum(he_sim.mul(bits, signs.tile(reps), ring), ring,
                            reps)
@@ -279,7 +277,7 @@ def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
     xs = primitives.compute_dists(enc_q, db.coords, pp.ring)
     powers = interp.SharedPowers(xs)
     mu_coins, mu2_coins = coins
-    tiled = he_sim.pack([xs] * len(mu_coins.rng_seed), pp.ring)
+    tiled = he_sim.pack([xs] * len(mu_coins.seeds), pp.ring)
     mu_star = estimate_mu(tiled, pp, mu_coins, powers)
     mu2_high = estimate_mu2_digits(tiled, pp, mu2_coins, powers)
     musq_low, musq_high = square_mu_digits(mu_star, pp)

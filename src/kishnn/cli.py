@@ -58,9 +58,16 @@ def build_parser() -> _Parser:
     p.add_argument("--listen", default="127.0.0.1:7878",
                    help="host:port to listen on")
 
-    p = subs.add_parser("query",
-                        help="classify one 2D grid query point")
-    p.add_argument("coords", nargs=2, type=int, metavar=("X", "Y"))
+    p = subs.add_parser(
+        "query", help="classify one 2D grid query point",
+        description="Classify one 2D grid query point.  --k and --reps "
+                    "shape only the loopback server: over tcp the client "
+                    "only checks them, as its query needs only the ring "
+                    "and the seed, and it takes the majority of whatever "
+                    "bits the server returns.")
+    # one metavar: a tuple one breaks argparse's help for a positional
+    p.add_argument("coords", nargs=2, type=int, metavar="COORD",
+                   help="the query's x and y grid coordinates")
     _add_common(p, "grid", "k", "reps", "seed")
     p.add_argument("--transport", choices=("tcp", "loopback"), default="tcp")
     p.add_argument("--connect", default="127.0.0.1:7878",

@@ -325,7 +325,7 @@ def slot_sum(c: Cipher, ring: RingParams, segments: int = 1) -> Cipher:
     return Cipher(vals, c.depth, c.key_id, run * mag)
 
 
-def broadcast(c: Cipher, nslots: int, ring: RingParams) -> Cipher:
+def broadcast(c: Cipher, nslots: int) -> Cipher:
     """Replicate each slot of c over a run of nslots / c.size consecutive
     slots (free); a single-slot cipher fills all nslots."""
     size = c._values.size

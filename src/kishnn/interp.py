@@ -268,8 +268,10 @@ def build_named_tables(params: RingParams) -> NamedTables:
     # and clamp them to 0: a coin-noise variance estimate below zero means
     # a spread of 0, not a wrapped-around large one.  The shifted square
     # root must see p + signed(x), else the digit-couple branch for a
-    # negative low difference breaks.  Only [0, dist_bound] holds
-    # distances, so the map clamps the rest monotonely (t(0) = 0).
+    # negative low difference breaks.  sqrt(x * p) is 0 up to x = 1 too,
+    # where the digit couple's other two branches take over.  Only
+    # [0, dist_bound] holds distances, so the map clamps the rest
+    # monotonely (t(0) = 0).
     return NamedTables(
         sqrt=table("sqrt", lambda x: _nearest_isqrt(signed(x))),
         square_div_p=table("square_div_p",
@@ -277,8 +279,8 @@ def build_named_tables(params: RingParams) -> NamedTables:
         is_zero=table("is_zero", lambda x: x == 0),
         sqrt_plus_p=table("sqrt_plus_p",
                           lambda x: _nearest_isqrt(p + signed(x))),
-        sqrt_times_p=table("sqrt_times_p",
-                           lambda x: _nearest_isqrt(signed(x) * p)),
+        sqrt_times_p=table("sqrt_times_p", lambda x: _nearest_isqrt(
+            np.where(signed(x) > 1, signed(x) * p, 0))),
         is_neg=table("is_neg", lambda x: x > P / 2),
         dist_map=table("dist_map", lambda x: tmap[np.clip(signed(x), 0, B)]),
         map_inverse=inverse,

@@ -36,7 +36,7 @@ class CoinSpec:
 
     f: str  # "identity" | "square"
     m: int
-    rng_seed: int | tuple  # prob_avg: a tuple gives one seed per segment
+    seeds: tuple  # prob_avg: one numerator seed per segment
     map_of: RingParams | None = None
     # hashed once: every coin batch looks its plan up by its spec
     _hash: int = field(init=False, repr=False, compare=False)
@@ -46,17 +46,13 @@ class CoinSpec:
             raise ParameterError(f"unknown coin function {self.f!r}")
         if self.m < 1:
             raise ParameterError("coin denominator m must be >= 1")
+        if not isinstance(self.seeds, tuple) or not self.seeds:
+            raise ParameterError("coin seeds must be a non-empty tuple")
         object.__setattr__(self, "_hash", hash(
-            (self.f, self.m, self.rng_seed, self.map_of)))
+            (self.f, self.m, self.seeds, self.map_of)))
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def seeds(self) -> tuple:
-        """rng_seed as a tuple: one seed per segment."""
-        s = self.rng_seed
-        return s if isinstance(s, tuple) else (s,)
 
     def inverse_ceil_array(self, rs: np.ndarray) -> np.ndarray:
         """The smallest x with f(x) >= r for each entry r >= 1 of rs
@@ -95,7 +91,7 @@ def compute_dists(enc_q: list, coords: he_sim.Plain,
                              f"{coords.size} coordinate slots, ring "
                              f"dimension {params.dim}")
     tables = interp.build_named_tables(params)
-    q = he_sim.broadcast(he_sim.pack(enc_q, params), coords.size, params)
+    q = he_sim.broadcast(he_sim.pack(enc_q, params), coords.size)
     diff = he_sim.sub(q, coords, params)  # q_j - s_ij, free
     b = interp.eval_poly_ps(tables.is_neg, diff, params)  # [q_j < s_ij]
     sign = he_sim.rsub(1, he_sim.mul(b, 2, params), params)  # 1 - 2b
@@ -103,32 +99,6 @@ def compute_dists(enc_q: list, coords: he_sim.Plain,
     for term in rest:  # |q_j - s_ij|, summed over j
         total = he_sim.add(total, term, params)
     return total
-
-
-def _coin_points(rs: np.ndarray, spec: CoinSpec,
-                 dist_bound: int) -> he_sim.Plain:
-    """min(r' - 1, dist_bound) as one he_sim.Plain of the shape of the
-    numerators rs, r' = spec.inverse_ceil_array(rs) >= 1 (every numerator
-    is at least 1, and with a map t(0) = 0), so its bound is dist_bound."""
-    rprime = spec.inverse_ceil_array(rs)
-    return he_sim.Plain._bounded(np.minimum(rprime - 1, dist_bound),
-                                 dist_bound)
-
-
-def _coins(xs: Cipher, plan: he_sim.Plain, params: RingParams,
-           powers: interp.SharedPowers | None = None) -> Cipher:
-    """One coin [x >= r'] per slot of xs, by one sign test on
-    (r' - 1) - x against the plan min(r' - 1, dist_bound), a plaintext
-    shift of xs, so it can read the shared powers of the distances.
-
-    For r' in [1, dist_bound + 1] the argument lies in [-dist_bound,
-    dist_bound], which keeps its sign in the ring (P > 2 * dist_bound),
-    and is negative iff x >= r'.  A draw with r' > dist_bound + 1 compares
-    against dist_bound and gives 0, as no distance reaches it.
-    """
-    tables = interp.build_named_tables(params)
-    return interp.eval_poly_ps(tables.is_neg, he_sim.rsub(plan, xs, params),
-                               params, powers)
 
 
 def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams,
@@ -146,18 +116,25 @@ def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams,
     drawn up front from the seeded generator, so the evaluated circuit
     family member is deterministic for a given seed.
 
-    With a tuple of seeds in spec.rng_seed, xs holds one equal segment
-    per seed, segment s draws its numerators from seed s alone, and the
-    result holds one estimate per segment: one coin batch evaluates them
-    all side by side.
+    xs holds one equal segment per seed of spec.seeds, segment s draws
+    its numerators from seed s alone, and the result holds one estimate
+    per segment: one coin batch evaluates them all side by side.
 
-    The numerators never depend on the query, so a batch's comparison
-    points, its plan (one he_sim.Plain, see _coins), are kept in the plan
-    store, keyed by (spec, slots per segment, dist_bound), and a missing
-    one is made and stored by plan_coins.  The store keeps the
-    PLAN_STORE = 32 newest plans, enough for the n-sweep's ten sizes or
-    one leave-one-out block; at 8 B per slot, that is at most 256 B per
-    slot of the widest batch.
+    Each coin [x >= r'], r' = spec.inverse_ceil_array(r) >= 1 (every
+    numerator is at least 1, and with a map t(0) = 0), is one sign test
+    on (r' - 1) - x against the plan min(r' - 1, dist_bound), a plaintext
+    shift of xs, so it can read the shared powers of the distances.  For
+    r' in [1, dist_bound + 1] the argument lies in [-dist_bound,
+    dist_bound], which keeps its sign in the ring (P > 2 * dist_bound),
+    and is negative iff x >= r'.  A draw with r' > dist_bound + 1
+    compares against dist_bound and gives 0, as no distance reaches it.
+
+    The numerators never depend on the query, so a batch's plan, one
+    he_sim.Plain of comparison points, is kept in the plan store, keyed
+    by (spec, slots per segment, dist_bound), and a missing one is made
+    and stored by plan_coins.  The store keeps the PLAN_STORE = 32 newest
+    plans, enough for the n-sweep's ten sizes or one leave-one-out block;
+    at 8 B per slot, that is at most 256 B per slot of the widest batch.
 
     With powers, the record of the cipher that xs tiles, the coins are
     evaluated on its powers (interp.eval_poly_ps).
@@ -167,8 +144,10 @@ def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams,
         raise ParameterError("slots do not split into one segment per seed")
     key = (spec, size // segments, params.dist_bound)
     plan = _plans.get(key) or plan_coins([(spec,)], *key[1:])[key]
-    return he_sim.slot_sum(_coins(xs, plan, params, powers), params,
-                           segments)
+    tables = interp.build_named_tables(params)
+    coins = interp.eval_poly_ps(tables.is_neg, he_sim.rsub(plan, xs, params),
+                                params, powers)
+    return he_sim.slot_sum(coins, params, segments)
 
 
 PLAN_STORE = 32
@@ -190,7 +169,7 @@ def _plan_coins(rows: list, n: int, dist_bound: int) -> dict:
     """prob_avg's plans for n-slot segments of a block of queries, by
     (spec, n, dist_bound).
 
-    rows holds one tuple of specs per query, all with the same rng_seed
+    rows holds one tuple of specs per query, all with the same seeds
     (each seed one segment); the j-th specs of all rows must share f, m,
     map and seed count.  Each query's seeds get one strata draw, and each
     spec's numerators and comparison points are computed over the whole
@@ -201,7 +180,7 @@ def _plan_coins(rows: list, n: int, dist_bound: int) -> dict:
     for j, spec in enumerate(rows[0]):
         # float rounding of m * u may reach m; clamp to keep r_i in [1, m]
         rs = np.minimum((spec.m * u).astype(np.int64), spec.m - 1) + 1
-        points = _coin_points(rs, spec, dist_bound).values
+        points = np.minimum(spec.inverse_ceil_array(rs) - 1, dist_bound)
         for specs, row in zip(rows, points.reshape(len(rows), -1)):
             plans[specs[j], n, dist_bound] = he_sim.Plain._bounded(
                 row, dist_bound)

@@ -133,9 +133,9 @@ def test_criterion_06_coin_unbiasedness():
     assert len(combos) == 20
     worst = 0.0
     for i, (x, f, m) in enumerate(combos):
-        spec = CoinSpec(f, m, derive_seed(i, "acceptance-coin"))
+        spec = CoinSpec(f, m, (derive_seed(i, "acceptance-coin"),))
         xs = encrypt(keys.pk, [x] * tosses)
-        rng = np.random.default_rng(spec.rng_seed)
+        rng = np.random.default_rng(spec.seeds[0])
         rs = rng.integers(1, m + 1, size=tosses)
         bits = he_sim.decrypt(keys.sk, coin_batch(xs, rs, spec, ring))
         freq = sum(bits) / tosses
@@ -161,7 +161,7 @@ def test_criterion_07_prob_avg_concentration():
     bad = 0
     runs = 1000
     for i in range(runs):
-        spec = CoinSpec("identity", 200, derive_seed(i, "acceptance-pa"))
+        spec = CoinSpec("identity", 200, (derive_seed(i, "acceptance-pa"),))
         est = ring.signed(he_sim.decrypt(keys.sk, prob_avg(xs, spec, ring)))
         if abs(est - chi) > 0.5 * chi:
             bad += 1

@@ -310,6 +310,31 @@ def test_sqrt_of_digit_diff_is_zero_below_zero(ring100, keys, a_digits,
     assert he_sim.decrypt(keys.sk, got) == 0
 
 
+def test_sqrt_of_digits_is_the_three_branch_rule_on_every_residue_pair():
+    # grid 24: P = 97, p = 24, all P^2 (dh, dl) pairs in one cipher, each
+    # read as signed residues
+    ring = select_ring_params(24, dim=2, n=50)
+    P, p = ring.modulus, ring.coord_bound
+    assert (P, p) == (97, 24)
+    keys = he_sim.keygen(ring, seed=24)
+    dh = np.repeat(np.arange(P), P)
+    dl = np.tile(np.arange(P), P)
+    got = he_sim.decrypt(keys.sk, classifier._sqrt_of_digits(
+        he_sim.encrypt(keys.pk, dh), he_sim.encrypt(keys.pk, dl),
+        make_pp(ring, k=5, n=50)))
+
+    def rsqrt(v):  # round(sqrt(max(v, 0)))
+        r = math.isqrt(max(v, 0))
+        return r + (max(v, 0) - r * r > r)
+
+    expect = []
+    for h, lo in zip(dh.tolist(), dl.tolist()):
+        h, lo = ring.signed(h), ring.signed(lo)
+        expect.append(((h == 0) * rsqrt(lo) + (h == 1) * rsqrt(p + lo)
+                       + (h not in (0, 1)) * rsqrt(h * p)) % P)
+    assert got == expect
+
+
 def test_mu2_digits_are_unbiased_for_the_second_moment():
     # p * high estimates mu_2 = mean(t(x)^2) on the criterion-9 profile,
     # where t(x)^2 > n for almost every slot: a low digit with coin

@@ -25,6 +25,15 @@ def test_missing_subcommand_is_usage_error():
     assert err.value.code == 1
 
 
+def test_query_help_says_what_tcp_reads(capsys):
+    # a tuple metavar on the coordinates once made argparse raise here
+    with pytest.raises(SystemExit) as err:
+        main(["query", "--help"])
+    assert err.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--k and --reps shape only the loopback server" in out
+
+
 def test_missing_dataset_file_is_runtime_error(capsys):
     code, _, err = run(capsys, "evaluate", "--dataset", "/nonexistent.csv")
     assert code == 2

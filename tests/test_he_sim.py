@@ -75,7 +75,7 @@ def test_evaluator_api_never_returns_plaintext(ring):
         he_sim.add(c, c, ring), he_sim.sub(c, 4, ring),
         he_sim.rsub(4, c, ring), he_sim.mul(c, c, ring),
         he_sim.mul(c, 3, ring), he_sim.slot_sum(c, ring),
-        he_sim.broadcast(c, 5, ring), he_sim.embed_like(c, 1),
+        he_sim.broadcast(c, 5), he_sim.embed_like(c, 1),
         he_sim.pack([c, c], ring),
     ]
     results += he_sim.split(he_sim.pack([c, c], ring), 2)
@@ -279,7 +279,7 @@ def test_metering_is_thread_local(ring, keys):
 def test_slot_sum_broadcast_pack(ring, keys):
     vec = he_sim.encrypt(keys.pk, [5, 6, 7])
     assert he_sim.decrypt(keys.sk, he_sim.slot_sum(vec, ring)) == 18 % 23
-    wide = he_sim.broadcast(he_sim.encrypt(keys.pk, 4), 3, ring)
+    wide = he_sim.broadcast(he_sim.encrypt(keys.pk, 4), 3)
     assert he_sim.decrypt(keys.sk, wide) == [4, 4, 4]
     packed = he_sim.pack([he_sim.encrypt(keys.pk, 1),
                           he_sim.encrypt(keys.pk, 2)], ring)
@@ -295,7 +295,7 @@ def test_segmented_slot_ops(ring, keys):
         tiled = he_sim.pack([vec] * 2, ring)
         sums = he_sim.slot_sum(he_sim.add(tiled, [0, 0, 0, 1, 1, 1], ring),
                                ring, 2)
-        spread = he_sim.broadcast(sums, 6, ring)
+        spread = he_sim.broadcast(sums, 6)
         parts = he_sim.split(spread, 6)
     assert he_sim.decrypt(keys.sk, tiled) == [5, 6, 7, 5, 6, 7]
     assert he_sim.decrypt(keys.sk, sums) == [18, 21]
@@ -306,7 +306,7 @@ def test_segmented_slot_ops(ring, keys):
     with pytest.raises(he_sim.BackendError):
         he_sim.slot_sum(vec, ring, 2)
     with pytest.raises(he_sim.BackendError):
-        he_sim.broadcast(sums, 5, ring)
+        he_sim.broadcast(sums, 5)
 
 
 def test_split_cuts_equal_runs_for_free(ring, keys):
@@ -543,7 +543,7 @@ def test_op_chains_match_python_mod_p(data):
             target = n * times if c.size == 1 else c.size * times
             if target > _CHAIN_MAX_SLOTS:
                 continue
-            out = he_sim.broadcast(c, target, ring)
+            out = he_sim.broadcast(c, target)
             want = [w for w in want for _ in range(target // c.size)]
         else:  # split, then go on with every part repacked or with one
             parts = he_sim.split(c, data.draw(st.sampled_from(

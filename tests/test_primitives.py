@@ -43,16 +43,22 @@ def inverse_ceil(spec, r: int) -> int:
     return c
 
 
+def coin_points(rs, spec, dist_bound):
+    """The comparison points min(r' - 1, dist_bound) of the numerators
+    rs, r' = spec.inverse_ceil_array(rs)."""
+    return np.minimum(spec.inverse_ceil_array(rs) - 1, dist_bound)
+
+
 def coin_batch(xs, rs, spec, params):
     """One coin per slot of xs, with pre-drawn numerators rs in [1, m]:
-    [r <= f(x)] = [x >= ceil(f^-1(r))]."""
-    return primitives._coins(
-        xs, primitives._coin_points(rs, spec, params.dist_bound), params)
+    [r <= f(x)] = [x >= r'], by one sign test of min(r' - 1, B) - x."""
+    diff = he_sim.rsub(coin_points(rs, spec, params.dist_bound), xs, params)
+    return interp.is_smaller(diff, 0, params)
 
 
 def coin_toss(x, spec, params):
     """One doubly-blinded coin: Pr[bit = 1] = min(f(x), m) / m."""
-    rng = np.random.default_rng(spec.rng_seed)
+    rng = np.random.default_rng(spec.seeds[0])
     r = int(rng.integers(1, spec.m + 1))
     return coin_batch(x, np.array([r]), spec, params)
 
@@ -80,14 +86,17 @@ def test_derive_seed_repeatable_and_labelled():
 
 def test_coin_spec_validation():
     with pytest.raises(ParameterError):
-        CoinSpec("cube", 10, 0)
+        CoinSpec("cube", 10, (0,))
     with pytest.raises(ParameterError):
-        CoinSpec("identity", 0, 0)
+        CoinSpec("identity", 0, (0,))
+    for seeds in (0, ()):  # one form: a non-empty tuple
+        with pytest.raises(ParameterError):
+            CoinSpec("identity", 10, seeds)
 
 
 @given(st.sampled_from(["identity", "square"]), st.integers(1, 500))
 def test_inverse_ceil_is_minimal_preimage(f, r):
-    spec = CoinSpec(f, 1000, 0)
+    spec = CoinSpec(f, 1000, (0,))
     t = inverse_ceil(spec, r)
     # smallest integer whose image reaches r
     assert apply(spec, t) >= r
@@ -101,7 +110,7 @@ def test_coin_toss_unbiased(ring, keys, x, f, m):
     c = he_sim.encrypt(keys.pk, x)
     ones = 0
     for i in range(tosses):
-        spec = CoinSpec(f, m, derive_seed(i, "toss"))
+        spec = CoinSpec(f, m, (derive_seed(i, "toss"),))
         ones += he_sim.decrypt(keys.sk, coin_toss(c, spec, ring))
     expect = min(apply(spec, x), m) / m
     se = math.sqrt(expect * (1 - expect) / tosses) + 1e-9
@@ -112,7 +121,7 @@ def test_coin_on_zero_and_saturated(ring, keys):
     zero = he_sim.encrypt(keys.pk, 0)
     full = he_sim.encrypt(keys.pk, 40)
     for i in range(50):
-        spec = CoinSpec("identity", 40, derive_seed(i, "edge"))
+        spec = CoinSpec("identity", 40, (derive_seed(i, "edge"),))
         assert he_sim.decrypt(keys.sk, coin_toss(zero, spec, ring)) == 0
         assert he_sim.decrypt(keys.sk, coin_toss(full, spec, ring)) == 1
 
@@ -128,7 +137,7 @@ def test_coins_are_exact_at_the_sign_safe_edge(grid, slack):
     keys = he_sim.keygen(ring, 1)
     x = np.tile(np.arange(B + 1), B + 1)
     rprime = np.repeat(np.arange(1, B + 2), B + 1)
-    spec = CoinSpec("identity", B + 1, 0)  # no map: r' = r
+    spec = CoinSpec("identity", B + 1, (0,))  # no map: r' = r
     assert np.array_equal(spec.inverse_ceil_array(rprime), rprime)
     bits = he_sim.decrypt(keys.sk, coin_batch(
         he_sim.encrypt(keys.pk, x), rprime, spec, ring))
@@ -140,7 +149,7 @@ def test_coins_past_the_distance_bound_are_zero(ring, keys):
     # r' no distance reaches is 0, and every other one is [x * x >= r]
     B = ring.dist_bound
     rs = np.arange(1, (B + 4) ** 2)
-    spec = CoinSpec("square", len(rs), 0)
+    spec = CoinSpec("square", len(rs), (0,))
     assert spec.inverse_ceil_array(rs).max() == B + 4
     x = np.tile(np.arange(B + 1), len(rs))
     r = np.repeat(rs, B + 1)
@@ -156,12 +165,12 @@ def test_mapped_comparison_points_lie_in_one_to_b_plus_one(f, grid):
     # r' lies in [1, B + 1], and the plan min(r' - 1, B) in [0, B]
     ring = select_ring_params(grid, dim=2, n=568)
     m = ring.n * (ring.coord_bound if f == "square" else 1)
-    spec = CoinSpec(f, m, 0, ring)
+    spec = CoinSpec(f, m, (0,), ring)
     rprime = spec.inverse_ceil_array(np.arange(1, m + 1))
     assert rprime.min() == 1 and rprime.max() <= ring.dist_bound + 1
-    plan = primitives._coin_points(np.arange(1, m + 1), spec, ring.dist_bound)
-    assert plan.values.min() == 0 and plan.bound == ring.dist_bound
-    assert plan.values.max() <= ring.dist_bound
+    points = coin_points(np.arange(1, m + 1), spec, ring.dist_bound)
+    assert points.min() == 0 and points.max() <= ring.dist_bound
+    assert plan_of(spec, ring.n, ring.dist_bound).bound == ring.dist_bound
 
 
 def test_a_coin_spec_hashes_once(monkeypatch):
@@ -188,7 +197,8 @@ def test_prob_avg_expectation(ring, keys):
     runs = 400
     total = 0
     for i in range(runs):
-        spec = CoinSpec("identity", len(xs_plain), derive_seed(i, "pa"))
+        spec = CoinSpec("identity", len(xs_plain),
+                        (derive_seed(i, "pa"),))
         est = he_sim.decrypt(keys.sk, prob_avg(xs, spec, ring))
         total += ring.signed(est)
     mean = total / runs
@@ -201,7 +211,7 @@ def test_prob_avg_numerators_cover_every_stratum(ring, keys):
     # a constant distance x gives exactly x ones, whatever the seed
     xs = he_sim.encrypt(keys.pk, [20] * 40)
     for i in range(50):
-        spec = CoinSpec("identity", 40, derive_seed(i, "strata"))
+        spec = CoinSpec("identity", 40, (derive_seed(i, "strata"),))
         assert he_sim.decrypt(keys.sk, prob_avg(xs, spec, ring)) == 20
 
 
@@ -212,7 +222,7 @@ def test_prob_avg_numerators_are_marginally_uniform(ring, keys, x):
     m, runs = 40, 2000
     xs = he_sim.encrypt(keys.pk, [x] + [0] * (m - 1))
     ones = sum(he_sim.decrypt(keys.sk, prob_avg(
-        xs, CoinSpec("identity", m, derive_seed(i, "marginal")), ring))
+        xs, CoinSpec("identity", m, (derive_seed(i, "marginal"),)), ring))
         for i in range(runs))
     expect = x / m
     se = math.sqrt(expect * (1 - expect) / runs)
@@ -224,13 +234,13 @@ def test_coin_spec_folds_a_distance_map():
     ring = select_ring_params(6, dim=2, n=20)
     tmap = [0, 3, 5, 6, 7, 7, 8, 9, 9, 10, 10]
     assert interp.dist_map(ring).tolist() == tmap
-    spec = CoinSpec("identity", 12, 0, ring)
+    spec = CoinSpec("identity", 12, (0,), ring)
     assert [apply(spec, x) for x in range(11)] == tmap
     for r in range(1, 13):
         t = inverse_ceil(spec, r)
         assert all(apply(spec, x) < r for x in range(min(t, 11)))
         assert t == 11 or apply(spec, t) >= r
-    square = CoinSpec("square", 120, 0, ring)
+    square = CoinSpec("square", 120, (0,), ring)
     assert apply(square, 3) == 36 and inverse_ceil(square, 37) == 4
 
 
@@ -240,7 +250,7 @@ def test_inverse_ceil_array_matches_scalar_for_every_numerator(f, mapped):
     # the moment coins' shapes at grid 250, n = 5690: m = n or n * p
     ring = select_ring_params(250, dim=2, n=5690)
     m = ring.n * (ring.coord_bound if f == "square" else 1)
-    spec = CoinSpec(f, m, 0, ring if mapped else None)
+    spec = CoinSpec(f, m, (0,), ring if mapped else None)
     rs = np.arange(1, m + 1, dtype=np.int64)
     expect = [inverse_ceil(spec, r) for r in range(1, m + 1)]
     assert spec.inverse_ceil_array(rs).tolist() == expect
@@ -248,7 +258,7 @@ def test_inverse_ceil_array_matches_scalar_for_every_numerator(f, mapped):
 
 def test_inverse_ceil_array_is_exact_beyond_float_precision():
     # around squares above 2**52 a float square root rounds up to k
-    spec = CoinSpec("square", 2 ** 62, 0)
+    spec = CoinSpec("square", 2 ** 62, (0,))
     roots = (2 ** 26 + 1, 2 ** 29 + 7, 2 ** 31 - 1)
     rs = np.array([k * k + d + 1 for k in roots for d in (-1, 0, 1)],
                   dtype=np.int64)
@@ -258,7 +268,7 @@ def test_inverse_ceil_array_is_exact_beyond_float_precision():
 
 def test_prob_avg_is_seed_deterministic(ring, keys):
     xs = he_sim.encrypt(keys.pk, [7, 9, 11])
-    spec = CoinSpec("identity", 3, derive_seed(1, "d"))
+    spec = CoinSpec("identity", 3, (derive_seed(1, "d"),))
     a = he_sim.decrypt(keys.sk, prob_avg(xs, spec, ring))
     b = he_sim.decrypt(keys.sk, prob_avg(xs, spec, ring))
     assert a == b
@@ -272,7 +282,7 @@ def test_prob_avg_segments_draw_from_their_own_seeds(ring, keys):
     packed = prob_avg(he_sim.encrypt(keys.pk, np.tile(x, 3)),
                       CoinSpec("square", 40 * 24, seeds), ring)
     alone = [he_sim.decrypt(keys.sk, prob_avg(
-        he_sim.encrypt(keys.pk, x), CoinSpec("square", 40 * 24, s), ring))
+        he_sim.encrypt(keys.pk, x), CoinSpec("square", 40 * 24, (s,)), ring))
         for s in seeds]
     assert he_sim.decrypt(keys.sk, packed) == alone
     assert len(set(alone)) > 1
@@ -283,7 +293,7 @@ def test_prob_avg_segments_draw_from_their_own_seeds(ring, keys):
 
 def test_prob_avg_outcome_stays_encrypted(ring, keys):
     xs = he_sim.encrypt(keys.pk, [7, 9, 11])
-    spec = CoinSpec("identity", 3, 0)
+    spec = CoinSpec("identity", 3, (0,))
     out = prob_avg(xs, spec, ring)
     assert isinstance(out, he_sim.Cipher) and out.size == 1
 
@@ -325,7 +335,7 @@ def test_server_side_needs_no_secret_key(ring, keys):
     enc_q = [he_sim.encrypt(keys.pk, 7), he_sim.encrypt(keys.pk, 8)]
     with he_sim.metering() as m:
         xs = compute_dists(enc_q, coords(pts), ring)
-        prob_avg(xs, CoinSpec("identity", 3, 1), ring)
+        prob_avg(xs, CoinSpec("identity", 3, (1,)), ring)
     assert m.decrypt_calls == 0
 
 
@@ -399,9 +409,9 @@ def test_coin_plans_of_two_grids_differ(ring):
     plans = [plan_of(spec, 50, r.dist_bound) for r in rings]
     assert not np.array_equal(plans[0].values, plans[1].values)
     for r, plan in zip(rings, plans):
-        expect = primitives._coin_points(_numerators(spec, seeds, 50), spec,
-                                         r.dist_bound)
-        assert np.array_equal(plan.values, expect.values)
+        expect = coin_points(_numerators(spec, seeds, 50), spec,
+                             r.dist_bound)
+        assert np.array_equal(plan.values, expect)
 
 
 def test_the_map_inverse_is_the_least_preimage():

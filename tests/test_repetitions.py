@@ -117,5 +117,5 @@ def test_serve_shaped_query_cost():
     pp = make_protocol_params(ring, k=13, n=569, repetitions=5, rng_seed=0)
     with he_sim.metering() as m:
         classify_with_majority((40, 60), db, pp)
-    assert m.mult_gates == 5 * 246_456 - 4 * 158_182 == 599_552
+    assert m.mult_gates == 5 * 246_455 - 4 * 158_182 == 599_547
     assert m.max_depth == 68
