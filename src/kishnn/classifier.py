@@ -47,6 +47,9 @@ class ProtocolParams:
             raise ParameterError("need 1 <= k < n")
         if self.repetitions < 1 or self.repetitions % 2 != 1:
             raise ParameterError("repetition count must be odd and positive")
+        if self.ring.n != self.n:  # else the map's range and the coin
+            # denominators disagree, and the coins could saturate silently
+            raise ParameterError("ring selected for another database size")
         object.__setattr__(self, "z_k", _z_k(self.k, self.n))
 
     @functools.cached_property
@@ -62,42 +65,38 @@ make_protocol_params = ProtocolParams
 
 @dataclass(frozen=True)
 class LabeledDatabase:
-    """Points and labels, each a private read-only int64 copy, so the
-    plaintext operands built from them on first use cannot go stale.
-    Coordinates must be non-negative and labels bits."""
+    """Points and labels, held as the circuit's plaintext operands:
+    coords (compute_dists'), the coordinates dimension-major in one
+    he_sim.Plain, coordinate j of point i in slot j*n + i, of which points
+    is a read-only (n, d) view, and label_signs (count_classes'), the
+    he_sim.Plain 1 - 2 * labels.  labels is a private read-only int64
+    copy.  Coordinates must be non-negative and labels bits."""
 
     points: np.ndarray  # (n, d) grid coordinates
     labels: np.ndarray  # (n,) bits
+    coords: he_sim.Plain = field(init=False, repr=False)
+    label_signs: he_sim.Plain = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.points) != len(self.labels):
+        points = np.array(self.points, dtype=np.int64)
+        labels = np.array(self.labels, dtype=np.int64)
+        if points.ndim != 2:
+            raise ParameterError("coordinates must form an (n, d) array")
+        if len(points) != len(labels):
             raise ParameterError("points and labels length mismatch")
-        for name in ("points", "labels"):
-            a = np.array(getattr(self, name), dtype=np.int64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        if (self.labels >> 1).any():
+        if (labels >> 1).any():
             raise ParameterError("labels must be 0 or 1")
-        if (self.points < 0).any():
+        if (points < 0).any():
             raise ParameterError("coordinates must be non-negative")
+        coords = he_sim.Plain(points.T.ravel())
+        signs = he_sim.Plain._bounded(1 - 2 * labels, 1)
+        labels.flags.writeable = False
+        vars(self).update(points=coords.values.reshape(points.shape[::-1]).T,
+                          labels=labels, coords=coords, label_signs=signs)
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    # Built on first use, not at construction, which would add their
-    # scans to every database's set-up: 24 B per point at d = 2.
-    @functools.cached_property
-    def coords(self) -> he_sim.Plain:
-        """compute_dists' operand: the coordinates dimension-major, one
-        he_sim.Plain of d*n slots, coordinate j of point i in slot j*n + i."""
-        return he_sim.Plain(self.points.T.ravel())
-
-    @functools.cached_property
-    def label_signs(self) -> he_sim.Plain:
-        """count_classes' operand: the he_sim.Plain 1 - 2 * labels, +1 for
-        a point of class 0 and -1 for one of class 1."""
-        return he_sim.Plain._bounded(1 - 2 * self.labels, 1)
 
     def held_out(self, indices) -> list:
         """[self.without(i) for i in indices], from one gather of the
@@ -118,7 +117,7 @@ class LabeledDatabase:
         keep = keep + (keep >= np.reshape(indices, (-1, 1)))  # row r skips i_r
         if not len(keep):
             return []
-        d = coords.size // n
+        d = self.points.shape[1]
         # row r's coordinate j of its point i: the parent's slot j*n + keep
         slots = (keep[:, None, :] + n * np.arange(d)[:, None]).reshape(
             len(keep), -1)
@@ -130,7 +129,7 @@ class LabeledDatabase:
         out = []
         for c, lab, sign in zip(rows, labels, signs):
             db = LabeledDatabase.__new__(LabeledDatabase)
-            # fields and cached operands, as the frozen class stores them
+            # the fields, as __post_init__ stores them
             vars(db).update(points=c.reshape(d, -1).T, labels=lab,
                             coords=he_sim.Plain._bounded(c, coords.bound),
                             label_signs=he_sim.Plain._bounded(sign, 1))
@@ -303,16 +302,10 @@ def server_classify(enc_q: list, db: LabeledDatabase,
     [C0 - C1 < 0].  Ties (C0 == C1, including the zero-neighbor corner)
     resolve to class 0 because the final comparison is strict.
     """
-    if len(enc_q) != pp.ring.dim:
-        raise ParameterError("query dimension does not match ring params")
     if db.n != pp.n:
         raise ParameterError("database size does not match protocol params")
-    if pp.ring.n != pp.n:
-        # the distance map's range and the coin denominators would then
-        # disagree, and the moment coins could saturate without an error
-        raise ParameterError("ring was selected for a different database size")
     coords = db.coords
-    if coords.values.size != pp.ring.dim * pp.n:
+    if coords.size != pp.ring.dim * pp.n:
         raise ParameterError("database dimension does not match ring params")
     # the bound is the largest coordinate (a held-out one's parent's)
     if coords.bound >= pp.ring.coord_bound:

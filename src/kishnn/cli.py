@@ -101,9 +101,17 @@ def _load_grid(args) -> data_eval.GridDataset:
     return data_eval.grid_dataset(raw, args.grid)
 
 
+def _protocol(args, n: int):
+    """The protocol params of args' grid, k, reps and seed, on the ring
+    selected for a database of n points."""
+    ring = select_ring_params(args.grid, dim=2, n=n)
+    return make_protocol_params(ring, k=args.k, n=n, repetitions=args.reps,
+                                rng_seed=args.seed)
+
+
 def cmd_serve(args) -> int:
     gd = _load_grid(args)
-    pp = data_eval._protocol_for(gd, args.k, args.reps, args.seed)
+    pp = _protocol(args, gd.n)
     db = gd.database()
     host, port = _host_port(args.listen)
 
@@ -119,7 +127,7 @@ def cmd_query(args) -> int:
         if args.dataset is None:
             raise ParameterError("loopback transport needs --dataset")
         gd = _load_grid(args)
-        pp = data_eval._protocol_for(gd, args.k, args.reps, args.seed)
+        pp = _protocol(args, gd.n)
         client_end, server_end = protocol_io.loopback_pair()
         server = threading.Thread(
             target=protocol_io.run_server,
@@ -135,9 +143,7 @@ def cmd_query(args) -> int:
         if args.n is None:
             raise ParameterError("tcp transport needs --n (the served "
                                  "database size, used for ring agreement)")
-        ring = select_ring_params(args.grid, dim=2, n=args.n)
-        pp = make_protocol_params(ring, k=args.k, n=args.n,
-                                  repetitions=args.reps, rng_seed=args.seed)
+        pp = _protocol(args, args.n)
         host, port = _host_port(args.connect)
         with protocol_io.tcp_connect(host, port) as transport:
             bit = protocol_io.run_client(transport, args.coords, pp)
@@ -156,8 +162,7 @@ def cmd_evaluate(args) -> int:
         data_eval.write_csv(args.out, ("index", "label", "predicted"), rows)
     print(f"mode={args.mode} grid={args.grid} k={args.k} n={gd.n} "
           f"F1={report.f1:.4f} mult_gates={report.metrics.mult_gates} "
-          f"max_depth={report.metrics.max_depth} "
-          f"sd_gaussian={report.sd_gaussian:.4f}")
+          f"max_depth={report.metrics.max_depth}")
     return 0
 
 

@@ -17,8 +17,8 @@ from statistics import NormalDist
 import numpy as np
 
 from . import he_sim, primitives
-from .classifier import (LabeledDatabase, ProtocolParams,
-                         classify_with_majority, make_protocol_params)
+from .classifier import (LabeledDatabase, classify_with_majority,
+                         make_protocol_params)
 from .he_sim import EvalMetrics
 from .primitives import derive_seed
 from .ring import ParameterError, select_ring_params
@@ -78,11 +78,6 @@ class EvalReport:
     f1: float
     per_point_predictions: np.ndarray
     metrics: EvalMetrics
-    sd_gaussian: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.f1 <= 1.0:
-            raise ParameterError("F1 must lie in [0, 1]")
 
 
 def load_wdbc(path) -> RawDataset:
@@ -205,8 +200,8 @@ def plain_knn(db: LabeledDatabase, q, k: int) -> int:
     Distance ties break toward the lower index (stable sort); a class tie
     yields 0, mirroring the strict comparison in the secure circuit.
     """
-    if k > db.n:
-        raise ParameterError("k cannot exceed the database size")
+    if not 1 <= k <= db.n:
+        raise ParameterError("need 1 <= k <= the database size")
     dists = np.abs(db.points - np.asarray(q, dtype=np.int64)).sum(axis=1)
     order = np.argsort(dists, kind="stable")
     votes = int(db.labels[order[:k]].sum())
@@ -221,13 +216,6 @@ def f1_score(predicted: np.ndarray, truth: np.ndarray) -> float:
     if denom == 0:
         return 0.0
     return 2.0 * int((predicted & truth).sum()) / denom
-
-
-def _protocol_for(gd: GridDataset, k: int, repetitions: int,
-                  seed: int) -> ProtocolParams:
-    ring = select_ring_params(gd.grid, dim=2, n=gd.n)
-    return make_protocol_params(ring, k=k, n=gd.n, repetitions=repetitions,
-                                rng_seed=seed)
 
 
 # Held-out points classified per block: their mu and mu_2 coin plans fill
@@ -267,11 +255,8 @@ def leave_one_out_f1(gd: GridDataset, k: int, mode: str = "plain", *,
             preds += [classify_with_majority(db.points[i], rest, pp)
                       for i, rest, pp in zip(block, rests, pps)]
     preds = np.array(preds, dtype=np.int64)
-    sd = gaussian_sd_diagnostic(db.without(0), db.points[0])
     return EvalReport(f1=f1_score(preds, db.labels),
-                      per_point_predictions=preds,
-                      metrics=total,
-                      sd_gaussian=sd)
+                      per_point_predictions=preds, metrics=total)
 
 
 def gaussian_sd_diagnostic(db: LabeledDatabase, q) -> float:

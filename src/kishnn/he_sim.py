@@ -370,7 +370,7 @@ def split(c: Cipher, parts: int) -> list:
 
 
 def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
-                 depth: int, once: int = 0) -> Cipher:
+                 depth: int, once: int) -> Cipher:
     """Slot-wise values[c], charged as the circuit that evaluates it.
 
     values holds a function over all of Z_P (a table's values, each in

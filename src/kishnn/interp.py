@@ -193,11 +193,9 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams,
         raise ParameterError("table interpolated over a different ring")
     split, power_mults, block_mults, adds, depth = ps_cost(table._degree,
                                                            x.depth)
-    if powers is None:
-        return he_sim.table_lookup(x, table.values, power_mults + block_mults,
-                                   adds, depth)
-    return he_sim.table_lookup(x, table.values, block_mults, adds, depth,
-                               powers.charge(split, power_mults, x))
+    once = (power_mults * x.size if powers is None
+            else powers.charge(split, power_mults, x))
+    return he_sim.table_lookup(x, table.values, block_mults, adds, depth, once)
 
 
 def _nearest_isqrt(v: np.ndarray) -> np.ndarray:

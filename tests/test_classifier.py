@@ -48,8 +48,8 @@ def test_protocol_params_refuse_a_repetition_count_below_one(ring100, reps):
         ProtocolParams(ring100, k=3, n=10, repetitions=reps)
 
 
-def test_make_protocol_params_rounds_quantile(ring100):
-    pp = make_pp(ring100, k=13, n=568)
+def test_make_protocol_params_rounds_quantile():
+    pp = make_pp(select_ring_params(100, dim=2, n=568), k=13, n=568)
     assert pp.z_k == -2
 
 
@@ -65,10 +65,11 @@ def normal_quantile_by_bisection(q):
     return (lo + hi) / 2
 
 
-def test_z_k_matches_a_bisection_oracle(ring100):
+def test_z_k_matches_a_bisection_oracle():
     for n in (2, 8, 40, 100, 568, 569, 1000, 5690):
+        ring = select_ring_params(100, dim=2, n=n)
         for k in range(1, min(n, 60)):
-            pp = make_pp(ring100, k=k, n=n)
+            pp = make_pp(ring, k=k, n=n)
             assert pp.z_k == round(normal_quantile_by_bisection(k / n)), (k, n)
 
 
@@ -144,6 +145,8 @@ def test_labeled_database_operands_cannot_go_stale():
         with pytest.raises(ValueError):
             a[0] = 0
     assert db.coords is db.coords and db.label_signs is db.label_signs
+    # the coordinates are held once: points is a view of the operand
+    assert np.shares_memory(db.points, db.coords.values)
 
 
 def test_a_warm_query_scans_no_plaintext(ring100, monkeypatch):
@@ -169,6 +172,7 @@ def test_a_warm_query_scans_no_plaintext(ring100, monkeypatch):
     ([[1, 2], [3, 4]], [0, 5]),  # made the label masks -4 and 5
     ([[1, 2], [3, 4]], [-1, 1]),
     ([[1, -2], [3, 4]], [0, 1]),
+    ([1, 2], [0, 1]),  # not an (n, d) array
 ])
 def test_labeled_database_refuses_what_the_ring_cannot_read(points, labels):
     with pytest.raises(ParameterError, match="labels|coordinates"):
@@ -358,8 +362,10 @@ def test_mu2_digits_are_unbiased_for_the_second_moment():
     assert abs(np.mean(ests) - mu2) <= 3 * se
 
 
-def test_threshold_combines_linearly(ring100, keys):
-    pp = make_pp(ring100, k=13, n=568)  # z = -2
+def test_threshold_combines_linearly(keys):
+    # ring100's keys serve: a key depends only on the modulus, 397
+    ring = select_ring_params(100, dim=2, n=568)
+    pp = make_pp(ring, k=13, n=568)  # z = -2
     mu = he_sim.encrypt(keys.pk, 50)
     sigma = he_sim.encrypt(keys.pk, 10)
     with he_sim.metering() as m:
@@ -368,25 +374,30 @@ def test_threshold_combines_linearly(ring100, keys):
     assert m.mult_gates == 0  # plaintext scalar: free
 
 
-def test_count_classes_matches_plain_count(ring100, keys):
-    # the threshold is in mapped units: a point counts when t(x) < 30, and
-    # the one cipher is C0 - C1, read as a signed residue
-    pp = make_pp(ring100, k=5, n=8)
+def test_count_classes_matches_plain_count(keys):
+    # the threshold is in mapped units: a point counts when t(x) < 6, and
+    # the one cipher is C0 - C1, read as a signed residue.  The ring for
+    # n = 8 maps [0, 198] onto [0, 8], so the threshold lies inside the
+    # map's range, and the mapped and raw counts differ
+    ring = select_ring_params(100, dim=2, n=8)
+    pp = make_pp(ring, k=5, n=8)
     xs_plain = [5, 40, 12, 80, 3, 33, 60, 9]
     labels = [0, 1, 0, 1, 1, 0, 1, 0]
-    tmap = interp.dist_map(ring100)
+    tmap = interp.dist_map(ring)
+    assert tmap[-1] == 8
 
     def plain_counts(t):
-        below = [l for x, l in zip(xs_plain, labels) if t(x) < 30]
+        below = [l for x, l in zip(xs_plain, labels) if t(x) < 6]
         return below.count(0), below.count(1)
 
     expect0, expect1 = plain_counts(lambda x: tmap[x])
     assert (expect0, expect1) != plain_counts(lambda x: x)
+    assert 0 < expect0 + expect1 < len(xs_plain)
     xs = he_sim.encrypt(keys.pk, xs_plain)
-    t = he_sim.encrypt(keys.pk, 30)
+    t = he_sim.encrypt(keys.pk, 6)
     signs = LabeledDatabase(np.zeros((8, 2)), labels).label_signs
     diff = count_classes(xs, t, signs, pp)
-    assert ring100.signed(he_sim.decrypt(keys.sk, diff)) == expect0 - expect1
+    assert ring.signed(he_sim.decrypt(keys.sk, diff)) == expect0 - expect1
 
 
 def test_server_classify_validates_shapes(ring100, keys):
@@ -400,17 +411,13 @@ def test_server_classify_validates_shapes(ring100, keys):
                         LabeledDatabase(pts[:10], labels[:10]), pp)
 
 
-def test_server_classify_rejects_a_ring_for_another_size(keys):
+def test_make_protocol_params_rejects_a_ring_for_another_size():
     # a ring selected for n = 569 maps distances for 569 points; serving a
-    # 50-point database with it would let the mu coins saturate silently
+    # 50-point database with it would let the mu coins saturate silently,
+    # so the params are refused where they are made
     ring = select_ring_params(100, dim=2, n=569)
-    rng = np.random.default_rng(0)
-    db = LabeledDatabase(rng.integers(0, 100, size=(50, 2)),
-                         rng.integers(0, 2, size=50))
-    pp = make_pp(ring, k=5, n=50)
-    enc_q = [he_sim.encrypt(keys.pk, 3), he_sim.encrypt(keys.pk, 4)]
     with pytest.raises(ParameterError, match="database size"):
-        server_classify(enc_q, db, pp)
+        make_pp(ring, k=5, n=50)
 
 
 def test_server_classify_refuses_points_off_the_grid():

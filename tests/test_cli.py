@@ -3,8 +3,9 @@ import threading
 import pytest
 
 from kishnn import data_eval, protocol_io
-from kishnn.classifier import classify_with_majority
+from kishnn.classifier import classify_with_majority, make_protocol_params
 from kishnn.cli import main
+from kishnn.ring import select_ring_params
 
 
 def run(capsys, *argv):
@@ -46,6 +47,7 @@ def test_evaluate_plain_prints_f1(capsys, wdbc_path):
     assert code == 0
     f1 = float(out.split("F1=")[1].split()[0])
     assert abs(f1 - 0.98) <= 0.015
+    assert "sd_gaussian" not in out  # diagnose's figure, not evaluate's
 
 
 def test_evaluate_writes_csv(capsys, wdbc_path, tmp_path):
@@ -88,6 +90,16 @@ def test_evaluate_refuses_a_negative_repetition_count(capsys, wdbc_path):
     assert err.startswith("error: ") and "repetition" in err
 
 
+@pytest.mark.parametrize("k", ["-3", "0"])
+def test_evaluate_plain_refuses_k_below_one(capsys, wdbc_path, k):
+    # plain mode used to exit 0 with F1=0.5429 for -3 and 0.0000 for 0
+    code, out, err = run(capsys, "evaluate", "--dataset", wdbc_path,
+                         "--grid", "100", "--mode", "plain", "--k", k)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "1 <= k" in err
+
+
 def test_query_loopback_needs_dataset(capsys):
     code, _, err = run(capsys, "query", "1", "2", "--transport", "loopback")
     assert code == 2
@@ -116,7 +128,8 @@ def test_seeded_runs_are_reproducible(capsys, wdbc_path):
 def test_query_tcp_talks_to_a_served_database(capsys, wdbc_path):
     # the client half of README's server/client pair, against serve_tcp
     gd = data_eval.grid_dataset(data_eval.load_wdbc(wdbc_path), 100)
-    pp = data_eval._protocol_for(gd, 13, 5, 0)
+    ring = select_ring_params(100, dim=2, n=gd.n)
+    pp = make_protocol_params(ring, k=13, n=gd.n, repetitions=5, rng_seed=0)
     db = gd.database()
     ready = threading.Event()
     addr = {}

@@ -10,7 +10,7 @@ from kishnn.data_eval import (DataFormatError, RawDataset, f1_score,
                               gaussian_sd_diagnostic, grid_dataset,
                               leave_one_out_f1, load_wdbc, plain_knn,
                               project_2d, quantize)
-from kishnn.ring import RingParams, select_ring_params
+from kishnn.ring import ParameterError, RingParams, select_ring_params
 
 from conftest import kappa_of_run
 
@@ -74,13 +74,26 @@ def test_projection_separates_separable_classes():
     assert axis1[raw.labels == 1].min() > axis1[raw.labels == 0].max()
 
 
-def test_projection_identical_class_means_uses_ridge_path():
+def test_projection_identical_class_means_falls_back_to_the_first_axis():
     rng = np.random.default_rng(1)
     feats = np.vstack([rng.normal(0, 1, size=(40, 30))] * 2)
     raw = RawDataset(tuple(map(str, range(80))),
                      ("B",) * 40 + ("M",) * 40, feats)
-    proj = project_2d(raw)  # must not crash; direction is arbitrary
+    with pytest.warns(UserWarning, match="class means coincide"):
+        proj = project_2d(raw)  # must not crash; direction is arbitrary
     assert proj.shape == (80, 2) and np.isfinite(proj).all()
+
+
+def test_projection_singular_scatter_uses_ridge_path():
+    # a constant feature standardizes to a zero column, so the within-class
+    # scatter has a zero row and column and solve() refuses it
+    raw = synthetic_raw(50, offset=3.0)
+    feats = raw.features.copy()
+    feats[:, 7] = 4.2
+    raw = RawDataset(raw.ids, raw.diagnoses, feats)
+    with pytest.warns(UserWarning, match="within-class scatter is singular"):
+        proj = project_2d(raw)
+    assert proj.shape == (100, 2) and np.isfinite(proj).all()
 
 
 def test_projection_axes_deterministic_sign(wdbc_path):
@@ -171,6 +184,16 @@ def test_plain_knn_matches_brute_force_oracle():
         assert plain_knn(db, q, k) == brute_knn(pts, labels, q, k)
 
 
+@pytest.mark.parametrize("k", [-3, 0])
+def test_plain_knn_refuses_k_below_one(k):
+    # -3 used to vote over all but the last three neighbours, and 0 over
+    # none; secure mode refuses both
+    db = LabeledDatabase(np.array([[1, 1], [2, 2], [3, 3]]),
+                         np.array([1, 1, 0]))
+    with pytest.raises(ParameterError, match="1 <= k"):
+        plain_knn(db, (9, 9), k)
+
+
 def test_plain_knn_class_tie_resolves_to_zero():
     db = LabeledDatabase(np.array([[0, 1], [1, 0]]), np.array([0, 1]))
     assert plain_knn(db, (0, 0), 2) == 0
@@ -216,6 +239,20 @@ def test_loo_all_benign_predictions_scores_zero():
                                quant_meta=((0.0, 1.0), (0.0, 1.0)))
     report = leave_one_out_f1(gd, 3, "plain")
     assert report.f1 == 0.0
+
+
+@pytest.mark.parametrize("mode", ["plain", "secure"])
+def test_loo_on_eight_points_returns_a_report(mode):
+    # fewer than ten points used to classify every point and then raise
+    # from a Gaussianity diagnostic the report no longer carries
+    rng = np.random.default_rng(5)
+    gd = data_eval.GridDataset(rng.integers(0, 20, size=(8, 2)),
+                               np.array([0, 1] * 4), grid=20,
+                               quant_meta=((0.0, 1.0), (0.0, 1.0)))
+    report = leave_one_out_f1(gd, 3, mode, repetitions=1)
+    assert report.per_point_predictions.shape == (8,)
+    assert set(report.per_point_predictions.tolist()) <= {0, 1}
+    assert 0.0 <= report.f1 <= 1.0
 
 
 def test_loo_plain_matches_paper_span(wdbc_path):
