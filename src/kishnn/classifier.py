@@ -70,7 +70,8 @@ class LabeledDatabase:
     he_sim.Plain, coordinate j of point i in slot j*n + i, of which points
     is a read-only (n, d) view, and label_signs (count_classes'), the
     he_sim.Plain 1 - 2 * labels.  labels is a private read-only int64
-    copy.  Coordinates must be non-negative and labels bits."""
+    copy.  Coordinates must be non-negative and labels bits, each held
+    exactly by int64: 3.9 or "1" is refused, not truncated or parsed."""
 
     points: np.ndarray  # (n, d) grid coordinates
     labels: np.ndarray  # (n,) bits
@@ -78,8 +79,14 @@ class LabeledDatabase:
     label_signs: he_sim.Plain = field(init=False, repr=False)
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=np.int64)
-        labels = np.array(self.labels, dtype=np.int64)
+        raw = [np.asarray(a) for a in (self.points, self.labels)]
+        if any(a.dtype.kind not in "biuf" for a in raw):
+            raise ParameterError("coordinates and labels must be numbers")
+        with np.errstate(invalid="ignore"):  # NaN and inf: refused below
+            points, labels = (a.astype(np.int64) for a in raw)
+        if not ((points == raw[0]).all() and (labels == raw[1]).all()):
+            raise ParameterError("coordinates and labels must be integers "
+                                 "that int64 holds")
         if points.ndim != 2:
             raise ParameterError("coordinates must form an (n, d) array")
         if len(points) != len(labels):
@@ -88,11 +95,16 @@ class LabeledDatabase:
             raise ParameterError("labels must be 0 or 1")
         if (points < 0).any():
             raise ParameterError("coordinates must be non-negative")
-        coords = he_sim.Plain(points.T.ravel())
-        signs = he_sim.Plain._bounded(1 - 2 * labels, 1)
+        self._store(points.shape[1], he_sim.Plain(points.T.ravel()), labels)
+
+    def _store(self, d: int, coords: he_sim.Plain, labels: np.ndarray):
+        """Set the fields from the dimension, the coordinates' operand and
+        the labels, which become read-only: points is a view of coords,
+        and label_signs is derived with the bound 1."""
         labels.flags.writeable = False
-        vars(self).update(points=coords.values.reshape(points.shape[::-1]).T,
-                          labels=labels, coords=coords, label_signs=signs)
+        vars(self).update(points=coords.values.reshape(d, len(labels)).T,
+                          labels=labels, coords=coords,
+                          label_signs=he_sim.Plain._bounded(1 - 2 * labels, 1))
 
     @property
     def n(self) -> int:
@@ -121,18 +133,10 @@ class LabeledDatabase:
         # row r's coordinate j of its point i: the parent's slot j*n + keep
         slots = (keep[:, None, :] + n * np.arange(d)[:, None]).reshape(
             len(keep), -1)
-        rows = coords.values.take(slots)
-        labels = self.labels.take(keep)
-        signs = 1 - 2 * labels
-        for a in (rows, labels, signs):
-            a.flags.writeable = False
         out = []
-        for c, lab, sign in zip(rows, labels, signs):
+        for c, lab in zip(coords.values.take(slots), self.labels.take(keep)):
             db = LabeledDatabase.__new__(LabeledDatabase)
-            # the fields, as __post_init__ stores them
-            vars(db).update(points=c.reshape(d, -1).T, labels=lab,
-                            coords=he_sim.Plain._bounded(c, coords.bound),
-                            label_signs=he_sim.Plain._bounded(sign, 1))
+            db._store(d, he_sim.Plain._bounded(c, coords.bound), lab)
             out.append(db)
         return out
 

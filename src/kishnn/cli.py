@@ -91,8 +91,8 @@ def build_parser() -> _Parser:
 
 def _host_port(text: str) -> tuple:
     host, sep, port = text.rpartition(":")
-    if not sep:
-        raise ParameterError(f"expected host:port, got {text!r}")
+    if not (sep and port.isdecimal() and int(port) <= 65535):
+        raise ParameterError(f"expected host:port, port in 0-65535: {text!r}")
     return host, int(port)
 
 

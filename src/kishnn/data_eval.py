@@ -97,6 +97,8 @@ def load_wdbc(path) -> RawDataset:
                     f"{path}: line {lineno}: diagnosis must be M or B")
             try:
                 feats = [float(c) for c in cols[2:]]
+                if not np.isfinite(feats).all():
+                    raise ValueError("features must be finite")
             except ValueError as exc:
                 raise DataFormatError(
                     f"{path}: line {lineno}: bad feature value: {exc}") from exc

@@ -51,36 +51,29 @@ def _degree(y: np.ndarray, P: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PolyTable:
-    """One function over Z_modulus, held as its table of values.
+    """One function over Z_P, P = values.size, held as its table of values.
 
-    values[x] is the function's value at x for every x in [0, modulus),
-    read-only, and the table's only data: the interpolating polynomial's
-    degree is found once, at construction, from power sums of the values.
-    Tables compare by identity.
+    values[x] is the function's value at x for every x in [0, P),
+    read-only, and the table's only data: degree, the interpolating
+    polynomial's, is found once, at construction, from power sums of the
+    values.  Tables compare by identity.
     """
 
-    modulus: int
     values: np.ndarray = field(repr=False)
-    name: str
-    _degree: int = field(init=False, repr=False)
+    degree: int = field(init=False)
 
     def __post_init__(self):
-        P = self.modulus
-        _require_exact(P)
         values = np.array(self.values, dtype=np.int64)
-        if values.shape != (P,):
-            raise ParameterError("table values must cover Z_modulus")
-        if values.min() < 0 or values.max() >= P:
-            raise ParameterError("table values must lie in [0, modulus)")
+        P = values.size
+        _require_exact(P)
+        if values.ndim != 1 or values.min() < 0 or values.max() >= P:
+            raise ParameterError("table values must be one row in [0, P)")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_degree", _degree(values, P))
-
-    def degree(self) -> int:
-        return self._degree
+        object.__setattr__(self, "degree", _degree(values, P))
 
 
-def lagrange_table(f, params: RingParams, name: str = "f") -> PolyTable:
+def lagrange_table(f, params: RingParams) -> PolyTable:
     """The table of f over all of Z_P, each value reduced mod P.
 
     f is called once, on the array of all P residues, and returns the
@@ -90,8 +83,8 @@ def lagrange_table(f, params: RingParams, name: str = "f") -> PolyTable:
     """
     P = params.modulus
     _require_exact(P)
-    y = np.asarray(f(np.arange(P, dtype=np.int64)), dtype=np.int64) % P
-    return PolyTable(P, y, name)
+    return PolyTable(np.asarray(f(np.arange(P, dtype=np.int64)),
+                                dtype=np.int64) % P)
 
 
 def _ps_split(deg: int) -> tuple:
@@ -189,21 +182,27 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams,
     only its block products, and one of another split its full cost.
     The output depth is the same either way.
     """
-    if table.modulus != params.modulus:
+    if table.values.size != params.modulus:
         raise ParameterError("table interpolated over a different ring")
-    split, power_mults, block_mults, adds, depth = ps_cost(table._degree,
+    split, power_mults, block_mults, adds, depth = ps_cost(table.degree,
                                                            x.depth)
     once = (power_mults * x.size if powers is None
             else powers.charge(split, power_mults, x))
     return he_sim.table_lookup(x, table.values, block_mults, adds, depth, once)
 
 
+def isqrt(v: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) of each entry of an int64 array v, exactly, for
+    0 <= v <= 2^62."""
+    r = np.sqrt(v).astype(np.int64)
+    r -= r * r > v  # float sqrt is off by at most one
+    return r + ((r + 1) * (r + 1) <= v)
+
+
 def _nearest_isqrt(v: np.ndarray) -> np.ndarray:
     """round(sqrt(v)) of each entry of v, exactly, and 0 where v < 0."""
     v = np.maximum(v, 0)
-    r = np.sqrt(v).astype(np.int64)
-    r -= r * r > v  # float sqrt is off by at most one
-    r += (r + 1) * (r + 1) <= v
+    r = isqrt(v)
     return r + (v - r * r > r)
 
 
@@ -259,8 +258,8 @@ def build_named_tables(params: RingParams) -> NamedTables:
     def signed(x):  # params.signed of every residue: upper half negative
         return np.where(x > P // 2, x - P, x)
 
-    def table(name, f):
-        return lagrange_table(f, params, name)
+    def table(f):
+        return lagrange_table(f, params)
 
     # The square-root tables read upper-half arguments as negative numbers
     # and clamp them to 0: a coin-noise variance estimate below zero means
@@ -271,16 +270,14 @@ def build_named_tables(params: RingParams) -> NamedTables:
     # [0, dist_bound] holds distances, so the map clamps the rest
     # monotonely (t(0) = 0).
     return NamedTables(
-        sqrt=table("sqrt", lambda x: _nearest_isqrt(signed(x))),
-        square_div_p=table("square_div_p",
-                           lambda x: (2 * x * x + p) // (2 * p)),
-        is_zero=table("is_zero", lambda x: x == 0),
-        sqrt_plus_p=table("sqrt_plus_p",
-                          lambda x: _nearest_isqrt(p + signed(x))),
-        sqrt_times_p=table("sqrt_times_p", lambda x: _nearest_isqrt(
+        sqrt=table(lambda x: _nearest_isqrt(signed(x))),
+        square_div_p=table(lambda x: (2 * x * x + p) // (2 * p)),
+        is_zero=table(lambda x: x == 0),
+        sqrt_plus_p=table(lambda x: _nearest_isqrt(p + signed(x))),
+        sqrt_times_p=table(lambda x: _nearest_isqrt(
             np.where(signed(x) > 1, signed(x) * p, 0))),
-        is_neg=table("is_neg", lambda x: x > P / 2),
-        dist_map=table("dist_map", lambda x: tmap[np.clip(signed(x), 0, B)]),
+        is_neg=table(lambda x: x > P / 2),
+        dist_map=table(lambda x: tmap[np.clip(signed(x), 0, B)]),
         map_inverse=inverse,
     )
 

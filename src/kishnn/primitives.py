@@ -61,11 +61,7 @@ class CoinSpec:
         when no distance reaches it."""
         c = np.asarray(rs, dtype=np.int64)
         if self.f == "square":
-            v = c - 1
-            s = np.sqrt(v.astype(np.float64)).astype(np.int64)
-            s -= s * s > v  # float sqrt is off by at most one
-            s += (s + 1) * (s + 1) <= v
-            c = s + 1
+            c = interp.isqrt(c - 1) + 1
         if self.map_of is not None:
             return interp.build_named_tables(self.map_of).map_inverse.take(
                 c, mode="clip")

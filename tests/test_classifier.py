@@ -173,10 +173,24 @@ def test_a_warm_query_scans_no_plaintext(ring100, monkeypatch):
     ([[1, 2], [3, 4]], [-1, 1]),
     ([[1, -2], [3, 4]], [0, 1]),
     ([1, 2], [0, 1]),  # not an (n, d) array
+    # values int64 does not hold exactly, once truncated or let escape
+    ([[3.9, 2], [3, 4]], [0, 1]),  # was the coordinate 3
+    ([[1, 2], [3, 4]], [0.7, 1]),  # was class 0
+    ([[1, 2], [3, 4]], ["1", "0"]),  # were parsed as labels
+    ([[float("nan"), 2], [3, 4]], [0, 1]),  # was a bare ValueError
+    ([[2 ** 63 + 5, 2], [3, 4]], [0, 1]),  # was an OverflowError
 ])
 def test_labeled_database_refuses_what_the_ring_cannot_read(points, labels):
     with pytest.raises(ParameterError, match="labels|coordinates"):
         LabeledDatabase(np.array(points), np.array(labels))
+    with pytest.raises(ParameterError, match="labels|coordinates"):
+        LabeledDatabase(points, labels)
+
+
+def test_labeled_database_takes_integral_floats():
+    db = LabeledDatabase(np.zeros((2, 3)), np.array([1.0, 0.0]))
+    assert db.points.dtype == db.labels.dtype == np.int64
+    assert db.points.tolist() == [[0] * 3] * 2 and db.labels.tolist() == [1, 0]
 
 
 def test_a_held_out_query_scans_no_plaintext(ring100, monkeypatch):

@@ -153,3 +153,16 @@ def test_query_tcp_talks_to_a_served_database(capsys, wdbc_path):
     assert "server rejected the query" in err
     t.join(timeout=10)
     assert not t.is_alive()
+
+
+@pytest.mark.parametrize("port", ["99999", "70000", "-5", "abc"])
+@pytest.mark.parametrize("command", ["serve", "query"])
+def test_a_port_outside_0_to_65535_is_refused(capsys, wdbc_path, command,
+                                              port):
+    # serve once raised OverflowError at 99999; query dialed 70000 - 65536
+    argv = (["serve", "--dataset", wdbc_path, "--listen"]
+            if command == "serve" else ["query", "1", "2", "--n", "569",
+                                        "--connect"])
+    code, out, err = run(capsys, *argv, f"127.0.0.1:{port}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "0-65535" in err

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,17 @@ def test_load_wdbc_bad_diagnosis_and_float(tmp_path):
         load_wdbc(path)
     path.write_text("1,M," + ",".join(["1.0"] * 29) + ",zap\n")
     with pytest.raises(DataFormatError, match="line 1"):
+        load_wdbc(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_wdbc_refuses_non_finite_features(tmp_path, value):
+    # once accepted, then evaluate failed in the projection's SVD
+    path = tmp_path / "bad.csv"
+    good = "1,M," + ",".join(["1.0"] * 30)
+    path.write_text(good + "\n2,B," + ",".join(["1.0"] * 29 + [value]) + "\n")
+    with pytest.raises(DataFormatError,
+                       match=re.escape(f"{path}: line 2") + ".*finite"):
         load_wdbc(path)
 
 

@@ -36,13 +36,13 @@ def vandermonde_interpolate(values, modulus):
     return tuple(b)
 
 
-def table_from_coeffs(P, coeffs, name):
+def table_from_coeffs(P, coeffs):
     """The table of the polynomial with these coefficients (Horner)."""
     x = np.arange(P, dtype=np.int64)
     values = np.zeros(P, dtype=np.int64)
     for c in reversed(coeffs):
         values = (values * x + c) % P
-    return PolyTable(P, values, name)
+    return PolyTable(values)
 
 
 @functools.lru_cache(maxsize=2)
@@ -66,7 +66,7 @@ def poly_coeffs(table):
     collapses to alpha_j = -sum_i y_i * i^(P-1-j) for j >= 1 and
     alpha_0 = y_0.
     """
-    P, y = table.modulus, table.values
+    P, y = table.values.size, table.values
     w = _power_matrix(P) @ y % P  # w[e] = sum_i y_i * i^e
     out = np.empty(P, dtype=np.int64)
     out[0] = y[0]
@@ -78,7 +78,7 @@ def eval_plain(table, x):
     """Direct plaintext evaluation of the table's coefficients (Horner)."""
     acc = 0
     for c in reversed(poly_coeffs(table)):
-        acc = (acc * x + c) % table.modulus
+        acc = (acc * x + c) % table.values.size
     return acc
 
 
@@ -97,9 +97,9 @@ def eval_poly_ps_reference(table, x, params):
     Block size ~ sqrt(degree+1); block contents use only plaintext-scalar
     multiplications, blocks are combined through precomputed giant powers.
     """
-    if table.modulus != params.modulus:
+    if table.values.size != params.modulus:
         raise ParameterError("table interpolated over a different ring")
-    deg, coeffs = table.degree(), poly_coeffs(table)
+    deg, coeffs = table.degree, poly_coeffs(table)
     if deg == 0:
         return he_sim.embed_like(x, np.full(x.size, coeffs[0],
                                             dtype=np.int64))
@@ -142,19 +142,18 @@ def keys(ring):
 def test_lagrange_matches_vandermonde_oracle(ring):
     rng = np.random.default_rng(0)
     values = rng.integers(0, 23, size=23)
-    table = lagrange_table(lambda x: values[x], ring, "rand")
+    table = lagrange_table(lambda x: values[x], ring)
     assert poly_coeffs(table) == vandermonde_interpolate(values, 23)
 
 
 def test_lagrange_reproduces_function_everywhere(ring):
-    table = lagrange_table(lambda x: (x * x + 3) % 23, ring, "sq3")
+    table = lagrange_table(lambda x: (x * x + 3) % 23, ring)
     assert all(eval_plain(table, x) == (x * x + 3) % 23 for x in range(23))
 
 
 def test_eval_poly_ps_agrees_with_plain_everywhere(ring, keys):
     rng = np.random.default_rng(1)
-    table = lagrange_table(lambda x: rng.integers(0, 23, size=x.shape), ring,
-                           "r")
+    table = lagrange_table(lambda x: rng.integers(0, 23, size=x.shape), ring)
     for x in range(23):
         c = he_sim.encrypt(keys.pk, x)
         got = he_sim.decrypt(keys.sk, eval_poly_ps(table, c, ring))
@@ -237,7 +236,7 @@ def test_ps_equals_horner_property(x, seed):
     ring = select_ring_params(6, dim=2, n=20)
     keys = he_sim.keygen(ring, 2)
     rng = np.random.default_rng(seed)
-    table = table_from_coeffs(23, rng.integers(0, 23, 23), "h")
+    table = table_from_coeffs(23, rng.integers(0, 23, 23))
     c = he_sim.encrypt(keys.pk, x)
     assert he_sim.decrypt(keys.sk, eval_poly_ps(table, c, ring)) \
         == eval_plain(table, x)
@@ -246,8 +245,8 @@ def test_ps_equals_horner_property(x, seed):
 def test_table_values_are_the_polynomial_everywhere(ring):
     rng = np.random.default_rng(3)
     coeffs = tuple(int(v) for v in rng.integers(0, 23, 23))
-    from_coeffs = table_from_coeffs(23, coeffs, "c")
-    interpolated = lagrange_table(lambda x: (5 * x + 1) % 23, ring, "lin")
+    from_coeffs = table_from_coeffs(23, coeffs)
+    interpolated = lagrange_table(lambda x: (5 * x + 1) % 23, ring)
     for x in range(23):
         assert from_coeffs.values[x] == eval_plain(from_coeffs, x)
         assert interpolated.values[x] == eval_plain(interpolated, x)
@@ -291,7 +290,7 @@ def test_lookup_matches_reference_schedule(grid, kind, degree_frac, seed,
         coeffs = np.zeros(P, dtype=np.int64)
         coeffs[:degree + 1] = rng.integers(0, P, degree + 1)
         coeffs[degree] = rng.integers(1, P)
-        table = table_from_coeffs(P, coeffs, "random")
+        table = table_from_coeffs(P, coeffs)
     else:
         table = getattr(build_named_tables(ring), kind)
     xs = [int(v) for v in rng.integers(0, P, slots)]
@@ -305,7 +304,7 @@ def test_lookup_matches_reference_on_constant_and_linear(grid, degree):
     ring = select_ring_params(grid, dim=2, n=50)
     P = ring.modulus
     coeffs = (7, 3)[:degree + 1] + (0,) * (P - 1 - degree)
-    table = table_from_coeffs(P, coeffs, "low")
+    table = table_from_coeffs(P, coeffs)
     for depth in (0, 1, 5, 12):
         lookup, reference = _both_paths(table, [0, 1, P - 1], depth, ring)
         assert lookup == reference
@@ -331,7 +330,7 @@ def eval_shared_reference(jobs, u, params):
         size = len(shift)
         reps = size // u.size
         tiled = he_sim.pack([u] * reps, params)
-        deg, split = table.degree(), interp._ps_split(table.degree())
+        deg, split = table.degree, interp._ps_split(table.degree)
         if claimed is None and deg:
             claimed, (s, t) = split, split
             xp = _balanced_powers(u, min(s, deg), params)
@@ -348,7 +347,7 @@ def eval_shared_reference(jobs, u, params):
         rows = []  # rows[i][b]: block b in slot i
         for i in range(size):
             v = (int(shift[i]) + sign * np.arange(P)) % P
-            coeffs = poly_coeffs(PolyTable(P, table.values[v], "shifted"))
+            coeffs = poly_coeffs(PolyTable(table.values[v]))
             weights = np.zeros((t, kmax), dtype=np.int64)
             for b in range(t):
                 for j in range(1, s):
@@ -415,7 +414,7 @@ def test_shared_powers_match_the_literal_schedule(grid, n, kinds, seed,
             coeffs = np.zeros(P, dtype=np.int64)
             coeffs[:degree + 1] = rng.integers(0, P, degree + 1)
             coeffs[degree] = rng.integers(1, P)
-            table = table_from_coeffs(P, coeffs, "random")
+            table = table_from_coeffs(P, coeffs)
         else:
             table = getattr(build_named_tables(ring), kind)
         reps = int(rng.integers(1, 4))
@@ -448,8 +447,8 @@ def test_the_circuit_tables_share_powers_when_their_splits_match(grid, n,
     us = [int(v) for v in rng.integers(0, ring.dist_bound + 1, slots)]
     lookup, literal = _shared_paths(jobs, us, depth, ring)
     assert lookup == literal
-    split, power, block, *_ = ps_cost(tables.is_neg.degree(), depth)
-    map_split, map_power, map_block, *_ = ps_cost(tables.dist_map.degree(),
+    split, power, block, *_ = ps_cost(tables.is_neg.degree, depth)
+    map_split, map_power, map_block, *_ = ps_cost(tables.dist_map.degree,
                                                   depth)
     assert (map_split == split) == shared
     map_cost = map_block + (0 if shared else map_power)
@@ -464,14 +463,14 @@ def test_a_rings_tables_are_built_once(monkeypatch):
     b = select_ring_params(250, dim=2, n=5690)
     built, lagrange = [], interp.lagrange_table
 
-    def counted(f, params, name):
-        built.append((params, name))
-        return lagrange(f, params, name)
+    def counted(f, params):
+        built.append(lagrange(f, params))
+        return built[-1]
 
     monkeypatch.setattr(interp, "lagrange_table", counted)
     build_named_tables.cache_clear()
     tables = build_named_tables(a)
-    assert [name for _, name in built] == list(NAMED)
+    assert built == [getattr(tables, name) for name in NAMED]
     for _ in range(2):
         assert build_named_tables(a) is tables
         assert np.shares_memory(interp.dist_map(a), tables.dist_map.values)
@@ -489,8 +488,8 @@ def test_degree_from_power_sums_matches_coefficients():
     for degree in range(23):
         coeffs = [int(c) for c in rng.integers(0, 23, degree + 1)]
         coeffs[degree] = int(rng.integers(1, 23))
-        table = table_from_coeffs(23, coeffs, "random")
-        assert table.degree() == degree
+        table = table_from_coeffs(23, coeffs)
+        assert table.degree == degree
         assert poly_coeffs(table) == tuple(coeffs) + (0,) * (22 - degree)
 
 
@@ -500,20 +499,33 @@ def test_named_table_degrees_match_interpolated_coefficients(grid):
     for name in NAMED:
         table = getattr(tables, name)
         top = max(i for i, c in enumerate(poly_coeffs(table)) if c)
-        assert table.degree() == top, name
+        assert table.degree == top, name
         if grid == 250:
-            assert ps_cost(table.degree(), 0) == ((32, 32), 61, 31, 31,
+            assert ps_cost(table.degree, 0) == ((32, 32), 61, 31, 31,
                                                   11), name
 
 
 def test_table_refuses_values_outside_the_ring(ring, keys):
-    for bad in (np.full(23, 40), np.full(23, -1)):
+    for bad in (np.full(23, 40), np.full(23, -1), np.zeros((23, 1))):
         with pytest.raises(ParameterError):
-            PolyTable(modulus=23, values=bad, name="bad")
+            PolyTable(bad)
     # lagrange_table reduces what f returns, so a lookup stays in Z_P
-    table = lagrange_table(lambda x: np.full(x.shape, 40), ring, "forty")
+    table = lagrange_table(lambda x: np.full(x.shape, 40), ring)
     c = he_sim.encrypt(keys.pk, 5)
     assert he_sim.decrypt(keys.sk, eval_poly_ps(table, c, ring)) == 40 % 23
+    # a table's ring is its size: one of 97 values is not looked up mod 23
+    other = build_named_tables(select_ring_params(24, dim=2, n=20)).is_neg
+    with pytest.raises(ParameterError, match="different ring"):
+        eval_poly_ps(other, c, ring)
+
+
+@given(st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_isqrt_is_the_exact_floor_square_root(vs):
+    # near 2^31 float sqrt rounds s^2 - 1 up to s; the corrections undo it
+    s = np.arange(2 ** 31 - 64, 2 ** 31 + 1, dtype=np.int64)
+    v = np.concatenate([np.array(vs, dtype=np.int64), s * s, s * s - 1])
+    assert interp.isqrt(v).tolist() == [math.isqrt(int(x)) for x in v]
 
 
 def test_lagrange_refuses_inexact_modulus_before_calling_f():
@@ -525,7 +537,7 @@ def test_lagrange_refuses_inexact_modulus_before_calling_f():
         raise AssertionError("f called")
 
     with pytest.raises(ParameterError):
-        lagrange_table(f, big, "big")
+        lagrange_table(f, big)
 
 
 def test_lagrange_calls_f_once_on_every_residue(ring):
@@ -535,7 +547,7 @@ def test_lagrange_calls_f_once_on_every_residue(ring):
         calls.append(x.copy())
         return 3 * x + 1
 
-    table = lagrange_table(f, ring, "affine")
+    table = lagrange_table(f, ring)
     assert len(calls) == 1
     assert calls[0].tolist() == list(range(23))
     assert table.values.tolist() == [(3 * x + 1) % 23 for x in range(23)]

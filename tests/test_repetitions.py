@@ -52,9 +52,9 @@ def one_repetition(enc_q, db, pp):
     # mu coins claim, and the map's block products, or the whole map if
     # its split differs from the coins'
     tables = interp.build_named_tables(ring)
-    split, power, *_ = interp.ps_cost(tables.is_neg.degree(), xs.depth)
+    split, power, *_ = interp.ps_cost(tables.is_neg.degree, xs.depth)
     map_split, map_power, map_blocks, *_ = interp.ps_cost(
-        tables.dist_map.degree(), xs.depth)
+        tables.dist_map.degree, xs.depth)
     once = dist.mult_gates + db.n * (
         power + map_blocks + (0 if map_split == split else map_power))
     return bit, m.mult_gates, m.max_depth, once
