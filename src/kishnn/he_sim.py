@@ -5,7 +5,9 @@ SIMD-packed ciphertext), a multiplicative-depth tag and a key binding.
 The evaluation interface never reveals values; only decrypt with the
 matching secret key does.  Every cipher-by-cipher multiplication is
 metered per slot, plaintext-scalar operations are free, and a table
-lookup is metered as the circuit that evaluates the table.
+lookup is metered as the circuit that evaluates the table.  Beside the
+per-slot gates, a scope counts what packed HE pays per ciphertext:
+multiplications, whatever their slot count, and slot moves (rotations).
 """
 
 from __future__ import annotations
@@ -78,13 +80,27 @@ class Cipher:
 
 @dataclass
 class EvalMetrics:
-    """Gate counters for one metered evaluation scope."""
+    """Gate counters for one metered evaluation scope.
+
+    mult_gates and add_gates count non-scalar products and cipher-by-cipher
+    additions once per slot.  cipher_mults counts ciphertext
+    multiplications as packed HE pays them: one per non-scalar mul,
+    whatever its slot count, plus each table evaluation's block products,
+    plus its baby- and giant-step powers when it pays for them (not when
+    it reads powers that another table paid, interp.SharedPowers).
+    slot_moves counts one per broadcast, slot_sum, pack or split that
+    moves slots: a broadcast into more slots, a sum of runs longer than
+    one slot, a pack of two or more ciphers, a split into two or more
+    parts.  How many rotations a move takes is left to the backend.
+    """
 
     mult_gates: int = 0
     add_gates: int = 0
     max_depth: int = 0
     decrypt_calls: int = 0
     wall_time: float = 0.0
+    cipher_mults: int = 0
+    slot_moves: int = 0
 
 
 class _Scopes(threading.local):
@@ -97,13 +113,17 @@ class _Scopes(threading.local):
 _scopes = _Scopes()
 
 
-def _note(depth: int, mults: int, adds: int) -> None:
-    """Charge gates reaching depth to this thread's innermost open scope."""
+def _note(depth: int, mults: int = 0, adds: int = 0, ciphers: int = 0,
+          moves: int = 0) -> None:
+    """Charge gates reaching depth, ciphertext mults and slot moves to
+    this thread's innermost open scope."""
     stack = _scopes.stack
     if stack:
         m = stack[-1]
         m.mult_gates += mults
         m.add_gates += adds
+        m.cipher_mults += ciphers
+        m.slot_moves += moves
         if depth > m.max_depth:
             m.max_depth = depth
 
@@ -113,8 +133,8 @@ def metering():
     """Context manager collecting gate metrics.
 
     Scopes are thread-local.  An operation notes its gates into the
-    innermost open scope only; a scope adds its totals (gates, decrypts,
-    max depth) into the enclosing one when it closes, so nested scopes
+    innermost open scope only; a scope adds its totals (gates, ciphertext
+    mults, slot moves, decrypts, max depth) into the enclosing one when it closes, so nested scopes
     roll up, also when the body raises.  wall_time is each scope's own.
     """
     m = EvalMetrics()
@@ -128,7 +148,8 @@ def metering():
         stack.pop()
         if stack:
             stack[-1].decrypt_calls += m.decrypt_calls
-            _note(m.max_depth, m.mult_gates, m.add_gates)
+            _note(m.max_depth, m.mult_gates, m.add_gates, m.cipher_mults,
+                  m.slot_moves)
 
 
 def keygen(ring: RingParams, seed: int) -> KeyPair:
@@ -197,7 +218,7 @@ def embed_like(c: Cipher, values) -> Cipher:
     """Plaintext constant carried as a depth-0 ciphertext (free)."""
     a = _as_slots(values)
     out = Cipher(a.copy(), 0, c.key_id, _magnitude(a))
-    _note(0, 0, 0)
+    _note(0)
     return out
 
 
@@ -293,20 +314,20 @@ def rsub(b, a: Cipher, ring: RingParams) -> Cipher:
     if isinstance(b, Cipher):
         raise BackendError("rsub takes a plaintext minuend")
     av, bv, bound, _, _ = _operands(a, b, ring.modulus, False)
-    _note(a.depth, 0, 0)
+    _note(a.depth)
     return Cipher(bv - av, a.depth, a.key_id, bound)
 
 
 def mul(a: Cipher, b, ring: RingParams) -> Cipher:
     """a * b mod the ring.
 
-    Cipher-by-cipher products cost one mult gate per slot and one depth
-    level; plaintext-scalar products are free.
+    Cipher-by-cipher products cost one mult gate per slot, one ciphertext
+    mult and one depth level; plaintext-scalar products are free.
     """
     av, bv, bound, bd, bc = _operands(a, b, ring.modulus, True)
     depth = max(a.depth, bd) + 1 if bc else a.depth
     v = av * bv
-    _note(depth, v.size if bc else 0, 0)
+    _note(depth, v.size if bc else 0, 0, int(bc))
     return Cipher(v, depth, a.key_id, bound)
 
 
@@ -321,7 +342,7 @@ def slot_sum(c: Cipher, ring: RingParams, segments: int = 1) -> Cipher:
     if run * mag >= _INT64:
         v, mag = _canonical(v, bound, p), p - 1
     vals = np.add.reduce(v.reshape(segments, -1), axis=1)
-    _note(c.depth, 0, 0)
+    _note(c.depth, moves=int(run > 1))
     return Cipher(vals, c.depth, c.key_id, run * mag)
 
 
@@ -335,7 +356,7 @@ def broadcast(c: Cipher, nslots: int) -> Cipher:
         raise BackendError("can only broadcast into a multiple of the slots")
     out = Cipher(c._values.repeat(nslots // size), c.depth, c.key_id,
                  c._bound)
-    _note(c.depth, 0, 0)
+    _note(c.depth, moves=1)
     return out
 
 
@@ -353,7 +374,7 @@ def pack(ciphers: list, ring: RingParams) -> Cipher:
         reduced = reduced and c._bound is None
     vals = np.concatenate([c._values for c in ciphers])
     out = Cipher(vals, depth, key_id, None if reduced else bound)
-    _note(depth, 0, 0)
+    _note(depth, moves=1)
     return out
 
 
@@ -364,19 +385,19 @@ def split(c: Cipher, parts: int) -> list:
     v = c._values
     if v.size % parts:
         raise BackendError("slots do not split into equal runs")
-    _note(c.depth, 0, 0)
+    _note(c.depth, moves=int(parts > 1))
     return [Cipher(run, c.depth, c.key_id, c._bound)
             for run in v.reshape(parts, -1)]
 
 
 def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
-                 depth: int, once: int) -> Cipher:
+                 depth: int, once: int, ciphers: int) -> Cipher:
     """Slot-wise values[c], charged as the circuit that evaluates it.
 
     values holds a function over all of Z_P (a table's values, each in
     [0, P)); mults and adds are that circuit's gates per slot, once its
-    mult gates that are not per slot, and depth its output depth, which
-    is also the deepest level it reaches.  numpy reads every index v in
+    mult gates that are not per slot, ciphers its ciphertext mults, and
+    depth its output depth, which is also the deepest level it reaches.  numpy reads every index v in
     [-P, P) as v mod P, so slots are reduced first only when one lies
     outside, which numpy's own index check reports.
     """
@@ -384,7 +405,8 @@ def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
         looked_up = values[c._values]
     except IndexError:
         looked_up = values[_mod(c._values, values.size)]
-    _note(depth, mults * looked_up.size + once, adds * looked_up.size)
+    _note(depth, mults * looked_up.size + once, adds * looked_up.size,
+          ciphers)
     return Cipher(looked_up, depth, c.key_id)
 
 
@@ -404,5 +426,5 @@ def linear_combine(ciphers: list, weights: np.ndarray, ring: RingParams) -> list
         # reduced after every term, so each sum stays below P^2 < 2^63
         vals += np.outer(wj, _canonical(c._values, c._bound, ring.modulus))
         vals %= ring.modulus
-    _note(depth, 0, 0)
+    _note(depth)
     return [Cipher(row.copy(), depth, key_id) for row in vals]

@@ -180,7 +180,9 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams,
     first table evaluated on the record claims it and is charged the
     powers on u's slots; every later one of the same split is charged
     only its block products, and one of another split its full cost.
-    The output depth is the same either way.
+    The output depth is the same either way.  In ciphertext mults (see
+    he_sim.EvalMetrics) a table pays its block products, and its powers
+    whenever it pays their gates.
     """
     if table.values.size != params.modulus:
         raise ParameterError("table interpolated over a different ring")
@@ -188,7 +190,9 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams,
                                                            x.depth)
     once = (power_mults * x.size if powers is None
             else powers.charge(split, power_mults, x))
-    return he_sim.table_lookup(x, table.values, block_mults, adds, depth, once)
+    ciphers = block_mults + (power_mults if once else 0)
+    return he_sim.table_lookup(x, table.values, block_mults, adds, depth, once,
+                               ciphers)
 
 
 def isqrt(v: np.ndarray) -> np.ndarray:

@@ -204,6 +204,28 @@ def test_metering_counts_nonscalar_mults_per_slot(ring, keys):
     assert m.decrypt_calls == 0
 
 
+def test_metering_counts_cipher_mults_and_slot_moves(ring, keys):
+    one, vec = he_sim.encrypt(keys.pk, 2), he_sim.encrypt(keys.pk, [1, 2])
+    with he_sim.metering() as outer:
+        with he_sim.metering() as m:
+            he_sim.mul(vec, vec, ring)             # 1 cipher mult, 2 gates
+            he_sim.mul(one, one, ring)             # 1 cipher mult, 1 gate
+            he_sim.mul(vec, 3, ring)               # scalar: none
+            wide = he_sim.broadcast(vec, 6)        # moves
+            he_sim.broadcast(wide, 6)              # already 6 slots: none
+            he_sim.pack([vec, vec], ring)          # moves
+            he_sim.pack([vec], ring)               # one cipher: none
+            he_sim.slot_sum(wide, ring, 2)         # runs of 3: moves
+            he_sim.slot_sum(wide, ring, 6)         # runs of 1: none
+            he_sim.split(wide, 3)                  # moves
+            he_sim.split(wide, 1)                  # one part: none
+            # a table of 5 block products, with and without its 7 powers
+            he_sim.table_lookup(vec, np.zeros(23, np.int64), 5, 5, 4, 14, 12)
+            he_sim.table_lookup(vec, np.zeros(23, np.int64), 5, 5, 4, 0, 5)
+    assert (m.mult_gates, m.cipher_mults, m.slot_moves) == (37, 19, 4)
+    assert (outer.cipher_mults, outer.slot_moves) == (19, 4)
+
+
 def test_metering_notes_decrypts_and_nests(ring, keys):
     c = he_sim.encrypt(keys.pk, 3)
     with he_sim.metering() as outer:

@@ -1,8 +1,8 @@
 """The benchmark's three shapes at grid 250 and k = 13, and leave-one-out
 at the CLI's default grid 100, pinned: the predictions
 (perfbench/workloads.digest, the first 16 hex digits of sha256 over the
-prediction bytes), mult gates and cipher add gates per query, depth, and
-one leave-one-out query's gates by stage.  A change to how the plaintext
+prediction bytes), mult gates, cipher add gates, ciphertext mults and slot
+moves per query, depth, and one leave-one-out query's gates by stage.  A change to how the plaintext
 side is prepared or cached, or to how the circuit's ops are batched, must
 leave every one of these exactly as recorded."""
 
@@ -19,6 +19,15 @@ PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 # Mult and cipher add gates per leave-one-out query, by repetition count.
 LOO_GATES = {1: 246_023, 5: 598_499}
 LOO_ADDS = {1: 107_006, 5: 321_462}
+# The served shape's mult gates, and the depth of every shape.
+SERVED_GATES = 599_547
+DEPTH = 68
+# Ciphertext mults and slot moves per query (he_sim.EvalMetrics) at grid
+# 250, at any n: the repetitions share every ciphertext, so the mults do
+# not grow with R, and R > 1 adds the moves of laying the distances out
+# R times, spreading the thresholds and splitting the bits.
+CIPHER_MULTS = 986
+SLOT_MOVES = {1: 7, 5: 10}
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +50,9 @@ def test_leave_one_out_bits_are_pinned(workloads, reps, seed, digest):
     assert workloads.digest(report.per_point_predictions) == digest
     assert report.metrics.mult_gates == LOO_GATES[reps] * gd.n
     assert report.metrics.add_gates == LOO_ADDS[reps] * gd.n
-    assert report.metrics.max_depth == 68
+    assert report.metrics.cipher_mults == CIPHER_MULTS * gd.n
+    assert report.metrics.slot_moves == SLOT_MOVES[reps] * gd.n
+    assert report.metrics.max_depth == DEPTH
 
 
 @pytest.mark.parametrize("seed, digest, f1", [
@@ -59,7 +70,10 @@ def test_grid_100_leave_one_out_bits_are_pinned(workloads, seed, digest, f1):
     assert report.f1 == pytest.approx(f1, abs=5e-5)
     assert report.metrics.mult_gates == 150_347 * gd.n
     assert report.metrics.add_gates == 66_026 * gd.n
-    assert report.metrics.max_depth == 68
+    # P = 397: each full table evaluation pays 37 powers and 19 blocks
+    assert report.metrics.cipher_mults == 602 * gd.n
+    assert report.metrics.slot_moves == SLOT_MOVES[1] * gd.n
+    assert report.metrics.max_depth == DEPTH
 
 
 def test_n_sweep_bits_are_pinned(workloads):
@@ -71,7 +85,8 @@ def test_n_sweep_bits_are_pinned(workloads):
                 point, db, workloads.protocol(db.n, 1, 0)))
         gates.append(m.mult_gates)
         adds.append(m.add_gates)
-        assert m.max_depth == 68
+        assert (m.cipher_mults, m.slot_moves, m.max_depth) == (
+            CIPHER_MULTS, SLOT_MOVES[1], DEPTH)
     assert workloads.digest(bits) == "3192b11429125bfa"
     assert sum(gates) == 10 * 1_352_591
     assert adds == [107_194, 214_166, 321_138, 428_110, 535_082, 642_054,
@@ -84,7 +99,8 @@ def test_served_shape_gates_are_pinned(workloads):
         classifier.classify_with_majority(
             db.points[0], db, workloads.protocol(db.n, workloads.SERVE_REPS, 0))
     assert (db.n, m.mult_gates, m.add_gates, m.max_depth) == (
-        569, 599_547, 322_026, 68)
+        569, SERVED_GATES, 322_026, DEPTH)
+    assert (m.cipher_mults, m.slot_moves) == (CIPHER_MULTS, SLOT_MOVES[5])
 
 
 # he_sim's public ops, one call each per use; a warm query's calls of each.
@@ -118,18 +134,19 @@ def test_a_warm_query_makes_the_pinned_ops(workloads, monkeypatch, reps):
     assert sum(calls.values()) == 44
 
 
-# A leave-one-out query's (mult gates, depth) by stage, at n = 568 and one
-# repetition.  The mu coins claim the powers of the distances, so their
-# stage carries them; the mu_2 coins and the map pay only block products.
+# A leave-one-out query's (mult gates, ciphertext mults, slot moves, depth)
+# by stage, at n = 568 and one repetition.  The mu coins claim the powers
+# of the distances, so their stage carries them; the mu_2 coins and the
+# map pay only block products.
 STAGES = {
-    (interp, "is_smaller"): (92, 68),
-    (primitives, "compute_dists"): (105_648, 12),
-    (classifier, "estimate_mu"): (52_256, 23),
-    (classifier, "estimate_mu2_digits"): (17_608, 23),
-    (classifier, "square_mu_digits"): (93, 34),
-    (classifier, "estimate_sigma"): (462, 46),
-    (classifier, "threshold"): (0, 46),
-    (classifier, "count_classes"): (69_864, 57),
+    (interp, "is_smaller"): (92, 92, 0, 68),
+    (primitives, "compute_dists"): (105_648, 93, 3, 12),
+    (classifier, "estimate_mu"): (52_256, 92, 1, 23),
+    (classifier, "estimate_mu2_digits"): (17_608, 31, 1, 23),
+    (classifier, "square_mu_digits"): (93, 93, 0, 34),
+    (classifier, "estimate_sigma"): (462, 462, 0, 46),
+    (classifier, "threshold"): (0, 0, 0, 46),
+    (classifier, "count_classes"): (69_864, 123, 2, 57),
 }
 
 
@@ -143,7 +160,8 @@ def test_a_leave_one_out_query_splits_its_gates_by_stage(workloads,
         def call(*args):
             with he_sim.metering() as m:
                 out = stage(*args)
-            seen[key] = (m.mult_gates, m.max_depth)
+            seen[key] = (m.mult_gates, m.cipher_mults, m.slot_moves,
+                         m.max_depth)
             return out
         return call
 
@@ -154,4 +172,7 @@ def test_a_leave_one_out_query_splits_its_gates_by_stage(workloads,
         classifier.classify_with_majority(point, db,
                                           workloads.protocol(db.n, 1, 0))
     assert seen == STAGES
-    assert sum(g for g, _ in seen.values()) == total.mult_gates == 246_023
+    gates, ciphers, moves, _ = map(sum, zip(*seen.values()))
+    assert gates == total.mult_gates == LOO_GATES[1]
+    assert ciphers == total.cipher_mults == CIPHER_MULTS
+    assert moves == total.slot_moves == SLOT_MOVES[1]
