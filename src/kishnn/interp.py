@@ -139,7 +139,8 @@ def ps_cost(degree: int, depth_in: int) -> tuple:
 
 class SharedPowers:
     """The baby- and giant-step powers of one cipher u, computed once for
-    every table evaluated on u (see eval_poly_ps).
+    every table evaluated on plaintext shifts of u, tiled or broadcast
+    (see eval_poly_ps).
 
     Only their cost is kept: u's slot count and depth, and the split of
     the table that claimed them, None until one has.
@@ -173,16 +174,16 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams,
     the table's polynomial on the same input, from ps_cost: non-scalar
     gates <= 3*ceil(sqrt(P)) and depth <= log2(P)+4 above the input's.
 
-    With powers, x is c + u or c - u for a plaintext vector c and the
-    cipher u the record was made from, or u tiled.  The table at x is
-    then a polynomial in u of the same degree with per-slot plaintext
-    coefficients, evaluated on the powers of u, tiled for free.  The
-    first table evaluated on the record claims it and is charged the
-    powers on u's slots; every later one of the same split is charged
-    only its block products, and one of another split its full cost.
-    The output depth is the same either way.  In ciphertext mults (see
-    he_sim.EvalMetrics) a table pays its block products, and its powers
-    whenever it pays their gates.
+    With powers, x is c + u, c - u or u - c for a plaintext vector c and
+    the cipher u the record was made from, u tiled or broadcast.  The
+    table at x is then a polynomial in u of the same degree with per-slot
+    plaintext coefficients, evaluated on the powers of u laid out the
+    same way, for free.  The first table evaluated on the record claims
+    it and is charged the powers on u's slots; every later one of the
+    same split is charged only its block products, and one of another
+    split its full cost.  The output depth is the same either way.  In
+    ciphertext mults (see he_sim.EvalMetrics) a table pays its block
+    products, and its powers whenever it pays their gates.
     """
     if table.values.size != params.modulus:
         raise ParameterError("table interpolated over a different ring")

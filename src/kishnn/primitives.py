@@ -78,8 +78,12 @@ def compute_dists(enc_q: list, coords: he_sim.Plain,
     The query is packed and each coordinate broadcast over its run of n
     slots, so one batch over all d*n slots does every coordinate: b =
     [q < s] via the sign test, then (1 - 2b)(q - s) recovers the absolute
-    difference with a single non-scalar mult.  The product is split into
-    its d runs, which d - 1 cipher adds sum.
+    difference with a single non-scalar mult.  The sign test on q_j - s_ij
+    is a polynomial in q_j with per-slot plaintext coefficients, so it
+    reads the baby and giant powers of the packed query, paid once on its
+    d slots (interp.SharedPowers), and each of the d*n slots pays only its
+    block products.  The product is split into its d runs, which d - 1
+    cipher adds sum.
     """
     d = len(enc_q)
     if d != params.dim or coords.size % d:
@@ -87,9 +91,11 @@ def compute_dists(enc_q: list, coords: he_sim.Plain,
                              f"{coords.size} coordinate slots, ring "
                              f"dimension {params.dim}")
     tables = interp.build_named_tables(params)
-    q = he_sim.broadcast(he_sim.pack(enc_q, params), coords.size)
-    diff = he_sim.sub(q, coords, params)  # q_j - s_ij, free
-    b = interp.eval_poly_ps(tables.is_neg, diff, params)  # [q_j < s_ij]
+    packed = he_sim.pack(enc_q, params)
+    diff = he_sim.sub(he_sim.broadcast(packed, coords.size), coords,
+                      params)  # q_j - s_ij, free
+    b = interp.eval_poly_ps(tables.is_neg, diff, params,
+                            interp.SharedPowers(packed))  # [q_j < s_ij]
     sign = he_sim.rsub(1, he_sim.mul(b, 2, params), params)  # 1 - 2b
     total, *rest = he_sim.split(he_sim.mul(sign, diff, params), d)
     for term in rest:  # |q_j - s_ij|, summed over j

@@ -310,43 +310,65 @@ def test_lookup_matches_reference_on_constant_and_linear(grid, degree):
         assert lookup == reference
 
 
+# The plaintext shifts x of a cipher u that share u's powers, by the signs
+# (of u, of c) of x = c + u, c - u or u - c for a plaintext vector c.
+FORMS = {"c+u": (1, 1), "c-u": (-1, 1), "u-c": (1, -1)}
+
+
+def _laid_out(u, size, layout, params):
+    """u to size slots: tiled end to end, or each slot repeated over a run
+    of consecutive slots (broadcast)."""
+    if layout == "tile":
+        return he_sim.pack([u] * (size // u.size), params)
+    return he_sim.broadcast(u, size)
+
+
+def _shifted(u, shift, form, params):
+    """The cipher c + u, c - u or u - c for the plaintext c = shift."""
+    if form == "c+u":
+        return he_sim.add(u, shift, params)
+    if form == "c-u":
+        return he_sim.rsub(shift, u, params)
+    return he_sim.sub(u, shift, params)
+
+
 def eval_shared_reference(jobs, u, params):
     """Literal evaluation of tables on plaintext shifts of one cipher u,
-    or of u tiled, from one set of u's powers: the oracle of eval_poly_ps
-    with a SharedPowers record.
+    tiled or broadcast, from one set of u's powers: the oracle of
+    eval_poly_ps with a SharedPowers record.
 
-    jobs holds (table, shift, sign) triples: the table is evaluated at
-    shift + sign * u, with u tiled to the length of the vector shift and
-    sign +1 or -1.  In slot i that is a polynomial in u of the table's
+    jobs holds (table, shift, form, layout) tuples: the table is evaluated
+    at the form (FORMS) of the vector shift and u laid out to its length
+    (_laid_out).  In slot i that is a polynomial in u of the table's
     degree whose coefficients are plaintext, interpolated here from the
-    table's values at shift_i + sign * v.  The first table with powers to share
-    computes u's baby and giant powers on u's slots; each table of its
-    split combines the powers, tiled, by per-slot plaintext weights (one
-    linear_combine per single slot) and multiplies the blocks by the
-    giant powers.  A table of another split is evaluated alone.
+    table's values at the form of shift_i and v for every v.  The first
+    table with powers to share computes u's baby and giant powers on u's
+    slots; each table of its split combines the powers, laid out like u,
+    by per-slot plaintext weights (one linear_combine per single slot)
+    and multiplies the blocks by the giant powers.  A table of another
+    split is evaluated alone.
     """
     P, claimed, out = params.modulus, None, []
-    for table, shift, sign in jobs:
+    for table, shift, form, layout in jobs:
         size = len(shift)
-        reps = size // u.size
-        tiled = he_sim.pack([u] * reps, params)
+        laid = _laid_out(u, size, layout, params)
         deg, split = table.degree, interp._ps_split(table.degree)
         if claimed is None and deg:
             claimed, (s, t) = split, split
             xp = _balanced_powers(u, min(s, deg), params)
             yp = _balanced_powers(xp[s], t - 1, params) if t > 1 else {}
         if not deg or split != claimed:
-            x = (he_sim.add(tiled, shift, params) if sign > 0
-                 else he_sim.rsub(shift, tiled, params))
-            out.append(eval_poly_ps_reference(table, x, params))
+            out.append(eval_poly_ps_reference(
+                table, _shifted(laid, shift, form, params), params))
             continue
         s, t = split
         kmax = min(s, deg)
-        slots = [he_sim.split(he_sim.pack([xp[j]] * reps, params), size)
+        slots = [he_sim.split(_laid_out(xp[j], size, layout, params), size)
                  for j in range(1, kmax + 1)]
+        su, sc = FORMS[form]
         rows = []  # rows[i][b]: block b in slot i
         for i in range(size):
-            v = (int(shift[i]) + sign * np.arange(P)) % P
+            v = (sc * int(shift[i]) + su * np.arange(P)) % P
             coeffs = poly_coeffs(PolyTable(table.values[v]))
             weights = np.zeros((t, kmax), dtype=np.int64)
             for b in range(t):
@@ -360,7 +382,7 @@ def eval_shared_reference(jobs, u, params):
         acc = he_sim.pack([r[0] for r in rows], params)
         for b in range(1, t):
             block = he_sim.pack([r[b] for r in rows], params)
-            giant = he_sim.pack([yp[b]] * reps, params)
+            giant = _laid_out(yp[b], size, layout, params)
             acc = he_sim.add(acc, he_sim.mul(block, giant, params), params)
         out.append(acc)
     return out
@@ -368,8 +390,8 @@ def eval_shared_reference(jobs, u, params):
 
 def _shared_paths(jobs, us, depth, ring):
     """([(value, output depth) per table], mult gates, add gates, max
-    depth) of the lookups on one SharedPowers record and of the literal
-    shared schedule, on the same inputs."""
+    depth, cipher mults) of the lookups on one SharedPowers record and of
+    the literal shared schedule, on the same inputs."""
     keys = he_sim.keygen(ring, 5)
     results = []
     for literal in (False, True):
@@ -380,14 +402,26 @@ def _shared_paths(jobs, us, depth, ring):
                 outs = eval_shared_reference(jobs, u, ring)
             else:
                 powers, outs = interp.SharedPowers(u), []
-                for table, shift, sign in jobs:
-                    tiled = he_sim.pack([u] * (len(shift) // u.size), ring)
-                    x = (he_sim.add(tiled, shift, ring) if sign > 0
-                         else he_sim.rsub(shift, tiled, ring))
+                for table, shift, form, layout in jobs:
+                    x = _shifted(_laid_out(u, len(shift), layout, ring),
+                                 shift, form, ring)
                     outs.append(eval_poly_ps(table, x, ring, powers))
         results.append(([(he_sim.decrypt(keys.sk, r), r.depth) for r in outs],
-                        m.mult_gates, m.add_gates, m.max_depth))
+                        m.mult_gates, m.add_gates, m.max_depth,
+                        m.cipher_mults))
     return results
+
+
+def _expected(jobs, us, P):
+    """Each job's table at the form of its shift and us laid out, in
+    plaintext."""
+    out = []
+    for table, shift, form, layout in jobs:
+        reps = len(shift) // len(us)
+        laid = np.tile(us, reps) if layout == "tile" else np.repeat(us, reps)
+        su, sc = FORMS[form]
+        out.append(table.values[(sc * shift + su * laid) % P].tolist())
+    return out
 
 
 # Rings of modulus 23 and 97, and of 13 and 17 (grid 4 and 5), where the
@@ -403,7 +437,8 @@ SHARED_GRIDS = (4, 5, 6, 24)
 @settings(max_examples=60, deadline=None)
 def test_shared_powers_match_the_literal_schedule(grid, n, kinds, seed,
                                                   slots, depth):
-    # one to three tables, each on u tiled 1 to 3 times
+    # one to three tables, each on a shift of u tiled or broadcast 1 to 3
+    # times, in any of the three forms
     ring = select_ring_params(grid, dim=2, n=n)
     P = ring.modulus
     rng = np.random.default_rng(seed)
@@ -419,14 +454,32 @@ def test_shared_powers_match_the_literal_schedule(grid, n, kinds, seed,
             table = getattr(build_named_tables(ring), kind)
         reps = int(rng.integers(1, 4))
         jobs.append((table, rng.integers(0, P, reps * slots),
-                     int(rng.choice((-1, 1)))))
+                     str(rng.choice(list(FORMS))),
+                     str(rng.choice(["tile", "repeat"]))))
     us = [int(v) for v in rng.integers(0, P, slots)]
     lookup, literal = _shared_paths(jobs, us, depth, ring)
     assert lookup == literal
-    for (table, shift, sign), (value, _) in zip(jobs, lookup[0]):
-        tiled = np.tile(us, len(shift) // slots)
-        want = table.values[(shift + sign * tiled) % P]
-        assert np.atleast_1d(value).tolist() == want.tolist()
+    values = [np.atleast_1d(value).tolist() for value, _ in lookup[0]]
+    assert values == _expected(jobs, us, P)
+
+
+@pytest.mark.parametrize("grid, n", [(6, 3), (24, 5), (24, 50)])
+def test_the_distance_sign_test_reads_the_packed_querys_powers(grid, n):
+    # compute_dists' pattern: the sign test on the packed 2-slot query,
+    # broadcast over n slots per coordinate, minus the points' coordinates;
+    # the powers are paid on the query's 2 slots, the blocks on all 2n
+    ring = select_ring_params(grid, dim=2, n=n)
+    is_neg = build_named_tables(ring).is_neg
+    rng = np.random.default_rng(n)
+    jobs = [(is_neg, rng.integers(0, grid, 2 * n), "u-c", "repeat")]
+    us = [int(v) for v in rng.integers(0, grid, 2)]
+    lookup, literal = _shared_paths(jobs, us, 0, ring)
+    assert lookup == literal
+    assert [np.atleast_1d(lookup[0][0][0]).tolist()] == _expected(
+        jobs, us, ring.modulus)
+    _, power, block, *_ = ps_cost(is_neg.degree, 0)
+    assert lookup[1] == 2 * power + 2 * n * block
+    assert lookup[4] == power + block
 
 
 @pytest.mark.parametrize("grid, n, shared", [(4, 50, False), (5, 3, False),
@@ -441,9 +494,10 @@ def test_the_circuit_tables_share_powers_when_their_splits_match(grid, n,
     tables = build_named_tables(ring)
     P, reps, slots, depth = ring.modulus, 3, 4, 12
     rng = np.random.default_rng(grid)
-    coins = [(tables.is_neg, rng.integers(0, P, reps * slots), -1)
+    coins = [(tables.is_neg, rng.integers(0, P, reps * slots), "c-u", "tile")
              for _ in range(2)]
-    jobs = coins + [(tables.dist_map, np.zeros(slots, dtype=np.int64), 1)]
+    jobs = coins + [(tables.dist_map, np.zeros(slots, dtype=np.int64), "c+u",
+                     "tile")]
     us = [int(v) for v in rng.integers(0, ring.dist_bound + 1, slots)]
     lookup, literal = _shared_paths(jobs, us, depth, ring)
     assert lookup == literal

@@ -1,5 +1,6 @@
 import bisect
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -315,18 +316,21 @@ def test_compute_dists_dimension_mismatch(ring, keys):
         compute_dists(enc_q, coords(np.zeros((4, 2), dtype=int)), ring)
 
 
-def test_compute_dists_gate_count_linear_in_n(ring, keys):
+def test_compute_dists_gate_count_affine_in_n():
+    # the sign test's powers are paid once per coordinate, on the packed
+    # query; every coordinate slot pays the block products and the product
     rng = np.random.default_rng(5)
-    q = [he_sim.encrypt(keys.pk, 5), he_sim.encrypt(keys.pk, 6)]
-
-    def gates(n):
-        pts = rng.integers(0, 24, size=(n, 2))
+    for grid, n in itertools.product((24, 250), (1, 40, 80, 569)):
+        ring = select_ring_params(grid, dim=2, n=n)
+        keys = he_sim.keygen(ring, 5)
+        q = [he_sim.encrypt(keys.pk, int(v)) for v in rng.integers(0, grid, 2)]
+        pts = rng.integers(0, grid, size=(n, 2))
         with he_sim.metering() as m:
             compute_dists(q, coords(pts), ring)
-        return m.mult_gates
-
-    g40, g80 = gates(40), gates(80)
-    assert g80 == 2 * g40
+        _, power, block, _, depth = interp.ps_cost(
+            interp.build_named_tables(ring).is_neg.degree, 0)
+        assert m.mult_gates == power * 2 + (block + 1) * 2 * n
+        assert (m.cipher_mults, m.max_depth) == (power + block + 1, depth + 1)
 
 
 def test_server_side_needs_no_secret_key(ring, keys):

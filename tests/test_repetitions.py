@@ -110,12 +110,12 @@ def test_packed_repetitions_match_independent_circuits(grid, n, seed, reps):
 
 def test_serve_shaped_query_cost():
     # WDBC, 569 points, grid 250, the server's 5 repetitions: distances
-    # (105,834 gates), their 61 powers per slot (34,709) and the map's 31
+    # (36,538 gates), their 61 powers per slot (34,709) and the map's 31
     # block products per slot (17,639) once, the rest five times
     db = database(250, 569)
     ring = select_ring_params(250, dim=2, n=569)
     pp = make_protocol_params(ring, k=13, n=569, repetitions=5, rng_seed=0)
     with he_sim.metering() as m:
         classify_with_majority((40, 60), db, pp)
-    assert m.mult_gates == 5 * 246_455 - 4 * 158_182 == 599_547
+    assert m.mult_gates == 5 * 177_159 - 4 * 88_886 == 530_251
     assert m.max_depth == 68
