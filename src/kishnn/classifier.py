@@ -79,7 +79,11 @@ class LabeledDatabase:
     label_signs: he_sim.Plain = field(init=False, repr=False)
 
     def __post_init__(self):
-        raw = [np.asarray(a) for a in (self.points, self.labels)]
+        try:
+            raw = [np.asarray(a) for a in (self.points, self.labels)]
+        except ValueError:  # ragged rows, which numpy refuses
+            raise ParameterError("coordinates must form an (n, d) array "
+                                 "and labels an (n,) one") from None
         if any(a.dtype.kind not in "biuf" for a in raw):
             raise ParameterError("coordinates and labels must be numbers")
         with np.errstate(invalid="ignore"):  # NaN and inf: refused below

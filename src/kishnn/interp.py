@@ -66,7 +66,8 @@ class PolyTable:
         values = np.array(self.values, dtype=np.int64)
         P = values.size
         _require_exact(P)
-        if values.ndim != 1 or values.min() < 0 or values.max() >= P:
+        if (values.ndim != 1 or not P or values.min() < 0
+                or values.max() >= P):
             raise ParameterError("table values must be one row in [0, P)")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

@@ -187,6 +187,15 @@ def test_labeled_database_refuses_what_the_ring_cannot_read(points, labels):
         LabeledDatabase(points, labels)
 
 
+@pytest.mark.parametrize("points,labels", [
+    ([[1, 2], [3]], [0, 1]),  # was numpy's bare ValueError
+    ([[1, 2], [3, 4]], [[0], [1, 1]]),
+])
+def test_labeled_database_refuses_ragged_rows(points, labels):
+    with pytest.raises(ParameterError, match="an \\(n, d\\) array"):
+        LabeledDatabase(points, labels)
+
+
 def test_labeled_database_takes_integral_floats():
     db = LabeledDatabase(np.zeros((2, 3)), np.array([1.0, 0.0]))
     assert db.points.dtype == db.labels.dtype == np.int64

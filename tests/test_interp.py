@@ -563,6 +563,9 @@ def test_table_refuses_values_outside_the_ring(ring, keys):
     for bad in (np.full(23, 40), np.full(23, -1), np.zeros((23, 1))):
         with pytest.raises(ParameterError):
             PolyTable(bad)
+    # no values, no ring: was a bare ValueError from min()
+    with pytest.raises(ParameterError, match="one row in \\[0, P\\)"):
+        PolyTable(np.array([], dtype=np.int64))
     # lagrange_table reduces what f returns, so a lookup stays in Z_P
     table = lagrange_table(lambda x: np.full(x.shape, 40), ring)
     c = he_sim.encrypt(keys.pk, 5)

@@ -1,9 +1,11 @@
 import pathlib
+import re
 import shlex
 
 from kishnn import cli
 
 from conftest import two_cluster_db
+from test_pinned_bits import DEPTH, LOO_GATES, SERVED_GATES
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
@@ -62,3 +64,23 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     assert sorted(ran) == ["diagnose", "evaluate", "query"]
     assert "F1=" in out and "sd_gaussian=" in out
     assert out.splitlines()[-1] in ("0", "1")
+
+
+def _figure(text: str) -> int:
+    return int(text.replace(",", ""))
+
+
+def test_readme_cost_figures_are_the_pinned_ones():
+    # the cost paragraphs' one-repetition query (grid 250, n = 568) and
+    # served shape (n = 569, R = 5), against test_pinned_bits: a change to
+    # the circuit's cost must carry README with it
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    one = re.findall(r"one repetition costs ([\d,]+) mult gates at depth "
+                     r"(\d+)", text)
+    served = re.findall(r"repetitions cost (\d+) · ([\d,]+) − (\d+) · "
+                        r"([\d,]+) = ([\d,]+) gates at depth (\d+)", text)
+    assert [(_figure(g), int(d)) for g, d in one] == [(LOO_GATES[1], DEPTH)]
+    assert len(served) == 1
+    reps, g1, rest, shared, total, depth = (_figure(f) for f in served[0])
+    assert (total, depth) == (SERVED_GATES, DEPTH)
+    assert reps * g1 - rest * shared == total and rest == reps - 1
