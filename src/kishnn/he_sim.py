@@ -5,9 +5,7 @@ SIMD-packed ciphertext), a multiplicative-depth tag and a key binding.
 The evaluation interface never reveals values; only decrypt with the
 matching secret key does.  Every cipher-by-cipher multiplication is
 metered per slot, plaintext-scalar operations are free, and a table
-lookup is metered as the circuit that evaluates the table.  Beside the
-per-slot gates, a scope counts what packed HE pays per ciphertext:
-multiplications, whatever their slot count, and slot moves (rotations).
+lookup is metered as the circuit that evaluates the table.
 """
 
 from __future__ import annotations
@@ -116,7 +114,7 @@ _scopes = _Scopes()
 def _note(depth: int, mults: int = 0, adds: int = 0, ciphers: int = 0,
           moves: int = 0) -> None:
     """Charge gates reaching depth, ciphertext mults and slot moves to
-    this thread's innermost open scope."""
+    this thread's innermost open scope; a bool counts as 0 or 1."""
     stack = _scopes.stack
     if stack:
         m = stack[-1]
@@ -134,8 +132,9 @@ def metering():
 
     Scopes are thread-local.  An operation notes its gates into the
     innermost open scope only; a scope adds its totals (gates, ciphertext
-    mults, slot moves, decrypts, max depth) into the enclosing one when it closes, so nested scopes
-    roll up, also when the body raises.  wall_time is each scope's own.
+    mults, slot moves, decrypts, max depth) into the enclosing one when
+    it closes, so nested scopes roll up, also when the body raises.
+    wall_time is each scope's own.
     """
     m = EvalMetrics()
     stack = _scopes.stack
@@ -327,7 +326,7 @@ def mul(a: Cipher, b, ring: RingParams) -> Cipher:
     av, bv, bound, bd, bc = _operands(a, b, ring.modulus, True)
     depth = max(a.depth, bd) + 1 if bc else a.depth
     v = av * bv
-    _note(depth, v.size if bc else 0, 0, int(bc))
+    _note(depth, v.size if bc else 0, 0, bc)
     return Cipher(v, depth, a.key_id, bound)
 
 
@@ -342,7 +341,7 @@ def slot_sum(c: Cipher, ring: RingParams, segments: int = 1) -> Cipher:
     if run * mag >= _INT64:
         v, mag = _canonical(v, bound, p), p - 1
     vals = np.add.reduce(v.reshape(segments, -1), axis=1)
-    _note(c.depth, moves=int(run > 1))
+    _note(c.depth, 0, 0, 0, run > 1)
     return Cipher(vals, c.depth, c.key_id, run * mag)
 
 
@@ -356,7 +355,7 @@ def broadcast(c: Cipher, nslots: int) -> Cipher:
         raise BackendError("can only broadcast into a multiple of the slots")
     out = Cipher(c._values.repeat(nslots // size), c.depth, c.key_id,
                  c._bound)
-    _note(c.depth, moves=1)
+    _note(c.depth, 0, 0, 0, 1)
     return out
 
 
@@ -374,7 +373,7 @@ def pack(ciphers: list, ring: RingParams) -> Cipher:
         reduced = reduced and c._bound is None
     vals = np.concatenate([c._values for c in ciphers])
     out = Cipher(vals, depth, key_id, None if reduced else bound)
-    _note(depth, moves=1)
+    _note(depth, 0, 0, 0, 1)
     return out
 
 
@@ -385,7 +384,7 @@ def split(c: Cipher, parts: int) -> list:
     v = c._values
     if v.size % parts:
         raise BackendError("slots do not split into equal runs")
-    _note(c.depth, moves=int(parts > 1))
+    _note(c.depth, 0, 0, 0, parts > 1)
     return [Cipher(run, c.depth, c.key_id, c._bound)
             for run in v.reshape(parts, -1)]
 
@@ -397,9 +396,10 @@ def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
     values holds a function over all of Z_P (a table's values, each in
     [0, P)); mults and adds are that circuit's gates per slot, once its
     mult gates that are not per slot, ciphers its ciphertext mults, and
-    depth its output depth, which is also the deepest level it reaches.  numpy reads every index v in
-    [-P, P) as v mod P, so slots are reduced first only when one lies
-    outside, which numpy's own index check reports.
+    depth its output depth, which is also the deepest level it reaches.
+    numpy reads every index v in [-P, P) as v mod P, so slots are reduced
+    first only when one lies outside, which numpy's own index check
+    reports.
     """
     try:
         looked_up = values[c._values]

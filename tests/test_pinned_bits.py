@@ -2,9 +2,10 @@
 at the CLI's default grid 100, pinned: the predictions
 (perfbench/workloads.digest, the first 16 hex digits of sha256 over the
 prediction bytes), mult gates, cipher add gates, ciphertext mults and slot
-moves per query, depth, and one leave-one-out query's gates by stage.  A change to how the plaintext
-side is prepared or cached, or to how the circuit's ops are batched, must
-leave every one of these exactly as recorded."""
+moves per query, depth, and one leave-one-out query's gates by stage.  A
+change to how the plaintext side is prepared or cached, or to how the
+circuit's ops are batched, must leave every one of these exactly as
+recorded."""
 
 import collections
 import importlib
