@@ -43,6 +43,11 @@ class ProtocolParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for f in ("k", "n", "repetitions", "rng_seed"):  # numpy's ints too
+            try:  # 2.5, 3.0 or "7" is refused, not truncated or parsed
+                object.__setattr__(self, f, operator.index(getattr(self, f)))
+            except TypeError:
+                raise ParameterError(f"{f} must be an integer") from None
         if not 1 <= self.k < self.n:
             raise ParameterError("need 1 <= k < n")
         if self.repetitions < 1 or self.repetitions % 2 != 1:
@@ -167,31 +172,30 @@ def moment_coins(pp: ProtocolParams, seeds: tuple) -> tuple:
             CoinSpec("square", pp.n * pp.ring.coord_bound, moments, pp.ring))
 
 
-def estimate_mu(xs: Cipher, pp: ProtocolParams, coins: CoinSpec,
-                powers: interp.SharedPowers | None = None) -> Cipher:
+def estimate_mu(xs: Cipher, pp: ProtocolParams, coins: CoinSpec) -> Cipher:
     """Coin-sum estimate of the mean of the mapped distances t(x) (see
     interp.dist_map), denominator n.
 
     xs holds one copy of the distances per repetition seed of the coins,
     moment_coins' first spec, and the estimate holds one slot per
-    repetition.  With powers, the record of the distances, the coins are
-    evaluated on their powers (primitives.prob_avg).
+    repetition.  If xs carries the distances' powers record, the coins
+    read their powers (primitives.prob_avg).
     """
-    return primitives.prob_avg(xs, coins, pp.ring, powers)
+    return primitives.prob_avg(xs, coins, pp.ring)
 
 
-def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams, coins: CoinSpec,
-                        powers: interp.SharedPowers | None = None) -> Cipher:
+def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams,
+                        coins: CoinSpec) -> Cipher:
     """High base-p digit of the second moment mu_2 = mean(t(x)^2).
 
     One coin batch with denominator n*p gives the high digit, and
     p * high is unbiased for mu_2 as long as no coin saturates, i.e.
     while every squared mapped distance is at most n*p; the map
     guarantees this.  The high digit alone counts all of mu_2, so mu_2
-    has no low digit.  xs, coins (moment_coins' second spec) and powers
-    are as for estimate_mu.
+    has no low digit.  xs and coins (moment_coins' second spec) are as
+    for estimate_mu.
     """
-    return primitives.prob_avg(xs, coins, pp.ring, powers)
+    return primitives.prob_avg(xs, coins, pp.ring)
 
 
 def square_mu_digits(mu_star: Cipher, pp: ProtocolParams):
@@ -248,16 +252,15 @@ def threshold(mu_star: Cipher, sigma_star: Cipher, pp: ProtocolParams) -> Cipher
 
 
 def count_classes(xs: Cipher, t_star: Cipher, signs: he_sim.Plain,
-                  pp: ProtocolParams,
-                  powers: interp.SharedPowers | None = None) -> Cipher:
+                  pp: ProtocolParams) -> Cipher:
     """C0 - C1 mod P, where Cc counts the points of class c whose mapped
     distance t(x) lies strictly below the threshold: one signed sum of the
     sign-test bits, with signs the plaintext 1 - 2 * labels as
     LabeledDatabase.label_signs gives it.
 
     The distances first go through the dist_map table, so they are
-    compared in the units the threshold was estimated in; with powers,
-    the record of the distances, the map reads their powers.  t_star holds
+    compared in the units the threshold was estimated in; if xs carries
+    the distances' powers record, the map reads their powers.  t_star holds
     one threshold per repetition: the n mapped distances are laid out
     once per repetition and compared against that repetition's threshold
     in one batched sign test.  The difference holds one slot per
@@ -266,7 +269,7 @@ def count_classes(xs: Cipher, t_star: Cipher, signs: he_sim.Plain,
     ring = pp.ring
     tables = interp.build_named_tables(ring)
     reps = t_star.size
-    xs = interp.eval_poly_ps(tables.dist_map, xs, ring, powers)
+    xs = interp.eval_poly_ps(tables.dist_map, xs, ring)
     xs = he_sim.pack([xs] * reps, ring)
     tb = he_sim.broadcast(t_star, xs.size)
     bits = interp.eval_poly_ps(tables.is_neg, he_sim.sub(xs, tb, ring), ring)
@@ -276,21 +279,21 @@ def count_classes(xs: Cipher, t_star: Cipher, signs: he_sim.Plain,
 
 def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
                         coins: tuple):
-    """Distances (n slots), thresholds (one slot per seed of coins, the
-    mu and mu_2 CoinSpecs of moment_coins) and the record of the
-    distances' powers, which the mu coins claim and the mu_2 coins share.
-    The distances are computed once and laid out once per seed for the
+    """Distances (n slots), carrying the record of their powers, which the
+    mu coins claim and the mu_2 coins share, and thresholds (one slot per
+    seed of coins, the mu and mu_2 CoinSpecs of moment_coins).  The
+    distances are computed once and laid out once per seed for the
     moment coins."""
-    xs = primitives.compute_dists(enc_q, db.coords, pp.ring)
-    powers = interp.SharedPowers(xs)
+    xs = he_sim.share_powers(
+        primitives.compute_dists(enc_q, db.coords, pp.ring))
     mu_coins, mu2_coins = coins
     tiled = he_sim.pack([xs] * len(mu_coins.seeds), pp.ring)
-    mu_star = estimate_mu(tiled, pp, mu_coins, powers)
-    mu2_high = estimate_mu2_digits(tiled, pp, mu2_coins, powers)
+    mu_star = estimate_mu(tiled, pp, mu_coins)
+    mu2_high = estimate_mu2_digits(tiled, pp, mu2_coins)
     musq_low, musq_high = square_mu_digits(mu_star, pp)
     sigma_star = estimate_sigma(mu2_high, musq_low, musq_high, pp)
     t_star = threshold(mu_star, sigma_star, pp)
-    return xs, t_star, powers
+    return xs, t_star
 
 
 def server_classify(enc_q: list, db: LabeledDatabase,
@@ -302,7 +305,7 @@ def server_classify(enc_q: list, db: LabeledDatabase,
     their baby- and giant-step powers and their map t(x) are computed
     once; the mu coins, the mu_2 coins and the map are each a polynomial
     in the distances, so they share those powers and pay only their own
-    block products (interp.SharedPowers).  Repetition r's coins come from
+    block products (he_sim.share_powers).  Repetition r's coins come from
     repetition_seeds(pp)[r] (pp.coins), and its stages run on slot
     segment r, so its bit is the one-repetition circuit's bit for that
     seed.  The threshold is estimated on the mapped distances t(x) (see
@@ -318,8 +321,8 @@ def server_classify(enc_q: list, db: LabeledDatabase,
     # the bound is the largest coordinate (a held-out one's parent's)
     if coords.bound >= pp.ring.coord_bound:
         raise ParameterError("database points lie off the ring's grid")
-    xs, t_star, powers = _threshold_pipeline(enc_q, db, pp, pp.coins)
-    diff = count_classes(xs, t_star, db.label_signs, pp, powers)
+    xs, t_star = _threshold_pipeline(enc_q, db, pp, pp.coins)
+    diff = count_classes(xs, t_star, db.label_signs, pp)
     return interp.is_smaller(diff, 0, pp.ring)
 
 

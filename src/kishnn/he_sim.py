@@ -56,17 +56,19 @@ class Cipher:
     The slot values are deliberately private; evaluator-side code must go
     through add/mul/slot ops and can only learn values via decrypt.  They
     are reduced lazily: a _bound of None means every slot lies in [0, P),
-    otherwise every slot v has |v| <= _bound and is read mod P.
+    otherwise every slot v has |v| <= _bound and is read mod P.  _powers
+    is the record of the cipher this one is an image of (share_powers).
     """
 
-    __slots__ = ("_values", "depth", "key_id", "_bound")
+    __slots__ = ("_values", "depth", "key_id", "_bound", "_powers")
 
     def __init__(self, values: np.ndarray, depth: int, key_id: int,
-                 bound: int | None = None):
+                 bound: int | None = None, powers=None):
         self._values = values
         self.depth = depth
         self.key_id = key_id
         self._bound = bound
+        self._powers = powers
 
     @property
     def size(self) -> int:
@@ -85,7 +87,7 @@ class EvalMetrics:
     multiplications as packed HE pays them: one per non-scalar mul,
     whatever its slot count, plus each table evaluation's block products,
     plus its baby- and giant-step powers when it pays for them (not when
-    it reads powers that another table paid, interp.SharedPowers).
+    it reads powers that another table paid, SharedPowers).
     slot_moves counts one per broadcast, slot_sum, pack or split that
     moves slots: a broadcast into more slots, a sum of runs longer than
     one slot, a pack of two or more ciphers, a split into two or more
@@ -297,7 +299,7 @@ def add(a: Cipher, b, ring: RingParams) -> Cipher:
     depth = max(a.depth, bd)
     v = av + bv
     _note(depth, 0, v.size if bc else 0)
-    return Cipher(v, depth, a.key_id, bound)
+    return Cipher(v, depth, a.key_id, bound, None if bc else a._powers)
 
 
 def sub(a: Cipher, b, ring: RingParams) -> Cipher:
@@ -305,7 +307,7 @@ def sub(a: Cipher, b, ring: RingParams) -> Cipher:
     depth = max(a.depth, bd)
     v = av - bv
     _note(depth, 0, v.size if bc else 0)
-    return Cipher(v, depth, a.key_id, bound)
+    return Cipher(v, depth, a.key_id, bound, None if bc else a._powers)
 
 
 def rsub(b, a: Cipher, ring: RingParams) -> Cipher:
@@ -314,7 +316,7 @@ def rsub(b, a: Cipher, ring: RingParams) -> Cipher:
         raise BackendError("rsub takes a plaintext minuend")
     av, bv, bound, _, _ = _operands(a, b, ring.modulus, False)
     _note(a.depth)
-    return Cipher(bv - av, a.depth, a.key_id, bound)
+    return Cipher(bv - av, a.depth, a.key_id, bound, a._powers)
 
 
 def mul(a: Cipher, b, ring: RingParams) -> Cipher:
@@ -354,25 +356,28 @@ def broadcast(c: Cipher, nslots: int) -> Cipher:
     if nslots % size:
         raise BackendError("can only broadcast into a multiple of the slots")
     out = Cipher(c._values.repeat(nslots // size), c.depth, c.key_id,
-                 c._bound)
+                 c._bound, c._powers)
     _note(c.depth, 0, 0, 0, 1)
     return out
 
 
 def pack(ciphers: list, ring: RingParams) -> Cipher:
     """Concatenate the slots of ciphers into one packed cipher (free);
-    [c] * r tiles c r times."""
+    [c] * r tiles c r times.  The result carries the parts' powers record
+    if they all carry the same one."""
     if len(ciphers) == 1:
         return ciphers[0]
     key_id, depth, bound, reduced = ciphers[0].key_id, 0, 0, True
+    powers = ciphers[0]._powers
     for c in ciphers:
         if c.key_id != key_id:
             raise KeyMismatchError("cannot pack ciphers under different keys")
         depth = max(depth, c.depth)
         bound = max(bound, _mag(c._bound, ring.modulus))
         reduced = reduced and c._bound is None
+        powers = powers if c._powers is powers else None
     vals = np.concatenate([c._values for c in ciphers])
-    out = Cipher(vals, depth, key_id, None if reduced else bound)
+    out = Cipher(vals, depth, key_id, None if reduced else bound, powers)
     _note(depth, 0, 0, 0, 1)
     return out
 
@@ -389,24 +394,56 @@ def split(c: Cipher, parts: int) -> list:
             for run in v.reshape(parts, -1)]
 
 
-def table_lookup(c: Cipher, values: np.ndarray, mults: int, adds: int,
-                 depth: int, once: int, ciphers: int) -> Cipher:
-    """Slot-wise values[c], charged as the circuit that evaluates it.
+@dataclass(slots=True, eq=False)
+class SharedPowers:
+    """The cost of the baby- and giant-step powers of one cipher u, paid
+    once for every table evaluated on a plaintext shift or layout of u:
+    u's slot count, and the split of the table that claimed them."""
 
-    values holds a function over all of Z_P (a table's values, each in
-    [0, P)); mults and adds are that circuit's gates per slot, once its
-    mult gates that are not per slot, ciphers its ciphertext mults, and
-    depth its output depth, which is also the deepest level it reaches.
-    numpy reads every index v in [-P, P) as v mod P, so slots are reduced
-    first only when one lies outside, which numpy's own index check
-    reports.
+    slots: int
+    split: tuple | None = None
+
+    def charge(self, split, mults: int, size: int) -> int:
+        """Mult gates of the powers that a table of this split, needing
+        mults of them per slot, reads on an image of u of size slots: the
+        powers on u's slots if it is the first table, none if it shares
+        the claimed split, and its own on the image's slots otherwise."""
+        if self.split is None:
+            self.split = split
+            return mults * self.slots
+        return 0 if split == self.split else mults * size
+
+
+def share_powers(c: Cipher) -> Cipher:
+    """c, the same slots, depth, key and bound, with a fresh record of its
+    powers, which its plaintext shifts and layouts carry: add, sub and
+    rsub of a plaintext, broadcast, and pack of images of one record."""
+    return Cipher(c._values, c.depth, c.key_id, c._bound, SharedPowers(c.size))
+
+
+def table_lookup(c: Cipher, values: np.ndarray, split, powers: int,
+                 mults: int, adds: int, depth: int) -> Cipher:
+    """Slot-wise values[c], charged as the baby-step/giant-step circuit
+    that evaluates it (interp.ps_cost).
+
+    values holds a function over all of Z_P (each in [0, P)); split,
+    powers, mults, adds and depth are the schedule's split, power gates,
+    block products and cipher adds per slot, and output depth, its
+    deepest level.  The powers are paid on c's slots, or as the record c
+    carries charges them; in ciphertext mults a table pays its blocks,
+    and its powers when it pays their gates.  numpy reads every index v
+    in [-P, P) as v mod P, so slots are reduced only when one lies
+    outside, which numpy's own index check reports.
     """
     try:
         looked_up = values[c._values]
     except IndexError:
         looked_up = values[_mod(c._values, values.size)]
-    _note(depth, mults * looked_up.size + once, adds * looked_up.size,
-          ciphers)
+    size, shared = looked_up.size, c._powers
+    once = (powers * size if shared is None
+            else shared.charge(split, powers, size))
+    _note(depth, mults * size + once, adds * size,
+          mults + (powers if once else 0))
     return Cipher(looked_up, depth, c.key_id)
 
 

@@ -8,7 +8,7 @@ and charged the exact gates and depth of a baby-step/giant-step
 non-scalar multiplication count O(sqrt(P)) and the depth O(log P); the
 literal evaluation is the oracle in tests/test_interp.py.  Tables
 evaluated on plaintext shifts of one input share that input's powers
-(SharedPowers), so each one after the first pays only its block
+(he_sim.share_powers), so each one after the first pays only its block
 products.  Includes the named tables the classifier needs, among them
 the upper-half sign test that realizes strict comparison.
 """
@@ -119,7 +119,7 @@ def ps_cost(degree: int, depth_in: int) -> tuple:
     scalars, for free; and the sum of block 0 and each block i times y^i,
     t - 1 block products.  The powers depend only on the input and the
     split, so tables of one split on one input can share them
-    (SharedPowers).  The tests run the schedule literally and check it
+    (he_sim.SharedPowers).  The tests run the schedule literally and check it
     against this count.  Every intermediate of the schedule is at most as
     deep as its output, so the output depth is also the deepest level it
     meters.
@@ -138,36 +138,7 @@ def ps_cost(degree: int, depth_in: int) -> tuple:
     return (s, t), (kmax - 1) + (t - 2), t - 1, t - 1, depth
 
 
-class SharedPowers:
-    """The baby- and giant-step powers of one cipher u, computed once for
-    every table evaluated on plaintext shifts of u, tiled or broadcast
-    (see eval_poly_ps).
-
-    Only their cost is kept: u's slot count and depth, and the split of
-    the table that claimed them, None until one has.
-    """
-
-    __slots__ = ("slots", "depth", "split")
-
-    def __init__(self, u: Cipher):
-        self.slots, self.depth, self.split = u.size, u.depth, None
-
-    def charge(self, split, mults: int, x: Cipher) -> int:
-        """Mult gates of the powers that a table of this split, needing
-        mults of them per slot, reads on x: the powers on u's slots if it
-        is the first table, none if it shares the claimed split, and its
-        own on x's slots otherwise."""
-        size = x.size
-        if x.depth != self.depth or size % self.slots:
-            raise ParameterError("input is not a shift of the powers' cipher")
-        if self.split is None:
-            self.split = split
-            return mults * self.slots
-        return 0 if split == self.split else mults * size
-
-
-def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams,
-                 powers: SharedPowers | None = None) -> Cipher:
+def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
     """Evaluate a table on a ciphertext.
 
     The result is the lookup table.values[x], and the gates and depth
@@ -175,26 +146,20 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams,
     the table's polynomial on the same input, from ps_cost: non-scalar
     gates <= 3*ceil(sqrt(P)) and depth <= log2(P)+4 above the input's.
 
-    With powers, x is c + u, c - u or u - c for a plaintext vector c and
-    the cipher u the record was made from, u tiled or broadcast.  The
-    table at x is then a polynomial in u of the same degree with per-slot
-    plaintext coefficients, evaluated on the powers of u laid out the
-    same way, for free.  The first table evaluated on the record claims
-    it and is charged the powers on u's slots; every later one of the
-    same split is charged only its block products, and one of another
-    split its full cost.  The output depth is the same either way.  In
-    ciphertext mults (see he_sim.EvalMetrics) a table pays its block
-    products, and its powers whenever it pays their gates.
+    When x carries the powers record of a cipher u (he_sim.share_powers),
+    x is c + u, c - u or u - c for a plaintext vector c, u tiled or
+    broadcast.  The table at x is then a polynomial in u of the same
+    degree with per-slot plaintext coefficients, evaluated on the powers
+    of u laid out the same way, for free.  The first table evaluated on
+    the record claims it and is charged the powers on u's slots; every
+    later one of the same split is charged only its block products, and
+    one of another split its full cost (he_sim.table_lookup).  The
+    output depth is the same either way.
     """
     if table.values.size != params.modulus:
         raise ParameterError("table interpolated over a different ring")
-    split, power_mults, block_mults, adds, depth = ps_cost(table.degree,
-                                                           x.depth)
-    once = (power_mults * x.size if powers is None
-            else powers.charge(split, power_mults, x))
-    ciphers = block_mults + (power_mults if once else 0)
-    return he_sim.table_lookup(x, table.values, block_mults, adds, depth, once,
-                               ciphers)
+    return he_sim.table_lookup(x, table.values,
+                               *ps_cost(table.degree, x.depth))
 
 
 def isqrt(v: np.ndarray) -> np.ndarray:

@@ -81,7 +81,7 @@ def compute_dists(enc_q: list, coords: he_sim.Plain,
     difference with a single non-scalar mult.  The sign test on q_j - s_ij
     is a polynomial in q_j with per-slot plaintext coefficients, so it
     reads the baby and giant powers of the packed query, paid once on its
-    d slots (interp.SharedPowers), and each of the d*n slots pays only its
+    d slots (he_sim.share_powers), and each of the d*n slots pays only its
     block products.  The product is split into its d runs, which d - 1
     cipher adds sum.
     """
@@ -91,11 +91,10 @@ def compute_dists(enc_q: list, coords: he_sim.Plain,
                              f"{coords.size} coordinate slots, ring "
                              f"dimension {params.dim}")
     tables = interp.build_named_tables(params)
-    packed = he_sim.pack(enc_q, params)
+    packed = he_sim.share_powers(he_sim.pack(enc_q, params))
     diff = he_sim.sub(he_sim.broadcast(packed, coords.size), coords,
                       params)  # q_j - s_ij, free
-    b = interp.eval_poly_ps(tables.is_neg, diff, params,
-                            interp.SharedPowers(packed))  # [q_j < s_ij]
+    b = interp.eval_poly_ps(tables.is_neg, diff, params)  # [q_j < s_ij]
     sign = he_sim.rsub(1, he_sim.mul(b, 2, params), params)  # 1 - 2b
     total, *rest = he_sim.split(he_sim.mul(sign, diff, params), d)
     for term in rest:  # |q_j - s_ij|, summed over j
@@ -103,8 +102,7 @@ def compute_dists(enc_q: list, coords: he_sim.Plain,
     return total
 
 
-def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams,
-             powers: interp.SharedPowers | None = None) -> Cipher:
+def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams) -> Cipher:
     """Estimate (1/m) * sum_i f(x_i) over the slots of xs as a sum of coins.
 
     The numerators are stratified: r_i = floor(m * (pi(i) + u_i) / n) + 1,
@@ -125,7 +123,7 @@ def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams,
     Each coin [x >= r'], r' = spec.inverse_ceil_array(r) >= 1 (every
     numerator is at least 1, and with a map t(0) = 0), is one sign test
     on (r' - 1) - x against the plan min(r' - 1, dist_bound), a plaintext
-    shift of xs, so it can read the shared powers of the distances.  For
+    shift of xs, so it reads the powers record xs carries, if any.  For
     r' in [1, dist_bound + 1] the argument lies in [-dist_bound,
     dist_bound], which keeps its sign in the ring (P > 2 * dist_bound),
     and is negative iff x >= r'.  A draw with r' > dist_bound + 1
@@ -137,9 +135,6 @@ def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams,
     and stored by plan_coins.  The store keeps the PLAN_STORE = 32 newest
     plans, enough for the n-sweep's ten sizes or one leave-one-out block;
     at 8 B per slot, that is at most 256 B per slot of the widest batch.
-
-    With powers, the record of the cipher that xs tiles, the coins are
-    evaluated on its powers (interp.eval_poly_ps).
     """
     segments, size = len(spec.seeds), xs.size
     if size % segments:
@@ -148,7 +143,7 @@ def prob_avg(xs: Cipher, spec: CoinSpec, params: RingParams,
     plan = _plans.get(key) or plan_coins([(spec,)], *key[1:])[key]
     tables = interp.build_named_tables(params)
     coins = interp.eval_poly_ps(tables.is_neg, he_sim.rsub(plan, xs, params),
-                                params, powers)
+                                params)
     return he_sim.slot_sum(coins, params, segments)
 
 

@@ -84,7 +84,7 @@ def kappa_of_run(db, query, pp, seed: int) -> int:
     circuit seeded by seed, its threshold decrypted with the run's keys."""
     keys = he_sim.keygen(pp.ring, derive_seed(seed, "kappa-keys"))
     enc_q = classifier.encrypt_query(keys.pk, query, pp.ring)
-    _, t_star, _ = classifier._threshold_pipeline(
+    _, t_star = classifier._threshold_pipeline(
         enc_q, db, pp, classifier.moment_coins(pp, (seed,)))
     t_val = pp.ring.signed(he_sim.decrypt(keys.sk, t_star))
     dists = np.abs(db.points - np.asarray(query, dtype=np.int64)).sum(axis=1)

@@ -48,6 +48,27 @@ def test_protocol_params_refuse_a_repetition_count_below_one(ring100, reps):
         ProtocolParams(ring100, k=3, n=10, repetitions=reps)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("k", 2.5), ("rng_seed", 1.5),  # classified silently
+    ("rng_seed", "7"),  # drew the coins of 7
+    ("repetitions", 3.0),  # then every query raised a bare TypeError
+    ("n", 40.0), ("k", None),
+])
+def test_protocol_params_take_integers_only(ring100, field, value):
+    args = {**dict(k=3, n=40, repetitions=3, rng_seed=7), field: value}
+    with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+        ProtocolParams(ring100, **args)
+
+
+def test_protocol_params_read_numpy_integers_as_python_ints(ring100):
+    pp = ProtocolParams(ring100, k=np.int64(3), n=np.int32(40),
+                        repetitions=np.uint8(3), rng_seed=np.uint64(7))
+    ref = ProtocolParams(ring100, k=3, n=40, repetitions=3, rng_seed=7)
+    assert pp == ref and hash(pp) == hash(ref) and pp.coins == ref.coins
+    assert {type(getattr(pp, f)) for f in ("k", "n", "repetitions",
+                                           "rng_seed")} == {int}
+
+
 def test_make_protocol_params_rounds_quantile():
     pp = make_pp(select_ring_params(100, dim=2, n=568), k=13, n=568)
     assert pp.z_k == -2
@@ -194,6 +215,11 @@ def test_labeled_database_refuses_what_the_ring_cannot_read(points, labels):
 def test_labeled_database_refuses_ragged_rows(points, labels):
     with pytest.raises(ParameterError, match="an \\(n, d\\) array"):
         LabeledDatabase(points, labels)
+
+
+def test_labeled_database_refuses_labels_of_another_length():
+    with pytest.raises(ParameterError, match="length mismatch"):
+        LabeledDatabase(np.array([[1, 2], [3, 4]]), np.array([0]))
 
 
 def test_labeled_database_takes_integral_floats():
@@ -432,6 +458,16 @@ def test_server_classify_validates_shapes(ring100, keys):
     with pytest.raises(ParameterError):
         server_classify([he_sim.encrypt(keys.pk, 1)] * 2,
                         LabeledDatabase(pts[:10], labels[:10]), pp)
+
+
+def test_server_classify_refuses_a_database_of_another_dimension(ring100,
+                                                                   keys):
+    # 40 points of 3 coordinates, on the 2-D ring selected for 40 points
+    pts = np.random.default_rng(0).integers(0, 100, (40, 3))
+    db = LabeledDatabase(pts, np.zeros(40, dtype=np.int64))
+    with pytest.raises(ParameterError, match="dimension does not match"):
+        server_classify([he_sim.encrypt(keys.pk, 1)] * 2, db,
+                        make_pp(ring100, k=5, n=40))
 
 
 def test_make_protocol_params_rejects_a_ring_for_another_size():

@@ -106,6 +106,12 @@ def test_query_loopback_needs_dataset(capsys):
     assert "dataset" in err
 
 
+def test_query_tcp_needs_n(capsys):
+    code, _, err = run(capsys, "query", "1", "2", "--transport", "tcp")
+    assert code == 2
+    assert "--n" in err
+
+
 def test_diagnose_writes_histogram(capsys, wdbc_path, tmp_path):
     out_path = tmp_path / "hist.csv"
     code, out, _ = run(capsys, "diagnose", "--dataset", wdbc_path,

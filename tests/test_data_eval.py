@@ -253,6 +253,18 @@ def test_loo_all_benign_predictions_scores_zero():
     assert report.f1 == 0.0
 
 
+def test_loo_refuses_an_unknown_mode_and_two_points():
+    pts, labels = np.array([[1, 2], [3, 4], [5, 6]]), np.array([0, 1, 0])
+    gd = data_eval.GridDataset(pts, labels, grid=100,
+                               quant_meta=((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(ParameterError, match="unknown mode 'fast'"):
+        leave_one_out_f1(gd, 1, "fast")
+    two = data_eval.GridDataset(pts[:2], labels[:2], grid=100,
+                                quant_meta=gd.quant_meta)
+    with pytest.raises(ParameterError, match="at least three points"):
+        leave_one_out_f1(two, 1, "plain")
+
+
 @pytest.mark.parametrize("mode", ["plain", "secure"])
 def test_loo_on_eight_points_returns_a_report(mode):
     # fewer than ten points used to classify every point and then raise

@@ -220,10 +220,86 @@ def test_metering_counts_cipher_mults_and_slot_moves(ring, keys):
             he_sim.split(wide, 3)                  # moves
             he_sim.split(wide, 1)                  # one part: none
             # a table of 5 block products, with and without its 7 powers
-            he_sim.table_lookup(vec, np.zeros(23, np.int64), 5, 5, 4, 14, 12)
-            he_sim.table_lookup(vec, np.zeros(23, np.int64), 5, 5, 4, 0, 5)
+            shared = he_sim.share_powers(vec)
+            he_sim.table_lookup(shared, np.zeros(23, np.int64), (4, 6), 7,
+                                5, 5, 4)
+            he_sim.table_lookup(shared, np.zeros(23, np.int64), (4, 6), 7,
+                                5, 5, 4)
     assert (m.mult_gates, m.cipher_mults, m.slot_moves) == (37, 19, 4)
     assert (outer.cipher_mults, outer.slot_moves) == (19, 4)
+
+
+TABLE, SPLIT, POWERS, BLOCKS = np.zeros(23, np.int64), (4, 6), 7, 5
+
+
+def _lookup(x, split=SPLIT):
+    """(mult gates, cipher mults) of a table of 7 powers and 5 block
+    products per slot on x."""
+    with he_sim.metering() as m:
+        he_sim.table_lookup(x, TABLE, split, POWERS, BLOCKS, BLOCKS, 4)
+    return m.mult_gates, m.cipher_mults
+
+
+# Each op on u, which carries a powers record, and o, which does not, and
+# whether its result keeps u's record: a plaintext shift or layout of u
+# does, and nothing else.
+RECORD_OPS = {
+    "add a plaintext": (True, lambda u, o, r: he_sim.add(u, [4, 9], r)),
+    "sub a plaintext": (True, lambda u, o, r: he_sim.sub(u, 3, r)),
+    "rsub from a plaintext": (True, lambda u, o, r: he_sim.rsub(2, u, r)),
+    "broadcast": (True, lambda u, o, r: he_sim.broadcast(u, 6)),
+    "pack images of u": (True, lambda u, o, r: he_sim.pack(
+        [u, he_sim.add(u, 5, r), he_sim.broadcast(u, 4)], r)),
+    "add a cipher": (False, lambda u, o, r: he_sim.add(u, o, r)),
+    "sub a cipher": (False, lambda u, o, r: he_sim.sub(u, o, r)),
+    "mul a cipher": (False, lambda u, o, r: he_sim.mul(u, o, r)),
+    "mul a plaintext": (False, lambda u, o, r: he_sim.mul(u, 3, r)),
+    "slot_sum": (False, lambda u, o, r: he_sim.slot_sum(u, r)),
+    "split": (False, lambda u, o, r: he_sim.split(u, 2)[0]),
+    "table_lookup": (False, lambda u, o, r: he_sim.table_lookup(
+        u, TABLE, SPLIT, POWERS, BLOCKS, BLOCKS, 4)),
+    "pack with a cipher": (False, lambda u, o, r: he_sim.pack([u, o], r)),
+    "pack with another record": (False, lambda u, o, r: he_sim.pack(
+        [u, he_sim.share_powers(o)], r)),
+}
+
+
+@pytest.mark.parametrize("op", list(RECORD_OPS))
+def test_a_powers_record_travels_with_plaintext_shifts_and_layouts(ring, keys,
+                                                                    op):
+    # once u's powers are claimed, a table of the same split on an image
+    # of u pays only its block products; on anything else, its powers too
+    keeps, make = RECORD_OPS[op]
+    u = he_sim.share_powers(he_sim.encrypt(keys.pk, [3, 5]))
+    _lookup(u)
+    x = make(u, he_sim.encrypt(keys.pk, [7, 11]), ring)
+    blocks = BLOCKS * x.size
+    assert _lookup(x) == ((blocks, BLOCKS) if keeps else
+                          (blocks + POWERS * x.size, BLOCKS + POWERS))
+
+
+def test_a_record_charges_its_powers_on_u_once_per_split(ring, keys):
+    # the first table pays the powers on u's 2 slots, a later one of the
+    # same split none, and one of another split its own on all 6 slots
+    wide = he_sim.broadcast(
+        he_sim.share_powers(he_sim.encrypt(keys.pk, [3, 5])), 6)
+    assert [_lookup(wide, split) for split in (SPLIT, SPLIT, (3, 3))] == [
+        (7 * 2 + 5 * 6, 12), (5 * 6, 5), (7 * 6 + 5 * 6, 12)]
+
+
+def test_share_powers_attaches_a_fresh_record_for_free(ring, keys):
+    c = he_sim.add(he_sim.encrypt(keys.pk, [3, 22]), [20, 1], ring)
+    c.depth = 3
+    with he_sim.metering() as m:
+        u = he_sim.share_powers(c)
+    assert (m.mult_gates, m.add_gates, m.cipher_mults, m.slot_moves,
+            m.max_depth) == (0, 0, 0, 0, 0)
+    assert (u.size, u.depth, u.key_id, u._bound) == (2, 3, c.key_id,
+                                                     c._bound)
+    assert he_sim.decrypt(keys.sk, u) == he_sim.decrypt(keys.sk, c) == [0, 0]
+    assert _lookup(c) == _lookup(c) == (24, 12)  # c itself carries none
+    assert _lookup(u) == (24, 12) and _lookup(u) == (10, 5)
+    assert _lookup(he_sim.share_powers(u)) == (24, 12)
 
 
 def test_metering_notes_decrypts_and_nests(ring, keys):

@@ -335,7 +335,7 @@ def _shifted(u, shift, form, params):
 def eval_shared_reference(jobs, u, params):
     """Literal evaluation of tables on plaintext shifts of one cipher u,
     tiled or broadcast, from one set of u's powers: the oracle of
-    eval_poly_ps with a SharedPowers record.
+    eval_poly_ps on images of a cipher that carries a powers record.
 
     jobs holds (table, shift, form, layout) tuples: the table is evaluated
     at the form (FORMS) of the vector shift and u laid out to its length
@@ -390,8 +390,9 @@ def eval_shared_reference(jobs, u, params):
 
 def _shared_paths(jobs, us, depth, ring):
     """([(value, output depth) per table], mult gates, add gates, max
-    depth, cipher mults) of the lookups on one SharedPowers record and of
-    the literal shared schedule, on the same inputs."""
+    depth, cipher mults) of the lookups on images of one cipher that
+    carries a powers record and of the literal shared schedule, on the
+    same inputs."""
     keys = he_sim.keygen(ring, 5)
     results = []
     for literal in (False, True):
@@ -401,11 +402,11 @@ def _shared_paths(jobs, us, depth, ring):
             if literal:
                 outs = eval_shared_reference(jobs, u, ring)
             else:
-                powers, outs = interp.SharedPowers(u), []
+                u, outs = he_sim.share_powers(u), []
                 for table, shift, form, layout in jobs:
                     x = _shifted(_laid_out(u, len(shift), layout, ring),
                                  shift, form, ring)
-                    outs.append(eval_poly_ps(table, x, ring, powers))
+                    outs.append(eval_poly_ps(table, x, ring))
         results.append(([(he_sim.decrypt(keys.sk, r), r.depth) for r in outs],
                         m.mult_gates, m.add_gates, m.max_depth,
                         m.cipher_mults))
@@ -480,6 +481,27 @@ def test_the_distance_sign_test_reads_the_packed_querys_powers(grid, n):
     _, power, block, *_ = ps_cost(is_neg.degree, 0)
     assert lookup[1] == 2 * power + 2 * n * block
     assert lookup[4] == power + block
+
+
+def test_a_cipher_that_is_no_image_of_the_record_pays_its_own_powers():
+    # grid 250, n = 568: the sign test on a broadcast shift of a shared
+    # 2-slot cipher u pays 61 powers on u's 2 slots and 31 block products
+    # on each of 1,136; an unrelated 1,136-slot cipher pays all 92 per
+    # slot, before u's powers are claimed and after
+    ring = select_ring_params(250, dim=2, n=568)
+    is_neg = build_named_tables(ring).is_neg
+    keys = he_sim.keygen(ring, 5)
+    rng = np.random.default_rng(0)
+    u = he_sim.share_powers(he_sim.encrypt(keys.pk, [40, 60]))
+    shifted = he_sim.sub(he_sim.broadcast(u, 1136),
+                         rng.integers(0, 250, 1136), ring)
+    unrelated = he_sim.encrypt(keys.pk, rng.integers(0, ring.modulus, 1136))
+    gates = []
+    for x in (unrelated, shifted, unrelated):
+        with he_sim.metering() as m:
+            eval_poly_ps(is_neg, x, ring)
+        gates.append(m.mult_gates)
+    assert gates == [104_512, 35_338, 104_512]
 
 
 @pytest.mark.parametrize("grid, n, shared", [(4, 50, False), (5, 3, False),

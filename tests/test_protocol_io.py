@@ -378,6 +378,69 @@ def _query_bytes(ring, values, key_ids=None, pk=(7).to_bytes(8, "little"),
     return out
 
 
+def _frame(kind, fields):
+    """A message of this kind holding these raw fields, as the wire
+    carries it."""
+    out = protocol_io.MAGIC + bytes([protocol_io.PROTOCOL_VERSION, kind])
+    out += struct.pack("<I", len(fields))
+    for f in fields:
+        out += struct.pack("<I", len(f)) + f
+    return out
+
+
+_RING100 = select_ring_params(100, dim=2, n=50)
+_CIPHER = struct.pack("<QHQ", 1, 0, 7)
+# a 2-D query at grid 100: ring at byte 14, key at 50, ciphers at 62, 84
+_QUERY = [struct.pack("<QQQQ", _RING100.modulus, 100, 2, 50),
+          (7).to_bytes(8, "little"), _CIPHER, _CIPHER]
+
+
+@pytest.mark.parametrize("raw,offset,reason", [
+    pytest.param(_frame(1, _QUERY[:2] + [_CIPHER[:17], _CIPHER]), 62,
+                 "ciphertext field has wrong length", id="17-byte cipher"),
+    pytest.param(_frame(1, [_QUERY[0][:24]] + _QUERY[1:]), 14,
+                 "ring parameter field has wrong length", id="24-byte ring"),
+    pytest.param(_frame(1, _QUERY)[:7], 7, "truncated header",
+                 id="7-byte header"),
+    pytest.param(_frame(1, _QUERY[:2]), 58, "query needs ring",
+                 id="query of two fields"),
+    pytest.param(_frame(1, _QUERY + [_CIPHER]), 14,
+                 "query dimension does not match ring",
+                 id="three ciphers on a 2-D ring"),
+    pytest.param(_frame(2, []), 10, "empty response",
+                 id="response of no fields"),
+    pytest.param(_frame(2, [_CIPHER] * 2), 14, "repetition count must be odd",
+                 id="response of two ciphers"),
+    pytest.param(_frame(3, []), 10, "error message needs one field",
+                 id="error of no fields"),
+])
+def test_a_malformed_message_is_refused_at_its_defect(raw, offset, reason):
+    assert decode_message(_frame(1, _QUERY)).enc_q[0].key_id == 7
+    with pytest.raises(DecodeError, match=reason) as err:
+        decode_message(raw)
+    assert err.value.offset == offset
+
+
+def test_each_role_refuses_a_message_of_the_other_role(setup):
+    _, db, pp = setup
+    _, query = make_query([2, 3], pp)
+    # a server sent a response answers that it expected a query, and closes
+    client_end, server_end = loopback_pair()
+    protocol_io.write_message(client_end, answer_query(query, db, pp))
+    assert run_server(server_end, db, pp) == 0
+    assert protocol_io.read_message(client_end) == ErrorMessage(
+        "expected a query message")
+    assert protocol_io.read_message(client_end, allow_eof=True) is None
+    client_end.close()
+    # a client answered with a query refuses it
+    client_end, server_end = loopback_pair()
+    protocol_io.write_message(server_end, query)
+    with pytest.raises(ProtocolError, match="unexpected message kind"):
+        run_client(client_end, [2, 3], pp)
+    client_end.close()
+    server_end.close()
+
+
 @pytest.mark.parametrize("value", [2**63, 2**64 - 1])
 def test_ciphertext_beyond_int64_is_a_decode_error(setup, value):
     ring, _, _ = setup

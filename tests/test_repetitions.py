@@ -39,14 +39,14 @@ def one_repetition(enc_q, db, pp):
     with he_sim.metering() as m:
         with he_sim.metering() as dist:
             xs = primitives.compute_dists(enc_q, db.coords, ring)
-        powers = interp.SharedPowers(xs)
+        xs = he_sim.share_powers(xs)
         mu_coins, mu2_coins = moment_coins(pp, (pp.rng_seed,))
-        mu = estimate_mu(xs, pp, mu_coins, powers)
+        mu = estimate_mu(xs, pp, mu_coins)
         musq_low, musq_high = square_mu_digits(mu, pp)
-        sigma = estimate_sigma(estimate_mu2_digits(xs, pp, mu2_coins, powers),
+        sigma = estimate_sigma(estimate_mu2_digits(xs, pp, mu2_coins),
                                musq_low, musq_high, pp)
         diff = count_classes(xs, threshold(mu, sigma, pp), db.label_signs,
-                             pp, powers)
+                             pp)
         bit = interp.is_smaller(diff, 0, ring)
     # computed once: the distances, the powers of the distances that the
     # mu coins claim, and the map's block products, or the whole map if

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kishnn import ring as ring_module
 from kishnn.ring import (ParameterError, RingParams, is_prime,
                          select_ring_params)
 
@@ -25,6 +26,14 @@ def test_select_ring_params_grid_100():
     assert ring.dist_bound == 2 * 99
     assert ring.modulus == 397  # smallest prime above 2 * 198
     assert ring.coord_bound == 100 and ring.n == 569
+
+
+def test_a_negative_grid_is_refused_before_the_prime_search(monkeypatch):
+    # the search would step up one by one from about -4 * 10^12
+    monkeypatch.setattr(ring_module, "is_prime",
+                        lambda m: pytest.fail("the prime search ran"))
+    with pytest.raises(ParameterError):
+        select_ring_params(-10 ** 12, 2, 5)
 
 
 def test_select_ring_params_small_grids():
