@@ -222,10 +222,13 @@ def _sqrt_of_digits(dh: Cipher, dl: Cipher, pp: ProtocolParams) -> Cipher:
     estimate that coin noise pushed below zero) gives 0.  The sqrt(dh * p)
     table is also 0 at dh = 0 and dh = 1, so only the other two branches
     need selector bits: two from the is-zero table, each combined by
-    multiply-and-add, so nothing is revealed.
+    multiply-and-add, so nothing is revealed.  The three tables on dh and
+    the two on dl are polynomials in dh or dl, so each shares its input's
+    powers (he_sim.share_powers).
     """
     ring = pp.ring
     tables = interp.build_named_tables(ring)
+    dh, dl = he_sim.share_powers(dh), he_sim.share_powers(dl)
     b0 = interp.eval_poly_ps(tables.is_zero, dh, ring)
     b1 = interp.eval_poly_ps(tables.is_zero, he_sim.sub(dh, 1, ring), ring)
     v0 = interp.eval_poly_ps(tables.sqrt, dl, ring)

@@ -5,8 +5,9 @@ polynomial of degree at most P-1; its coefficients are interpolated only
 by the tests.  On a ciphertext a table is evaluated by lookup in its values
 and charged the exact gates and depth of a baby-step/giant-step
 (Paterson-Stockmeyer) evaluation of that polynomial, which keeps the
-non-scalar multiplication count O(sqrt(P)) and the depth O(log P); the
-literal evaluation is the oracle in tests/test_interp.py.  Tables
+non-scalar multiplication count O(sqrt(P)) and the depth O(log P); each
+degree takes the cheapest split no deeper than the square one (_ps_split),
+and the literal evaluation is the oracle in tests/test_interp.py.  Tables
 evaluated on plaintext shifts of one input share that input's powers
 (he_sim.share_powers), so each one after the first pays only its block
 products.  Includes the named tables the classifier needs, among them
@@ -88,12 +89,29 @@ def lagrange_table(f, params: RingParams) -> PolyTable:
                                 dtype=np.int64) % P)
 
 
+def _splits(deg: int) -> tuple:
+    """Over every block size s in [1, deg+1] for degree deg >= 1: s, the
+    block count t = ceil((deg+1)/s), ps_cost's powers plus blocks, and the
+    output depth above the input's, in closed form: x^j is ceil(log2 j)
+    deep, the bit length of j - 1, which is np.frexp's exponent."""
+    s = np.arange(1, deg + 2)
+    t = -(-(deg + 1) // s)
+    kmax = np.minimum(s, deg)
+    cost = kmax - 1 + np.maximum(2 * t - 3, 0)  # (kmax-1)+(t-2) and t-1
+    depth = np.frexp(kmax - 1)[1] + (t > 1) * (np.frexp(t - 2)[1] + 1)
+    return s, t, cost, depth
+
+
+@functools.lru_cache(maxsize=None)
 def _ps_split(deg: int) -> tuple:
-    """Block size s ~ sqrt(deg+1) and block count t of the schedule."""
-    s = math.isqrt(deg)
-    if s * s < deg + 1:
-        s += 1
-    return s, -(-(deg + 1) // s)
+    """The split (s, t) for degree deg >= 1: of those no deeper than the
+    square one, s = ceil(sqrt(deg+1)), the one of fewest powers plus blocks
+    (what a table alone pays per slot, in gates and in ciphertext mults),
+    then of fewest blocks."""
+    s, t, cost, depth = _splits(deg)
+    ok = np.flatnonzero(depth <= depth[math.isqrt(deg)])  # s = isqrt + 1
+    best = ok[np.lexsort((t[ok], cost[ok]))[0]]
+    return int(s[best]), int(t[best])
 
 
 def _power_depths(depth: int, top: int) -> list:
@@ -112,8 +130,8 @@ def ps_cost(degree: int, depth_in: int) -> tuple:
     input of depth depth_in, gates per slot, replayed from the schedule's
     integer recurrences.
 
-    The schedule: block size s ~ sqrt(degree+1) and t blocks, the split
-    (s, t); baby powers x^2 .. x^min(s, degree) and giant powers
+    The schedule: the split (s, t) of _ps_split, block size s and t
+    blocks; baby powers x^2 .. x^min(s, degree) and giant powers
     y^2 .. y^(t-1) of y = x^s, each power the product of two halves; each
     block's coefficients combined with the baby powers by plaintext
     scalars, for free; and the sum of block 0 and each block i times y^i,
@@ -143,7 +161,7 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
 
     The result is the lookup table.values[x], and the gates and depth
     metered are exactly those of the baby-step/giant-step evaluation of
-    the table's polynomial on the same input, from ps_cost: non-scalar
+    the table's polynomial at _ps_split's split, from ps_cost: non-scalar
     gates <= 3*ceil(sqrt(P)) and depth <= log2(P)+4 above the input's.
 
     When x carries the powers record of a cipher u (he_sim.share_powers),

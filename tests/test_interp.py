@@ -94,8 +94,9 @@ def eval_poly_ps_reference(table, x, params):
     """Literal baby-step/giant-step evaluation of a table's coefficients,
     the oracle eval_poly_ps and ps_cost are checked against.
 
-    Block size ~ sqrt(degree+1); block contents use only plaintext-scalar
-    multiplications, blocks are combined through precomputed giant powers.
+    The split is interp._ps_split's; block contents use only
+    plaintext-scalar multiplications, blocks are combined through
+    precomputed giant powers.
     """
     if table.values.size != params.modulus:
         raise ParameterError("table interpolated over a different ring")
@@ -310,6 +311,63 @@ def test_lookup_matches_reference_on_constant_and_linear(grid, degree):
         assert lookup == reference
 
 
+@functools.lru_cache(maxsize=None)
+def _depths(depth, top):
+    """_power_depths(depth, top) and the deepest of x^1 .. x^top in it."""
+    d = interp._power_depths(depth, top)
+    return d, max(d[1:])
+
+
+def _schedule_cost(deg, s):
+    """(powers + blocks, blocks, output depth) of the schedule of block
+    size s for a polynomial of degree deg on an input of depth 0, replayed
+    as ps_cost replays it, on _power_depths."""
+    t = -(-(deg + 1) // s)
+    kmax = min(s, deg)
+    baby, block = _depths(0, kmax)
+    if t == 1:
+        return kmax - 1, 0, block
+    giant = _depths(baby[s], t - 1)[1]
+    return (kmax - 1) + (t - 2) + (t - 1), t - 1, max(block, giant) + 1
+
+
+def test_the_split_is_the_cheapest_no_deeper_than_the_square_one():
+    # brute force over every block size of every degree up to 1,200:
+    # fewest powers + blocks, then fewest blocks, of the splits no deeper
+    # than s = ceil(sqrt(deg + 1)); the search's closed-form costs and
+    # depths (interp._splits) are the replayed schedule's for every s
+    for deg in range(1, 1201):
+        sizes = range(1, deg + 2)
+        costs = [_schedule_cost(deg, s) for s in sizes]
+        s, t, cost, depth = interp._splits(deg)
+        assert s.tolist() == list(sizes)
+        assert t.tolist() == [-(-(deg + 1) // v) for v in sizes]
+        assert cost.tolist() == [c for c, _, _ in costs], deg
+        assert depth.tolist() == [d for _, _, d in costs], deg
+        square = costs[math.isqrt(deg)]  # s = isqrt(deg) + 1
+        assert (math.isqrt(deg) + 1) ** 2 >= deg + 1 > math.isqrt(deg) ** 2
+        best = min((c[:2], v) for v, c in zip(sizes, costs)
+                   if c[2] <= square[2])[1]
+        split, powers, blocks, _, out = ps_cost(deg, 0)
+        assert split == interp._ps_split(deg) == (best, -(-(deg + 1) // best))
+        assert (powers + blocks, blocks, out) == costs[best - 1]
+        assert out <= square[2] and powers + blocks <= square[0]
+
+
+def test_lookup_matches_reference_where_the_split_is_not_square(ring):
+    # P = 23: a degree-22 table takes (8, 3), shallower and cheaper than
+    # the square (5, 5), and the literal schedule runs that split
+    table = build_named_tables(ring).is_neg
+    assert table.degree == 22
+    assert interp._ps_split(22) == (8, 3)
+    assert [_schedule_cost(22, s) for s in (8, 5)] == [(10, 2, 5),
+                                                        (11, 4, 6)]
+    for depth in (0, 3):
+        lookup, reference = _both_paths(table, list(range(23)), depth, ring)
+        assert lookup == reference
+        assert lookup[4] == depth + 5
+
+
 # The plaintext shifts x of a cipher u that share u's powers, by the signs
 # (of u, of c) of x = c + u, c - u or u - c for a plaintext vector c.
 FORMS = {"c+u": (1, 1), "c-u": (-1, 1), "u-c": (1, -1)}
@@ -485,9 +543,9 @@ def test_the_distance_sign_test_reads_the_packed_querys_powers(grid, n):
 
 def test_a_cipher_that_is_no_image_of_the_record_pays_its_own_powers():
     # grid 250, n = 568: the sign test on a broadcast shift of a shared
-    # 2-slot cipher u pays 61 powers on u's 2 slots and 31 block products
-    # on each of 1,136; an unrelated 1,136-slot cipher pays all 92 per
-    # slot, before u's powers are claimed and after
+    # 2-slot cipher u pays its powers on u's 2 slots and its block
+    # products on each of 1,136; an unrelated 1,136-slot cipher pays both
+    # on every slot, before u's powers are claimed and after
     ring = select_ring_params(250, dim=2, n=568)
     is_neg = build_named_tables(ring).is_neg
     keys = he_sim.keygen(ring, 5)
@@ -501,7 +559,9 @@ def test_a_cipher_that_is_no_image_of_the_record_pays_its_own_powers():
         with he_sim.metering() as m:
             eval_poly_ps(is_neg, x, ring)
         gates.append(m.mult_gates)
-    assert gates == [104_512, 35_338, 104_512]
+    _, power, block, *_ = ps_cost(is_neg.degree, 0)
+    full, shared = 1136 * (power + block), 2 * power + 1136 * block
+    assert gates == [full, shared, full] == [101_104, 18_322, 101_104]
 
 
 @pytest.mark.parametrize("grid, n, shared", [(4, 50, False), (5, 3, False),
@@ -577,7 +637,7 @@ def test_named_table_degrees_match_interpolated_coefficients(grid):
         top = max(i for i, c in enumerate(poly_coeffs(table)) if c)
         assert table.degree == top, name
         if grid == 250:
-            assert ps_cost(table.degree, 0) == ((32, 32), 61, 31, 31,
+            assert ps_cost(table.degree, 0) == ((59, 17), 73, 16, 16,
                                                   11), name
 
 

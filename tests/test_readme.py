@@ -2,10 +2,12 @@ import pathlib
 import re
 import shlex
 
-from kishnn import cli
+from kishnn import cli, interp, primitives
+from kishnn.ring import select_ring_params
 
 from conftest import two_cluster_db
-from test_pinned_bits import DEPTH, LOO_GATES, SERVED_GATES
+from test_pinned_bits import (CIPHER_MULTS, DEPTH, LOO_GATES, SERVED_GATES,
+                              STAGES)
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
@@ -72,8 +74,9 @@ def _figure(text: str) -> int:
 
 def test_readme_cost_figures_are_the_pinned_ones():
     # the cost paragraphs' one-repetition query (grid 250, n = 568) and
-    # served shape (n = 569, R = 5), against test_pinned_bits: a change to
-    # the circuit's cost must carry README with it
+    # served shape (n = 569, R = 5), against test_pinned_bits and the
+    # tables' schedule (interp.ps_cost): a change to the circuit's cost
+    # must carry README with it
     text = " ".join(README.read_text(encoding="utf-8").split())
     one = re.findall(r"one repetition costs ([\d,]+) mult gates at depth "
                      r"(\d+)", text)
@@ -84,3 +87,28 @@ def test_readme_cost_figures_are_the_pinned_ones():
     reps, g1, rest, shared, total, depth = (_figure(f) for f in served[0])
     assert (total, depth) == (SERVED_GATES, DEPTH)
     assert reps * g1 - rest * shared == total and rest == reps - 1
+    assert f"instead of {reps} · {served[0][1]} = {reps * g1:,}" in text
+    assert re.findall(r"costs ([\d,]+) ciphertext mults", text) == [
+        str(CIPHER_MULTS)]
+
+    # per-table figures at P = 997: the split, its powers and blocks per
+    # slot, the distances' formula and the served identity's three parts
+    ring = select_ring_params(250, dim=2, n=569)
+    tables = interp.build_named_tables(ring)
+    split, power, block, *_ = interp.ps_cost(tables.is_neg.degree, 0)
+    map_block = interp.ps_cost(tables.dist_map.degree, 0)[2]
+    assert f"at P = 997, {split} is as deep as" in text
+    assert f"but pays {block} blocks" in text
+    assert re.findall(r"At P = 997 that is (\d+) powers and (\d+) block "
+                      r"products per slot", text) == [(str(power), str(block))]
+    dists = re.findall(r"(\d+)·d \+ (\d+)·d·n gates, ([\d,]+) at "
+                       r"n = 568", text)
+    assert dists == [(str(power), str(block + 1),
+                      f"{STAGES[primitives, 'compute_dists'][0]:,}")]
+    assert _figure(dists[0][2]) == 2 * power + 2 * 568 * (block + 1)
+    parts = re.findall(r"blocks take ([\d,]+) \+ ([\d,]+) \+ ([\d,]+) = "
+                       r"([\d,]+) gates", text)
+    assert [tuple(map(_figure, p)) for p in parts] == [(
+        2 * power + 2 * 569 * (block + 1), 569 * power, 569 * map_block,
+        shared)]
+    assert sum(map(_figure, parts[0][:3])) == shared

@@ -110,12 +110,22 @@ def test_packed_repetitions_match_independent_circuits(grid, n, seed, reps):
 
 def test_serve_shaped_query_cost():
     # WDBC, 569 points, grid 250, the server's 5 repetitions: distances
-    # (36,538 gates), their 61 powers per slot (34,709) and the map's 31
-    # block products per slot (17,639) once, the rest five times
+    # (each coordinate's powers once, then its blocks and a product per
+    # slot), their powers and the map's block products per slot once, the
+    # rest five times
     db = database(250, 569)
     ring = select_ring_params(250, dim=2, n=569)
     pp = make_protocol_params(ring, k=13, n=569, repetitions=5, rng_seed=0)
+    tables = interp.build_named_tables(ring)
+    _, power, block, *_ = interp.ps_cost(tables.is_neg.degree, 0)
+    assert interp.ps_cost(tables.dist_map.degree, 0)[:3] == (
+        (59, 17), power, block)
+    dists = 2 * power + 2 * 569 * (block + 1)
+    once = dists + 569 * (power + block)
     with he_sim.metering() as m:
         classify_with_majority((40, 60), db, pp)
-    assert m.mult_gates == 5 * 177_159 - 4 * 88_886 == 530_251
-    assert m.max_depth == 68
+    with he_sim.metering() as one:
+        classify_with_majority((40, 60), db, replace(pp, repetitions=1))
+    assert (dists, once) == (19_492, 70_133)
+    assert m.mult_gates == 5 * one.mult_gates - 4 * once == 416_413
+    assert m.max_depth == one.max_depth == 68
