@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import RingParams
+from .ring import ParameterError, RingParams
 
 # Every slot bound must stay below this for the int64 slots to be exact.
 _INT64 = 2 ** 63
@@ -398,9 +398,11 @@ def split(c: Cipher, parts: int) -> list:
 class SharedPowers:
     """The cost of the baby- and giant-step powers of one cipher u, paid
     once for every table evaluated on a plaintext shift or layout of u:
-    u's slot count, and the split of the table that claimed them."""
+    u's slot count, its span (every slot lies in [0, span)) if known, and
+    the split of the table that claimed them."""
 
     slots: int
+    span: int | None = None
     split: tuple | None = None
 
     def charge(self, split, mults: int, size: int) -> int:
@@ -414,11 +416,17 @@ class SharedPowers:
         return 0 if split == self.split else mults * size
 
 
-def share_powers(c: Cipher) -> Cipher:
+def share_powers(c: Cipher, span: int | None = None) -> Cipher:
     """c, the same slots, depth, key and bound, with a fresh record of its
     powers, which its plaintext shifts and layouts carry: add, sub and
-    rsub of a plaintext, broadcast, and pack of images of one record."""
-    return Cipher(c._values, c.depth, c.key_id, c._bound, SharedPowers(c.size))
+    rsub of a plaintext, broadcast, and pack of images of one record.
+    With a span, every slot as held (read as unsigned, so a negative one
+    is huge) must lie in [0, span), else ParameterError; tables on the
+    record's images are then charged at degree <= span - 1 (interp)."""
+    if span is not None and c._values.view(np.uint64).max() >= span:
+        raise ParameterError(f"a slot lies outside [0, {span})")
+    return Cipher(c._values, c.depth, c.key_id, c._bound,
+                  SharedPowers(c.size, span))
 
 
 def table_lookup(c: Cipher, values: np.ndarray, split, powers: int,

@@ -10,8 +10,10 @@ degree takes the cheapest split no deeper than the square one (_ps_split),
 and the literal evaluation is the oracle in tests/test_interp.py.  Tables
 evaluated on plaintext shifts of one input share that input's powers
 (he_sim.share_powers), so each one after the first pays only its block
-products.  Includes the named tables the classifier needs, among them
-the upper-half sign test that realizes strict comparison.
+products, and on an input known to lie in [0, span), such as the
+distances, at degree at most span - 1.  Includes the named tables the
+classifier needs, among them the upper-half sign test that realizes
+strict comparison.
 """
 
 from __future__ import annotations
@@ -168,16 +170,20 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
     x is c + u, c - u or u - c for a plaintext vector c, u tiled or
     broadcast.  The table at x is then a polynomial in u of the same
     degree with per-slot plaintext coefficients, evaluated on the powers
-    of u laid out the same way, for free.  The first table evaluated on
-    the record claims it and is charged the powers on u's slots; every
-    later one of the same split is charged only its block products, and
-    one of another split its full cost (he_sim.table_lookup).  The
-    output depth is the same either way.
+    of u laid out the same way, for free; on a record with a span, u's
+    slots lie in [0, span), so that polynomial is the one through span
+    points and is charged at degree min(degree, span - 1).  The first
+    table evaluated on the record claims it and is charged the powers on
+    u's slots; every later one of the same split is charged only its
+    block products, and one of another split its full cost
+    (he_sim.table_lookup).  The output depth is the same either way.
     """
     if table.values.size != params.modulus:
         raise ParameterError("table interpolated over a different ring")
-    return he_sim.table_lookup(x, table.values,
-                               *ps_cost(table.degree, x.depth))
+    degree, span = table.degree, x._powers and x._powers.span
+    if span:
+        degree = min(degree, span - 1)
+    return he_sim.table_lookup(x, table.values, *ps_cost(degree, x.depth))
 
 
 def isqrt(v: np.ndarray) -> np.ndarray:

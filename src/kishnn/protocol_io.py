@@ -355,7 +355,8 @@ def answer_query(msg: QueryMessage, db: LabeledDatabase, pp: ProtocolParams):
     """Server side: one circuit evaluates every repetition; its packed bits
     travel as one scalar ciphertext per repetition.
 
-    Raises ProtocolError on parameter mismatch; never decrypts anything.
+    Raises ProtocolError on parameter mismatch and ParameterError on a
+    query off the grid; never decrypts anything.
     """
     if msg.ring != pp.ring:
         raise ProtocolError("ring parameters do not match the served database")
@@ -367,10 +368,10 @@ def run_server(transport: Transport, db: LabeledDatabase,
                pp: ProtocolParams) -> int:
     """Serve queries on one connection until the peer closes it.
 
-    A query that cannot be answered (a parameter mismatch or any other
-    failure) gets an error response; malformed bytes get one and close the
-    connection.  The connection is closed before returning.  Returns the
-    number of queries answered.
+    A query that cannot be answered (a parameter mismatch, a query off
+    the grid, or any other failure) gets an error response; malformed
+    bytes get one and close the connection.  The connection is closed
+    before returning.  Returns the number of queries answered.
     """
     answered = 0
     try:
@@ -389,7 +390,7 @@ def run_server(transport: Transport, db: LabeledDatabase,
                 return answered
             try:
                 reply = answer_query(msg, db, pp)
-            except ProtocolError as exc:
+            except (ProtocolError, ParameterError) as exc:  # off the grid
                 write_message(transport, ErrorMessage(str(exc)))
                 continue
             except Exception as exc:  # one bad query must not end the loop

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from kishnn import he_sim, interp
 from kishnn.he_sim import BackendError, KeyMismatchError
-from kishnn.ring import RingParams, is_prime, select_ring_params
+from kishnn.ring import (ParameterError, RingParams, is_prime,
+                         select_ring_params)
 
 
 def _largest_keyed_prime() -> int:
@@ -300,6 +301,27 @@ def test_share_powers_attaches_a_fresh_record_for_free(ring, keys):
     assert _lookup(c) == _lookup(c) == (24, 12)  # c itself carries none
     assert _lookup(u) == (24, 12) and _lookup(u) == (10, 5)
     assert _lookup(he_sim.share_powers(u)) == (24, 12)
+
+
+def test_share_powers_refuses_a_slot_outside_its_span(ring, keys):
+    # every slot must lie in [0, span): the record then carries the span;
+    # a slot at the span, at -1 (P - 1 read mod P, held unreduced) or at
+    # P - 1 is refused, and so is an unreduced slot held at P + 1 although
+    # it reads as 1: the check reads the slots as they are held
+    c = he_sim.encrypt(keys.pk, [0, 6, 3])
+    with he_sim.metering() as m:
+        u = he_sim.share_powers(c, 7)
+    assert (m.mult_gates, m.cipher_mults, m.max_depth) == (0, 0, 0)
+    assert (u._powers.span, u._powers.slots) == (7, 3)
+    assert he_sim.share_powers(c)._powers.span is None
+    minus_one = he_sim.sub(he_sim.encrypt(keys.pk, [0, 2]), 1, ring)
+    above = he_sim.add(he_sim.encrypt(keys.pk, [22, 0]), 2, ring)
+    assert he_sim.decrypt(keys.sk, minus_one) == [22, 1]
+    assert he_sim.decrypt(keys.sk, above) == [1, 2]
+    for bad in (he_sim.encrypt(keys.pk, [0, 7]), minus_one,
+                he_sim.encrypt(keys.pk, [22, 0]), above):
+        with pytest.raises(ParameterError, match=r"outside \[0, 7\)"):
+            he_sim.share_powers(bad, 7)
 
 
 def test_metering_notes_decrypts_and_nests(ring, keys):

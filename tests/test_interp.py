@@ -45,6 +45,15 @@ def table_from_coeffs(P, coeffs):
     return PolyTable(values)
 
 
+def _random_table(P, degree, rng):
+    """A table of a polynomial of exactly this degree, random
+    coefficients."""
+    coeffs = np.zeros(P, dtype=np.int64)
+    coeffs[:degree + 1] = rng.integers(0, P, degree + 1)
+    coeffs[degree] = rng.integers(1, P)
+    return table_from_coeffs(P, coeffs)
+
+
 @functools.lru_cache(maxsize=2)
 def _power_matrix(P):
     """V[e, i] = i^e mod P (with 0^0 = 1); V @ y is exact in int64 for
@@ -287,11 +296,7 @@ def test_lookup_matches_reference_schedule(grid, kind, degree_frac, seed,
     P = ring.modulus
     rng = np.random.default_rng(seed)
     if kind == "random":
-        degree = int(degree_frac * (P - 1))
-        coeffs = np.zeros(P, dtype=np.int64)
-        coeffs[:degree + 1] = rng.integers(0, P, degree + 1)
-        coeffs[degree] = rng.integers(1, P)
-        table = table_from_coeffs(P, coeffs)
+        table = _random_table(P, int(degree_frac * (P - 1)), rng)
     else:
         table = getattr(build_named_tables(ring), kind)
     xs = [int(v) for v in rng.integers(0, P, slots)]
@@ -390,67 +395,103 @@ def _shifted(u, shift, form, params):
     return he_sim.sub(u, shift, params)
 
 
-def eval_shared_reference(jobs, u, params):
+def span_interpolant(ys, P):
+    """c_0 .. c_(m-1) of the polynomial of degree at most m - 1 through
+    (v, ys[v]) for v in [0, m), m = len(ys) <= P, over Z_P: Newton's
+    divided differences on the nodes 0 .. m-1 (level k divides by k),
+    expanded into powers of the variable."""
+    a = np.array(ys, dtype=np.int64) % P
+    newton = [int(a[0])]
+    for k in range(1, a.size):
+        a = (a[1:] - a[:-1]) * pow(k, P - 2, P) % P
+        newton.append(int(a[0]))
+    c = np.zeros(len(newton), dtype=np.int64)
+    c[0] = newton[-1]
+    for k in range(len(newton) - 2, -1, -1):  # c <- c * (x - k) + a_k
+        c = (np.concatenate(([0], c[:-1])) - k * c) % P
+        c[0] = (c[0] + newton[k]) % P
+    return tuple(int(v) for v in c)
+
+
+def _slot_coeffs(table, c, form, P, span):
+    """The coefficients, in u, of the table at the form (FORMS) of the
+    plaintext c and u: interpolated over all of Z_P, or over [0, span)
+    only."""
+    su, sc = FORMS[form]
+    v = (sc * c + su * np.arange(P if span is None else span)) % P
+    if span is None:
+        return poly_coeffs(PolyTable(table.values[v]))
+    return span_interpolant(table.values[v], P)
+
+
+def eval_shared_reference(jobs, u, params, span=None):
     """Literal evaluation of tables on plaintext shifts of one cipher u,
-    tiled or broadcast, from one set of u's powers: the oracle of
-    eval_poly_ps on images of a cipher that carries a powers record.
+    tiled or broadcast, from u's powers: the oracle of eval_poly_ps on
+    images of a cipher that carries a powers record.
 
     jobs holds (table, shift, form, layout) tuples: the table is evaluated
     at the form (FORMS) of the vector shift and u laid out to its length
-    (_laid_out).  In slot i that is a polynomial in u of the table's
-    degree whose coefficients are plaintext, interpolated here from the
-    table's values at the form of shift_i and v for every v.  The first
-    table with powers to share computes u's baby and giant powers on u's
-    slots; each table of its split combines the powers, laid out like u,
-    by per-slot plaintext weights (one linear_combine per single slot)
-    and multiplies the blocks by the giant powers.  A table of another
-    split is evaluated alone.
+    (_laid_out).  In slot i that is a polynomial in u whose coefficients
+    are plaintext, interpolated here from the table's values at the form
+    of shift_i and v: for every v in Z_P, of the table's degree, or, when
+    every slot of u lies in [0, span), for v in [0, span) only, of degree
+    at most min(table degree, span - 1).  The first table with powers to
+    share computes u's baby and giant powers on u's slots; each table of
+    its split combines the powers, laid out like u, by per-slot plaintext
+    weights (one linear_combine per single slot) and multiplies the
+    blocks by the giant powers.  A table of another split computes its
+    own powers of u laid out, on all of its slots.
     """
     P, claimed, out = params.modulus, None, []
     for table, shift, form, layout in jobs:
         size = len(shift)
         laid = _laid_out(u, size, layout, params)
-        deg, split = table.degree, interp._ps_split(table.degree)
-        if claimed is None and deg:
-            claimed, (s, t) = split, split
-            xp = _balanced_powers(u, min(s, deg), params)
-            yp = _balanced_powers(xp[s], t - 1, params) if t > 1 else {}
-        if not deg or split != claimed:
-            out.append(eval_poly_ps_reference(
-                table, _shifted(laid, shift, form, params), params))
+        deg = table.degree if span is None else min(table.degree, span - 1)
+        rows = [_slot_coeffs(table, int(c), form, P, span) for c in shift]
+        assert not any(any(r[deg + 1:]) for r in rows)
+        if not deg:
+            out.append(he_sim.embed_like(laid, [r[0] for r in rows]))
             continue
-        s, t = split
-        kmax = min(s, deg)
-        slots = [he_sim.split(_laid_out(xp[j], size, layout, params), size)
-                 for j in range(1, kmax + 1)]
-        su, sc = FORMS[form]
-        rows = []  # rows[i][b]: block b in slot i
-        for i in range(size):
-            v = (sc * int(shift[i]) + su * np.arange(P)) % P
-            coeffs = poly_coeffs(PolyTable(table.values[v]))
+        split = interp._ps_split(deg)
+        (s, t), kmax = split, min(split[0], deg)
+        if claimed is None:
+            claimed = split
+            xp = _balanced_powers(u, kmax, params)
+            yp = _balanced_powers(xp[s], t - 1, params) if t > 1 else {}
+        if split == claimed:
+            xs = [_laid_out(xp[j], size, layout, params)
+                  for j in range(1, kmax + 1)]
+            ys = {b: _laid_out(yp[b], size, layout, params)
+                  for b in range(1, t)}
+        else:
+            own = _balanced_powers(laid, kmax, params)
+            xs = [own[j] for j in range(1, kmax + 1)]
+            ys = _balanced_powers(own[s], t - 1, params) if t > 1 else {}
+        slots = [he_sim.split(x, size) for x in xs]
+        blocks = []  # blocks[i][b]: block b in slot i
+        for i, coeffs in enumerate(rows):
             weights = np.zeros((t, kmax), dtype=np.int64)
             for b in range(t):
                 for j in range(1, s):
                     if b * s + j <= deg:
                         weights[b, j - 1] = coeffs[b * s + j]
-            blocks = he_sim.linear_combine([c[i] for c in slots], weights,
-                                           params)
-            rows.append([he_sim.add(blk, coeffs[b * s], params)
-                         for b, blk in enumerate(blocks)])
-        acc = he_sim.pack([r[0] for r in rows], params)
+            combined = he_sim.linear_combine([c[i] for c in slots], weights,
+                                             params)
+            blocks.append([he_sim.add(blk, coeffs[b * s], params)
+                           for b, blk in enumerate(combined)])
+        acc = he_sim.pack([r[0] for r in blocks], params)
         for b in range(1, t):
-            block = he_sim.pack([r[b] for r in rows], params)
-            giant = _laid_out(yp[b], size, layout, params)
-            acc = he_sim.add(acc, he_sim.mul(block, giant, params), params)
+            block = he_sim.pack([r[b] for r in blocks], params)
+            acc = he_sim.add(acc, he_sim.mul(block, ys[b], params), params)
         out.append(acc)
     return out
 
 
-def _shared_paths(jobs, us, depth, ring):
+def _shared_paths(jobs, us, depth, ring, span=None):
     """([(value, output depth) per table], mult gates, add gates, max
     depth, cipher mults) of the lookups on images of one cipher that
-    carries a powers record and of the literal shared schedule, on the
-    same inputs."""
+    carries a powers record, of this span, and of the literal shared
+    schedule, on the same inputs."""
     keys = he_sim.keygen(ring, 5)
     results = []
     for literal in (False, True):
@@ -458,9 +499,9 @@ def _shared_paths(jobs, us, depth, ring):
         u.depth = depth
         with he_sim.metering() as m:
             if literal:
-                outs = eval_shared_reference(jobs, u, ring)
+                outs = eval_shared_reference(jobs, u, ring, span)
             else:
-                u, outs = he_sim.share_powers(u), []
+                u, outs = he_sim.share_powers(u, span), []
                 for table, shift, form, layout in jobs:
                     x = _shifted(_laid_out(u, len(shift), layout, ring),
                                  shift, form, ring)
@@ -504,11 +545,7 @@ def test_shared_powers_match_the_literal_schedule(grid, n, kinds, seed,
     jobs = []
     for kind in kinds:
         if kind == "random":
-            degree = int(rng.integers(0, P))
-            coeffs = np.zeros(P, dtype=np.int64)
-            coeffs[:degree + 1] = rng.integers(0, P, degree + 1)
-            coeffs[degree] = rng.integers(1, P)
-            table = table_from_coeffs(P, coeffs)
+            table = _random_table(P, int(rng.integers(0, P)), rng)
         else:
             table = getattr(build_named_tables(ring), kind)
         reps = int(rng.integers(1, 4))
@@ -589,6 +626,94 @@ def test_the_circuit_tables_share_powers_when_their_splits_match(grid, n,
     assert (map_split == split) == shared
     map_cost = map_block + (0 if shared else map_power)
     assert lookup[1] == slots * (power + 2 * reps * block + map_cost)
+
+
+def _spans(ring):
+    """The spans the span tests use: 2, 7 and the distances' B + 1."""
+    return (2, 7, ring.dist_bound + 1)
+
+
+def test_the_span_interpolant_is_the_one_through_its_points():
+    # degree at most m - 1 through m points, and the table's own
+    # coefficients when its degree is lower
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 7, 23):
+        ys = rng.integers(0, 23, m)
+        c = span_interpolant(ys, 23)
+        assert len(c) == m
+        assert [sum(cj * v ** j for j, cj in enumerate(c)) % 23
+                for v in range(m)] == ys.tolist()
+    table = table_from_coeffs(23, (5, 0, 3, 1))
+    assert span_interpolant(table.values[:9], 23) == (5, 0, 3, 1) + (0,) * 5
+
+
+@pytest.mark.parametrize("grid", [6, 100])
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tables_on_a_span_match_the_literal_per_slot_interpolants(grid, which,
+                                                                  seed):
+    # the circuit's pattern on a cipher whose slots lie in [0, span): two
+    # coin batches on tiled shifts, the map, and a named or random table
+    # in a random form and layout; each slot's polynomial in u is
+    # interpolated on the span's points only, and the literal schedule of
+    # its degree, at most span - 1, is what the lookups are charged
+    ring = select_ring_params(grid, dim=2, n=50)
+    span = _spans(ring)[which]
+    tables = build_named_tables(ring)
+    P, slots, reps = ring.modulus, 3, 2
+    rng = np.random.default_rng(seed)
+    kind = NAMED[seed * 3 + which]
+    extra = (getattr(tables, kind) if seed else
+             _random_table(P, int(rng.integers(1, P)), rng))
+    jobs = [(tables.is_neg, rng.integers(0, P, reps * slots), "c-u", "tile")
+            for _ in range(2)]
+    jobs += [(tables.dist_map, np.zeros(slots, dtype=np.int64), "c+u",
+              "tile"),
+             (extra, rng.integers(0, P, reps * slots),
+              str(rng.choice(list(FORMS))),
+              str(rng.choice(["tile", "repeat"])))]
+    us = [int(v) for v in rng.integers(0, span, slots)]
+    depth = int(rng.integers(0, 12))
+    lookup, literal = _shared_paths(jobs, us, depth, ring, span)
+    assert lookup == literal
+    values = [np.atleast_1d(value).tolist() for value, _ in lookup[0]]
+    assert values == _expected(jobs, us, P)
+
+
+@pytest.mark.parametrize("grid", [6, 100])
+def test_a_table_on_a_span_is_charged_at_its_degree_there(grid):
+    # on a cipher whose record has a span, every table is charged
+    # ps_cost(min(degree, span - 1), depth); with a record of no span, or
+    # no record, its full degree
+    ring = select_ring_params(grid, dim=2, n=50)
+    keys = he_sim.keygen(ring, 5)
+    P, named = ring.modulus, build_named_tables(ring)
+    rng = np.random.default_rng(grid)
+    tables = [getattr(named, name) for name in NAMED]
+    tables += [_random_table(P, d, rng) for d in (0, 1, 5, P - 1)]
+
+    def charged(table, c):
+        with he_sim.metering() as m:
+            r = eval_poly_ps(table, c, ring)
+        return (m.mult_gates, m.add_gates, m.cipher_mults, m.max_depth,
+                r.depth)
+
+    def expected(degree, depth, slots):
+        _, power, block, adds, out = ps_cost(degree, depth)
+        return slots * (power + block), slots * adds, power + block, out, out
+
+    for table in tables:
+        for depth in (0, 5):
+            for span in (1,) + _spans(ring) + (P,):
+                c = he_sim.encrypt(keys.pk, rng.integers(0, span, 4))
+                c.depth = depth
+                assert charged(table, he_sim.share_powers(c, span)) == \
+                    expected(min(table.degree, span - 1), depth, 4)
+            c = he_sim.encrypt(keys.pk, rng.integers(0, P, 4))
+            c.depth = depth
+            full = expected(table.degree, depth, 4)
+            assert charged(table, he_sim.share_powers(c)) == full
+            assert charged(table, c) == full
 
 
 def test_a_rings_tables_are_built_once(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kishnn import he_sim, protocol_io
+from kishnn import data_eval, he_sim, protocol_io
 from kishnn.classifier import (LabeledDatabase, classify_with_majority,
                                make_protocol_params)
 from kishnn.protocol_io import (DecodeError, ErrorMessage, ProtocolError,
@@ -597,6 +597,37 @@ def test_header_beyond_the_caps_is_a_decode_error(kind, nfields):
         decode_message(header)
     client_end.close()
     server_end.close()
+
+
+def test_an_off_grid_query_gets_an_error_and_the_connection_goes_on(
+        wdbc_path, capfd):
+    # the wire checks a coordinate only against P = 997; (499, 499) at
+    # grid 250 puts every distance of WDBC in [650, 860], outside
+    # [0, dist_bound], which the distances' span refuses
+    gd = data_eval.grid_dataset(data_eval.load_wdbc(wdbc_path), 250)
+    db = gd.database()
+    pp = make_protocol_params(select_ring_params(250, dim=2, n=db.n), k=13,
+                              n=db.n, repetitions=1)
+    client_end, server_end = loopback_pair()
+    results = {}
+
+    def serve():
+        results["answered"] = run_server(server_end, db, pp)
+
+    t = threading.Thread(target=serve)
+    t.start()
+    client_end.wfile.write(_query_bytes(pp.ring, [499, 499]))
+    client_end.wfile.flush()
+    reply = protocol_io.read_message(client_end)
+    bit = run_client(client_end, [40, 60], pp)
+    client_end.close()
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert isinstance(reply, ErrorMessage)
+    assert reply.reason.startswith("query is off the grid")
+    assert bit == classify_with_majority([40, 60], db, pp)
+    assert results["answered"] == 1
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_server_survives_a_peer_that_hangs_up_mid_message(setup):

@@ -92,15 +92,23 @@ def test_readme_cost_figures_are_the_pinned_ones():
         str(CIPHER_MULTS)]
 
     # per-table figures at P = 997: the split, its powers and blocks per
-    # slot, the distances' formula and the served identity's three parts
+    # slot at full degree and at the distances' degree B, the distances'
+    # formula and the served identity's three parts
     ring = select_ring_params(250, dim=2, n=569)
     tables = interp.build_named_tables(ring)
     split, power, block, *_ = interp.ps_cost(tables.is_neg.degree, 0)
-    map_block = interp.ps_cost(tables.dist_map.degree, 0)[2]
+    B = ring.dist_bound
+    span_split, span_power, span_block, *_ = interp.ps_cost(
+        min(tables.is_neg.degree, B), 0)
+    map_block = interp.ps_cost(min(tables.dist_map.degree, B), 0)[2]
     assert f"at P = 997, {split} is as deep as" in text
     assert f"but pays {block} blocks" in text
-    assert re.findall(r"At P = 997 that is (\d+) powers and (\d+) block "
-                      r"products per slot", text) == [(str(power), str(block))]
+    assert re.findall(r"At P = 997 and B = (\d+) that is the split "
+                      r"\((\d+), (\d+)\): (\d+) powers and (\d+) block "
+                      r"products per slot, instead of (\d+) and (\d+) at "
+                      r"degree (\d+)", text) == [tuple(map(str, (
+                          B, *span_split, span_power, span_block, power,
+                          block, tables.is_neg.degree)))]
     dists = re.findall(r"(\d+)·d \+ (\d+)·d·n gates, ([\d,]+) at "
                        r"n = 568", text)
     assert dists == [(str(power), str(block + 1),
@@ -109,6 +117,6 @@ def test_readme_cost_figures_are_the_pinned_ones():
     parts = re.findall(r"blocks take ([\d,]+) \+ ([\d,]+) \+ ([\d,]+) = "
                        r"([\d,]+) gates", text)
     assert [tuple(map(_figure, p)) for p in parts] == [(
-        2 * power + 2 * 569 * (block + 1), 569 * power, 569 * map_block,
-        shared)]
+        2 * power + 2 * 569 * (block + 1), 569 * span_power,
+        569 * map_block, shared)]
     assert sum(map(_figure, parts[0][:3])) == shared
