@@ -228,7 +228,8 @@ def _sqrt_of_digits(dh: Cipher, dl: Cipher, pp: ProtocolParams) -> Cipher:
     """
     ring = pp.ring
     tables = interp.build_named_tables(ring)
-    dh, dl = he_sim.share_powers(dh), he_sim.share_powers(dl)
+    dh = he_sim.share_powers(dh, tables=3)  # b0, b1 and v2 read it
+    dl = he_sim.share_powers(dl, tables=2)  # v0 and v1
     b0 = interp.eval_poly_ps(tables.is_zero, dh, ring)
     b1 = interp.eval_poly_ps(tables.is_zero, he_sim.sub(dh, 1, ring), ring)
     v0 = interp.eval_poly_ps(tables.sqrt, dl, ring)
@@ -290,7 +291,7 @@ def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
     the grid that puts a distance outside it is refused."""
     dists = primitives.compute_dists(enc_q, db.coords, pp.ring)
     try:
-        xs = he_sim.share_powers(dists, pp.ring.dist_bound + 1)
+        xs = he_sim.share_powers(dists, pp.ring.dist_bound + 1, tables=3)
     except ParameterError:
         raise ParameterError("query is off the grid: a distance lies "
                              "outside [0, dist_bound]") from None

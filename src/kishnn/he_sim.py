@@ -11,6 +11,7 @@ lookup is metered as the circuit that evaluates the table.
 from __future__ import annotations
 
 import hashlib
+import operator
 import threading
 import time
 from contextlib import contextmanager
@@ -398,11 +399,13 @@ def split(c: Cipher, parts: int) -> list:
 class SharedPowers:
     """The cost of the baby- and giant-step powers of one cipher u, paid
     once for every table evaluated on a plaintext shift or layout of u:
-    u's slot count, its span (every slot lies in [0, span)) if known, and
-    the split of the table that claimed them."""
+    u's slot count, its span (every slot lies in [0, span)) if known, the
+    number of tables that read it, for which interp picks their split,
+    and the split of the table that claimed them."""
 
     slots: int
     span: int | None = None
+    tables: int = 1
     split: tuple | None = None
 
     def charge(self, split, mults: int, size: int) -> int:
@@ -416,17 +419,27 @@ class SharedPowers:
         return 0 if split == self.split else mults * size
 
 
-def share_powers(c: Cipher, span: int | None = None) -> Cipher:
+def share_powers(c: Cipher, span: int | None = None,
+                 tables: int = 1) -> Cipher:
     """c, the same slots, depth, key and bound, with a fresh record of its
     powers, which its plaintext shifts and layouts carry: add, sub and
     rsub of a plaintext, broadcast, and pack of images of one record.
     With a span, every slot as held (read as unsigned, so a negative one
     is huge) must lie in [0, span), else ParameterError; tables on the
-    record's images are then charged at degree <= span - 1 (interp)."""
+    record's images are then charged at degree <= span - 1 (interp).
+    tables, an integer >= 1 (else ParameterError), is how many tables
+    the caller evaluates on the record's images: interp charges them the
+    split that is cheapest for them all."""
+    try:  # numpy's ints too; 2.5 or "3" is refused, not truncated
+        tables = operator.index(tables)
+    except TypeError:
+        raise ParameterError("tables must be an integer") from None
+    if tables < 1:
+        raise ParameterError("tables must be at least 1")
     if span is not None and c._values.view(np.uint64).max() >= span:
         raise ParameterError(f"a slot lies outside [0, {span})")
     return Cipher(c._values, c.depth, c.key_id, c._bound,
-                  SharedPowers(c.size, span))
+                  SharedPowers(c.size, span, tables))
 
 
 def table_lookup(c: Cipher, values: np.ndarray, split, powers: int,

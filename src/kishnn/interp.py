@@ -10,10 +10,10 @@ degree takes the cheapest split no deeper than the square one (_ps_split),
 and the literal evaluation is the oracle in tests/test_interp.py.  Tables
 evaluated on plaintext shifts of one input share that input's powers
 (he_sim.share_powers), so each one after the first pays only its block
-products, and on an input known to lie in [0, span), such as the
-distances, at degree at most span - 1.  Includes the named tables the
-classifier needs, among them the upper-half sign test that realizes
-strict comparison.
+products, at the split cheapest for all the tables that read them, and
+on an input known to lie in [0, span), such as the distances, at degree
+at most span - 1.  Includes the named tables the classifier needs, among
+them the upper-half sign test that realizes strict comparison.
 """
 
 from __future__ import annotations
@@ -105,13 +105,19 @@ def _splits(deg: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _ps_split(deg: int) -> tuple:
-    """The split (s, t) for degree deg >= 1: of those no deeper than the
-    square one, s = ceil(sqrt(deg+1)), the one of fewest powers plus blocks
-    (what a table alone pays per slot, in gates and in ciphertext mults),
-    then of fewest blocks."""
+def _ps_split(deg: int, tables: int = 1) -> tuple:
+    """The split (s, t) for degree deg >= 1 of a powers record that
+    `tables` tables read: of the splits no deeper than the square one,
+    s = ceil(sqrt(deg+1)), a lone table takes the one of fewest powers
+    plus blocks (what it pays per slot, in gates and in ciphertext mults),
+    then of fewest blocks; more tables take, of the splits no deeper than
+    that one, the one of fewest powers plus tables * blocks (what the
+    record pays), then of fewest blocks."""
     s, t, cost, depth = _splits(deg)
     ok = np.flatnonzero(depth <= depth[math.isqrt(deg)])  # s = isqrt + 1
+    if tables > 1:  # no deeper than a lone table's split
+        ok = np.flatnonzero(depth <= depth[_ps_split(deg)[0] - 1])
+        cost = cost + (tables - 1) * (t - 1)
     best = ok[np.lexsort((t[ok], cost[ok]))[0]]
     return int(s[best]), int(t[best])
 
@@ -126,27 +132,27 @@ def _power_depths(depth: int, top: int) -> list:
 
 
 @functools.lru_cache(maxsize=4096)
-def ps_cost(degree: int, depth_in: int) -> tuple:
+def ps_cost(degree: int, depth_in: int, tables: int = 1) -> tuple:
     """(split, power mults, block mults, cipher adds, output depth) of the
     baby-step/giant-step evaluation of a polynomial of this degree on an
-    input of depth depth_in, gates per slot, replayed from the schedule's
-    integer recurrences.
+    input of depth depth_in whose powers `tables` tables read, gates per
+    slot, replayed from the schedule's integer recurrences.
 
-    The schedule: the split (s, t) of _ps_split, block size s and t
-    blocks; baby powers x^2 .. x^min(s, degree) and giant powers
-    y^2 .. y^(t-1) of y = x^s, each power the product of two halves; each
-    block's coefficients combined with the baby powers by plaintext
-    scalars, for free; and the sum of block 0 and each block i times y^i,
-    t - 1 block products.  The powers depend only on the input and the
-    split, so tables of one split on one input can share them
-    (he_sim.SharedPowers).  The tests run the schedule literally and check it
-    against this count.  Every intermediate of the schedule is at most as
+    The schedule: the split (s, t) of _ps_split(degree, tables), block
+    size s and t blocks; baby powers x^2 .. x^min(s, degree) and giant
+    powers y^2 .. y^(t-1) of y = x^s, each power the product of two
+    halves; each block's coefficients combined with the baby powers by
+    plaintext scalars, for free; and the sum of block 0 and each block i
+    times y^i, t - 1 block products.  The powers depend only on the input
+    and the split, so tables of one split on one input can share them
+    (he_sim.SharedPowers).  The tests run the schedule literally and check
+    it against this count.  Every intermediate of the schedule is at most as
     deep as its output, so the output depth is also the deepest level it
     meters.
     """
     if degree == 0:
         return None, 0, 0, 0, 0  # the constant, embedded for free
-    s, t = _ps_split(degree)
+    s, t = _ps_split(degree, tables)
     kmax = min(s, degree)
     baby = _power_depths(depth_in, kmax)
     block = max(baby[1:])  # linear_combine tags every block this deep
@@ -172,7 +178,10 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
     degree with per-slot plaintext coefficients, evaluated on the powers
     of u laid out the same way, for free; on a record with a span, u's
     slots lie in [0, span), so that polynomial is the one through span
-    points and is charged at degree min(degree, span - 1).  The first
+    points and is charged at degree min(degree, span - 1).  The split is
+    the one for the record's count of tables, so that the record's
+    powers and all its tables' blocks together cost the fewest
+    ciphertext mults, no deeper than a lone table's split.  The first
     table evaluated on the record claims it and is charged the powers on
     u's slots; every later one of the same split is charged only its
     block products, and one of another split its full cost
@@ -180,10 +189,13 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
     """
     if table.values.size != params.modulus:
         raise ParameterError("table interpolated over a different ring")
-    degree, span = table.degree, x._powers and x._powers.span
-    if span:
-        degree = min(degree, span - 1)
-    return he_sim.table_lookup(x, table.values, *ps_cost(degree, x.depth))
+    degree, record, tables = table.degree, x._powers, 1
+    if record is not None:
+        tables = record.tables
+        if record.span:
+            degree = min(degree, record.span - 1)
+    return he_sim.table_lookup(x, table.values,
+                               *ps_cost(degree, x.depth, tables))
 
 
 def isqrt(v: np.ndarray) -> np.ndarray:

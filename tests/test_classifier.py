@@ -622,3 +622,33 @@ def test_classify_is_seed_deterministic(ring100):
     pp = make_pp(ring100, k=5, n=40, reps=3, seed=17)
     assert classify_with_majority((2, 2), db, pp) \
         == classify_with_majority((2, 2), db, pp)
+
+
+@pytest.mark.parametrize("grid", [100, 250])
+@pytest.mark.parametrize("reps", [1, 5])
+def test_every_powers_record_declares_the_tables_that_read_it(grid, reps,
+                                                               monkeypatch):
+    # a record's split is chosen for the count of tables it declares, so
+    # that count must be the number of tables one query evaluates on its
+    # images: the packed query's 1 (the distances' sign test), the
+    # distances' 3 (the mu coins, the mu_2 coins, the map), dh's 3 and
+    # dl's 2 (sigma's digit tables)
+    n = 40
+    ring = select_ring_params(grid, dim=2, n=n)
+    rng = np.random.default_rng(grid + reps)
+    db = LabeledDatabase(rng.integers(0, grid, size=(n, 2)),
+                         rng.integers(0, 2, size=n))
+    records, reads = {}, {}
+    evaluate = interp.eval_poly_ps
+
+    def counted(table, x, params):
+        if x._powers is not None:
+            records[id(x._powers)] = x._powers
+            reads[id(x._powers)] = reads.get(id(x._powers), 0) + 1
+        return evaluate(table, x, params)
+
+    monkeypatch.setattr(interp, "eval_poly_ps", counted)
+    classify_with_majority((3, grid - 2), db, make_pp(ring, k=5, n=n,
+                                                      reps=reps))
+    assert {key: r.tables for key, r in records.items()} == reads
+    assert sorted(reads.values()) == [1, 2, 3, 3]

@@ -324,6 +324,23 @@ def test_share_powers_refuses_a_slot_outside_its_span(ring, keys):
             he_sim.share_powers(bad, 7)
 
 
+def test_share_powers_takes_a_positive_integer_count_of_tables(keys):
+    # numpy's ints and bools are read as Python ints; 2.5, 3.0, "3", None
+    # and counts below 1 are refused, not truncated or parsed
+    c = he_sim.encrypt(keys.pk, [0, 6, 3])
+    assert he_sim.share_powers(c)._powers.tables == 1
+    for count, tables in ((3, 3), (np.int64(2), 2), (True, 1)):
+        record = he_sim.share_powers(c, 7, count)._powers
+        assert (record.tables, type(record.tables), record.span) == (
+            tables, int, 7)
+    for bad in (2.5, 3.0, "3", None, np.float64(2.0)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            he_sim.share_powers(c, tables=bad)
+    for bad in (0, -1, np.int64(0)):
+        with pytest.raises(ParameterError, match="at least 1"):
+            he_sim.share_powers(c, tables=bad)
+
+
 def test_metering_notes_decrypts_and_nests(ring, keys):
     c = he_sim.encrypt(keys.pk, 3)
     with he_sim.metering() as outer:

@@ -359,6 +359,30 @@ def test_the_split_is_the_cheapest_no_deeper_than_the_square_one():
         assert out <= square[2] and powers + blocks <= square[0]
 
 
+def test_a_records_split_is_the_cheapest_for_all_its_tables():
+    # every degree of a table at P = 997, 1 .. 996, which covers those at
+    # P = 397, 1 .. 396, for one to four tables on one powers record: of
+    # the splits no deeper than a lone table's, the one of fewest powers
+    # plus tables * blocks (the record's ciphertext mults), then of
+    # fewest blocks; one table keeps the lone table's split
+    for deg in range(1, 997):
+        s, t, cost, depth = (a.tolist() for a in interp._splits(deg))
+        blocks = [v - 1 for v in t]
+        powers = [c - b for c, b in zip(cost, blocks)]
+        lone = min((p + b, b, v) for v, p, b, d in zip(s, powers, blocks,
+                                                         depth)
+                   if d <= depth[math.isqrt(deg)])[2]
+        assert interp._ps_split(deg, 1) == interp._ps_split(deg) == (
+            lone, t[lone - 1])
+        for tables in range(2, 5):
+            best = min((p + tables * b, b, v)
+                       for v, p, b, d in zip(s, powers, blocks, depth)
+                       if d <= depth[lone - 1])[2]
+            assert interp._ps_split(deg, tables) == (best, t[best - 1]), (
+                deg, tables)
+            assert ps_cost(deg, 3, tables)[4] <= ps_cost(deg, 3)[4]
+
+
 def test_lookup_matches_reference_where_the_split_is_not_square(ring):
     # P = 23: a degree-22 table takes (8, 3), shallower and cheaper than
     # the square (5, 5), and the literal schedule runs that split
@@ -424,10 +448,11 @@ def _slot_coeffs(table, c, form, P, span):
     return span_interpolant(table.values[v], P)
 
 
-def eval_shared_reference(jobs, u, params, span=None):
+def eval_shared_reference(jobs, u, params, span=None, tables=1):
     """Literal evaluation of tables on plaintext shifts of one cipher u,
     tiled or broadcast, from u's powers: the oracle of eval_poly_ps on
-    images of a cipher that carries a powers record.
+    images of a cipher that carries a powers record that `tables` tables
+    read.
 
     jobs holds (table, shift, form, layout) tuples: the table is evaluated
     at the form (FORMS) of the vector shift and u laid out to its length
@@ -435,8 +460,9 @@ def eval_shared_reference(jobs, u, params, span=None):
     are plaintext, interpolated here from the table's values at the form
     of shift_i and v: for every v in Z_P, of the table's degree, or, when
     every slot of u lies in [0, span), for v in [0, span) only, of degree
-    at most min(table degree, span - 1).  The first table with powers to
-    share computes u's baby and giant powers on u's slots; each table of
+    at most min(table degree, span - 1), at that degree's split for
+    `tables` tables.  The first table with powers to share computes u's
+    baby and giant powers on u's slots; each table of
     its split combines the powers, laid out like u, by per-slot plaintext
     weights (one linear_combine per single slot) and multiplies the
     blocks by the giant powers.  A table of another split computes its
@@ -452,7 +478,7 @@ def eval_shared_reference(jobs, u, params, span=None):
         if not deg:
             out.append(he_sim.embed_like(laid, [r[0] for r in rows]))
             continue
-        split = interp._ps_split(deg)
+        split = interp._ps_split(deg, tables)
         (s, t), kmax = split, min(split[0], deg)
         if claimed is None:
             claimed = split
@@ -487,25 +513,28 @@ def eval_shared_reference(jobs, u, params, span=None):
     return out
 
 
-def _shared_paths(jobs, us, depth, ring, span=None):
+def _shared_paths(jobs, us, depth, ring, span=None, tables=1):
     """([(value, output depth) per table], mult gates, add gates, max
     depth, cipher mults) of the lookups on images of one cipher that
-    carries a powers record, of this span, and of the literal shared
-    schedule, on the same inputs."""
+    carries a powers record, of this span and count of tables, and of
+    the literal shared schedule, on the same inputs.  Both paths make
+    the same images of the cipher, free ops at its depth, so a constant
+    table's output does not hide the input's depth from one of them."""
     keys = he_sim.keygen(ring, 5)
     results = []
     for literal in (False, True):
         u = he_sim.encrypt(keys.pk, us)
         u.depth = depth
         with he_sim.metering() as m:
+            if not literal:
+                u = he_sim.share_powers(u, span, tables)
+            xs = [_shifted(_laid_out(u, len(shift), layout, ring), shift,
+                           form, ring) for _, shift, form, layout in jobs]
             if literal:
-                outs = eval_shared_reference(jobs, u, ring, span)
+                outs = eval_shared_reference(jobs, u, ring, span, tables)
             else:
-                u, outs = he_sim.share_powers(u, span), []
-                for table, shift, form, layout in jobs:
-                    x = _shifted(_laid_out(u, len(shift), layout, ring),
-                                 shift, form, ring)
-                    outs.append(eval_poly_ps(table, x, ring))
+                outs = [eval_poly_ps(job[0], x, ring)
+                        for job, x in zip(jobs, xs)]
         results.append(([(he_sim.decrypt(keys.sk, r), r.depth) for r in outs],
                         m.mult_gates, m.add_gates, m.max_depth,
                         m.cipher_mults))
@@ -626,6 +655,33 @@ def test_the_circuit_tables_share_powers_when_their_splits_match(grid, n,
     assert (map_split == split) == shared
     map_cost = map_block + (0 if shared else map_power)
     assert lookup[1] == slots * (power + 2 * reps * block + map_cost)
+
+
+def test_three_tables_on_the_distances_match_the_literal_schedule():
+    # grid 250: the circuit's two coin batches and the map on distances
+    # whose record has the span [0, 498] and three readers, so every
+    # table, of degree 996, is a polynomial of degree 498 in the
+    # distances at the split (50, 10), not a lone table's (36, 14); the
+    # literal schedule at that split costs what the lookups are charged
+    ring = select_ring_params(250, dim=2, n=568)
+    tables = build_named_tables(ring)
+    P, span, slots, reps, depth = ring.modulus, ring.dist_bound + 1, 2, 2, 12
+    rng = np.random.default_rng(3)
+    jobs = [(tables.is_neg, rng.integers(0, span, reps * slots), "c-u",
+             "tile") for _ in range(2)]
+    jobs.append((tables.dist_map, np.zeros(slots, dtype=np.int64), "c+u",
+                 "tile"))
+    us = [int(v) for v in rng.integers(0, span, slots)]
+    lookup, literal = _shared_paths(jobs, us, depth, ring, span, tables=3)
+    assert lookup == literal
+    values = [np.atleast_1d(value).tolist() for value, _ in lookup[0]]
+    assert values == _expected(jobs, us, P)
+    split, power, block, _, out = ps_cost(span - 1, depth, 3)
+    assert (split, power, block) == ((50, 10), 57, 9)
+    assert ps_cost(span - 1, depth)[:3] == ((36, 14), 47, 13)
+    assert out == ps_cost(span - 1, depth)[4] == lookup[3]
+    assert lookup[1] == slots * power + (2 * reps + 1) * slots * block
+    assert lookup[4] == power + 3 * block
 
 
 def _spans(ring):

@@ -18,16 +18,16 @@ from kishnn import classifier, data_eval, he_sim, interp, primitives
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 # Mult and cipher add gates per leave-one-out query, by repetition count.
-LOO_GATES = {1: 119_265, 5: 382_173}
-LOO_ADDS = {1: 50_669, 5: 148_833}
+LOO_GATES = {1: 118_129, 5: 362_861}
+LOO_ADDS = {1: 43_850, 5: 123_826}
 # The served shape's mult gates, and the depth of every shape.
-SERVED_GATES = 382_842
+SERVED_GATES = 363_496
 DEPTH = 68
 # Ciphertext mults and slot moves per query (he_sim.EvalMetrics) at grid
 # 250, at any n: the repetitions share every ciphertext, so the mults do
 # not grow with R, and R > 1 adds the moves of laying the distances out
 # R times, spreading the thresholds and splitting the bits.
-CIPHER_MULTS = 672
+CIPHER_MULTS = 670
 SLOT_MOVES = {1: 7, 5: 10}
 
 
@@ -69,13 +69,15 @@ def test_grid_100_leave_one_out_bits_are_pinned(workloads, seed, digest, f1):
                                         repetitions=1, seed=seed)
     assert workloads.digest(report.per_point_predictions) == digest
     assert report.f1 == pytest.approx(f1, abs=5e-5)
-    assert report.metrics.mult_gates == 74_173 * gd.n
-    assert report.metrics.add_gates == 33_601 * gd.n
-    # P = 397: each full table evaluation pays 41 powers and 12 blocks,
-    # the split (31, 13), one level shallower than the square (20, 20);
-    # a table on the distances, of degree 198 on their span [0, 198],
-    # pays the split (25, 8)'s 30 and 7
-    assert report.metrics.cipher_mults == 409 * gd.n
+    assert report.metrics.mult_gates == 74_171 * gd.n
+    assert report.metrics.add_gates == 31_885 * gd.n
+    # P = 397: a full table evaluation alone pays 41 powers and 12
+    # blocks, the split (31, 13), one level shallower than the square
+    # (20, 20); sigma's three tables on dh share the split (45, 9), 51
+    # powers and 8 blocks each, at the same depth; a table on the
+    # distances, of degree 198 on their span [0, 198], pays the split
+    # (25, 8)'s 30 and 7
+    assert report.metrics.cipher_mults == 407 * gd.n
     assert report.metrics.slot_moves == SLOT_MOVES[1] * gd.n
     assert report.metrics.max_depth == 61
 
@@ -92,9 +94,9 @@ def test_n_sweep_bits_are_pinned(workloads):
         assert (m.cipher_mults, m.slot_moves, m.max_depth) == (
             CIPHER_MULTS, SLOT_MOVES[1], DEPTH)
     assert workloads.digest(bits) == "3192b11429125bfa"
-    assert sum(gates) == 6_546_185  # a mean of 654,618.5
-    assert adds == [50_758, 101_399, 152_040, 202_681, 253_322, 303_963,
-                    354_604, 405_245, 455_886, 506_527]
+    assert sum(gates) == 6_483_595  # a mean of 648,359.5
+    assert adds == [43_927, 87_740, 131_553, 175_366, 219_179, 262_992,
+                    306_805, 350_618, 394_431, 438_244]
 
 
 def test_served_shape_gates_are_pinned(workloads):
@@ -103,7 +105,7 @@ def test_served_shape_gates_are_pinned(workloads):
         classifier.classify_with_majority(
             db.points[0], db, workloads.protocol(db.n, workloads.SERVE_REPS, 0))
     assert (db.n, m.mult_gates, m.add_gates, m.max_depth) == (
-        569, SERVED_GATES, 149_094, DEPTH)
+        569, SERVED_GATES, 124_043, DEPTH)
     assert (m.cipher_mults, m.slot_moves) == (CIPHER_MULTS, SLOT_MOVES[5])
 
 
@@ -145,16 +147,17 @@ def test_a_warm_query_makes_the_pinned_ops(workloads, monkeypatch, reps):
 # and the map pay only block products; so do sigma's tables after the
 # first on each of its two digit differences.  The three tables on the
 # distances are charged at degree 498, their degree on the distances' span
-# [0, 498]: 47 powers and 13 blocks per slot.
+# [0, 498], at the split that the record's three readers share, (50, 10):
+# 57 powers and 9 blocks per slot.
 STAGES = {
     (interp, "is_smaller"): (89, 89, 0, 68),
     (primitives, "compute_dists"): (19_458, 90, 3, 12),
-    (classifier, "estimate_mu"): (34_080, 60, 1, 23),
-    (classifier, "estimate_mu2_digits"): (7_384, 13, 1, 23),
+    (classifier, "estimate_mu"): (37_488, 66, 1, 23),
+    (classifier, "estimate_mu2_digits"): (5_112, 9, 1, 23),
     (classifier, "square_mu_digits"): (90, 90, 0, 34),
     (classifier, "estimate_sigma"): (228, 228, 0, 46),
     (classifier, "threshold"): (0, 0, 0, 46),
-    (classifier, "count_classes"): (57_936, 102, 2, 57),
+    (classifier, "count_classes"): (55_664, 98, 2, 57),
 }
 
 

@@ -92,23 +92,30 @@ def test_readme_cost_figures_are_the_pinned_ones():
         str(CIPHER_MULTS)]
 
     # per-table figures at P = 997: the split, its powers and blocks per
-    # slot at full degree and at the distances' degree B, the distances'
-    # formula and the served identity's three parts
+    # slot at full degree, and at the distances' degree B for their three
+    # tables and for a lone table, the distances' formula and the served
+    # identity's three parts
     ring = select_ring_params(250, dim=2, n=569)
     tables = interp.build_named_tables(ring)
     split, power, block, *_ = interp.ps_cost(tables.is_neg.degree, 0)
     B = ring.dist_bound
     span_split, span_power, span_block, *_ = interp.ps_cost(
+        min(tables.is_neg.degree, B), 0, 3)
+    lone_split, lone_power, lone_block, *_ = interp.ps_cost(
         min(tables.is_neg.degree, B), 0)
-    map_block = interp.ps_cost(min(tables.dist_map.degree, B), 0)[2]
+    map_block = interp.ps_cost(min(tables.dist_map.degree, B), 0, 3)[2]
+    assert interp.ps_cost(B, 0, 3)[4] == interp.ps_cost(B, 0)[4]
     assert f"at P = 997, {split} is as deep as" in text
     assert f"but pays {block} blocks" in text
     assert re.findall(r"At P = 997 and B = (\d+) that is the split "
-                      r"\((\d+), (\d+)\): (\d+) powers and (\d+) block "
-                      r"products per slot, instead of (\d+) and (\d+) at "
-                      r"degree (\d+)", text) == [tuple(map(str, (
-                          B, *span_split, span_power, span_block, power,
-                          block, tables.is_neg.degree)))]
+                      r"\((\d+), (\d+)\) for the three tables: (\d+) "
+                      r"powers once and (\d+) block products per table per "
+                      r"slot, instead of a lone table's \((\d+), (\d+)\), "
+                      r"(\d+) and (\d+), at the same depth, or (\d+) and "
+                      r"(\d+) at degree (\d+)", text) == [tuple(map(str, (
+                          B, *span_split, span_power, span_block,
+                          *lone_split, lone_power, lone_block, power, block,
+                          tables.is_neg.degree)))]
     dists = re.findall(r"(\d+)·d \+ (\d+)·d·n gates, ([\d,]+) at "
                        r"n = 568", text)
     assert dists == [(str(power), str(block + 1),

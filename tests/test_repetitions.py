@@ -39,7 +39,7 @@ def one_repetition(enc_q, db, pp):
     with he_sim.metering() as m:
         with he_sim.metering() as dist:
             xs = primitives.compute_dists(enc_q, db.coords, ring)
-        xs = he_sim.share_powers(xs, ring.dist_bound + 1)
+        xs = he_sim.share_powers(xs, ring.dist_bound + 1, tables=3)
         mu_coins, mu2_coins = moment_coins(pp, (pp.rng_seed,))
         mu = estimate_mu(xs, pp, mu_coins)
         musq_low, musq_high = square_mu_digits(mu, pp)
@@ -51,12 +51,13 @@ def one_repetition(enc_q, db, pp):
     # computed once: the distances, the powers of the distances that the
     # mu coins claim, and the map's block products, or the whole map if
     # its split differs from the coins'; each table on the distances is
-    # charged at its degree on their span [0, dist_bound]
+    # charged at its degree on their span [0, dist_bound], at a split for
+    # the three tables that read the distances' powers
     tables = interp.build_named_tables(ring)
     split, power, *_ = interp.ps_cost(
-        min(tables.is_neg.degree, ring.dist_bound), xs.depth)
+        min(tables.is_neg.degree, ring.dist_bound), xs.depth, 3)
     map_split, map_power, map_blocks, *_ = interp.ps_cost(
-        min(tables.dist_map.degree, ring.dist_bound), xs.depth)
+        min(tables.dist_map.degree, ring.dist_bound), xs.depth, 3)
     once = dist.mult_gates + db.n * (
         power + map_blocks + (0 if map_split == split else map_power))
     return bit, m.mult_gates, m.max_depth, once
@@ -116,21 +117,23 @@ def test_serve_shaped_query_cost():
     # slot), their powers and the map's block products per slot once, the
     # rest five times.  The query's sign test is charged at its full
     # degree; the tables on the distances at their degree on the
-    # distances' span [0, 498], a cheaper split
+    # distances' span [0, 498], at the split (50, 10) that their three
+    # tables share, not a lone table's (36, 14)
     db = database(250, 569)
     ring = select_ring_params(250, dim=2, n=569)
     pp = make_protocol_params(ring, k=13, n=569, repetitions=5, rng_seed=0)
     tables = interp.build_named_tables(ring)
     _, power, block, *_ = interp.ps_cost(tables.is_neg.degree, 0)
     assert (tables.is_neg.degree, tables.dist_map.degree) == (996, 996)
-    split, span_power, span_block, *_ = interp.ps_cost(ring.dist_bound, 12)
-    assert (split, span_power, span_block) == ((36, 14), 47, 13)
+    assert interp.ps_cost(ring.dist_bound, 12)[:3] == ((36, 14), 47, 13)
+    split, span_power, span_block, *_ = interp.ps_cost(ring.dist_bound, 12, 3)
+    assert (split, span_power, span_block) == ((50, 10), 57, 9)
     dists = 2 * power + 2 * 569 * (block + 1)
     once = dists + 569 * (span_power + span_block)
     with he_sim.metering() as m:
         classify_with_majority((40, 60), db, pp)
     with he_sim.metering() as one:
         classify_with_majority((40, 60), db, replace(pp, repetitions=1))
-    assert (dists, once) == (19_492, 53_632)
-    assert m.mult_gates == 5 * one.mult_gates - 4 * once == 382_842
+    assert (dists, once) == (19_492, 57_046)
+    assert m.mult_gates == 5 * one.mult_gates - 4 * once == 363_496
     assert m.max_depth == one.max_depth == 68
