@@ -287,14 +287,11 @@ def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
     mu coins claim and the mu_2 coins share, and thresholds (one slot per
     seed of coins, the mu and mu_2 CoinSpecs of moment_coins).  The
     distances are computed once and laid out once per seed for the
-    moment coins.  The record's span is dist_bound + 1, and a query off
-    the grid that puts a distance outside it is refused."""
+    moment coins.  The record's span is dist_bound + 1, which every
+    distance of a query on the grid keeps (compute_dists refuses one off
+    it)."""
     dists = primitives.compute_dists(enc_q, db.coords, pp.ring)
-    try:
-        xs = he_sim.share_powers(dists, pp.ring.dist_bound + 1, tables=3)
-    except ParameterError:
-        raise ParameterError("query is off the grid: a distance lies "
-                             "outside [0, dist_bound]") from None
+    xs = he_sim.share_powers(dists, pp.ring.dist_bound + 1, tables=3)
     mu_coins, mu2_coins = coins
     tiled = he_sim.pack([xs] * len(mu_coins.seeds), pp.ring)
     mu_star = estimate_mu(tiled, pp, mu_coins)
@@ -314,7 +311,7 @@ def server_classify(enc_q: list, db: LabeledDatabase,
     their baby- and giant-step powers and their map t(x) are computed
     once; the mu coins, the mu_2 coins and the map are each a polynomial
     in the distances of degree at most dist_bound, so they share those
-    powers and pay only their own block products (he_sim.share_powers).
+    powers and pay only their own products (he_sim.share_powers).
     Repetition r's coins come from repetition_seeds(pp)[r] (pp.coins),
     and its stages run on slot
     segment r, so its bit is the one-repetition circuit's bit for that

@@ -86,7 +86,7 @@ class EvalMetrics:
     mult_gates and add_gates count non-scalar products and cipher-by-cipher
     additions once per slot.  cipher_mults counts ciphertext
     multiplications as packed HE pays them: one per non-scalar mul,
-    whatever its slot count, plus each table evaluation's block products,
+    whatever its slot count, plus each table evaluation's products,
     plus its baby- and giant-step powers when it pays for them (not when
     it reads powers that another table paid, SharedPowers).
     slot_moves counts one per broadcast, slot_sum, pack or split that
@@ -449,9 +449,9 @@ def table_lookup(c: Cipher, values: np.ndarray, split, powers: int,
 
     values holds a function over all of Z_P (each in [0, P)); split,
     powers, mults, adds and depth are the schedule's split, power gates,
-    block products and cipher adds per slot, and output depth, its
-    deepest level.  The powers are paid on c's slots, or as the record c
-    carries charges them; in ciphertext mults a table pays its blocks,
+    products and cipher adds per slot, and output depth, its deepest
+    level.  The powers are paid on c's slots, or as the record c
+    carries charges them; in ciphertext mults a table pays its products,
     and its powers when it pays their gates.  numpy reads every index v
     in [-P, P) as v mod P, so slots are reduced only when one lies
     outside, which numpy's own index check reports.

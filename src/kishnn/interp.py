@@ -4,16 +4,17 @@ Any integer function on [0, P) is a table of its P values, which is a
 polynomial of degree at most P-1; its coefficients are interpolated only
 by the tests.  On a ciphertext a table is evaluated by lookup in its values
 and charged the exact gates and depth of a baby-step/giant-step
-(Paterson-Stockmeyer) evaluation of that polynomial, which keeps the
-non-scalar multiplication count O(sqrt(P)) and the depth O(log P); each
-degree takes the cheapest split no deeper than the square one (_ps_split),
-and the literal evaluation is the oracle in tests/test_interp.py.  Tables
+(Paterson-Stockmeyer) evaluation of that polynomial with power-of-two
+giant steps (ps_cost), which keeps the non-scalar multiplication count
+O(sqrt(P)) and puts the output ceil(log2 degree) levels above the input;
+the literal evaluation is the oracle in tests/test_interp.py.  Tables
 evaluated on plaintext shifts of one input share that input's powers
-(he_sim.share_powers), so each one after the first pays only its block
+(he_sim.share_powers), so each one after the first pays only its
 products, at the split cheapest for all the tables that read them, and
-on an input known to lie in [0, span), such as the distances, at degree
-at most span - 1.  Includes the named tables the classifier needs, among
-them the upper-half sign test that realizes strict comparison.
+on an input known to lie in [0, span), such as the distances or the
+query, at degree at most span - 1.  Includes the named tables the
+classifier needs, among them the upper-half sign test that realizes
+strict comparison.
 """
 
 from __future__ import annotations
@@ -91,77 +92,49 @@ def lagrange_table(f, params: RingParams) -> PolyTable:
                                 dtype=np.int64) % P)
 
 
-def _splits(deg: int) -> tuple:
-    """Over every block size s in [1, deg+1] for degree deg >= 1: s, the
-    block count t = ceil((deg+1)/s), ps_cost's powers plus blocks, and the
-    output depth above the input's, in closed form: x^j is ceil(log2 j)
-    deep, the bit length of j - 1, which is np.frexp's exponent."""
-    s = np.arange(1, deg + 2)
-    t = -(-(deg + 1) // s)
-    kmax = np.minimum(s, deg)
-    cost = kmax - 1 + np.maximum(2 * t - 3, 0)  # (kmax-1)+(t-2) and t-1
-    depth = np.frexp(kmax - 1)[1] + (t > 1) * (np.frexp(t - 2)[1] + 1)
-    return s, t, cost, depth
-
-
-@functools.lru_cache(maxsize=None)
-def _ps_split(deg: int, tables: int = 1) -> tuple:
-    """The split (s, t) for degree deg >= 1 of a powers record that
-    `tables` tables read: of the splits no deeper than the square one,
-    s = ceil(sqrt(deg+1)), a lone table takes the one of fewest powers
-    plus blocks (what it pays per slot, in gates and in ciphertext mults),
-    then of fewest blocks; more tables take, of the splits no deeper than
-    that one, the one of fewest powers plus tables * blocks (what the
-    record pays), then of fewest blocks."""
-    s, t, cost, depth = _splits(deg)
-    ok = np.flatnonzero(depth <= depth[math.isqrt(deg)])  # s = isqrt + 1
-    if tables > 1:  # no deeper than a lone table's split
-        ok = np.flatnonzero(depth <= depth[_ps_split(deg)[0] - 1])
-        cost = cost + (tables - 1) * (t - 1)
-    best = ok[np.lexsort((t[ok], cost[ok]))[0]]
-    return int(s[best]), int(t[best])
-
-
-def _power_depths(depth: int, top: int) -> list:
-    """Depths of x^0 (unused) .. x^top, each x^j the product of
-    x^(j//2) and x^ceil(j/2), on an input of the given depth."""
-    d = [depth, depth]
-    for j in range(2, top + 1):
-        d.append(max(d[j // 2], d[(j + 1) // 2]) + 1)
-    return d
+def _schedule(degree: int, l: int) -> tuple:
+    """(powers, products, leaves) of the schedule of leaf exponent l in
+    [1, bit_length(degree)] at degree >= 1, in closed form (ps_cost)."""
+    leaves = -(-(degree + 1) >> l)
+    return (min((1 << l) - 1, degree) - 1 + degree.bit_length() - l,
+            leaves - 1 - (leaves > 1 and degree % (1 << l) == 0), leaves)
 
 
 @functools.lru_cache(maxsize=4096)
 def ps_cost(degree: int, depth_in: int, tables: int = 1) -> tuple:
-    """(split, power mults, block mults, cipher adds, output depth) of the
+    """(split, power mults, products, cipher adds, output depth) of the
     baby-step/giant-step evaluation of a polynomial of this degree on an
     input of depth depth_in whose powers `tables` tables read, gates per
-    slot, replayed from the schedule's integer recurrences.
+    slot, in closed form (_schedule).
 
-    The schedule: the split (s, t) of _ps_split(degree, tables), block
-    size s and t blocks; baby powers x^2 .. x^min(s, degree) and giant
-    powers y^2 .. y^(t-1) of y = x^s, each power the product of two
-    halves; each block's coefficients combined with the baby powers by
-    plaintext scalars, for free; and the sum of block 0 and each block i
-    times y^i, t - 1 block products.  The powers depend only on the input
-    and the split, so tables of one split on one input can share them
-    (he_sim.SharedPowers).  The tests run the schedule literally and check
-    it against this count.  Every intermediate of the schedule is at most as
-    deep as its output, so the output depth is also the deepest level it
-    meters.
+    The schedule of leaf exponent l in [1, m], m = bit_length(degree)
+    (Paterson-Stockmeyer with power-of-two giant steps): p = A + x^(2^j)
+    * B, 2^j the largest power of two <= deg p, split again in A and B
+    until a part is of degree < 2^l, a leaf: a free plaintext combination
+    of the baby powers x^2 .. x^(2^l - 1), or x^2 .. x^degree when l = m.
+    The giant powers x^(2^l) .. x^(2^(m-1)) come by squaring, each baby
+    power x^j as x^(j//2) * x^ceil(j/2).  The L = ceil((degree+1)/2^l)
+    leaves take L - 1 adds and L - 1 products, one fewer when 2^l divides
+    the degree, since a leaf of one coefficient multiplies for free (a
+    leaf exponent of 0 costs what 1 does).  Every l gives the output
+    depth ceil(log2 degree) above the input's, and nothing it meters is
+    deeper.  l is the one of fewest powers plus tables * products, what
+    the record pays in ciphertext mults, then of fewest products.  The
+    split (l, top), top the highest power read, names the powers, which
+    depend only on the input and the split, so tables of one split on one
+    input can share them (he_sim.SharedPowers).  The tests run the
+    schedule literally and check it against this count.
     """
     if degree == 0:
         return None, 0, 0, 0, 0  # the constant, embedded for free
-    s, t = _ps_split(degree, tables)
-    kmax = min(s, degree)
-    baby = _power_depths(depth_in, kmax)
-    block = max(baby[1:])  # linear_combine tags every block this deep
-    if t == 1:
-        return (s, t), kmax - 1, 0, 0, block
-    giant = _power_depths(baby[s], t - 1)
-    depth = max(max(block, giant[i]) + 1 for i in range(1, t))
-    # baby powers x^2..x^kmax and giant powers y^2..y^(t-1), then t-1 blocks
-    return (s, t), (kmax - 1) + (t - 2), t - 1, t - 1, depth
+    m = degree.bit_length()
+    costs = {l: _schedule(degree, l) for l in range(1, m + 1)}
+    l = min(costs, key=lambda l: (costs[l][0] + tables * costs[l][1],
+                                  costs[l][1]))
+    powers, products, leaves = costs[l]
+    top = degree if l == m else 1 << (m - 1)
+    return ((l, top), powers, products, leaves - 1,
+            depth_in + (degree - 1).bit_length())
 
 
 def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
@@ -169,8 +142,10 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
 
     The result is the lookup table.values[x], and the gates and depth
     metered are exactly those of the baby-step/giant-step evaluation of
-    the table's polynomial at _ps_split's split, from ps_cost: non-scalar
-    gates <= 3*ceil(sqrt(P)) and depth <= log2(P)+4 above the input's.
+    the table's polynomial, from ps_cost: for a table alone on its input,
+    at most 3*isqrt(degree) + 3 non-scalar gates per slot, and an output
+    exactly ceil(log2 degree) levels above the input's (0 for a
+    constant).
 
     When x carries the powers record of a cipher u (he_sim.share_powers),
     x is c + u, c - u or u - c for a plaintext vector c, u tiled or
@@ -180,12 +155,12 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
     slots lie in [0, span), so that polynomial is the one through span
     points and is charged at degree min(degree, span - 1).  The split is
     the one for the record's count of tables, so that the record's
-    powers and all its tables' blocks together cost the fewest
-    ciphertext mults, no deeper than a lone table's split.  The first
-    table evaluated on the record claims it and is charged the powers on
-    u's slots; every later one of the same split is charged only its
-    block products, and one of another split its full cost
-    (he_sim.table_lookup).  The output depth is the same either way.
+    powers and all its tables' products together cost the fewest
+    ciphertext mults.  The first table evaluated on the record claims it
+    and is charged the powers on u's slots; every later one of the same
+    split is charged only its products, and one of another split its
+    full cost (he_sim.table_lookup).  The output depth is the same either
+    way.
     """
     if table.values.size != params.modulus:
         raise ParameterError("table interpolated over a different ring")

@@ -82,8 +82,11 @@ def compute_dists(enc_q: list, coords: he_sim.Plain,
     is a polynomial in q_j with per-slot plaintext coefficients, so it
     reads the baby and giant powers of the packed query, paid once on its
     d slots (he_sim.share_powers), and each of the d*n slots pays only its
-    block products.  The product is split into its d runs, which d - 1
-    cipher adds sum.
+    products.  The query's record has the grid as its span, so the sign
+    test is charged at degree coord_bound - 1, and a query off the grid
+    is refused from its own coordinates alone, whatever the points: every
+    distance of an on-grid query lies in [0, dist_bound].  The product is
+    split into its d runs, which d - 1 cipher adds sum.
     """
     d = len(enc_q)
     if d != params.dim or coords.size % d:
@@ -91,7 +94,12 @@ def compute_dists(enc_q: list, coords: he_sim.Plain,
                              f"{coords.size} coordinate slots, ring "
                              f"dimension {params.dim}")
     tables = interp.build_named_tables(params)
-    packed = he_sim.share_powers(he_sim.pack(enc_q, params))
+    try:
+        packed = he_sim.share_powers(he_sim.pack(enc_q, params),
+                                     params.coord_bound)
+    except ParameterError:
+        raise ParameterError("query is off the grid: a coordinate lies "
+                             "outside [0, coord_bound)") from None
     diff = he_sim.sub(he_sim.broadcast(packed, coords.size), coords,
                       params)  # q_j - s_ij, free
     b = interp.eval_poly_ps(tables.is_neg, diff, params)  # [q_j < s_ij]

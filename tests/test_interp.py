@@ -91,52 +91,82 @@ def eval_plain(table, x):
     return acc
 
 
-def _balanced_powers(x, top, ring):
-    """x^1 .. x^top with a product tree, depth(x^j) = depth(x)+ceil(log2 j)."""
+def schedule_powers(x, split, mul):
+    """{j: x^j} for every power the schedule of split = (l, top) reads:
+    the baby powers x^1 .. x^min(2^l - 1, top), each x^j the product
+    mul(x^(j//2), x^ceil(j/2)), and the giant powers x^(2^l) .. x^top,
+    each the square of the one before."""
+    l, top = split
     xp = {1: x}
-    for j in range(2, top + 1):
-        xp[j] = he_sim.mul(xp[j // 2], xp[(j + 1) // 2], ring)
+    for j in range(2, min((1 << l) - 1, top) + 1):
+        xp[j] = mul(xp[j // 2], xp[(j + 1) // 2])
+    j = max(1 << l, 2)
+    while j <= top:
+        xp[j] = mul(xp[j // 2], xp[j // 2])
+        j *= 2
     return xp
 
 
-def eval_poly_ps_reference(table, x, params):
-    """Literal baby-step/giant-step evaluation of a table's coefficients,
-    the oracle eval_poly_ps and ps_cost are checked against.
+def schedule_walk(split, deg, leaf, join):
+    """The recursive schedule of leaf exponent l = split[0] on the
+    coefficients 0 .. deg: p = A + x^(2^j) * B, 2^j the largest power of
+    two <= deg p, split again until a part is of degree < 2^l, the leaf
+    leaf(lo, hi) of its coefficients lo .. hi; join(A, 2^j, B) is
+    A + x^(2^j) * B."""
+    size = 1 << split[0]
 
-    The split is interp._ps_split's; block contents use only
-    plaintext-scalar multiplications, blocks are combined through
-    precomputed giant powers.
-    """
+    def part(lo, hi):
+        if hi - lo < size:
+            return leaf(lo, hi)
+        half = 1 << ((hi - lo).bit_length() - 1)
+        return join(part(lo, lo + half - 1), half, part(lo + half, hi))
+
+    return part(0, deg)
+
+
+def schedule_combine(coeffs, split, deg, xp, params):
+    """The schedule on the powers xp with real products and adds; coeffs
+    holds one row of deg + 1 plaintext coefficients per slot.  A leaf of
+    one coefficient is that plaintext, so its product is free; any other
+    leaf is the free per-slot plaintext combination of the baby powers it
+    reads, as deep as the deepest of them."""
+    P = params.modulus
+    reads = range(1, min((1 << split[0]) - 1, split[1]) + 1)
+    baby = np.array([xp[j]._values % P for j in reads]).T  # (slots, j)
+    depths = list(itertools.accumulate((xp[j].depth for j in reads), max))
+
+    def leaf(lo, hi):
+        if lo == hi:
+            return coeffs[:, lo]
+        vals = coeffs[:, lo] + (coeffs[:, lo + 1:hi + 1]
+                                * baby[:, :hi - lo]).sum(axis=1)
+        he_sim._note(depths[hi - lo - 1])  # free, as linear_combine notes
+        return he_sim.Cipher(vals % P, depths[hi - lo - 1], xp[1].key_id)
+
+    def join(a, j, b):
+        product = he_sim.mul(xp[j], b, params)
+        if isinstance(a, he_sim.Cipher):
+            return he_sim.add(a, product, params)
+        return he_sim.add(product, a, params)
+
+    return schedule_walk(split, deg, leaf, join)
+
+
+def eval_poly_ps_reference(table, x, params):
+    """Literal evaluation of a table's coefficients by the recursive
+    schedule (schedule_walk) at ps_cost's split: the oracle eval_poly_ps
+    and ps_cost are checked against.  The powers are real products of x,
+    the leaves free plaintext combinations of them."""
     if table.values.size != params.modulus:
         raise ParameterError("table interpolated over a different ring")
-    deg, coeffs = table.degree, poly_coeffs(table)
+    deg, coeffs = table.degree, np.array([poly_coeffs(table)])
     if deg == 0:
-        return he_sim.embed_like(x, np.full(x.size, coeffs[0],
+        return he_sim.embed_like(x, np.full(x.size, coeffs[0, 0],
                                             dtype=np.int64))
-    s, t = interp._ps_split(deg)
-    kmax = min(s, deg)
-    xp = _balanced_powers(x, kmax, ring=params)
-    # Block i holds coefficients c[i*s] .. c[i*s+s-1]; the x^j weights are
-    # plaintext, so the whole block matrix is one free linear combination.
-    weights = np.zeros((t, kmax), dtype=np.int64)
-    consts = np.zeros(t, dtype=np.int64)
-    for i in range(t):
-        consts[i] = coeffs[i * s]
-        for j in range(1, s):
-            k = i * s + j
-            if k <= deg:
-                weights[i, j - 1] = coeffs[k]
-    blocks = he_sim.linear_combine([xp[j] for j in range(1, kmax + 1)],
-                                   weights, params)
-    blocks = [he_sim.add(b, int(consts[i]), params)
-              for i, b in enumerate(blocks)]
-    if t == 1:
-        return blocks[0]
-    yp = _balanced_powers(xp[s], t - 1, ring=params)
-    acc = blocks[0]
-    for i in range(1, t):
-        acc = he_sim.add(acc, he_sim.mul(blocks[i], yp[i], params), params)
-    return acc
+    split = ps_cost(deg, x.depth)[0]
+    xp = schedule_powers(x, split, lambda a, b: he_sim.mul(a, b, params))
+    return schedule_combine(np.repeat(coeffs, x.size, axis=0), split, deg,
+                            xp, params)
 
 
 @pytest.fixture(scope="module")
@@ -316,85 +346,63 @@ def test_lookup_matches_reference_on_constant_and_linear(grid, degree):
         assert lookup == reference
 
 
-@functools.lru_cache(maxsize=None)
-def _depths(depth, top):
-    """_power_depths(depth, top) and the deepest of x^1 .. x^top in it."""
-    d = interp._power_depths(depth, top)
-    return d, max(d[1:])
+def _walked(deg, l):
+    """(powers, products, adds, output depth) of the schedule of leaf
+    exponent l at degree deg on an input of depth 0, walked by
+    schedule_powers and schedule_walk on depths as he_sim meters them: a
+    product of two ciphers is one mult, one level deeper than its deeper
+    factor, and one by a plaintext (None) is free; an add of two ciphers
+    is one add."""
+    m, mults, adds = deg.bit_length(), [], []
+
+    def mul(a, b):
+        if b is None:
+            return a
+        mults.append(1)
+        return (a if a > b else b) + 1
+
+    split = (l, deg if l == m else 1 << (m - 1))
+    xp = schedule_powers(0, split, mul)
+    powers = len(mults)
+    reads = range(1, min((1 << l) - 1, split[1]) + 1)
+    depths = [None] + list(itertools.accumulate((xp[j] for j in reads), max))
+
+    def join(a, j, b):
+        product = mul(xp[j], b)
+        if a is None:
+            return product
+        adds.append(1)
+        return a if a > product else product
+
+    out = schedule_walk(split, deg, lambda lo, hi: depths[hi - lo], join)
+    return powers, len(mults) - powers, len(adds), out
 
 
-def _schedule_cost(deg, s):
-    """(powers + blocks, blocks, output depth) of the schedule of block
-    size s for a polynomial of degree deg on an input of depth 0, replayed
-    as ps_cost replays it, on _power_depths."""
-    t = -(-(deg + 1) // s)
-    kmax = min(s, deg)
-    baby, block = _depths(0, kmax)
-    if t == 1:
-        return kmax - 1, 0, block
-    giant = _depths(baby[s], t - 1)[1]
-    return (kmax - 1) + (t - 2) + (t - 1), t - 1, max(block, giant) + 1
-
-
-def test_the_split_is_the_cheapest_no_deeper_than_the_square_one():
-    # brute force over every block size of every degree up to 1,200:
-    # fewest powers + blocks, then fewest blocks, of the splits no deeper
-    # than s = ceil(sqrt(deg + 1)); the search's closed-form costs and
-    # depths (interp._splits) are the replayed schedule's for every s
+def test_the_closed_form_is_the_walked_schedule_at_every_degree():
+    # every degree up to 1,200 and every leaf exponent l: interp's closed
+    # form is the literal schedule's count, walked as the references walk
+    # it, every l is ceil(log2 deg) deep, and l = 0 costs what l = 1
+    # does; for one to four tables on a record, ps_cost takes the l of
+    # fewest powers + tables * products, then of fewest products.  This
+    # replaces test_the_split_is_the_cheapest_no_deeper_than_the_square_one,
+    # test_a_records_split_is_the_cheapest_for_all_its_tables and
+    # test_lookup_matches_reference_where_the_split_is_not_square, which
+    # pinned the (s, t) splits of the schedule that computed every giant
+    # power y^2 .. y^(t-1)
     for deg in range(1, 1201):
-        sizes = range(1, deg + 2)
-        costs = [_schedule_cost(deg, s) for s in sizes]
-        s, t, cost, depth = interp._splits(deg)
-        assert s.tolist() == list(sizes)
-        assert t.tolist() == [-(-(deg + 1) // v) for v in sizes]
-        assert cost.tolist() == [c for c, _, _ in costs], deg
-        assert depth.tolist() == [d for _, _, d in costs], deg
-        square = costs[math.isqrt(deg)]  # s = isqrt(deg) + 1
-        assert (math.isqrt(deg) + 1) ** 2 >= deg + 1 > math.isqrt(deg) ** 2
-        best = min((c[:2], v) for v, c in zip(sizes, costs)
-                   if c[2] <= square[2])[1]
-        split, powers, blocks, _, out = ps_cost(deg, 0)
-        assert split == interp._ps_split(deg) == (best, -(-(deg + 1) // best))
-        assert (powers + blocks, blocks, out) == costs[best - 1]
-        assert out <= square[2] and powers + blocks <= square[0]
-
-
-def test_a_records_split_is_the_cheapest_for_all_its_tables():
-    # every degree of a table at P = 997, 1 .. 996, which covers those at
-    # P = 397, 1 .. 396, for one to four tables on one powers record: of
-    # the splits no deeper than a lone table's, the one of fewest powers
-    # plus tables * blocks (the record's ciphertext mults), then of
-    # fewest blocks; one table keeps the lone table's split
-    for deg in range(1, 997):
-        s, t, cost, depth = (a.tolist() for a in interp._splits(deg))
-        blocks = [v - 1 for v in t]
-        powers = [c - b for c, b in zip(cost, blocks)]
-        lone = min((p + b, b, v) for v, p, b, d in zip(s, powers, blocks,
-                                                         depth)
-                   if d <= depth[math.isqrt(deg)])[2]
-        assert interp._ps_split(deg, 1) == interp._ps_split(deg) == (
-            lone, t[lone - 1])
-        for tables in range(2, 5):
-            best = min((p + tables * b, b, v)
-                       for v, p, b, d in zip(s, powers, blocks, depth)
-                       if d <= depth[lone - 1])[2]
-            assert interp._ps_split(deg, tables) == (best, t[best - 1]), (
-                deg, tables)
-            assert ps_cost(deg, 3, tables)[4] <= ps_cost(deg, 3)[4]
-
-
-def test_lookup_matches_reference_where_the_split_is_not_square(ring):
-    # P = 23: a degree-22 table takes (8, 3), shallower and cheaper than
-    # the square (5, 5), and the literal schedule runs that split
-    table = build_named_tables(ring).is_neg
-    assert table.degree == 22
-    assert interp._ps_split(22) == (8, 3)
-    assert [_schedule_cost(22, s) for s in (8, 5)] == [(10, 2, 5),
-                                                        (11, 4, 6)]
-    for depth in (0, 3):
-        lookup, reference = _both_paths(table, list(range(23)), depth, ring)
-        assert lookup == reference
-        assert lookup[4] == depth + 5
+        m = deg.bit_length()
+        walked = {l: _walked(deg, l) for l in range(m + 1)}
+        assert walked[0] == walked[1]
+        for l in range(1, m + 1):
+            powers, products, leaves = interp._schedule(deg, l)
+            assert walked[l] == (powers, products, leaves - 1,
+                                 (deg - 1).bit_length()), (deg, l)
+        for tables in range(1, 5):
+            best = min((p + tables * b, b, l)
+                       for l, (p, b, _, _) in walked.items() if l)[2]
+            split, *cost = ps_cost(deg, 3, tables)
+            assert split == (best, deg if best == m else 1 << (m - 1))
+            assert cost == [*walked[best][:3], 3 + walked[best][3]]
 
 
 # The plaintext shifts x of a cipher u that share u's powers, by the signs
@@ -462,54 +470,35 @@ def eval_shared_reference(jobs, u, params, span=None, tables=1):
     every slot of u lies in [0, span), for v in [0, span) only, of degree
     at most min(table degree, span - 1), at that degree's split for
     `tables` tables.  The first table with powers to share computes u's
-    baby and giant powers on u's slots; each table of
-    its split combines the powers, laid out like u, by per-slot plaintext
-    weights (one linear_combine per single slot) and multiplies the
-    blocks by the giant powers.  A table of another split computes its
-    own powers of u laid out, on all of its slots.
+    baby and giant powers on u's slots; each table of its split runs the
+    recursive schedule (schedule_combine) on the powers laid out like u.
+    A table of another split computes its own powers of u laid out, on
+    all of its slots.
     """
-    P, claimed, out = params.modulus, None, []
+    P, claimed, out = params.modulus, {}, []
+
+    def mul(a, b):
+        return he_sim.mul(a, b, params)
+
     for table, shift, form, layout in jobs:
         size = len(shift)
         laid = _laid_out(u, size, layout, params)
         deg = table.degree if span is None else min(table.degree, span - 1)
-        rows = [_slot_coeffs(table, int(c), form, P, span) for c in shift]
-        assert not any(any(r[deg + 1:]) for r in rows)
+        coeffs = np.array([_slot_coeffs(table, int(c), form, P, span)
+                           for c in shift])
+        assert not coeffs[:, deg + 1:].any()
         if not deg:
-            out.append(he_sim.embed_like(laid, [r[0] for r in rows]))
+            out.append(he_sim.embed_like(laid, coeffs[:, 0]))
             continue
-        split = interp._ps_split(deg, tables)
-        (s, t), kmax = split, min(split[0], deg)
-        if claimed is None:
-            claimed = split
-            xp = _balanced_powers(u, kmax, params)
-            yp = _balanced_powers(xp[s], t - 1, params) if t > 1 else {}
-        if split == claimed:
-            xs = [_laid_out(xp[j], size, layout, params)
-                  for j in range(1, kmax + 1)]
-            ys = {b: _laid_out(yp[b], size, layout, params)
-                  for b in range(1, t)}
+        split = ps_cost(deg, u.depth, tables)[0]
+        if not claimed:
+            claimed[split] = schedule_powers(u, split, mul)
+        if split in claimed:
+            xp = {j: _laid_out(p, size, layout, params)
+                  for j, p in claimed[split].items()}
         else:
-            own = _balanced_powers(laid, kmax, params)
-            xs = [own[j] for j in range(1, kmax + 1)]
-            ys = _balanced_powers(own[s], t - 1, params) if t > 1 else {}
-        slots = [he_sim.split(x, size) for x in xs]
-        blocks = []  # blocks[i][b]: block b in slot i
-        for i, coeffs in enumerate(rows):
-            weights = np.zeros((t, kmax), dtype=np.int64)
-            for b in range(t):
-                for j in range(1, s):
-                    if b * s + j <= deg:
-                        weights[b, j - 1] = coeffs[b * s + j]
-            combined = he_sim.linear_combine([c[i] for c in slots], weights,
-                                             params)
-            blocks.append([he_sim.add(blk, coeffs[b * s], params)
-                           for b, blk in enumerate(combined)])
-        acc = he_sim.pack([r[0] for r in blocks], params)
-        for b in range(1, t):
-            block = he_sim.pack([r[b] for r in blocks], params)
-            acc = he_sim.add(acc, he_sim.mul(block, ys[b], params), params)
-        out.append(acc)
+            xp = schedule_powers(laid, split, mul)
+        out.append(schedule_combine(coeffs, split, deg, xp, params))
     return out
 
 
@@ -627,17 +616,18 @@ def test_a_cipher_that_is_no_image_of_the_record_pays_its_own_powers():
         gates.append(m.mult_gates)
     _, power, block, *_ = ps_cost(is_neg.degree, 0)
     full, shared = 1136 * (power + block), 2 * power + 1136 * block
-    assert gates == [full, shared, full] == [101_104, 18_322, 101_104]
+    assert gates == [full, shared, full] == [74_976, 35_286, 74_976]
 
 
-@pytest.mark.parametrize("grid, n, shared", [(4, 50, False), (5, 3, False),
+@pytest.mark.parametrize("grid, n, shared", [(4, 50, True), (5, 3, False),
                                              (5, 50, True), (6, 50, True),
                                              (24, 50, True)])
 def test_the_circuit_tables_share_powers_when_their_splits_match(grid, n,
                                                                  shared):
     # the circuit's pattern: two coin batches on shifts of the tiled
-    # distances, then the map on the distances; at grid 4, and at grid 5
-    # for n = 3, the map's split differs, and it pays its full cost
+    # distances, then the map on the distances; at grid 5 for n = 3 the
+    # map's split differs, and it pays its full cost; at grid 4 the map,
+    # of degree 11, shares the split (2, 8) of the sign test, of degree 12
     ring = select_ring_params(grid, dim=2, n=n)
     tables = build_named_tables(ring)
     P, reps, slots, depth = ring.modulus, 3, 4, 12
@@ -661,7 +651,9 @@ def test_three_tables_on_the_distances_match_the_literal_schedule():
     # grid 250: the circuit's two coin batches and the map on distances
     # whose record has the span [0, 498] and three readers, so every
     # table, of degree 996, is a polynomial of degree 498 in the
-    # distances at the split (50, 10), not a lone table's (36, 14); the
+    # distances, at the split (5, 256) that a lone table takes too: baby
+    # powers x^2 .. x^31, giant powers x^32 .. x^256, 16 leaves, depth 9
+    # (degree 996 alone takes (5, 512), with three readers (6, 512)); the
     # literal schedule at that split costs what the lookups are charged
     ring = select_ring_params(250, dim=2, n=568)
     tables = build_named_tables(ring)
@@ -677,9 +669,11 @@ def test_three_tables_on_the_distances_match_the_literal_schedule():
     values = [np.atleast_1d(value).tolist() for value, _ in lookup[0]]
     assert values == _expected(jobs, us, P)
     split, power, block, _, out = ps_cost(span - 1, depth, 3)
-    assert (split, power, block) == ((50, 10), 57, 9)
-    assert ps_cost(span - 1, depth)[:3] == ((36, 14), 47, 13)
-    assert out == ps_cost(span - 1, depth)[4] == lookup[3]
+    assert (split, power, block) == ((5, 256), 34, 15)
+    assert ps_cost(span - 1, depth)[:3] == ((5, 256), 34, 15)
+    assert ps_cost(P - 1, depth)[:3] == ((5, 512), 35, 31)
+    assert ps_cost(P - 1, depth, 3)[:3] == ((6, 512), 66, 15)
+    assert out == depth + 9 == lookup[3]
     assert lookup[1] == slots * power + (2 * reps + 1) * slots * block
     assert lookup[4] == power + 3 * block
 
@@ -818,8 +812,8 @@ def test_named_table_degrees_match_interpolated_coefficients(grid):
         top = max(i for i, c in enumerate(poly_coeffs(table)) if c)
         assert table.degree == top, name
         if grid == 250:
-            assert ps_cost(table.degree, 0) == ((59, 17), 73, 16, 16,
-                                                  11), name
+            assert ps_cost(table.degree, 0) == ((5, 512), 35, 31, 31,
+                                                  10), name
 
 
 def test_table_refuses_values_outside_the_ring(ring, keys):

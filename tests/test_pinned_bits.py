@@ -18,16 +18,16 @@ from kishnn import classifier, data_eval, he_sim, interp, primitives
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 # Mult and cipher add gates per leave-one-out query, by repetition count.
-LOO_GATES = {1: 118_129, 5: 362_861}
-LOO_ADDS = {1: 43_850, 5: 123_826}
+LOO_GATES = {1: 100_914, 5: 320_394}
+LOO_ADDS = {1: 61_486, 5: 202_918}
 # The served shape's mult gates, and the depth of every shape.
-SERVED_GATES = 363_496
-DEPTH = 68
+SERVED_GATES = 320_955
+DEPTH = 59
 # Ciphertext mults and slot moves per query (he_sim.EvalMetrics) at grid
 # 250, at any n: the repetitions share every ciphertext, so the mults do
 # not grow with R, and R > 1 adds the moves of laying the distances out
 # R times, spreading the thresholds and splitting the bits.
-CIPHER_MULTS = 670
+CIPHER_MULTS = 521
 SLOT_MOVES = {1: 7, 5: 10}
 
 
@@ -69,17 +69,18 @@ def test_grid_100_leave_one_out_bits_are_pinned(workloads, seed, digest, f1):
                                         repetitions=1, seed=seed)
     assert workloads.digest(report.per_point_predictions) == digest
     assert report.f1 == pytest.approx(f1, abs=5e-5)
-    assert report.metrics.mult_gates == 74_171 * gd.n
-    assert report.metrics.add_gates == 31_885 * gd.n
-    # P = 397: a full table evaluation alone pays 41 powers and 12
-    # blocks, the split (31, 13), one level shallower than the square
-    # (20, 20); sigma's three tables on dh share the split (45, 9), 51
-    # powers and 8 blocks each, at the same depth; a table on the
-    # distances, of degree 198 on their span [0, 198], pays the split
-    # (25, 8)'s 30 and 7
-    assert report.metrics.cipher_mults == 407 * gd.n
+    assert report.metrics.mult_gates == 68_397 * gd.n
+    assert report.metrics.add_gates == 38_737 * gd.n
+    # P = 397: a full table evaluation alone, of degree 396, pays 19
+    # powers and 24 products, the split (4, 256); sigma's three tables on
+    # dh share the split (5, 256), 34 powers and 12 products each; a
+    # table on the distances, of degree 198 on their span [0, 198], pays
+    # the split (5, 128)'s 33 and 6; the query's sign test, of degree 99
+    # on the grid [0, 100), the split (3, 64)'s 10 and 12; every table is
+    # ceil(log2 degree) deep
+    assert report.metrics.cipher_mults == 334 * gd.n
     assert report.metrics.slot_moves == SLOT_MOVES[1] * gd.n
-    assert report.metrics.max_depth == 61
+    assert report.metrics.max_depth == 53
 
 
 def test_n_sweep_bits_are_pinned(workloads):
@@ -94,9 +95,9 @@ def test_n_sweep_bits_are_pinned(workloads):
         assert (m.cipher_mults, m.slot_moves, m.max_depth) == (
             CIPHER_MULTS, SLOT_MOVES[1], DEPTH)
     assert workloads.digest(bits) == "3192b11429125bfa"
-    assert sum(gates) == 6_483_595  # a mean of 648,359.5
-    assert adds == [43_927, 87_740, 131_553, 175_366, 219_179, 262_992,
-                    306_805, 350_618, 394_431, 438_244]
+    assert sum(gates) == 5_542_995  # a mean of 554,299.5
+    assert adds == [61_594, 123_046, 184_498, 245_950, 307_402, 368_854,
+                    430_306, 491_758, 553_210, 614_662]
 
 
 def test_served_shape_gates_are_pinned(workloads):
@@ -105,7 +106,7 @@ def test_served_shape_gates_are_pinned(workloads):
         classifier.classify_with_majority(
             db.points[0], db, workloads.protocol(db.n, workloads.SERVE_REPS, 0))
     assert (db.n, m.mult_gates, m.add_gates, m.max_depth) == (
-        569, SERVED_GATES, 124_043, DEPTH)
+        569, SERVED_GATES, 203_274, DEPTH)
     assert (m.cipher_mults, m.slot_moves) == (CIPHER_MULTS, SLOT_MOVES[5])
 
 
@@ -142,22 +143,24 @@ def test_a_warm_query_makes_the_pinned_ops(workloads, monkeypatch, reps):
 
 # A leave-one-out query's (mult gates, ciphertext mults, slot moves, depth)
 # by stage, at n = 568 and one repetition.  The distances' sign test pays
-# the powers of the packed query once on its 2 slots; the mu coins claim
-# the powers of the distances, so their stage carries them; the mu_2 coins
-# and the map pay only block products; so do sigma's tables after the
-# first on each of its two digit differences.  The three tables on the
-# distances are charged at degree 498, their degree on the distances' span
-# [0, 498], at the split that the record's three readers share, (50, 10):
-# 57 powers and 9 blocks per slot.
+# the powers of the packed query once on its 2 slots, at degree 249 on
+# the grid [0, 250): the split (4, 128), 18 powers and 15 products; the
+# mu coins claim the powers of the distances, so their stage carries
+# them; the mu_2 coins and the map pay only products; so do sigma's
+# tables after the first on each of its two digit differences.  The
+# three tables on the distances are charged at degree 498, their degree
+# on the distances' span [0, 498], at the split (5, 256): 34 powers and
+# 15 products per slot.  A full-degree table alone takes (5, 512), 35
+# and 31, 10 levels deep.
 STAGES = {
-    (interp, "is_smaller"): (89, 89, 0, 68),
-    (primitives, "compute_dists"): (19_458, 90, 3, 12),
-    (classifier, "estimate_mu"): (37_488, 66, 1, 23),
-    (classifier, "estimate_mu2_digits"): (5_112, 9, 1, 23),
-    (classifier, "square_mu_digits"): (90, 90, 0, 34),
-    (classifier, "estimate_sigma"): (228, 228, 0, 46),
-    (classifier, "threshold"): (0, 0, 0, 46),
-    (classifier, "count_classes"): (55_664, 98, 2, 57),
+    (interp, "is_smaller"): (66, 66, 0, 59),
+    (primitives, "compute_dists"): (18_212, 34, 3, 9),
+    (classifier, "estimate_mu"): (27_832, 49, 1, 18),
+    (classifier, "estimate_mu2_digits"): (8_520, 15, 1, 18),
+    (classifier, "square_mu_digits"): (67, 67, 0, 28),
+    (classifier, "estimate_sigma"): (209, 209, 0, 39),
+    (classifier, "threshold"): (0, 0, 0, 39),
+    (classifier, "count_classes"): (46_008, 81, 2, 49),
 }
 
 

@@ -318,7 +318,8 @@ def test_compute_dists_dimension_mismatch(ring, keys):
 
 def test_compute_dists_gate_count_affine_in_n():
     # the sign test's powers are paid once per coordinate, on the packed
-    # query; every coordinate slot pays the block products and the product
+    # query, at its degree on the grid [0, grid); every coordinate slot
+    # pays the products of the table's schedule and the product
     rng = np.random.default_rng(5)
     for grid, n in itertools.product((24, 250), (1, 40, 80, 569)):
         ring = select_ring_params(grid, dim=2, n=n)
@@ -328,7 +329,7 @@ def test_compute_dists_gate_count_affine_in_n():
         with he_sim.metering() as m:
             compute_dists(q, coords(pts), ring)
         _, power, block, _, depth = interp.ps_cost(
-            interp.build_named_tables(ring).is_neg.degree, 0)
+            min(interp.build_named_tables(ring).is_neg.degree, grid - 1), 0)
         assert m.mult_gates == power * 2 + (block + 1) * 2 * n
         assert (m.cipher_mults, m.max_depth) == (power + block + 1, depth + 1)
 

@@ -601,9 +601,8 @@ def test_header_beyond_the_caps_is_a_decode_error(kind, nfields):
 
 def test_an_off_grid_query_gets_an_error_and_the_connection_goes_on(
         wdbc_path, capfd):
-    # the wire checks a coordinate only against P = 997; (499, 499) at
-    # grid 250 puts every distance of WDBC in [650, 860], outside
-    # [0, dist_bound], which the distances' span refuses
+    # the wire checks a coordinate only against P = 997; (499, 499) lies
+    # off grid 250, which the packed query's span [0, 250) refuses
     gd = data_eval.grid_dataset(data_eval.load_wdbc(wdbc_path), 250)
     db = gd.database()
     pp = make_protocol_params(select_ring_params(250, dim=2, n=db.n), k=13,
@@ -628,6 +627,34 @@ def test_an_off_grid_query_gets_an_error_and_the_connection_goes_on(
     assert bit == classify_with_majority([40, 60], db, pp)
     assert results["answered"] == 1
     assert "Traceback" not in capfd.readouterr().err
+
+
+def test_an_off_grid_query_is_refused_whatever_the_database_holds():
+    # one hand-built query for (300, 0) at grid 250 against 20 points near
+    # (225, 25), every distance in [0, dist_bound], and against the same
+    # points with one moved to (0, 249), 549 away: both refuse it alike,
+    # so the reply tells a client nothing about where the points lie
+    ring = select_ring_params(250, dim=2, n=20)
+    pp = make_protocol_params(ring, k=3, n=20, repetitions=1)
+    rng = np.random.default_rng(13)
+    near = rng.integers(-10, 11, size=(20, 2)) + [225, 25]
+    moved = near.copy()
+    moved[7] = (0, 249)
+    replies = []
+    for points in (near, moved):
+        db = LabeledDatabase(points, np.arange(20) % 2)
+        client_end, server_end = loopback_pair()
+        t = threading.Thread(target=run_server, args=(server_end, db, pp))
+        t.start()
+        client_end.wfile.write(_query_bytes(ring, [300, 0]))
+        client_end.wfile.flush()
+        replies.append(protocol_io.read_message(client_end))
+        client_end.close()
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert replies[0] == replies[1]
+    assert isinstance(replies[0], ErrorMessage)
+    assert replies[0].reason.startswith("query is off the grid")
 
 
 def test_server_survives_a_peer_that_hangs_up_mid_message(setup):

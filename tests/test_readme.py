@@ -91,39 +91,44 @@ def test_readme_cost_figures_are_the_pinned_ones():
     assert re.findall(r"costs ([\d,]+) ciphertext mults", text) == [
         str(CIPHER_MULTS)]
 
-    # per-table figures at P = 997: the split, its powers and blocks per
-    # slot at full degree, and at the distances' degree B for their three
-    # tables and for a lone table, the distances' formula and the served
+    # per-table figures at P = 997: the split, its powers and products
+    # per slot at full degree, and at the distances' degree B for their
+    # three tables and for a lone table, the query's sign test at its
+    # degree on the grid, the distances' formula and the served
     # identity's three parts
     ring = select_ring_params(250, dim=2, n=569)
     tables = interp.build_named_tables(ring)
-    split, power, block, *_ = interp.ps_cost(tables.is_neg.degree, 0)
+    full = interp.ps_cost(tables.is_neg.degree, 0)
     B = ring.dist_bound
-    span_split, span_power, span_block, *_ = interp.ps_cost(
-        min(tables.is_neg.degree, B), 0, 3)
-    lone_split, lone_power, lone_block, *_ = interp.ps_cost(
-        min(tables.is_neg.degree, B), 0)
+    span = interp.ps_cost(min(tables.is_neg.degree, B), 0, 3)
+    assert interp.ps_cost(min(tables.is_neg.degree, B), 0)[:3] == span[:3]
     map_block = interp.ps_cost(min(tables.dist_map.degree, B), 0, 3)[2]
-    assert interp.ps_cost(B, 0, 3)[4] == interp.ps_cost(B, 0)[4]
-    assert f"at P = 997, {split} is as deep as" in text
-    assert f"but pays {block} blocks" in text
+    split, power, block, _, depth = interp.ps_cost(ring.coord_bound - 1, 0)
+    assert re.findall(r"At P = 997 a table of degree (\d+) takes l = (\d+), "
+                      r"the split \((\d+), (\d+)\): (\d+) powers and (\d+) "
+                      r"products at depth (\d+)", text) == [tuple(map(str, (
+                          tables.is_neg.degree, full[0][0], *full[0],
+                          full[1], full[2], full[4])))]
     assert re.findall(r"At P = 997 and B = (\d+) that is the split "
-                      r"\((\d+), (\d+)\) for the three tables: (\d+) "
-                      r"powers once and (\d+) block products per table per "
-                      r"slot, instead of a lone table's \((\d+), (\d+)\), "
-                      r"(\d+) and (\d+), at the same depth, or (\d+) and "
-                      r"(\d+) at degree (\d+)", text) == [tuple(map(str, (
-                          B, *span_split, span_power, span_block,
-                          *lone_split, lone_power, lone_block, power, block,
-                          tables.is_neg.degree)))]
+                      r"\((\d+), (\d+)\) for the three tables: (\d+) powers "
+                      r"once and (\d+) products per table per slot, the split "
+                      r"a lone table of degree \1 takes too, at depth (\d+), "
+                      r"against (\d+) and (\d+) at degree (\d+)",
+                      text) == [tuple(map(str, (
+                          B, *span[0], span[1], span[2], span[4], full[1],
+                          full[2], tables.is_neg.degree)))]
+    assert re.findall(r"at degree p − 1 = (\d+): the split \((\d+), (\d+)\), "
+                      r"(\d+) powers\. Each of the d·n coordinate slots pays "
+                      r"(\d+) products", text) == [tuple(map(str, (
+                          ring.coord_bound - 1, *split, power, block)))]
     dists = re.findall(r"(\d+)·d \+ (\d+)·d·n gates, ([\d,]+) at "
                        r"n = 568", text)
     assert dists == [(str(power), str(block + 1),
                       f"{STAGES[primitives, 'compute_dists'][0]:,}")]
     assert _figure(dists[0][2]) == 2 * power + 2 * 568 * (block + 1)
-    parts = re.findall(r"blocks take ([\d,]+) \+ ([\d,]+) \+ ([\d,]+) = "
+    parts = re.findall(r"products take ([\d,]+) \+ ([\d,]+) \+ ([\d,]+) = "
                        r"([\d,]+) gates", text)
     assert [tuple(map(_figure, p)) for p in parts] == [(
-        2 * power + 2 * 569 * (block + 1), 569 * span_power,
+        2 * power + 2 * 569 * (block + 1), 569 * span[1],
         569 * map_block, shared)]
     assert sum(map(_figure, parts[0][:3])) == shared

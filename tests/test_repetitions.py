@@ -113,27 +113,27 @@ def test_packed_repetitions_match_independent_circuits(grid, n, seed, reps):
 
 def test_serve_shaped_query_cost():
     # WDBC, 569 points, grid 250, the server's 5 repetitions: distances
-    # (each coordinate's powers once, then its blocks and a product per
-    # slot), their powers and the map's block products per slot once, the
-    # rest five times.  The query's sign test is charged at its full
-    # degree; the tables on the distances at their degree on the
-    # distances' span [0, 498], at the split (50, 10) that their three
-    # tables share, not a lone table's (36, 14)
+    # (each coordinate's powers once, then its products and a product per
+    # slot), their powers and the map's products per slot once, the rest
+    # five times.  The query's sign test is charged at its degree on the
+    # grid [0, 250), 249; the tables on the distances at their degree on
+    # the distances' span [0, 498], at the split (5, 256) that their
+    # three tables share and a lone table would take too
     db = database(250, 569)
     ring = select_ring_params(250, dim=2, n=569)
     pp = make_protocol_params(ring, k=13, n=569, repetitions=5, rng_seed=0)
     tables = interp.build_named_tables(ring)
-    _, power, block, *_ = interp.ps_cost(tables.is_neg.degree, 0)
     assert (tables.is_neg.degree, tables.dist_map.degree) == (996, 996)
-    assert interp.ps_cost(ring.dist_bound, 12)[:3] == ((36, 14), 47, 13)
-    split, span_power, span_block, *_ = interp.ps_cost(ring.dist_bound, 12, 3)
-    assert (split, span_power, span_block) == ((50, 10), 57, 9)
+    _, power, block, *_ = interp.ps_cost(ring.coord_bound - 1, 0)
+    assert interp.ps_cost(ring.dist_bound, 9)[:3] == ((5, 256), 34, 15)
+    split, span_power, span_block, *_ = interp.ps_cost(ring.dist_bound, 9, 3)
+    assert (split, span_power, span_block) == ((5, 256), 34, 15)
     dists = 2 * power + 2 * 569 * (block + 1)
     once = dists + 569 * (span_power + span_block)
     with he_sim.metering() as m:
         classify_with_majority((40, 60), db, pp)
     with he_sim.metering() as one:
         classify_with_majority((40, 60), db, replace(pp, repetitions=1))
-    assert (dists, once) == (19_492, 57_046)
-    assert m.mult_gates == 5 * one.mult_gates - 4 * once == 363_496
-    assert m.max_depth == one.max_depth == 68
+    assert (dists, once) == (18_244, 46_125)
+    assert m.mult_gates == 5 * one.mult_gates - 4 * once == 320_955
+    assert m.max_depth == one.max_depth == 59
