@@ -346,6 +346,7 @@ def test_lookup_matches_reference_on_constant_and_linear(grid, degree):
         assert lookup == reference
 
 
+@functools.lru_cache(maxsize=None)
 def _walked(deg, l):
     """(powers, products, adds, output depth) of the schedule of leaf
     exponent l at degree deg on an input of depth 0, walked by
@@ -378,31 +379,76 @@ def _walked(deg, l):
     return powers, len(mults) - powers, len(adds), out
 
 
+def _cheapest(deg, tables):
+    """The leaf exponent of fewest powers + tables * products, then of
+    fewest products, of the walked schedules at degree deg."""
+    return min((p + tables * b, b, l) for l in range(1, deg.bit_length() + 1)
+               for p, b, _, _ in [_walked(deg, l)])[2]
+
+
 def test_the_closed_form_is_the_walked_schedule_at_every_degree():
     # every degree up to 1,200 and every leaf exponent l: interp's closed
     # form is the literal schedule's count, walked as the references walk
-    # it, every l is ceil(log2 deg) deep, and l = 0 costs what l = 1
-    # does; for one to four tables on a record, ps_cost takes the l of
-    # fewest powers + tables * products, then of fewest products.  This
-    # replaces test_the_split_is_the_cheapest_no_deeper_than_the_square_one,
-    # test_a_records_split_is_the_cheapest_for_all_its_tables and
-    # test_lookup_matches_reference_where_the_split_is_not_square, which
-    # pinned the (s, t) splits of the schedule that computed every giant
-    # power y^2 .. y^(t-1)
+    # it, every l is ceil(log2 deg) deep, and l = 0 costs what l = 1 does
     for deg in range(1, 1201):
-        m = deg.bit_length()
-        walked = {l: _walked(deg, l) for l in range(m + 1)}
-        assert walked[0] == walked[1]
-        for l in range(1, m + 1):
+        assert _walked(deg, 0) == _walked(deg, 1)
+        for l in range(1, deg.bit_length() + 1):
             powers, products, leaves = interp._schedule(deg, l)
-            assert walked[l] == (powers, products, leaves - 1,
-                                 (deg - 1).bit_length()), (deg, l)
+            assert _walked(deg, l) == (powers, products, leaves - 1,
+                                       (deg - 1).bit_length()), (deg, l)
+
+
+def test_the_split_is_the_cheapest_no_deeper_than_the_square_one():
+    # every degree up to 1,200, one table: ps_cost takes the walked
+    # schedule of fewest powers + products, then of fewest products, and
+    # it is no deeper and no dearer than the square one, whose leaves of
+    # 2^l0 >= isqrt(deg) + 1 coefficients are the fewest of at least the
+    # square block size
+    for deg in range(1, 1201):
+        m, l0 = deg.bit_length(), math.isqrt(deg).bit_length()
+        assert (1 << l0) > math.isqrt(deg) >= (1 << l0) >> 1
+        best = _cheapest(deg, 1)
+        split, powers, products, adds, out = ps_cost(deg, 0)
+        assert split == (best, deg if best == m else 1 << (m - 1))
+        assert (powers, products, adds, out) == _walked(deg, best)
+        square = _walked(deg, l0)
+        assert out <= square[3]
+        assert powers + products <= square[0] + square[1]
+
+
+def test_a_records_split_is_the_cheapest_for_all_its_tables():
+    # every degree of a table at P = 997, 1 .. 996, which covers those at
+    # P = 397, 1 .. 396, for one to four tables on one powers record: the
+    # leaf exponent of fewest powers plus tables * products (the record's
+    # ciphertext mults), then of fewest products; one table keeps the
+    # lone table's split, and no record is deeper than a lone table
+    for deg in range(1, 997):
+        m = deg.bit_length()
+        assert ps_cost(deg, 3, 1) == ps_cost(deg, 3)
         for tables in range(1, 5):
-            best = min((p + tables * b, b, l)
-                       for l, (p, b, _, _) in walked.items() if l)[2]
+            best = _cheapest(deg, tables)
             split, *cost = ps_cost(deg, 3, tables)
-            assert split == (best, deg if best == m else 1 << (m - 1))
-            assert cost == [*walked[best][:3], 3 + walked[best][3]]
+            assert split == (best, deg if best == m else 1 << (m - 1)), (
+                deg, tables)
+            assert cost == [*_walked(deg, best)[:3], 3 + _walked(deg, best)[3]]
+            assert cost[3] <= ps_cost(deg, 3)[4]
+
+
+def test_lookup_matches_reference_where_the_split_is_not_square():
+    # P = 97: a degree-96 table takes leaf exponent 3, split (3, 64): 10
+    # powers and 11 products, cheaper than the square l0 = 4 (17 and 5),
+    # as deep, and the literal schedule runs that split
+    ring = select_ring_params(24, dim=2, n=50)
+    table = build_named_tables(ring).is_neg
+    assert ring.modulus == 97 and table.degree == 96
+    assert math.isqrt(96).bit_length() == 4
+    assert ps_cost(96, 0)[:3] == ((3, 64), 10, 11)
+    assert [_walked(96, l)[:2] for l in (3, 4)] == [(10, 11), (17, 5)]
+    assert _walked(96, 3)[3] == _walked(96, 4)[3] == 7
+    for depth in (0, 3):
+        lookup, reference = _both_paths(table, list(range(97)), depth, ring)
+        assert lookup == reference
+        assert lookup[1] == depth + 7
 
 
 # The plaintext shifts x of a cipher u that share u's powers, by the signs
