@@ -289,12 +289,15 @@ def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
     distances are computed once and laid out once per seed for the
     moment coins.  The record's span is dist_bound + 1, which every
     distance of a query on the grid keeps (compute_dists refuses one off
-    it)."""
+    it), and so is mu*'s, for its square_div_p table: the mu coins'
+    numerators are 1..n, one each, and only those at most
+    t(B) <= dist_bound can hit."""
     dists = primitives.compute_dists(enc_q, db.coords, pp.ring)
     xs = he_sim.share_powers(dists, pp.ring.dist_bound + 1, tables=3)
     mu_coins, mu2_coins = coins
     tiled = he_sim.pack([xs] * len(mu_coins.seeds), pp.ring)
-    mu_star = estimate_mu(tiled, pp, mu_coins)
+    mu_star = he_sim.share_powers(estimate_mu(tiled, pp, mu_coins),
+                                  pp.ring.dist_bound + 1)
     mu2_high = estimate_mu2_digits(tiled, pp, mu2_coins)
     musq_low, musq_high = square_mu_digits(mu_star, pp)
     sigma_star = estimate_sigma(mu2_high, musq_low, musq_high, pp)
@@ -307,13 +310,13 @@ def server_classify(enc_q: list, db: LabeledDatabase,
     """The full server circuit; returns one encrypted class bit per
     repetition, packed one per slot.
 
-    All pp.repetitions repetitions run as one circuit.  The distances,
-    their baby- and giant-step powers and their map t(x) are computed
-    once; the mu coins, the mu_2 coins and the map are each a polynomial
-    in the distances of degree at most dist_bound, so they share those
-    powers and pay only their own products (he_sim.share_powers).
-    Repetition r's coins come from repetition_seeds(pp)[r] (pp.coins),
-    and its stages run on slot
+    All pp.repetitions repetitions run as one circuit.  The distances
+    (one |.| table on the powers of the packed query), their baby- and
+    giant-step powers and their map t(x) are computed once; the mu coins,
+    the mu_2 coins and the map are each a polynomial in the distances of
+    degree at most dist_bound, so they share those powers and pay only
+    their own products (he_sim.share_powers).  Repetition r's coins come
+    from repetition_seeds(pp)[r] (pp.coins), and its stages run on slot
     segment r, so its bit is the one-repetition circuit's bit for that
     seed.  The threshold is estimated on the mapped distances t(x) (see
     interp.dist_map), a point counts when t(x) < T*, and the bit is

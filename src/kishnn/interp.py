@@ -206,10 +206,11 @@ def dist_map(params: RingParams) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NamedTables:
-    """The interpolated polynomials used by the classifier circuit, and
-    the inverse of the distance map: map_inverse[c] = min{x : t(x) >= c}
-    for c in [0, t(B) + 1], read-only, its last entry B + 1 also standing
-    for every larger c (read it with take(..., mode="clip"))."""
+    """The interpolated polynomials used by the classifier circuit (abs,
+    |signed(x)|, makes the distances), and the inverse of the distance
+    map: map_inverse[c] = min{x : t(x) >= c} for c in [0, t(B) + 1],
+    read-only, its last entry B + 1 also standing for every larger c
+    (read it with take(..., mode="clip"))."""
 
     sqrt: PolyTable
     square_div_p: PolyTable
@@ -218,6 +219,7 @@ class NamedTables:
     sqrt_times_p: PolyTable
     is_neg: PolyTable
     dist_map: PolyTable
+    abs: PolyTable
     map_inverse: np.ndarray = field(repr=False)
 
 
@@ -260,6 +262,7 @@ def build_named_tables(params: RingParams) -> NamedTables:
             np.where(signed(x) > 1, signed(x) * p, 0))),
         is_neg=table(lambda x: x > P / 2),
         dist_map=table(lambda x: tmap[np.clip(signed(x), 0, B)]),
+        abs=table(lambda x: np.abs(signed(x))),
         map_inverse=inverse,
     )
 

@@ -76,16 +76,15 @@ def compute_dists(enc_q: list, coords: he_sim.Plain,
     slot j*n + i (LabeledDatabase.coords).
 
     The query is packed and each coordinate broadcast over its run of n
-    slots, so one batch over all d*n slots does every coordinate: b =
-    [q < s] via the sign test, then (1 - 2b)(q - s) recovers the absolute
-    difference with a single non-scalar mult.  The sign test on q_j - s_ij
-    is a polynomial in q_j with per-slot plaintext coefficients, so it
-    reads the baby and giant powers of the packed query, paid once on its
-    d slots (he_sim.share_powers), and each of the d*n slots pays only its
-    products.  The query's record has the grid as its span, so the sign
-    test is charged at degree coord_bound - 1, and a query off the grid
-    is refused from its own coordinates alone, whatever the points: every
-    distance of an on-grid query lies in [0, dist_bound].  The product is
+    slots, so one batch over all d*n slots does every coordinate: the abs
+    table, |signed(v)|, at v = q_j - s_ij.  That is a polynomial in q_j
+    with per-slot plaintext coefficients, so it reads the baby and giant
+    powers of the packed query, paid once on its d slots
+    (he_sim.share_powers), and each of the d*n slots pays only its
+    products.  The query's record has the grid as its span, so the table
+    is charged at degree coord_bound - 1, and a query off the grid is
+    refused from its own coordinates alone, whatever the points: every
+    distance of an on-grid query lies in [0, dist_bound].  The result is
     split into its d runs, which d - 1 cipher adds sum.
     """
     d = len(enc_q)
@@ -93,7 +92,6 @@ def compute_dists(enc_q: list, coords: he_sim.Plain,
         raise ParameterError(f"query has {d} coordinates, points "
                              f"{coords.size} coordinate slots, ring "
                              f"dimension {params.dim}")
-    tables = interp.build_named_tables(params)
     try:
         packed = he_sim.share_powers(he_sim.pack(enc_q, params),
                                      params.coord_bound)
@@ -102,9 +100,8 @@ def compute_dists(enc_q: list, coords: he_sim.Plain,
                              "outside [0, coord_bound)") from None
     diff = he_sim.sub(he_sim.broadcast(packed, coords.size), coords,
                       params)  # q_j - s_ij, free
-    b = interp.eval_poly_ps(tables.is_neg, diff, params)  # [q_j < s_ij]
-    sign = he_sim.rsub(1, he_sim.mul(b, 2, params), params)  # 1 - 2b
-    total, *rest = he_sim.split(he_sim.mul(sign, diff, params), d)
+    total, *rest = he_sim.split(interp.eval_poly_ps(
+        interp.build_named_tables(params).abs, diff, params), d)
     for term in rest:  # |q_j - s_ij|, summed over j
         total = he_sim.add(total, term, params)
     return total
@@ -180,11 +177,12 @@ def _plan_coins(rows: list, n: int, dist_bound: int) -> dict:
     spec's numerators and comparison points are computed over the whole
     block at once: one read-only he_sim.Plain of 8 B per slot per plan.
     """
-    u = _strata(sum((specs[0].seeds for specs in rows), ()), n)
+    pi, u = _strata(sum((specs[0].seeds for specs in rows), ()), n)
     plans = {}
     for j, spec in enumerate(rows[0]):
-        # float rounding of m * u may reach m; clamp to keep r_i in [1, m]
-        rs = np.minimum((spec.m * u).astype(np.int64), spec.m - 1) + 1
+        # float rounding of m * u may leave its stratum; clamp r_i into it
+        rs = np.clip((spec.m * u).astype(np.int64) + 1, spec.m * pi // n + 1,
+                     -(-spec.m * (pi + 1) // n))
         points = np.minimum(spec.inverse_ceil_array(rs) - 1, dist_bound)
         for specs, row in zip(rows, points.reshape(len(rows), -1)):
             plans[specs[j], n, dist_bound] = he_sim.Plain._bounded(
@@ -192,14 +190,15 @@ def _plan_coins(rows: list, n: int, dist_bound: int) -> dict:
     return plans
 
 
-def _strata(seeds: tuple, n: int) -> np.ndarray:
-    """(pi(i) + u_i) / n for slot i of each seed's n-slot segment."""
-    u = np.empty(len(seeds) * n)
+def _strata(seeds: tuple, n: int) -> tuple:
+    """pi(i), and (pi(i) + u_i) / n, for slot i of each seed's segment."""
+    u, pi = np.empty(len(seeds) * n), np.empty(len(seeds) * n, np.int64)
     for s, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         seg = u[s * n:(s + 1) * n]
         seg[:] = np.arange(n)
         rng.shuffle(seg)  # what rng.permutation(n) does, without its copy
+        pi[s * n:(s + 1) * n] = seg
         seg += rng.random(n)
     u /= n
-    return u
+    return pi, u

@@ -89,3 +89,18 @@ def kappa_of_run(db, query, pp, seed: int) -> int:
     t_val = pp.ring.signed(he_sim.decrypt(keys.sk, t_star))
     dists = np.abs(db.points - np.asarray(query, dtype=np.int64)).sum(axis=1)
     return int((interp.dist_map(pp.ring)[dists] < t_val).sum())
+
+
+def mu_star_of_run(db, query, pp, seed: int) -> int:
+    """The mean estimate mu* of one run, decrypted with the run's keys:
+    the one-repetition circuit seeded by seed, through _threshold_pipeline,
+    with estimate_mu's output kept on its way."""
+    keys = he_sim.keygen(pp.ring, derive_seed(seed, "kappa-keys"))
+    enc_q = classifier.encrypt_query(keys.pk, query, pp.ring)
+    estimate, seen = classifier.estimate_mu, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifier, "estimate_mu",
+                   lambda *args: seen.append(estimate(*args)) or seen[-1])
+        classifier._threshold_pipeline(enc_q, db, pp,
+                                       classifier.moment_coins(pp, (seed,)))
+    return he_sim.decrypt(keys.sk, seen[0])

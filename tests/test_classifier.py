@@ -630,9 +630,9 @@ def test_every_powers_record_declares_the_tables_that_read_it(grid, reps,
                                                                monkeypatch):
     # a record's split is chosen for the count of tables it declares, so
     # that count must be the number of tables one query evaluates on its
-    # images: the packed query's 1 (the distances' sign test), the
-    # distances' 3 (the mu coins, the mu_2 coins, the map), dh's 3 and
-    # dl's 2 (sigma's digit tables)
+    # images: the packed query's 1 (the distances' |.| table), mu*'s 1
+    # (the square_div_p table), the distances' 3 (the mu coins, the mu_2
+    # coins, the map), dh's 3 and dl's 2 (sigma's digit tables)
     n = 40
     ring = select_ring_params(grid, dim=2, n=n)
     rng = np.random.default_rng(grid + reps)
@@ -651,4 +651,4 @@ def test_every_powers_record_declares_the_tables_that_read_it(grid, reps,
     classify_with_majority((3, grid - 2), db, make_pp(ring, k=5, n=n,
                                                       reps=reps))
     assert {key: r.tables for key, r in records.items()} == reads
-    assert sorted(reads.values()) == [1, 2, 3, 3]
+    assert sorted(reads.values()) == [1, 1, 2, 3, 3]

@@ -300,7 +300,8 @@ def test_loo_secure_is_bit_exact_against_recorded_values(wdbc_path):
     # the distances' span, 498 instead of 996, and again when each powers
     # record took one split for all the tables that read it, and again
     # when every table took power-of-two giant steps and the packed query
-    # the span of the grid
+    # the span of the grid, and again when the distances became one |.|
+    # table and mu* took the span [0, dist_bound]
     gd = grid_dataset(load_wdbc(wdbc_path), 250)
     head = data_eval.GridDataset(gd.points[:60], gd.labels[:60], gd.grid,
                                  gd.quant_meta)
@@ -309,8 +310,8 @@ def test_loo_secure_is_bit_exact_against_recorded_values(wdbc_path):
         bytes(int(b) for b in report.per_point_predictions)).hexdigest()
     assert digest == ("aaf7b08f1c42d29f5d17d54954d84fbc"
                       "2f9f110f01d1840e8db1219dcb4e57f1")
-    assert report.metrics.mult_gates == 649_260
-    assert report.metrics.max_depth == 59
+    assert report.metrics.mult_gates == 641_160
+    assert report.metrics.max_depth == 57
 
 
 def _wdbc_head(wdbc_path, n, grid=100):
@@ -429,14 +430,16 @@ def test_wide_query_is_bit_exact_against_recorded_values(wdbc_path):
     # split no deeper than the square one and sigma's digit tables began
     # to share powers, when the tables on the distances were charged at
     # their degree on the distances' span, when each powers record took
-    # one split for all its tables, and when every table took power-of-two
-    # giant steps and the packed query the span of the grid.  The run's threshold selects
+    # one split for all its tables, when every table took power-of-two
+    # giant steps and the packed query the span of the grid, and when the
+    # distances became one |.| table and mu* took the span
+    # [0, dist_bound].  The run's threshold selects
     # 140 points, all of class 1: the class counts stay below P/2 = 498,
     # so the pinned bit is the true majority
     db, point, pp = _wide_query(wdbc_path)
     with he_sim.metering() as m:
         bit = classifier.classify_with_majority(point, db, pp)
-    assert (bit, m.mult_gates, m.max_depth) == (1, 1_007_508, 59)
+    assert (bit, m.mult_gates, m.max_depth) == (1, 996_111, 57)
     run_seed = classifier.repetition_seeds(pp)[0]
     assert kappa_of_run(db, point, pp, run_seed) == 140
     assert 2 * 140 < pp.ring.modulus

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kishnn import he_sim, interp
-from kishnn.interp import (PolyTable, build_named_tables, eval_poly_ps,
-                           is_smaller, lagrange_table, ps_cost)
+from kishnn.interp import (NamedTables, PolyTable, build_named_tables,
+                           eval_poly_ps, is_smaller, lagrange_table, ps_cost)
 from kishnn.primitives import CoinSpec
 from kishnn.ring import ParameterError, RingParams, is_prime, \
     select_ring_params
@@ -237,6 +238,7 @@ def test_named_tables_against_plain_definitions(ring):
         assert eval_plain(t.square_div_p, x) == round(x * x / p + 1e-9) % P
         assert eval_plain(t.is_zero, x) == (1 if x == 0 else 0)
         assert eval_plain(t.is_neg, x) == (1 if x > P / 2 else 0)
+        assert eval_plain(t.abs, x) == abs(signed)
         expect_times = near_sqrt(signed * p) if signed > 1 else 0
         assert eval_plain(t.sqrt_times_p, x) == expect_times
         expect_shift = near_sqrt(p + signed) if p + signed >= 0 else 0
@@ -252,6 +254,18 @@ def test_named_tables_against_plain_definitions(ring):
     assert tmap[0] == 0
     assert all(a <= b for a, b in zip(tmap, tmap[1:]))
     assert max(tmap) ** 2 <= n * p
+
+
+@pytest.mark.parametrize("grid", [4, 6, 100, 250])
+def test_the_abs_table_is_the_magnitude_of_every_residue(grid):
+    # |signed(x)|: the upper half of Z_P read as negative, on a cipher of
+    # every residue, as compute_dists reads it on q_j - s_ij
+    ring = select_ring_params(grid, dim=2, n=20)
+    keys, P = he_sim.keygen(ring, 4), ring.modulus
+    residues = he_sim.encrypt(keys.pk, np.arange(P))
+    got = he_sim.decrypt(keys.sk, eval_poly_ps(
+        build_named_tables(ring).abs, residues, ring))
+    assert got == [abs(ring.signed(x)) for x in range(P)]
 
 
 def test_is_smaller_exhaustive(ring, keys):
@@ -296,8 +310,9 @@ def test_table_values_are_the_polynomial_everywhere(ring):
 
 # Rings of modulus 23, 97, 397 and 997 (grid 6, 24, 100 and 250).
 DIFF_GRIDS = (6, 24, 100, 250)
-NAMED = ("sqrt", "square_div_p", "is_zero", "sqrt_plus_p", "sqrt_times_p",
-         "is_neg", "dist_map")
+# Every table of NamedTables, in build order: all its fields but the last,
+# the map's inverse.
+NAMED = tuple(f.name for f in dataclasses.fields(NamedTables))[:-1]
 
 
 def _both_paths(table, xs, depth, ring):
@@ -832,9 +847,9 @@ def test_a_rings_tables_are_built_once(monkeypatch):
         assert build_named_tables(a) is tables
         assert np.shares_memory(interp.dist_map(a), tables.dist_map.values)
         CoinSpec("identity", 1000, (0,), a).inverse_ceil_array(np.arange(1, 9))
-    assert len(built) == 7
+    assert len(built) == len(dataclasses.fields(NamedTables)) - 1
     other = build_named_tables(b)
-    assert other is not tables and len(built) == 14
+    assert other is not tables and len(built) == 2 * len(NAMED)
     assert np.array_equal(other.dist_map.values, tables.dist_map.values)
     assert build_named_tables.cache_info().maxsize >= 10
 
@@ -914,15 +929,17 @@ def test_lagrange_calls_f_once_on_every_residue(ring):
 
 
 def test_named_table_values_are_the_scalar_builds():
-    # sha256 of every named table's values, in NAMED order, grids 24, 30,
-    # 100 and 250 by n = 50, 569 and 5,690, recorded from the build that
-    # called each table's function once per residue in Python, and again
-    # when sqrt_times_p became 0 at residue 1, its only changed entry
+    # sha256 of the values of the seven tables named here, in this order,
+    # grids 24, 30, 100 and 250 by n = 50, 569 and 5,690, recorded from the
+    # build that called each table's function once per residue in Python,
+    # and again when sqrt_times_p became 0 at residue 1, its only changed
+    # entry; abs came later and is checked against its definition alone
     h = hashlib.sha256()
     for grid in (24, 30, 100, 250):
         for n in (50, 569, 5690):
             tables = build_named_tables(select_ring_params(grid, dim=2, n=n))
-            for name in NAMED:
+            for name in ("sqrt", "square_div_p", "is_zero", "sqrt_plus_p",
+                         "sqrt_times_p", "is_neg", "dist_map"):
                 h.update(getattr(tables, name).values.astype("<i8").tobytes())
     assert h.hexdigest() == ("b01c274f3906a18f414090f5e85ebc2d"
                              "e452f62322b598730337cd641e0750a3")

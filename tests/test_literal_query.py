@@ -20,6 +20,7 @@ from kishnn import classifier, he_sim, interp
 from kishnn.classifier import LabeledDatabase, make_protocol_params
 from kishnn.ring import select_ring_params
 
+from conftest import mu_star_of_run
 from test_interp import (_slot_coeffs, poly_coeffs, schedule_combine,
                          schedule_powers)
 
@@ -191,13 +192,36 @@ CASES = [(4, 3, 1), (4, 25, 3), (5, 34, 1), (6, 3, 3), (6, 46, 1),
          (12, 94, 3), (24, 150, 1), (24, 190, 3)]
 
 
-@pytest.mark.parametrize("grid, n, reps", CASES)
-def test_a_whole_query_costs_what_its_literal_run_costs(grid, n, reps):
-    db, query = _database(grid, n, seed=grid * n)
-    pp = make_protocol_params(select_ring_params(grid, dim=2, n=n),
-                              k=1 + n // 5, n=n, repetitions=reps,
-                              rng_seed=n)
+def _protocol(grid, n, reps):
+    return make_protocol_params(select_ring_params(grid, dim=2, n=n),
+                                k=1 + n // 5, n=n, repetitions=reps,
+                                rng_seed=n)
+
+
+def _check_literal(query, db, pp):
+    """The metered query, and the same query with every table literal."""
     metered = Literal()
     expected = _query(query, db, pp, metered)
     assert metered.counted and all(metered.counted)
     assert _query(query, db, pp, Literal(metered.counted)) == expected
+
+
+@pytest.mark.parametrize("grid, n, reps", CASES)
+def test_a_whole_query_costs_what_its_literal_run_costs(grid, n, reps):
+    db, query = _database(grid, n, seed=grid * n)
+    _check_literal(query, db, _protocol(grid, n, reps))
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+def test_mu_star_reaches_the_edge_of_its_span(reps):
+    # grid 6, n = 20: B = 10 and R = t(B) = 10.  Every point at (5, 5) and
+    # the query at (0, 0), so every distance is B, t(B) = R, and every
+    # coin whose numerator is at most R hits: mu* = R = B, the largest
+    # value mu*'s span [0, B] allows, in every repetition
+    n = 20
+    db = LabeledDatabase(np.full((n, 2), 5), np.arange(n) % 2)
+    pp = _protocol(6, n, reps)
+    assert interp.dist_map(pp.ring).tolist()[-1] == pp.ring.dist_bound == 10
+    for seed in classifier.repetition_seeds(pp):
+        assert mu_star_of_run(db, (0, 0), pp, seed) == 10
+    _check_literal((0, 0), db, pp)

@@ -18,16 +18,16 @@ from kishnn import classifier, data_eval, he_sim, interp, primitives
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 # Mult and cipher add gates per leave-one-out query, by repetition count.
-LOO_GATES = {1: 100_914, 5: 320_394}
-LOO_ADDS = {1: 61_486, 5: 202_918}
+LOO_GATES = {1: 99_761, 5: 319_173}
+LOO_ADDS = {1: 61_470, 5: 202_838}
 # The served shape's mult gates, and the depth of every shape.
-SERVED_GATES = 320_955
-DEPTH = 59
+SERVED_GATES = 319_732
+DEPTH = 57
 # Ciphertext mults and slot moves per query (he_sim.EvalMetrics) at grid
 # 250, at any n: the repetitions share every ciphertext, so the mults do
 # not grow with R, and R > 1 adds the moves of laying the distances out
 # R times, spreading the thresholds and splitting the bits.
-CIPHER_MULTS = 521
+CIPHER_MULTS = 503
 SLOT_MOVES = {1: 7, 5: 10}
 
 
@@ -69,18 +69,19 @@ def test_grid_100_leave_one_out_bits_are_pinned(workloads, seed, digest, f1):
                                         repetitions=1, seed=seed)
     assert workloads.digest(report.per_point_predictions) == digest
     assert report.f1 == pytest.approx(f1, abs=5e-5)
-    assert report.metrics.mult_gates == 68_397 * gd.n
-    assert report.metrics.add_gates == 38_737 * gd.n
+    assert report.metrics.mult_gates == 67_248 * gd.n
+    assert report.metrics.add_gates == 38_725 * gd.n
     # P = 397: a full table evaluation alone, of degree 396, pays 19
     # powers and 24 products, the split (4, 256); sigma's three tables on
     # dh share the split (5, 256), 34 powers and 12 products each; a
     # table on the distances, of degree 198 on their span [0, 198], pays
-    # the split (5, 128)'s 33 and 6; the query's sign test, of degree 99
-    # on the grid [0, 100), the split (3, 64)'s 10 and 12; every table is
-    # ceil(log2 degree) deep
-    assert report.metrics.cipher_mults == 334 * gd.n
+    # the split (5, 128)'s 33 and 6; the square_div_p table on mu*'s span
+    # [0, 198], alone, the split (4, 128)'s 18 and 12; the query's |.|
+    # table, of degree 99 on the grid [0, 100), the split (3, 64)'s 10
+    # and 12; every table is ceil(log2 degree) deep
+    assert report.metrics.cipher_mults == 320 * gd.n
     assert report.metrics.slot_moves == SLOT_MOVES[1] * gd.n
-    assert report.metrics.max_depth == 53
+    assert report.metrics.max_depth == 51
 
 
 def test_n_sweep_bits_are_pinned(workloads):
@@ -95,9 +96,9 @@ def test_n_sweep_bits_are_pinned(workloads):
         assert (m.cipher_mults, m.slot_moves, m.max_depth) == (
             CIPHER_MULTS, SLOT_MOVES[1], DEPTH)
     assert workloads.digest(bits) == "3192b11429125bfa"
-    assert sum(gates) == 5_542_995  # a mean of 554,299.5
-    assert adds == [61_594, 123_046, 184_498, 245_950, 307_402, 368_854,
-                    430_306, 491_758, 553_210, 614_662]
+    assert sum(gates) == 5_480_235  # a mean of 548,023.5
+    assert adds == [61_578, 123_030, 184_482, 245_934, 307_386, 368_838,
+                    430_290, 491_742, 553_194, 614_646]
 
 
 def test_served_shape_gates_are_pinned(workloads):
@@ -106,7 +107,7 @@ def test_served_shape_gates_are_pinned(workloads):
         classifier.classify_with_majority(
             db.points[0], db, workloads.protocol(db.n, workloads.SERVE_REPS, 0))
     assert (db.n, m.mult_gates, m.add_gates, m.max_depth) == (
-        569, SERVED_GATES, 203_274, DEPTH)
+        569, SERVED_GATES, 203_194, DEPTH)
     assert (m.cipher_mults, m.slot_moves) == (CIPHER_MULTS, SLOT_MOVES[5])
 
 
@@ -114,7 +115,7 @@ def test_served_shape_gates_are_pinned(workloads):
 # An op added to or removed from the circuit changes this pin on purpose.
 OPS = ("mul", "add", "sub", "rsub", "slot_sum", "broadcast", "pack", "split",
        "table_lookup")
-QUERY_OPS = {"mul": 8, "add": 4, "sub": 6, "rsub": 4, "slot_sum": 3,
+QUERY_OPS = {"mul": 6, "add": 4, "sub": 6, "rsub": 3, "slot_sum": 3,
              "broadcast": 2, "pack": 3, "split": 2, "table_lookup": 12}
 
 
@@ -138,11 +139,11 @@ def test_a_warm_query_makes_the_pinned_ops(workloads, monkeypatch, reps):
         monkeypatch.setattr(he_sim, name, counted(name, getattr(he_sim, name)))
     assert classifier.classify_with_majority(point, db, pp) == bit
     assert dict(calls) == QUERY_OPS
-    assert sum(calls.values()) == 44
+    assert sum(calls.values()) == 41
 
 
 # A leave-one-out query's (mult gates, ciphertext mults, slot moves, depth)
-# by stage, at n = 568 and one repetition.  The distances' sign test pays
+# by stage, at n = 568 and one repetition.  The distances' |.| table pays
 # the powers of the packed query once on its 2 slots, at degree 249 on
 # the grid [0, 250): the split (4, 128), 18 powers and 15 products; the
 # mu coins claim the powers of the distances, so their stage carries
@@ -150,17 +151,18 @@ def test_a_warm_query_makes_the_pinned_ops(workloads, monkeypatch, reps):
 # tables after the first on each of its two digit differences.  The
 # three tables on the distances are charged at degree 498, their degree
 # on the distances' span [0, 498], at the split (5, 256): 34 powers and
-# 15 products per slot.  A full-degree table alone takes (5, 512), 35
-# and 31, 10 levels deep.
+# 15 products per slot, and so is the square_div_p table alone on mu*'s
+# span [0, 498], 9 levels deep.  A full-degree table alone takes
+# (5, 512), 35 and 31, 10 levels deep.
 STAGES = {
-    (interp, "is_smaller"): (66, 66, 0, 59),
-    (primitives, "compute_dists"): (18_212, 34, 3, 9),
-    (classifier, "estimate_mu"): (27_832, 49, 1, 18),
-    (classifier, "estimate_mu2_digits"): (8_520, 15, 1, 18),
-    (classifier, "square_mu_digits"): (67, 67, 0, 28),
-    (classifier, "estimate_sigma"): (209, 209, 0, 39),
-    (classifier, "threshold"): (0, 0, 0, 39),
-    (classifier, "count_classes"): (46_008, 81, 2, 49),
+    (interp, "is_smaller"): (66, 66, 0, 57),
+    (primitives, "compute_dists"): (17_076, 33, 3, 8),
+    (classifier, "estimate_mu"): (27_832, 49, 1, 17),
+    (classifier, "estimate_mu2_digits"): (8_520, 15, 1, 17),
+    (classifier, "square_mu_digits"): (50, 50, 0, 26),
+    (classifier, "estimate_sigma"): (209, 209, 0, 37),
+    (classifier, "threshold"): (0, 0, 0, 37),
+    (classifier, "count_classes"): (46_008, 81, 2, 47),
 }
 
 

@@ -317,9 +317,9 @@ def test_compute_dists_dimension_mismatch(ring, keys):
 
 
 def test_compute_dists_gate_count_affine_in_n():
-    # the sign test's powers are paid once per coordinate, on the packed
+    # the |.| table's powers are paid once per coordinate, on the packed
     # query, at its degree on the grid [0, grid); every coordinate slot
-    # pays the products of the table's schedule and the product
+    # pays the products of the table's schedule, and nothing else
     rng = np.random.default_rng(5)
     for grid, n in itertools.product((24, 250), (1, 40, 80, 569)):
         ring = select_ring_params(grid, dim=2, n=n)
@@ -329,9 +329,26 @@ def test_compute_dists_gate_count_affine_in_n():
         with he_sim.metering() as m:
             compute_dists(q, coords(pts), ring)
         _, power, block, _, depth = interp.ps_cost(
-            min(interp.build_named_tables(ring).is_neg.degree, grid - 1), 0)
-        assert m.mult_gates == power * 2 + (block + 1) * 2 * n
-        assert (m.cipher_mults, m.max_depth) == (power + block + 1, depth + 1)
+            min(interp.build_named_tables(ring).abs.degree, grid - 1), 0)
+        assert m.mult_gates == power * 2 + block * 2 * n
+        assert (m.cipher_mults, m.max_depth) == (power + block, depth)
+        if grid == 250:  # the split (4, 128): 18 * d + 15 * d * n gates
+            assert (power, block, depth) == (18, 15, 8)
+
+
+@pytest.mark.parametrize("grid", [4, 6, 100, 250])
+def test_compute_dists_is_exact_on_the_grid_corners(grid):
+    # every query and point with each coordinate 0 or coord_bound - 1:
+    # the differences reach -(coord_bound - 1) and coord_bound - 1, the
+    # ends of the |.| table's range, and the distances reach dist_bound
+    corners = np.array(list(itertools.product((0, grid - 1), repeat=2)))
+    ring = select_ring_params(grid, dim=2, n=len(corners))
+    keys = he_sim.keygen(ring, grid)
+    for q in corners:
+        enc_q = [he_sim.encrypt(keys.pk, int(v)) for v in q]
+        got = he_sim.decrypt(keys.sk, compute_dists(enc_q, coords(corners),
+                                                    ring))
+        assert got == np.abs(corners - q).sum(axis=1).tolist()
 
 
 def test_server_side_needs_no_secret_key(ring, keys):
@@ -345,9 +362,11 @@ def test_server_side_needs_no_secret_key(ring, keys):
 
 
 def _numerators(spec, seeds, n):
-    """The stratified numerators prob_avg draws, drawn here from _strata."""
-    u = primitives._strata(seeds, n)
-    return np.minimum((spec.m * u).astype(np.int64), spec.m - 1) + 1
+    """The stratified numerators prob_avg draws, drawn here from _strata:
+    floor(m * u) + 1, kept in the stratum of pi(i)."""
+    pi, u = primitives._strata(seeds, n)
+    r = (spec.m * u).astype(np.int64) + 1
+    return np.clip(r, spec.m * pi // n + 1, -(-spec.m * (pi + 1) // n))
 
 
 @pytest.mark.parametrize("segments", [1, 3])
@@ -374,11 +393,34 @@ def test_prob_avg_is_the_coin_batch_on_its_strata(ring, keys, segments,
 @pytest.mark.parametrize("segments", [1, 3])
 def test_strata_are_a_permutation_plus_uniforms_per_seed(n, segments):
     seeds = tuple(derive_seed(s, f"strata-{n}") for s in range(segments))
-    expect = []
+    perms, expect = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        expect.extend((rng.permutation(n) + rng.random(n)) / n)
-    assert np.array_equal(primitives._strata(seeds, n), expect)
+        perms.extend(rng.permutation(n))
+        expect.extend((perms[-n:] + rng.random(n)) / n)
+    pi, u = primitives._strata(seeds, n)
+    assert pi.dtype == np.int64 and np.array_equal(pi, perms)
+    assert np.array_equal(u, expect)
+
+
+@pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+def test_identity_numerators_keep_one_stratum_each(monkeypatch, u):
+    # hand-built strata with every u_i = 0 or every u_i the largest float
+    # below 1: m * (pi(i) + u_i) / n rounds out of pi(i)'s stratum at many
+    # n, yet with m = n each segment's numerators are exactly 1..n, one
+    # per stratum
+    def strata(seeds, n):
+        pi = np.concatenate([np.random.default_rng(s).permutation(n)
+                             for s in seeds])
+        return pi, (pi + u) / n
+
+    monkeypatch.setattr(primitives, "_strata", strata)
+    seeds = (1, 2)
+    for n in range(3, 200):
+        spec = CoinSpec("identity", n, seeds)
+        plan = primitives._plan_coins([(spec,)], n, n)[spec, n, n]
+        for segment in (plan.values + 1).reshape(len(seeds), n):
+            assert sorted(segment) == list(range(1, n + 1)), n
 
 
 def plan_of(spec, n, dist_bound):

@@ -93,7 +93,7 @@ def test_readme_cost_figures_are_the_pinned_ones():
 
     # per-table figures at P = 997: the split, its powers and products
     # per slot at full degree, and at the distances' degree B for their
-    # three tables and for a lone table, the query's sign test at its
+    # three tables and for a lone table, the query's |.| table at its
     # degree on the grid, the distances' formula and the served
     # identity's three parts
     ring = select_ring_params(250, dim=2, n=569)
@@ -123,12 +123,12 @@ def test_readme_cost_figures_are_the_pinned_ones():
                           ring.coord_bound - 1, *split, power, block)))]
     dists = re.findall(r"(\d+)·d \+ (\d+)·d·n gates, ([\d,]+) at "
                        r"n = 568", text)
-    assert dists == [(str(power), str(block + 1),
+    assert dists == [(str(power), str(block),
                       f"{STAGES[primitives, 'compute_dists'][0]:,}")]
-    assert _figure(dists[0][2]) == 2 * power + 2 * 568 * (block + 1)
+    assert _figure(dists[0][2]) == 2 * power + 2 * 568 * block
     parts = re.findall(r"products take ([\d,]+) \+ ([\d,]+) \+ ([\d,]+) = "
                        r"([\d,]+) gates", text)
     assert [tuple(map(_figure, p)) for p in parts] == [(
-        2 * power + 2 * 569 * (block + 1), 569 * span[1],
+        2 * power + 2 * 569 * block, 569 * span[1],
         569 * map_block, shared)]
     assert sum(map(_figure, parts[0][:3])) == shared

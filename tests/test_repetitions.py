@@ -41,7 +41,8 @@ def one_repetition(enc_q, db, pp):
             xs = primitives.compute_dists(enc_q, db.coords, ring)
         xs = he_sim.share_powers(xs, ring.dist_bound + 1, tables=3)
         mu_coins, mu2_coins = moment_coins(pp, (pp.rng_seed,))
-        mu = estimate_mu(xs, pp, mu_coins)
+        mu = he_sim.share_powers(estimate_mu(xs, pp, mu_coins),
+                                 ring.dist_bound + 1)
         musq_low, musq_high = square_mu_digits(mu, pp)
         sigma = estimate_sigma(estimate_mu2_digits(xs, pp, mu2_coins),
                                musq_low, musq_high, pp)
@@ -113,27 +114,28 @@ def test_packed_repetitions_match_independent_circuits(grid, n, seed, reps):
 
 def test_serve_shaped_query_cost():
     # WDBC, 569 points, grid 250, the server's 5 repetitions: distances
-    # (each coordinate's powers once, then its products and a product per
-    # slot), their powers and the map's products per slot once, the rest
-    # five times.  The query's sign test is charged at its degree on the
-    # grid [0, 250), 249; the tables on the distances at their degree on
+    # (each coordinate's powers once, then its products per slot), their
+    # powers and the map's products per slot once, the rest five times.
+    # The query's |.| table is charged at its degree on the grid
+    # [0, 250), 249; the tables on the distances at their degree on
     # the distances' span [0, 498], at the split (5, 256) that their
     # three tables share and a lone table would take too
     db = database(250, 569)
     ring = select_ring_params(250, dim=2, n=569)
     pp = make_protocol_params(ring, k=13, n=569, repetitions=5, rng_seed=0)
     tables = interp.build_named_tables(ring)
-    assert (tables.is_neg.degree, tables.dist_map.degree) == (996, 996)
+    assert (tables.abs.degree, tables.is_neg.degree,
+            tables.dist_map.degree) == (996, 996, 996)
     _, power, block, *_ = interp.ps_cost(ring.coord_bound - 1, 0)
     assert interp.ps_cost(ring.dist_bound, 9)[:3] == ((5, 256), 34, 15)
     split, span_power, span_block, *_ = interp.ps_cost(ring.dist_bound, 9, 3)
     assert (split, span_power, span_block) == ((5, 256), 34, 15)
-    dists = 2 * power + 2 * 569 * (block + 1)
+    dists = 2 * power + 2 * 569 * block
     once = dists + 569 * (span_power + span_block)
     with he_sim.metering() as m:
         classify_with_majority((40, 60), db, pp)
     with he_sim.metering() as one:
         classify_with_majority((40, 60), db, replace(pp, repetitions=1))
-    assert (dists, once) == (18_244, 46_125)
-    assert m.mult_gates == 5 * one.mult_gates - 4 * once == 320_955
-    assert m.max_depth == one.max_depth == 59
+    assert (dists, once) == (17_106, 44_987)
+    assert m.mult_gates == 5 * one.mult_gates - 4 * once == 319_732
+    assert m.max_depth == one.max_depth == 57
