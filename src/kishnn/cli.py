@@ -188,9 +188,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError, data_eval.DataFormatError, OSError,
-            protocol_io.ProtocolError, protocol_io.TransportError,
-            ValueError) as exc:
+    except (OSError, ValueError, protocol_io.ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

@@ -1,14 +1,16 @@
-"""Single-round client/server wire protocol.
+"""Single-round client/server wire protocol, version 3.
 
 One query message carries the ring parameters, the public key and the
 encrypted query coordinates; one response carries the encrypted class bit
-of every repetition.  Messages are self-delimiting, little-endian, and
-their sizes are independent of the database size.
+of every repetition.  Every message is a 10-byte header (magic, version,
+kind, item count), its kind's fixed part and `count` equal items, all
+little-endian: a 2-D query is 86 bytes and a response 10 + 18 R.  Sizes
+are independent of the database size.
 """
 
 from __future__ import annotations
 
-import io
+import functools
 import socket
 import struct
 import sys
@@ -24,28 +26,29 @@ from .he_sim import Cipher
 from .ring import ParameterError, RingParams
 
 MAGIC = b"KISH"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _KIND_QUERY = 1
 _KIND_RESPONSE = 2
 _KIND_ERROR = 3
 
+_HEADER_STRUCT = struct.Struct("<4sBBI")  # magic, version, kind, item count
+_QUERY_STRUCT = struct.Struct("<QQQQ8s")  # modulus, coord_bound, dim, n, key
 _CIPHER_STRUCT = struct.Struct("<QHQ")  # value blob, depth, key id
-_RING_STRUCT = struct.Struct("<QQQQ")  # modulus, coord_bound, dim, n
-_KEY_BYTES = 8
 
 # Connections are served one after another, so a peer that sends nothing
 # would hold every other client off; each read or write on a served
 # connection gives up after this many seconds.
 READ_TIMEOUT_S = 10.0
 
-# What a header of each kind may announce, checked before any payload is
-# read: (most fields, longest field).  A query holds the ring, the key and
-# one ciphertext per coordinate; a response one ciphertext per repetition.
+# The layout of each kind, whose header count is checked against its cap
+# before any body byte is read: (fixed bytes, item bytes, most items).  A
+# query holds the ring and the key, then one ciphertext per coordinate; a
+# response one ciphertext per repetition; an error its reason's bytes.
 _CAPS = {
-    _KIND_QUERY: (2 + 2 ** 16, _RING_STRUCT.size),
-    _KIND_RESPONSE: (2 ** 16, _CIPHER_STRUCT.size),
-    _KIND_ERROR: (1, 2 ** 16),
+    _KIND_QUERY: (_QUERY_STRUCT.size, _CIPHER_STRUCT.size, 2 ** 16),
+    _KIND_RESPONSE: (0, _CIPHER_STRUCT.size, 2 ** 16),
+    _KIND_ERROR: (0, 1, 2 ** 16),
 }
 
 
@@ -72,6 +75,8 @@ class QueryMessage:
     enc_q: tuple  # one scalar ciphertext per coordinate
 
     def __post_init__(self):
+        if len(self.pk) != 8:
+            raise ParameterError("key identifier must be 8 bytes")
         if len(self.enc_q) != self.ring.dim:
             raise ParameterError("query dimension does not match ring")
 
@@ -118,140 +123,94 @@ def _encode_cipher(c: Cipher) -> bytes:
     return _CIPHER_STRUCT.pack(_wire_value(c), c.depth, c.key_id)
 
 
-def _decode_cipher(blob: bytes, offset: int, bound: int = 2 ** 63) -> Cipher:
-    """One scalar ciphertext; its value must lie below bound (the ring
-    modulus in a query) and below 2^63."""
-    if len(blob) != _CIPHER_STRUCT.size:
-        raise DecodeError(offset, "ciphertext field has wrong length")
-    value, depth, key_id = _CIPHER_STRUCT.unpack(blob)
+def _decode_cipher(data: bytes, offset: int, bound: int = 2 ** 63,
+                   key_id=None) -> Cipher:
+    """The scalar ciphertext at offset; its value must lie below bound
+    (the ring modulus in a query) and below 2^63.  A query's, for which
+    key_id is given, must also be fresh and bound to that key."""
+    value, depth, cipher_key = _CIPHER_STRUCT.unpack_from(data, offset)
     if value >= min(bound, 2 ** 63):
         raise DecodeError(offset, "ciphertext value out of range")
-    return Cipher(np.array([value], dtype=np.int64), depth=depth, key_id=key_id)
-
-
-def _encode_ring(ring: RingParams) -> bytes:
-    return _RING_STRUCT.pack(ring.modulus, ring.coord_bound, ring.dim, ring.n)
-
-
-def _decode_ring(blob: bytes, offset: int) -> RingParams:
-    if len(blob) != _RING_STRUCT.size:
-        raise DecodeError(offset, "ring parameter field has wrong length")
-    try:
-        return RingParams(*_RING_STRUCT.unpack(blob))
-    except ParameterError as exc:
-        raise DecodeError(offset, f"invalid ring parameters: {exc}") from exc
+    if key_id is not None and cipher_key != key_id:
+        raise DecodeError(offset, "ciphertext bound to another key than the "
+                                  "query's")
+    if key_id is not None and depth != 0:
+        # a fresh encryption; deeper tags would overflow the response's
+        # 16-bit depth field
+        raise DecodeError(offset, "query ciphertext is not fresh")
+    return Cipher(np.array([value], dtype=np.int64), depth=depth,
+                  key_id=cipher_key)
 
 
 def encode_message(msg) -> bytes:
-    """Serialize a message: magic, version, kind, then length-prefixed fields."""
+    """Serialize a message: the header, then its kind's fixed part and
+    items."""
     if isinstance(msg, QueryMessage):
+        r = msg.ring
         kind = _KIND_QUERY
-        fields = [_encode_ring(msg.ring), bytes(msg.pk)]
-        fields += [_encode_cipher(c) for c in msg.enc_q]
+        body = (_QUERY_STRUCT.pack(r.modulus, r.coord_bound, r.dim, r.n,
+                                   msg.pk)
+                + b"".join(map(_encode_cipher, msg.enc_q)))
     elif isinstance(msg, ResponseMessage):
-        kind = _KIND_RESPONSE
-        fields = [_encode_cipher(c) for c in msg.enc_class]
+        kind, body = _KIND_RESPONSE, b"".join(map(_encode_cipher,
+                                                   msg.enc_class))
     elif isinstance(msg, ErrorMessage):
-        kind = _KIND_ERROR
-        fields = [msg.reason.encode("utf-8")]
+        kind, body = _KIND_ERROR, msg.reason.encode("utf-8")
     else:
         raise ParameterError(f"cannot encode {type(msg).__name__}")
-    out = bytearray()
-    out += MAGIC
-    out.append(PROTOCOL_VERSION)
-    out.append(kind)
-    out += struct.pack("<I", len(fields))
-    for field in fields:
-        out += struct.pack("<I", len(field))
-        out += field
-    return bytes(out)
+    fixed, item, _ = _CAPS[kind]
+    count = (len(body) - fixed) // item
+    return _HEADER_STRUCT.pack(MAGIC, PROTOCOL_VERSION, kind, count) + body
 
 
 def _check_header(head: bytes) -> tuple:
-    """(kind, field count) of a 10-byte header, within the caps; a shorter
-    one is refused at its first missing or wrong byte."""
+    """(kind, body length) of a 10-byte header whose count is within its
+    kind's cap; a shorter one is refused at its first missing or wrong
+    byte."""
     if head[:4] != MAGIC:
         raise DecodeError(0, "bad magic")
     if len(head) < 5 or head[4] != PROTOCOL_VERSION:
         raise DecodeError(min(4, len(head)), "unsupported version")
-    if len(head) < 10:
+    if len(head) < _HEADER_STRUCT.size:
         raise DecodeError(len(head), "truncated header")
-    kind = head[5]
+    _, _, kind, count = _HEADER_STRUCT.unpack(head)
     if kind not in _CAPS:
         raise DecodeError(5, f"unknown message kind {kind}")
-    (nfields,) = struct.unpack_from("<I", head, 6)
-    if nfields > _CAPS[kind][0]:
-        raise DecodeError(6, f"{nfields} fields exceed the cap for this kind")
-    return kind, nfields
-
-
-def _split(head: bytes, read) -> tuple:
-    """Frame one message from its header and read(count), which returns
-    the next count bytes or raises: (kind, fields, their offsets, end).
-    Each field length is checked against the cap of the message's kind
-    before the payload it announces is read."""
-    kind, nfields = _check_header(head)
-    pos = len(head)
-    fields = []
-    offsets = []
-    for _ in range(nfields):
-        (flen,) = struct.unpack("<I", read(4))
-        if flen > _CAPS[kind][1]:
-            raise DecodeError(pos, f"field of {flen} bytes exceeds the cap "
-                                   "for this kind")
-        pos += 4
-        offsets.append(pos)
-        fields.append(read(flen))
-        pos += flen
-    return kind, fields, offsets, pos
+    fixed, item, most = _CAPS[kind]
+    if count > most:
+        raise DecodeError(6, f"{count} items exceed the cap for this kind")
+    return kind, fixed + item * count
 
 
 def decode_message(data: bytes):
     """Parse one message; raises DecodeError with the offending byte offset."""
-    stream = io.BytesIO(data)
-
-    def read(count):
-        chunk = stream.read(count)
-        if len(chunk) != count:
-            raise DecodeError(len(data), "truncated message")
-        return chunk
-
-    kind, fields, offsets, end = _split(stream.read(10), read)
-    if end != len(data):
+    head = _HEADER_STRUCT.size
+    kind, body = _check_header(data[:head])
+    end = head + body
+    if len(data) < end:
+        raise DecodeError(len(data), "truncated message")
+    if len(data) > end:
         raise DecodeError(end, "trailing bytes after message")
-    if kind == _KIND_QUERY:
-        if len(fields) < 3:
-            raise DecodeError(len(data), "query needs ring, key and coordinates")
-        ring = _decode_ring(fields[0], offsets[0])
-        if len(fields[1]) != _KEY_BYTES:
-            raise DecodeError(offsets[1], "public key field has wrong length")
-        key_id = int.from_bytes(fields[1], "little")
-        enc_q = tuple(_decode_cipher(f, o, ring.modulus)
-                      for f, o in zip(fields[2:], offsets[2:]))
-        for c, o in zip(enc_q, offsets[2:]):
-            if c.key_id != key_id:
-                raise DecodeError(o, "ciphertext bound to another key than "
-                                     "the query's")
-            if c.depth != 0:
-                # a fresh encryption; deeper tags would overflow the
-                # response's 16-bit depth field
-                raise DecodeError(o, "query ciphertext is not fresh")
-        try:
-            return QueryMessage(ring, bytes(fields[1]), enc_q)
-        except ParameterError as exc:
-            raise DecodeError(offsets[0], str(exc)) from exc
-    if kind == _KIND_RESPONSE:
-        if not fields:
-            raise DecodeError(len(data), "empty response")
-        enc = tuple(_decode_cipher(f, o) for f, o in zip(fields, offsets))
-        try:
-            return ResponseMessage(enc)
-        except ParameterError as exc:
-            raise DecodeError(offsets[0], str(exc)) from exc
     if kind == _KIND_ERROR:
-        if len(fields) != 1:
-            raise DecodeError(len(data), "error message needs one field")
-        return ErrorMessage(fields[0].decode("utf-8", errors="replace"))
+        return ErrorMessage(data[head:].decode("utf-8", errors="replace"))
+    if kind == _KIND_QUERY:
+        *ring_fields, pk = _QUERY_STRUCT.unpack_from(data, head)
+        try:
+            ring = RingParams(*ring_fields)
+        except ParameterError as exc:
+            raise DecodeError(head, f"invalid ring parameters: {exc}") from exc
+        key_id = int.from_bytes(pk, "little")
+        enc = tuple(_decode_cipher(data, o, ring.modulus, key_id) for o in
+                    range(head + _QUERY_STRUCT.size, end, _CIPHER_STRUCT.size))
+        make = functools.partial(QueryMessage, ring, pk)
+    else:
+        enc = tuple(_decode_cipher(data, o)
+                    for o in range(head, end, _CIPHER_STRUCT.size))
+        make = ResponseMessage
+    try:
+        return make(enc)
+    except ParameterError as exc:  # a count that the kind does not allow
+        raise DecodeError(6, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +271,17 @@ def _read_exact(rfile, count: int, *, allow_eof_at_start=False):
 def read_message(transport: Transport, *, allow_eof=False):
     """Read one self-delimiting message from the stream.
 
-    The header and every field length are checked against the caps of
-    the message's kind before the bytes they announce are read; the
-    framed bytes are then decoded.  Returns None on clean end-of-stream
-    when allow_eof is set.
+    The header's count is checked against its kind's cap before any body
+    byte is read; exactly the body it announces is then read, and the
+    whole message decoded.  Returns None on clean end-of-stream when
+    allow_eof is set.
     """
-    head = _read_exact(transport.rfile, 10, allow_eof_at_start=allow_eof)
+    head = _read_exact(transport.rfile, _HEADER_STRUCT.size,
+                       allow_eof_at_start=allow_eof)
     if head is None:
         return None
-    buf = bytearray(head)
-
-    def read(count):
-        chunk = _read_exact(transport.rfile, count)
-        buf.extend(chunk)
-        return chunk
-
-    _split(head, read)
-    return decode_message(bytes(buf))
+    _, body = _check_header(head)
+    return decode_message(head + _read_exact(transport.rfile, body))
 
 
 def write_message(transport: Transport, msg) -> None:
@@ -370,11 +323,14 @@ def run_server(transport: Transport, db: LabeledDatabase,
 
     A query that cannot be answered (a parameter mismatch, a query off
     the grid, or any other failure) gets an error response; malformed
-    bytes get one and close the connection.  The connection is closed
+    bytes get one and close the connection.  A peer silent for
+    READ_TIMEOUT_S seconds, between messages or inside one, ends the
+    connection with a TransportError.  The connection is closed
     before returning.  Returns the number of queries answered.
     """
     answered = 0
     try:
+        transport._sock.settimeout(READ_TIMEOUT_S)
         while True:
             try:
                 msg = read_message(transport, allow_eof=True)
@@ -431,7 +387,6 @@ def serve_tcp(host: str, port: int, db: LabeledDatabase, pp: ProtocolParams,
         served = 0
         while max_connections is None or served < max_connections:
             conn, addr = listener.accept()
-            conn.settimeout(READ_TIMEOUT_S)
             try:
                 with Transport(conn) as transport:
                     run_server(transport, db, pp)

@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import time
 import types
 
 import numpy as np
@@ -101,17 +102,40 @@ def test_every_response_cipher_decodes_to_a_residue(setup):
         assert len(reply.enc_class) == pp.repetitions
         assert all(0 <= c._values[0] < ring.modulus for c in reply.enc_class)
 
-@given(st.integers(0, 2**64 - 1), st.integers(0, 2**16 - 1),
-       st.integers(0, 2**64 - 1), st.integers(1, 4))
-@settings(max_examples=200, deadline=None)
-def test_response_codec_property(value, depth, key_id, half_reps):
-    ciphers = tuple(
-        he_sim.Cipher(np.array([value], dtype=np.int64) if value < 2**63
-                      else np.array([value % 2**63], dtype=np.int64),
-                      depth=depth, key_id=key_id)
-        for _ in range(2 * half_reps - 1))
-    msg = ResponseMessage(ciphers)
-    assert decode_message(encode_message(msg)) == msg
+
+_RINGS = {dim: select_ring_params(20, dim=dim, n=20) for dim in (1, 2, 3)}
+
+
+@given(st.sampled_from(("query", "response", "error")), st.integers(1, 3),
+       st.integers(0, 2**64 - 1), st.data())
+@settings(max_examples=300, deadline=None)
+def test_response_codec_property(kind, size, key_id, data):
+    # every kind is a 10-byte header, a fixed part and count equal items:
+    # the ring and key (40 bytes), then a ciphertext (18) per coordinate;
+    # a ciphertext per repetition; a byte per byte of the reason
+    if kind == "query":
+        ring = _RINGS[size]
+        values = data.draw(st.lists(st.integers(0, ring.modulus - 1),
+                                    min_size=size, max_size=size))
+        ciphers = tuple(he_sim.Cipher(np.array([v]), depth=0, key_id=key_id)
+                        for v in values)
+        msg = QueryMessage(ring, key_id.to_bytes(8, "little"), ciphers)
+        fixed, item, count = 40, 18, size
+    elif kind == "response":
+        ciphers = tuple(
+            he_sim.Cipher(np.array([data.draw(st.integers(0, 2**63 - 1))],
+                                   dtype=np.int64),
+                          depth=data.draw(st.integers(0, 2**16 - 1)),
+                          key_id=key_id)
+            for _ in range(2 * size - 1))
+        msg = ResponseMessage(ciphers)
+        fixed, item, count = 0, 18, 2 * size - 1
+    else:
+        msg = ErrorMessage(data.draw(st.text(max_size=40)))
+        fixed, item, count = 0, 1, len(msg.reason.encode("utf-8"))
+    raw = encode_message(msg)
+    assert len(raw) == 10 + fixed + item * count
+    assert decode_message(raw) == msg
 
 
 @given(st.data())
@@ -155,7 +179,7 @@ def _read_through_a_stream(blob):
 @settings(max_examples=150, deadline=None)
 def test_both_readers_agree(setup, data):
     # decode_message on bytes and read_message on a stream that ends after
-    # them frame a message by the same loop, so they fail alike; only a
+    # them check a header by the same function, so they fail alike; only a
     # truncation or trailing bytes tell them apart
     _, db, pp = setup
     _, msg = make_query([5, 6], pp)
@@ -184,23 +208,24 @@ def test_both_readers_agree(setup, data):
         assert streamed == decoded
 
 
-@pytest.mark.parametrize("dim,size", [(1, 80), (2, 102), (3, 124)])
+@pytest.mark.parametrize("dim,size", [(1, 68), (2, 86), (3, 104)])
 def test_query_wire_layout(dim, size):
-    # header, then one length prefix per field: the ring (modulus,
-    # coord_bound, dim, n), the 8-byte key and one ciphertext (value,
-    # depth, key id) per coordinate
+    # header, the ring (modulus, coord_bound, dim, n), the 8-byte key and
+    # one ciphertext (value, depth, key id) per coordinate
     ring = select_ring_params(20, dim=dim, n=20)
     pp = make_protocol_params(ring, k=3, n=20, repetitions=3)
     raw = encode_message(make_query(list(range(dim)), pp)[1])
-    assert len(raw) == 10 + 4 * (2 + dim) + 32 + 8 + 18 * dim == size
-    assert raw[4] == protocol_io.PROTOCOL_VERSION == 2
+    assert len(raw) == 10 + 32 + 8 + 18 * dim == size
+    assert raw[4] == protocol_io.PROTOCOL_VERSION == 3
+    assert struct.unpack_from("<I", raw, 6) == (dim,)
 
 
 @pytest.mark.parametrize("reps", [1, 3, 5])
 def test_response_wire_layout(reps):
     cipher = he_sim.Cipher(np.array([1], dtype=np.int64), depth=3, key_id=7)
     raw = encode_message(ResponseMessage((cipher,) * reps))
-    assert len(raw) == 10 + 22 * reps
+    assert len(raw) == 10 + 18 * reps
+    assert struct.unpack_from("<I", raw, 6) == (reps,)
 
 
 @pytest.mark.parametrize("point", [(-1, 5), (20, 5), (1, 2, 3)])
@@ -360,62 +385,73 @@ def test_responses_are_deterministic_for_a_seed(setup):
     assert r1 == r2
 
 
+def _frame(kind, count, body, version=protocol_io.PROTOCOL_VERSION):
+    """A message of this kind whose header announces count items, followed
+    by these raw body bytes."""
+    return (protocol_io.MAGIC + bytes([version, kind])
+            + struct.pack("<I", count) + body)
+
+
 def _query_bytes(ring, values, key_ids=None, pk=(7).to_bytes(8, "little"),
                  depth=0):
-    """A query message with raw 64-bit ciphertext values, built field by
-    field as the wire carries it; every ciphertext carries key id 7 unless
-    key_ids says otherwise."""
+    """A query message with raw 64-bit ciphertext values, as the wire
+    carries it; every ciphertext carries key id 7 unless key_ids says
+    otherwise."""
     key_ids = key_ids or [7] * len(values)
-    fields = [struct.pack("<QQQQ", ring.modulus, ring.coord_bound, ring.dim,
-                          ring.n),
-              pk]
-    fields += [struct.pack("<QHQ", v, depth, k)
-               for v, k in zip(values, key_ids)]
-    out = protocol_io.MAGIC + bytes([protocol_io.PROTOCOL_VERSION, 1])
-    out += struct.pack("<I", len(fields))
-    for f in fields:
-        out += struct.pack("<I", len(f)) + f
-    return out
+    body = struct.pack("<QQQQ", ring.modulus, ring.coord_bound, ring.dim,
+                       ring.n) + pk
+    body += b"".join(struct.pack("<QHQ", v, depth, k)
+                     for v, k in zip(values, key_ids))
+    return _frame(1, len(values), body)
 
 
-def _frame(kind, fields):
-    """A message of this kind holding these raw fields, as the wire
-    carries it."""
-    out = protocol_io.MAGIC + bytes([protocol_io.PROTOCOL_VERSION, kind])
-    out += struct.pack("<I", len(fields))
-    for f in fields:
-        out += struct.pack("<I", len(f)) + f
-    return out
+def _cipher(value=1, depth=0, key_id=7):
+    return struct.pack("<QHQ", value, depth, key_id)
 
 
 _RING100 = select_ring_params(100, dim=2, n=50)
-_CIPHER = struct.pack("<QHQ", 1, 0, 7)
-# a 2-D query at grid 100: ring at byte 14, key at 50, ciphers at 62, 84
-_QUERY = [struct.pack("<QQQQ", _RING100.modulus, 100, 2, 50),
-          (7).to_bytes(8, "little"), _CIPHER, _CIPHER]
+# a 2-D query at grid 100: ring at byte 10, key at 42, ciphers at 50, 68
+_FIXED = (struct.pack("<QQQQ", _RING100.modulus, 100, 2, 50)
+          + (7).to_bytes(8, "little"))
+_QUERY = _frame(1, 2, _FIXED + _cipher() * 2)
 
 
 @pytest.mark.parametrize("raw,offset,reason", [
-    pytest.param(_frame(1, _QUERY[:2] + [_CIPHER[:17], _CIPHER]), 62,
-                 "ciphertext field has wrong length", id="17-byte cipher"),
-    pytest.param(_frame(1, [_QUERY[0][:24]] + _QUERY[1:]), 14,
-                 "ring parameter field has wrong length", id="24-byte ring"),
-    pytest.param(_frame(1, _QUERY)[:7], 7, "truncated header",
-                 id="7-byte header"),
-    pytest.param(_frame(1, _QUERY[:2]), 58, "query needs ring",
-                 id="query of two fields"),
-    pytest.param(_frame(1, _QUERY + [_CIPHER]), 14,
+    pytest.param(b"XISH" + _QUERY[4:], 0, "bad magic", id="bad magic"),
+    pytest.param(_frame(1, 2, _FIXED + _cipher() * 2, version=2), 4,
+                 "unsupported version", id="version-2 header"),
+    pytest.param(_QUERY[:7], 7, "truncated header", id="7-byte header"),
+    pytest.param(_frame(9, 0, b""), 5, "unknown message kind",
+                 id="kind 9"),
+    pytest.param(_frame(1, 2 ** 16 + 1, _FIXED), 6, "cap",
+                 id="query count past the cap"),
+    pytest.param(_frame(1, 2, _FIXED + _cipher()), 68, "truncated message",
+                 id="body shorter than its count"),
+    pytest.param(_frame(2, 1, _cipher() * 2), 28, "trailing bytes",
+                 id="body longer than its count"),
+    pytest.param(_frame(1, 2, struct.pack("<QQQQ", 999, 100, 2, 50)
+                        + _FIXED[32:] + _cipher() * 2), 10,
+                 "invalid ring parameters", id="composite modulus"),
+    pytest.param(_frame(1, 2, _FIXED + _cipher()
+                        + _cipher(value=_RING100.modulus)), 68,
+                 "out of range", id="query value at the modulus"),
+    pytest.param(_frame(2, 1, _cipher(value=2 ** 63)), 10, "out of range",
+                 id="response value at 2^63"),
+    pytest.param(_frame(1, 2, _FIXED + _cipher() + _cipher(key_id=8)), 68,
+                 "another key", id="cipher of another key"),
+    pytest.param(_frame(1, 2, _FIXED + _cipher() + _cipher(depth=1)), 68,
+                 "not fresh", id="cipher of depth 1"),
+    pytest.param(_frame(1, 3, _FIXED + _cipher() * 3), 6,
                  "query dimension does not match ring",
                  id="three ciphers on a 2-D ring"),
-    pytest.param(_frame(2, []), 10, "empty response",
+    pytest.param(_frame(2, 0, b""), 6, "repetition count must be odd",
                  id="response of no fields"),
-    pytest.param(_frame(2, [_CIPHER] * 2), 14, "repetition count must be odd",
+    pytest.param(_frame(2, 2, _cipher() * 2), 6,
+                 "repetition count must be odd",
                  id="response of two ciphers"),
-    pytest.param(_frame(3, []), 10, "error message needs one field",
-                 id="error of no fields"),
 ])
 def test_a_malformed_message_is_refused_at_its_defect(raw, offset, reason):
-    assert decode_message(_frame(1, _QUERY)).enc_q[0].key_id == 7
+    assert decode_message(_QUERY).enc_q[1].key_id == 7
     with pytest.raises(DecodeError, match=reason) as err:
         decode_message(raw)
     assert err.value.offset == offset
@@ -446,11 +482,8 @@ def test_ciphertext_beyond_int64_is_a_decode_error(setup, value):
     ring, _, _ = setup
     with pytest.raises(DecodeError):
         decode_message(_query_bytes(ring, [value, 1]))
-    cipher = struct.pack("<QHQ", value, 0, 7)
-    response = (protocol_io.MAGIC + bytes([protocol_io.PROTOCOL_VERSION, 2])
-                + struct.pack("<II", 1, len(cipher)) + cipher)
     with pytest.raises(DecodeError):
-        decode_message(response)
+        decode_message(_frame(2, 1, _cipher(value=value)))
 
 
 def test_a_wire_ring_with_a_composite_modulus_is_refused(setup):
@@ -523,15 +556,20 @@ def _timed_pair():
 
 
 def test_query_with_mixed_key_ids_is_a_decode_error(setup):
-    ring, _, _ = setup
+    ring, _, pp = setup
+    _, query = make_query([2, 3], pp)
     decode_message(_query_bytes(ring, [2, 3], key_ids=[7, 7]))
     with pytest.raises(DecodeError, match="another key"):
         decode_message(_query_bytes(ring, [2, 3], key_ids=[7, 8]))
     with pytest.raises(DecodeError, match="another key"):
         decode_message(_query_bytes(ring, [2, 3], key_ids=[8, 8]))
+    # the key has no length of its own: a shorter or longer one shifts
+    # the body off its count's length, and no such message is built
     for pk in (b"", (7).to_bytes(4, "little"), (7).to_bytes(9, "little")):
-        with pytest.raises(DecodeError, match="key field"):
+        with pytest.raises(DecodeError, match="truncated|trailing"):
             decode_message(_query_bytes(ring, [2, 3], pk=pk))
+        with pytest.raises(ParameterError, match="8 bytes"):
+            QueryMessage(ring, pk, query.enc_q)
 
 
 def test_query_ciphertext_must_be_fresh(setup):
@@ -560,15 +598,16 @@ def test_server_survives_a_hostile_key_or_depth(setup, hostile):
 
 
 def test_oversized_field_is_refused_before_it_is_read(setup):
+    # a count one past the cap, and no body: read_message refuses it at
+    # byte 6 without waiting for the 1.2 MB it announces
     _, db, pp = setup
-    header = (protocol_io.MAGIC + bytes([protocol_io.PROTOCOL_VERSION, 1])
-              + struct.pack("<II", 3, 2 ** 32 - 1))
+    header = _frame(1, 2 ** 16 + 1, b"")
     client_end, server_end = _timed_pair()
     client_end.wfile.write(header)
     client_end.wfile.flush()
     with pytest.raises(DecodeError, match="cap") as err:
         protocol_io.read_message(server_end)
-    assert err.value.offset == 10
+    assert err.value.offset == 6
     client_end.close()
     server_end.close()
     t, port = _serve_in_background(db, pp, connections=2)
@@ -583,11 +622,12 @@ def test_oversized_field_is_refused_before_it_is_read(setup):
     assert bit == classify_with_majority([2, 3], db, pp)
 
 
-@pytest.mark.parametrize("kind,nfields", [(1, 2 + 2 ** 16 + 1),
-                                          (2, 2 ** 16 + 1), (3, 2), (9, 1)])
-def test_header_beyond_the_caps_is_a_decode_error(kind, nfields):
-    header = (protocol_io.MAGIC + bytes([protocol_io.PROTOCOL_VERSION, kind])
-              + struct.pack("<I", nfields))
+@pytest.mark.parametrize("kind,count", [(1, 65539), (2, 65537), (3, 65537),
+                                        (9, 1)])
+def test_header_beyond_the_caps_is_a_decode_error(kind, count):
+    # every kind's cap is 2^16 items: coordinates, repetitions or the
+    # bytes of an error's reason
+    header = _frame(kind, count, b"")
     client_end, server_end = _timed_pair()
     client_end.wfile.write(header)
     client_end.wfile.flush()
@@ -683,6 +723,36 @@ def test_an_idle_connection_times_out_alone(setup, monkeypatch, capsys):
     assert not t.is_alive()
     assert bit == classify_with_majority([2, 3], db, pp)
     assert capsys.readouterr().err.count("timed out after 0.5 s") == 1
+
+
+def test_a_short_loopback_peer_is_closed_at_the_deadline(setup, monkeypatch):
+    # run_server puts the read deadline on its own transport, so a
+    # loopback peer whose header announces more body than it sends is
+    # given up on as a TCP one is, not waited for
+    _, db, pp = setup
+    monkeypatch.setattr(protocol_io, "READ_TIMEOUT_S", 0.5)
+    client_sock, server_sock = socket.socketpair()
+    client_end, server_end = _timed(client_sock), protocol_io.Transport(
+        server_sock)
+    results = {}
+
+    def serve():
+        try:
+            run_server(server_end, db, pp)
+        except protocol_io.TransportError as exc:
+            results["error"] = exc
+
+    t = threading.Thread(target=serve, daemon=True)
+    start = time.monotonic()
+    t.start()
+    client_end.wfile.write(_frame(1, 2, _FIXED + _cipher()))
+    client_end.wfile.flush()
+    assert protocol_io.read_message(client_end, allow_eof=True) is None
+    assert time.monotonic() - start < 3
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert isinstance(results["error"].__cause__, TimeoutError)
+    client_end.close()
 
 
 def test_a_failing_connection_ends_alone(setup, monkeypatch):

@@ -69,9 +69,9 @@ def test_traced_leave_one_out_accounts_for_every_gate():
 
 
 def test_codec_spans_see_every_wire_byte():
-    # read_message decodes what it framed through protocol_io's
-    # decode_message, which the tracer wraps for the benchmark's
-    # codec_us and bytes_per_query
+    # read_message decodes the header and body it read through
+    # protocol_io's decode_message, which the tracer wraps for the
+    # benchmark's codec_us and bytes_per_query
     spans = _load_spans()
     pts, labels = two_cluster_db(20, 100, gap=1)
     db = LabeledDatabase(pts, labels)
@@ -92,8 +92,8 @@ def test_codec_spans_see_every_wire_byte():
     assert not server.is_alive() and bit in (0, 1)
     tags = [r["tag"] for r in tracer.records() if r["name"] in
             ("protocol_io.encode_message", "protocol_io.decode_message")]
-    assert sorted(tags) == [["QueryMessage", 102], ["ResponseMessage", 120],
-                            ["received", 102], ["received", 120]]
+    assert sorted(tags) == [["QueryMessage", 86], ["ResponseMessage", 100],
+                            ["received", 86], ["received", 100]]
 
 
 def test_a_traced_cold_setup_gives_the_process_layers():
