@@ -199,54 +199,38 @@ def estimate_mu2_digits(xs: Cipher, pp: ProtocolParams,
 
 
 def square_mu_digits(mu_star: Cipher, pp: ProtocolParams):
-    """Digits (low, high) of the squared mean: mu*^2 = p * high + low.
-
-    high = round(mu*^2 / p) comes from a table; low = mu*^2 - p * high is
-    the signed remainder, |low| <= p/2, from one non-scalar mult and a free
-    plaintext-scalar one.
-    """
+    """The high base-p digit of the squared mean, mu*^2 = p * high + low
+    with |low| <= p/2, and the two roots of the low difference -low that
+    estimate_sigma selects from: f0 = sqrt(max(-low, 0)) and
+    step = sqrt(p - low) - f0.  All three are tables on mu*, so they read
+    its powers (he_sim.share_powers)."""
     ring = pp.ring
     tables = interp.build_named_tables(ring)
-    square = he_sim.mul(mu_star, mu_star, ring)
-    high = interp.eval_poly_ps(tables.square_div_p, mu_star, ring)
-    low = he_sim.sub(square, he_sim.mul(high, ring.coord_bound, ring), ring)
-    return low, high
+    return tuple(interp.eval_poly_ps(t, mu_star, ring) for t in (
+        tables.square_div_p, tables.low_sqrt, tables.low_step))
 
 
-def _sqrt_of_digits(dh: Cipher, dl: Cipher, pp: ProtocolParams) -> Cipher:
-    """sqrt(max(dh * p + dl, 0)) by a three-way branch on dh: sqrt(dl)
-    when dh = 0, sqrt(p + dl) when dh = 1, sqrt(dh * p) otherwise.
-
-    dl may be signed.  Every square-root table reads its argument as
-    signed and returns 0 below zero, so a negative difference (a variance
-    estimate that coin noise pushed below zero) gives 0.  The sqrt(dh * p)
-    table is also 0 at dh = 0 and dh = 1, so only the other two branches
-    need selector bits: two from the is-zero table, each combined by
-    multiply-and-add, so nothing is revealed.  The three tables on dh and
-    the two on dl are polynomials in dh or dl, so each shares its input's
-    powers (he_sim.share_powers).
-    """
-    ring = pp.ring
-    tables = interp.build_named_tables(ring)
-    dh = he_sim.share_powers(dh, tables=3)  # b0, b1 and v2 read it
-    dl = he_sim.share_powers(dl, tables=2)  # v0 and v1
-    b0 = interp.eval_poly_ps(tables.is_zero, dh, ring)
-    b1 = interp.eval_poly_ps(tables.is_zero, he_sim.sub(dh, 1, ring), ring)
-    v0 = interp.eval_poly_ps(tables.sqrt, dl, ring)
-    v1 = interp.eval_poly_ps(tables.sqrt_plus_p, dl, ring)
-    v2 = interp.eval_poly_ps(tables.sqrt_times_p, dh, ring)
-    acc = he_sim.add(he_sim.mul(b0, v0, ring), he_sim.mul(b1, v1, ring), ring)
-    return he_sim.add(acc, v2, ring)
-
-
-def estimate_sigma(mu2_high: Cipher, musq_low: Cipher, musq_high: Cipher,
-                   pp: ProtocolParams) -> Cipher:
+def estimate_sigma(mu2_high: Cipher, musq_high: Cipher, f0: Cipher,
+                   step: Cipher, pp: ProtocolParams) -> Cipher:
     """Spread sqrt(max(mu_2 - mu^2, 0)) of the mapped distances, from the
-    high digit of mu_2 and the digit couple of mu*^2.  mu_2 has no low
-    digit, so the low difference is -low(mu*^2), which is free."""
+    high digit of mu_2 and the high digit and low roots of mu*^2
+    (square_mu_digits).  mu_2 has no low digit, so mu_2 - mu^2 is
+    dh * p - low for dh = mu2_high - musq_high, and its root a three-way
+    branch on dh: f0 when dh = 0, f0 + step when dh = 1, sqrt(dh * p)
+    otherwise.  The sqrt(dh * p) table reads dh as signed and is 0 at
+    and below 1 (a variance estimate that coin noise pushed below zero
+    means a spread of 0), so one selector bit, [dh in {0, 1}], picks the
+    other two branches, combined by multiply-and-add, so nothing is
+    revealed.  Both tables on dh share its powers (he_sim.share_powers).
+    """
     ring = pp.ring
-    return _sqrt_of_digits(he_sim.sub(mu2_high, musq_high, ring),
-                           he_sim.rsub(0, musq_low, ring), pp)
+    tables = interp.build_named_tables(ring)
+    dh = he_sim.share_powers(he_sim.sub(mu2_high, musq_high, ring), tables=2)
+    low_root = he_sim.add(f0, he_sim.mul(dh, step, ring), ring)
+    branch = he_sim.mul(interp.eval_poly_ps(tables.is_bit, dh, ring),
+                        low_root, ring)
+    return he_sim.add(branch, interp.eval_poly_ps(tables.sqrt_times_p, dh,
+                                                  ring), ring)
 
 
 def threshold(mu_star: Cipher, sigma_star: Cipher, pp: ProtocolParams) -> Cipher:
@@ -289,18 +273,18 @@ def _threshold_pipeline(enc_q: list, db: LabeledDatabase, pp: ProtocolParams,
     distances are computed once and laid out once per seed for the
     moment coins.  The record's span is dist_bound + 1, which every
     distance of a query on the grid keeps (compute_dists refuses one off
-    it), and so is mu*'s, for its square_div_p table: the mu coins'
-    numerators are 1..n, one each, and only those at most
+    it), and so is mu*'s, for the three tables of square_mu_digits: the
+    mu coins' numerators are 1..n, one each, and only those at most
     t(B) <= dist_bound can hit."""
     dists = primitives.compute_dists(enc_q, db.coords, pp.ring)
     xs = he_sim.share_powers(dists, pp.ring.dist_bound + 1, tables=3)
     mu_coins, mu2_coins = coins
     tiled = he_sim.pack([xs] * len(mu_coins.seeds), pp.ring)
     mu_star = he_sim.share_powers(estimate_mu(tiled, pp, mu_coins),
-                                  pp.ring.dist_bound + 1)
+                                  pp.ring.dist_bound + 1, tables=3)
     mu2_high = estimate_mu2_digits(tiled, pp, mu2_coins)
-    musq_low, musq_high = square_mu_digits(mu_star, pp)
-    sigma_star = estimate_sigma(mu2_high, musq_low, musq_high, pp)
+    musq_high, f0, step = square_mu_digits(mu_star, pp)
+    sigma_star = estimate_sigma(mu2_high, musq_high, f0, step, pp)
     t_star = threshold(mu_star, sigma_star, pp)
     return xs, t_star
 

@@ -10,6 +10,7 @@ the secure pipeline under leave-one-out cross-validation.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -97,7 +98,7 @@ def load_wdbc(path) -> RawDataset:
                     f"{path}: line {lineno}: diagnosis must be M or B")
             try:
                 feats = [float(c) for c in cols[2:]]
-                if not np.isfinite(feats).all():
+                if not all(map(math.isfinite, feats)):
                     raise ValueError("features must be finite")
             except ValueError as exc:
                 raise DataFormatError(

@@ -212,10 +212,10 @@ class NamedTables:
     read-only, its last entry B + 1 also standing for every larger c
     (read it with take(..., mode="clip"))."""
 
-    sqrt: PolyTable
     square_div_p: PolyTable
-    is_zero: PolyTable
-    sqrt_plus_p: PolyTable
+    low_sqrt: PolyTable
+    low_step: PolyTable
+    is_bit: PolyTable
     sqrt_times_p: PolyTable
     is_neg: PolyTable
     dist_map: PolyTable
@@ -245,19 +245,24 @@ def build_named_tables(params: RingParams) -> NamedTables:
     def table(f):
         return lagrange_table(f, params)
 
-    # The square-root tables read upper-half arguments as negative numbers
-    # and clamp them to 0: a coin-noise variance estimate below zero means
-    # a spread of 0, not a wrapped-around large one.  The shifted square
-    # root must see p + signed(x), else the digit-couple branch for a
-    # negative low difference breaks.  sqrt(x * p) is 0 up to x = 1 too,
-    # where the digit couple's other two branches take over.  Only
-    # [0, dist_bound] holds distances, so the map clamps the rest
-    # monotonely (t(0) = 0).
+    def high(x):  # round(x^2 / p), the high base-p digit of x^2
+        return (2 * x * x + p) // (2 * p)
+
+    def low_root(x, shift=0):  # round(sqrt(shift - low)), low = x^2 - p*high
+        return _nearest_isqrt(shift + p * high(x) - x * x)
+
+    # A square root reads a negative argument as 0: a coin-noise variance
+    # estimate below zero means a spread of 0, not a wrapped-around large
+    # one.  sqrt(-low) and the step from it to sqrt(p - low) are functions
+    # of mu* alone, so they read mu*'s powers beside its high digit.
+    # sqrt(x * p) is 0 up to x = 1 too, where the is_bit branch takes
+    # over.  Only [0, dist_bound] holds distances, so the map clamps the
+    # rest monotonely (t(0) = 0).
     return NamedTables(
-        sqrt=table(lambda x: _nearest_isqrt(signed(x))),
-        square_div_p=table(lambda x: (2 * x * x + p) // (2 * p)),
-        is_zero=table(lambda x: x == 0),
-        sqrt_plus_p=table(lambda x: _nearest_isqrt(p + signed(x))),
+        square_div_p=table(high),
+        low_sqrt=table(low_root),
+        low_step=table(lambda x: low_root(x, p) - low_root(x)),
+        is_bit=table(lambda x: x < 2),
         sqrt_times_p=table(lambda x: _nearest_isqrt(
             np.where(signed(x) > 1, signed(x) * p, 0))),
         is_neg=table(lambda x: x > P / 2),

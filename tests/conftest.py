@@ -1,3 +1,4 @@
+import functools
 import pathlib
 from dataclasses import dataclass
 
@@ -69,13 +70,44 @@ def base_p_decompose(v: int, params: RingParams) -> DigitPair:
     return DigitPair(low=v % p, high=v // p)
 
 
+def _round_sqrt(v):
+    """round(sqrt(max(v, 0))) of each entry of an int64 array v."""
+    v = np.maximum(v, 0)
+    r = interp.isqrt(v)
+    return r + (v - r * r > r)
+
+
+@functools.lru_cache(maxsize=8)
+def _low_digit_tables(ring):
+    """The two tables on a signed low digit difference dl: sqrt(max(dl, 0))
+    and the step from it to sqrt(p + dl)."""
+    P, p = ring.modulus, ring.coord_bound
+
+    def root(x, shift=0):  # of shift + dl, dl the residue x read as signed
+        return _round_sqrt(shift + np.where(x > P // 2, x - P, x))
+
+    return (interp.lagrange_table(root, ring),
+            interp.lagrange_table(lambda x: root(x, p) - root(x), ring))
+
+
+def low_digit_roots(low_a, low_b, pp):
+    """The roots that classifier.estimate_sigma selects from, f0 and step,
+    for the signed low difference dl = low_a - low_b, from two tables on
+    dl that share its powers.  The circuit reads them off mu*'s powers
+    instead (classifier.square_mu_digits), where dl is -low(mu*^2)."""
+    ring = pp.ring
+    dl = he_sim.share_powers(he_sim.sub(low_a, low_b, ring), tables=2)
+    return tuple(interp.eval_poly_ps(t, dl, ring)
+                 for t in _low_digit_tables(ring))
+
+
 def sqrt_of_digit_diff(high_a, low_a, high_b, low_b, pp):
     """Oblivious sqrt(max(a - b, 0)) from base-p digit couples of a and b,
     low digits possibly signed: the circuit's square-root branch on the
-    digit differences."""
-    ring = pp.ring
-    return classifier._sqrt_of_digits(he_sim.sub(high_a, high_b, ring),
-                                      he_sim.sub(low_a, low_b, ring), pp)
+    high difference (classifier.estimate_sigma), on the roots of the low
+    difference (low_digit_roots)."""
+    return classifier.estimate_sigma(high_a, high_b,
+                                     *low_digit_roots(low_a, low_b, pp), pp)
 
 
 def kappa_of_run(db, query, pp, seed: int) -> int:

@@ -12,8 +12,8 @@ from kishnn.classifier import (LabeledDatabase, ProtocolParams,
                                square_mu_digits, threshold)
 from kishnn.ring import ParameterError, select_ring_params
 
-from conftest import (base_p_decompose, kappa_of_run, sqrt_of_digit_diff,
-                      two_cluster_db)
+from conftest import (base_p_decompose, kappa_of_run, low_digit_roots,
+                      sqrt_of_digit_diff, two_cluster_db)
 
 
 @pytest.fixture(scope="module")
@@ -294,16 +294,63 @@ def test_estimate_mu_tracks_sample_mean(ring100, keys):
     assert np.std(values) < 2.5 * math.sqrt(mean)
 
 
+def _rsqrt(v):  # round(sqrt(max(v, 0)))
+    v = max(v, 0)
+    r = math.isqrt(v)
+    return r + (v - r * r > r)
+
+
 def test_square_mu_digits_matches_base_p_oracle(ring100, keys):
-    # base-p digits of v^2 with a signed low digit: v^2 = high*p + low
+    # base-p digits of v^2 with a signed low digit: v^2 = high*p + low,
+    # and the roots of -low and of p - low, the low difference when mu_2's
+    # high digit equals high and when it is one more
     pp = make_pp(ring100, k=5, n=40)
     vs = list(range(ring100.dist_bound + 1))
-    low, high = square_mu_digits(he_sim.encrypt(keys.pk, vs), pp)
-    got_low = he_sim.decrypt(keys.sk, low)
-    got_high = he_sim.decrypt(keys.sk, high)
-    for v, lo, hi in zip(vs, got_low, got_high):
+    digits = square_mu_digits(he_sim.encrypt(keys.pk, vs), pp)
+    got_high, got_f0, got_step = (he_sim.decrypt(keys.sk, c) for c in digits)
+    for v, hi, f0, step in zip(vs, got_high, got_f0, got_step):
         assert hi == round(v * v / 100 + 1e-9) % 397
-        assert hi * 100 + ring100.signed(lo) == v * v, v
+        lo = v * v - 100 * round(v * v / 100 + 1e-9)
+        assert abs(lo) <= 50, v
+        assert f0 == _rsqrt(-lo), v
+        assert (f0 + step) % 397 == _rsqrt(100 - lo), v
+
+
+@pytest.mark.parametrize("grid", [4, 6, 100, 250])
+def test_sigma_on_mu_stars_roots_is_the_three_branch_rule_everywhere(grid):
+    # every mu* in [0, B]: square_mu_digits gives the high digit H and the
+    # roots v0 = sqrt(max(dl, 0)) and v1 - v0, v1 = sqrt(p + dl), of
+    # dl = -low(mu*^2); and for every dh residue beside every such mu*,
+    # estimate_sigma's rule is(dh in {0, 1}) * (v0 + dh * (v1 - v0))
+    # + sqrt_times_p(dh) is the three-branch rule, [dh = 0] * v0
+    # + [dh = 1] * v1 + [dh > 1] * sqrt(dh * p), dh read as signed
+    ring = select_ring_params(grid, dim=2, n=50)
+    P, p, B = ring.modulus, ring.coord_bound, ring.dist_bound
+    high, dl = [], []
+    for m in range(B + 1):
+        h, lo = divmod(m * m, p)
+        if 2 * lo >= p:  # round half up: the signed low digit
+            h, lo = h + 1, lo - p
+        high.append(h)
+        dl.append(-lo)
+    v0 = np.array([_rsqrt(d) for d in dl])
+    v1 = np.array([_rsqrt(p + d) for d in dl])
+    keys = he_sim.keygen(ring, seed=grid)
+    got = square_mu_digits(he_sim.encrypt(keys.pk, list(range(B + 1))),
+                           make_pp(ring, k=5, n=50))
+    assert [he_sim.decrypt(keys.sk, c) for c in got] == [
+        [h % P for h in high], v0.tolist(), ((v1 - v0) % P).tolist()]
+
+    tables = interp.build_named_tables(ring)
+    f0, step = (t.values[:B + 1] for t in (tables.low_sqrt, tables.low_step))
+    dh = np.arange(P)[:, None]
+    rule = (tables.is_bit.values[dh] * (f0 + dh * step)
+            + tables.sqrt_times_p.values[dh]) % P
+    sdh = np.where(dh > P // 2, dh - P, dh)
+    times_p = np.array([_rsqrt(h * p) for h in sdh[:, 0].tolist()])[:, None]
+    want = ((sdh == 0) * v0 + (sdh == 1) * v1 + (sdh > 1) * times_p) % P
+    assert rule.shape == (P, B + 1)
+    assert np.array_equal(rule, want)
 
 
 def test_sqrt_of_digit_diff_sandwich(ring100, keys):
@@ -330,18 +377,27 @@ def test_sqrt_of_digit_diff_sandwich(ring100, keys):
 
 def test_estimate_sigma_is_the_digit_diff_with_a_zero_low_digit(ring100,
                                                                 keys):
-    # mu_2 has no low digit: estimate_sigma(h2, ls, hs) is
-    # sqrt_of_digit_diff(h2, 0, hs, ls), at the same gates and depth
+    # mu_2 has no low digit: estimate_sigma on the roots that
+    # square_mu_digits reads off mu* is sqrt_of_digit_diff(h2, 0, hs, ls),
+    # whose roots come from tables on the low difference 0 - ls, and it
+    # costs the same gates and depth on either pair of roots
     pp = make_pp(ring100, k=5, n=40)
     rng = np.random.default_rng(3)
-    mu = he_sim.encrypt(keys.pk, rng.integers(0, 41, size=200))
+    mu_plain = rng.integers(0, 41, size=200)
+    mu = he_sim.encrypt(keys.pk, mu_plain)
     mu2_high = he_sim.encrypt(keys.pk, rng.integers(0, 20, size=200))
     zero = he_sim.encrypt(keys.pk, np.zeros(200, dtype=np.int64))
-    musq_low, musq_high = square_mu_digits(mu, pp)
+    musq_high, f0, step = square_mu_digits(mu, pp)
+    square = mu_plain * mu_plain
+    musq_low = he_sim.encrypt(keys.pk, (square - 100 * np.rint(
+        square / 100 + 1e-9).astype(np.int64)) % 397)
+    roots = low_digit_roots(zero, musq_low, pp)
     with he_sim.metering() as got_m:
-        got = estimate_sigma(mu2_high, musq_low, musq_high, pp)
+        got = estimate_sigma(mu2_high, musq_high, f0, step, pp)
     with he_sim.metering() as want_m:
-        want = sqrt_of_digit_diff(mu2_high, zero, musq_high, musq_low, pp)
+        want = estimate_sigma(mu2_high, musq_high, *roots, pp)
+    assert he_sim.decrypt(keys.sk, want) == he_sim.decrypt(
+        keys.sk, sqrt_of_digit_diff(mu2_high, zero, musq_high, musq_low, pp))
     assert he_sim.decrypt(keys.sk, got) == he_sim.decrypt(keys.sk, want)
     assert (got_m.mult_gates, got_m.max_depth) == (want_m.mult_gates,
                                                    want_m.max_depth)
@@ -372,19 +428,15 @@ def test_sqrt_of_digits_is_the_three_branch_rule_on_every_residue_pair():
     keys = he_sim.keygen(ring, seed=24)
     dh = np.repeat(np.arange(P), P)
     dl = np.tile(np.arange(P), P)
-    got = he_sim.decrypt(keys.sk, classifier._sqrt_of_digits(
-        he_sim.encrypt(keys.pk, dh), he_sim.encrypt(keys.pk, dl),
+    zero = he_sim.encrypt(keys.pk, np.zeros(P * P, dtype=np.int64))
+    got = he_sim.decrypt(keys.sk, sqrt_of_digit_diff(
+        he_sim.encrypt(keys.pk, dh), he_sim.encrypt(keys.pk, dl), zero, zero,
         make_pp(ring, k=5, n=50)))
-
-    def rsqrt(v):  # round(sqrt(max(v, 0)))
-        r = math.isqrt(max(v, 0))
-        return r + (max(v, 0) - r * r > r)
-
     expect = []
     for h, lo in zip(dh.tolist(), dl.tolist()):
         h, lo = ring.signed(h), ring.signed(lo)
-        expect.append(((h == 0) * rsqrt(lo) + (h == 1) * rsqrt(p + lo)
-                       + (h not in (0, 1)) * rsqrt(h * p)) % P)
+        expect.append(((h == 0) * _rsqrt(lo) + (h == 1) * _rsqrt(p + lo)
+                       + (h not in (0, 1)) * _rsqrt(h * p)) % P)
     assert got == expect
 
 
@@ -630,9 +682,10 @@ def test_every_powers_record_declares_the_tables_that_read_it(grid, reps,
                                                                monkeypatch):
     # a record's split is chosen for the count of tables it declares, so
     # that count must be the number of tables one query evaluates on its
-    # images: the packed query's 1 (the distances' |.| table), mu*'s 1
-    # (the square_div_p table), the distances' 3 (the mu coins, the mu_2
-    # coins, the map), dh's 3 and dl's 2 (sigma's digit tables)
+    # images: the packed query's 1 (the distances' |.| table), mu*'s 3
+    # (the high digit of mu*^2 and the two roots of its low one), the
+    # distances' 3 (the mu coins, the mu_2 coins, the map) and dh's 2
+    # (sigma's branch bit and sqrt(dh * p))
     n = 40
     ring = select_ring_params(grid, dim=2, n=n)
     rng = np.random.default_rng(grid + reps)
@@ -651,4 +704,4 @@ def test_every_powers_record_declares_the_tables_that_read_it(grid, reps,
     classify_with_majority((3, grid - 2), db, make_pp(ring, k=5, n=n,
                                                       reps=reps))
     assert {key: r.tables for key, r in records.items()} == reads
-    assert sorted(reads.values()) == [1, 1, 2, 3, 3]
+    assert sorted(reads.values()) == [1, 2, 3, 3]

@@ -504,9 +504,9 @@ def test_embed_like_reads_its_constant_mod_p(ring, keys, value, residue):
     c = he_sim.encrypt(keys.pk, [1, 2])
     e = he_sim.embed_like(c, np.full(2, value))
     assert he_sim.decrypt(keys.sk, e) == [residue] * 2
-    is_zero = interp.build_named_tables(ring).is_zero
-    bits = interp.eval_poly_ps(is_zero, e, ring)
-    assert he_sim.decrypt(keys.sk, bits) == [int(residue == 0)] * 2
+    is_bit = interp.build_named_tables(ring).is_bit
+    bits = interp.eval_poly_ps(is_bit, e, ring)
+    assert he_sim.decrypt(keys.sk, bits) == [int(residue < 2)] * 2
     assert he_sim.decrypt(keys.sk, he_sim.add(e, c, ring)) == [
         (residue + 1) % 23, (residue + 2) % 23]
 
@@ -609,7 +609,7 @@ def test_op_chains_match_python_mod_p(data):
     steps = _CHAIN_STEPS + (("lookup",) if p == 997 else ())
     if p == 997:
         tables = interp.build_named_tables(ring)
-        tables = (tables.is_neg, tables.is_zero, tables.dist_map)
+        tables = (tables.is_neg, tables.is_bit, tables.dist_map)
 
     def fresh(size):
         vals = rng.integers(0, p, size=size)

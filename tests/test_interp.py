@@ -230,19 +230,23 @@ def test_named_tables_against_plain_definitions(ring):
         return r + 1 if v - r * r > r else r
 
     for x in range(P):
-        # every square-root table reads its argument as signed, 0 below 0;
-        # sqrt_times_p is 0 up to 1, where the other digit branches rule
+        # sqrt_times_p reads its argument as signed and is 0 up to 1, where
+        # the is_bit branch rules; the low-digit roots are of the negated
+        # low digit -low of x^2 = p * round(x^2 / p) + low, 0 below 0
         signed = x if x <= P // 2 else x - P
-        expect_sqrt = near_sqrt(signed) if signed >= 0 else 0
-        assert eval_plain(t.sqrt, x) == expect_sqrt
-        assert eval_plain(t.square_div_p, x) == round(x * x / p + 1e-9) % P
-        assert eval_plain(t.is_zero, x) == (1 if x == 0 else 0)
+        high = round(x * x / p + 1e-9)
+        neg_low = p * high - x * x
+        assert abs(neg_low) <= p / 2
+        assert eval_plain(t.square_div_p, x) == high % P
+        low_sqrt = near_sqrt(neg_low) if neg_low >= 0 else 0
+        assert eval_plain(t.low_sqrt, x) == low_sqrt
+        assert eval_plain(t.low_step, x) == (near_sqrt(p + neg_low)
+                                             - low_sqrt) % P
+        assert eval_plain(t.is_bit, x) == (1 if x in (0, 1) else 0)
         assert eval_plain(t.is_neg, x) == (1 if x > P / 2 else 0)
         assert eval_plain(t.abs, x) == abs(signed)
         expect_times = near_sqrt(signed * p) if signed > 1 else 0
         assert eval_plain(t.sqrt_times_p, x) == expect_times
-        expect_shift = near_sqrt(p + signed) if p + signed >= 0 else 0
-        assert eval_plain(t.sqrt_plus_p, x) == expect_shift
 
     # the distance map: monotone from t(0) = 0, squares within n * p
     n, B = ring.n, ring.dist_bound
@@ -933,13 +937,29 @@ def test_named_table_values_are_the_scalar_builds():
     # grids 24, 30, 100 and 250 by n = 50, 569 and 5,690, recorded from the
     # build that called each table's function once per residue in Python,
     # and again when sqrt_times_p became 0 at residue 1, its only changed
-    # entry; abs came later and is checked against its definition alone
+    # entry; abs came later and is checked against its definition alone.
+    # sqrt, is_zero and sqrt_plus_p left the named tables when sigma's
+    # low-digit roots moved onto mu*'s powers, and are built here from
+    # their definitions: round(sqrt(x)), [x = 0] and round(sqrt(p + x)),
+    # x read as signed and a negative root argument as 0
     h = hashlib.sha256()
     for grid in (24, 30, 100, 250):
         for n in (50, 569, 5690):
-            tables = build_named_tables(select_ring_params(grid, dim=2, n=n))
+            ring = select_ring_params(grid, dim=2, n=n)
+            P, p = ring.modulus, ring.coord_bound
+            tables = build_named_tables(ring)
+
+            def root(x, shift=0):
+                return interp._nearest_isqrt(shift + np.where(
+                    x > P // 2, x - P, x))
+
+            gone = {"sqrt": lagrange_table(root, ring),
+                    "is_zero": lagrange_table(lambda x: x == 0, ring),
+                    "sqrt_plus_p": lagrange_table(lambda x: root(x, p),
+                                                  ring)}
             for name in ("sqrt", "square_div_p", "is_zero", "sqrt_plus_p",
                          "sqrt_times_p", "is_neg", "dist_map"):
-                h.update(getattr(tables, name).values.astype("<i8").tobytes())
+                table = gone.get(name) or getattr(tables, name)
+                h.update(table.values.astype("<i8").tobytes())
     assert h.hexdigest() == ("b01c274f3906a18f414090f5e85ebc2d"
                              "e452f62322b598730337cd641e0750a3")

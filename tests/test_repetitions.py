@@ -42,10 +42,10 @@ def one_repetition(enc_q, db, pp):
         xs = he_sim.share_powers(xs, ring.dist_bound + 1, tables=3)
         mu_coins, mu2_coins = moment_coins(pp, (pp.rng_seed,))
         mu = he_sim.share_powers(estimate_mu(xs, pp, mu_coins),
-                                 ring.dist_bound + 1)
-        musq_low, musq_high = square_mu_digits(mu, pp)
+                                 ring.dist_bound + 1, tables=3)
+        musq_high, f0, step = square_mu_digits(mu, pp)
         sigma = estimate_sigma(estimate_mu2_digits(xs, pp, mu2_coins),
-                               musq_low, musq_high, pp)
+                               musq_high, f0, step, pp)
         diff = count_classes(xs, threshold(mu, sigma, pp), db.label_signs,
                              pp)
         bit = interp.is_smaller(diff, 0, ring)
@@ -137,5 +137,5 @@ def test_serve_shaped_query_cost():
     with he_sim.metering() as one:
         classify_with_majority((40, 60), db, replace(pp, repetitions=1))
     assert (dists, once) == (17_106, 44_987)
-    assert m.mult_gates == 5 * one.mult_gates - 4 * once == 319_732
+    assert m.mult_gates == 5 * one.mult_gates - 4 * once == 319_322
     assert m.max_depth == one.max_depth == 57

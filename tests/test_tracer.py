@@ -68,6 +68,31 @@ def test_traced_leave_one_out_accounts_for_every_gate():
                           untraced.per_point_predictions)
 
 
+def test_benchmark_shaped_queries_trace_every_gate_to_a_stage():
+    # the traced benchmark's two query shapes at grid 250, k = 13: a
+    # leave-one-out query (n = 568, one repetition) and a served one
+    # (n = 569, five); a product made between the named stages, outside
+    # every stage span, would show as a gate that no stage accounts for
+    spans = _load_spans()
+    db = data_eval.grid_dataset(data_eval.load_wdbc(WDBC_PATH),
+                                250).database()
+    point = db.points[0]
+    shapes = [(db.without(0), 1), (db, 5)]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        for data, reps in shapes:
+            ring = select_ring_params(250, dim=2, n=data.n)
+            pp = make_protocol_params(ring, k=13, n=data.n,
+                                      repetitions=reps)
+            classifier.classify_with_majority(point, data, pp)
+    finally:
+        tracer.restore()
+    recs = tracer.records()
+    assert sum(r["name"] == "classifier.server_classify" for r in recs) == 2
+    assert spans.stage_gate_errors(recs) == []
+
+
 def test_codec_spans_see_every_wire_byte():
     # read_message decodes the header and body it read through
     # protocol_io's decode_message, which the tracer wraps for the
