@@ -12,9 +12,11 @@ evaluated on plaintext shifts of one input share that input's powers
 (he_sim.share_powers), so each one after the first pays only its
 products, at the split cheapest for all the tables that read them, and
 on an input known to lie in [0, span), such as the distances or the
-query, at degree at most span - 1.  Includes the named tables the
-classifier needs, among them the upper-half sign test that realizes
-strict comparison.
+query, at degree at most span - 1.  A table odd apart from its x^0 and
+x^(P-1) terms, such as the sign test, pays on an input of no record only
+the odd powers its leaves read (PolyTable.odd).  Includes the named
+tables the classifier needs, among them the upper-half sign test that
+realizes strict comparison.
 """
 
 from __future__ import annotations
@@ -60,11 +62,15 @@ class PolyTable:
     values[x] is the function's value at x for every x in [0, P),
     read-only, and the table's only data: degree, the interpolating
     polynomial's, is found once, at construction, from power sums of the
-    values.  Tables compare by identity.
+    values, and so is odd, whether its only even-exponent terms are x^0
+    and x^(P-1): iff f(x) + f(-x) is one constant at every x != 0, as a
+    polynomial of degree < P - 1 constant on P - 1 points is constant.
+    Tables compare by identity.
     """
 
     values: np.ndarray = field(repr=False)
     degree: int = field(init=False)
+    odd: bool = field(init=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.int64)
@@ -76,6 +82,8 @@ class PolyTable:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "degree", _degree(values, P))
+        folded = (values[1:] + values[:0:-1]) % P  # f(x) + f(-x), x != 0
+        object.__setattr__(self, "odd", bool((folded == folded[:1]).all()))
 
 
 def lagrange_table(f, params: RingParams) -> PolyTable:
@@ -92,20 +100,29 @@ def lagrange_table(f, params: RingParams) -> PolyTable:
                                 dtype=np.int64) % P)
 
 
-def _schedule(degree: int, l: int) -> tuple:
+def _schedule(degree: int, l: int, odd: bool = False) -> tuple:
     """(powers, products, leaves) of the schedule of leaf exponent l in
     [1, bit_length(degree)] at degree >= 1, in closed form (ps_cost)."""
     leaves = -(-(degree + 1) >> l)
-    return (min((1 << l) - 1, degree) - 1 + degree.bit_length() - l,
-            leaves - 1 - (leaves > 1 and degree % (1 << l) == 0), leaves)
+    products = leaves - 1 - (leaves > 1 and degree % (1 << l) == 0)
+    baby, giants = min((1 << l) - 1, degree), degree.bit_length() - l
+    if not odd:
+        return baby - 1 + giants, products, leaves
+    # the odd powers to o, the powers of two below o, the giant ones, and
+    # the top term's even power x^top when it is no power of two made
+    o, top = (baby - 1) | 1, degree % (1 << l)
+    extra = top > 0 and not top & 1 and (top > o or top & (top - 1) > 0)
+    return (o >> 1) + o.bit_length() - 1 + giants + extra, products, leaves
 
 
 @functools.lru_cache(maxsize=4096)
-def ps_cost(degree: int, depth_in: int, tables: int = 1) -> tuple:
+def ps_cost(degree: int, depth_in: int, tables: int = 1,
+            odd: bool = False) -> tuple:
     """(split, power mults, products, cipher adds, output depth) of the
     baby-step/giant-step evaluation of a polynomial of this degree on an
     input of depth depth_in whose powers `tables` tables read, gates per
-    slot, in closed form (_schedule).
+    slot, in closed form (_schedule); odd if its only even-exponent terms
+    are the constant and, at an even degree, the top one.
 
     The schedule of leaf exponent l in [1, m], m = bit_length(degree)
     (Paterson-Stockmeyer with power-of-two giant steps): p = A + x^(2^j)
@@ -122,13 +139,19 @@ def ps_cost(degree: int, depth_in: int, tables: int = 1) -> tuple:
     the record pays in ciphertext mults, then of fewest products.  The
     split (l, top), top the highest power read, names the powers, which
     depend only on the input and the split, so tables of one split on one
-    input can share them (he_sim.SharedPowers).  The tests run the
-    schedule literally and check it against this count.
+    input can share them (he_sim.SharedPowers).  An odd polynomial's
+    leaves, which start at multiples of 2^l, read only the odd baby
+    powers and the top term's x^(degree mod 2^l), so the odd schedule
+    makes only those, each odd x^j as x^(2^k) * x^(j - 2^k), 2^k < j <
+    2^(k+1), ceil(log2 j) deep; the powers of two it needs; the giant
+    powers; and the top term's power by one more product if it is none of
+    them.  Its products, adds and depth are the full schedule's.  The
+    tests run both schedules literally and check them against this count.
     """
     if degree == 0:
         return None, 0, 0, 0, 0  # the constant, embedded for free
     m = degree.bit_length()
-    costs = {l: _schedule(degree, l) for l in range(1, m + 1)}
+    costs = {l: _schedule(degree, l, odd) for l in range(1, m + 1)}
     l = min(costs, key=lambda l: (costs[l][0] + tables * costs[l][1],
                                   costs[l][1]))
     powers, products, leaves = costs[l]
@@ -160,17 +183,19 @@ def eval_poly_ps(table: PolyTable, x: Cipher, params: RingParams) -> Cipher:
     and is charged the powers on u's slots; every later one of the same
     split is charged only its products, and one of another split its
     full cost (he_sim.table_lookup).  The output depth is the same either
-    way.
+    way.  An odd table (PolyTable.odd) on an input of no record is
+    charged the odd schedule; on a record it is not, since a per-slot
+    shift c of u makes the table at c - u a polynomial in u of no parity.
     """
     if table.values.size != params.modulus:
         raise ParameterError("table interpolated over a different ring")
-    degree, record, tables = table.degree, x._powers, 1
+    degree, record, tables, odd = table.degree, x._powers, 1, table.odd
     if record is not None:
-        tables = record.tables
+        tables, odd = record.tables, False
         if record.span:
             degree = min(degree, record.span - 1)
     return he_sim.table_lookup(x, table.values,
-                               *ps_cost(degree, x.depth, tables))
+                               *ps_cost(degree, x.depth, tables, odd))
 
 
 def isqrt(v: np.ndarray) -> np.ndarray:

@@ -302,7 +302,9 @@ def test_loo_secure_is_bit_exact_against_recorded_values(wdbc_path):
     # when every table took power-of-two giant steps and the packed query
     # the span of the grid, and again when the distances became one |.|
     # table and mu* took the span [0, dist_bound], and again when sigma's
-    # low-digit roots moved onto mu*'s powers, 82 fewer per query
+    # low-digit roots moved onto mu*'s powers, 82 fewer per query, and
+    # again when the sign tests of no powers record, the count's and the
+    # final compare's, took the odd schedule, 11 fewer per slot
     gd = grid_dataset(load_wdbc(wdbc_path), 250)
     head = data_eval.GridDataset(gd.points[:60], gd.labels[:60], gd.grid,
                                  gd.quant_meta)
@@ -311,7 +313,7 @@ def test_loo_secure_is_bit_exact_against_recorded_values(wdbc_path):
         bytes(int(b) for b in report.per_point_predictions)).hexdigest()
     assert digest == ("aaf7b08f1c42d29f5d17d54954d84fbc"
                       "2f9f110f01d1840e8db1219dcb4e57f1")
-    assert report.metrics.mult_gates == 636_240
+    assert report.metrics.mult_gates == 596_640
     assert report.metrics.max_depth == 57
 
 
@@ -434,14 +436,15 @@ def test_wide_query_is_bit_exact_against_recorded_values(wdbc_path):
     # one split for all its tables, when every table took power-of-two
     # giant steps and the packed query the span of the grid, when the
     # distances became one |.| table and mu* took the span
-    # [0, dist_bound], and when sigma's low-digit roots moved onto mu*'s
-    # powers.  The run's threshold selects
+    # [0, dist_bound], when sigma's low-digit roots moved onto mu*'s
+    # powers, and when the count's and the final compare's sign tests
+    # took the odd schedule.  The run's threshold selects
     # 140 points, all of class 1: the class counts stay below P/2 = 498,
     # so the pinned bit is the true majority
     db, point, pp = _wide_query(wdbc_path)
     with he_sim.metering() as m:
         bit = classifier.classify_with_majority(point, db, pp)
-    assert (bit, m.mult_gates, m.max_depth) == (1, 996_029, 57)
+    assert (bit, m.mult_gates, m.max_depth) == (1, 933_428, 57)
     run_seed = classifier.repetition_seeds(pp)[0]
     assert kappa_of_run(db, point, pp, run_seed) == 140
     assert 2 * 140 < pp.ring.modulus

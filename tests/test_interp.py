@@ -92,13 +92,38 @@ def eval_plain(table, x):
     return acc
 
 
-def schedule_powers(x, split, mul):
+def schedule_powers(x, split, mul, odd_degree=None):
     """{j: x^j} for every power the schedule of split = (l, top) reads:
     the baby powers x^1 .. x^min(2^l - 1, top), each x^j the product
     mul(x^(j//2), x^ceil(j/2)), and the giant powers x^(2^l) .. x^top,
-    each the square of the one before."""
+    each the square of the one before.
+
+    With odd_degree, those of the odd schedule at that degree (ps_cost):
+    the powers of two by squaring, up to top when there are giant powers
+    and else up to the largest one below the largest odd baby exponent o;
+    the odd baby powers x^3 .. x^o, each x^(2^k) * x^(j - 2^k), 2^k < j <
+    2^(k+1); and the top term's power x^e, e = odd_degree mod 2^l, when e
+    is even and x^e not yet made: x^(2^k - 1) * x^(e - 2^k + 1), or the
+    square of x^(e/2) when e = 2^k."""
     l, top = split
     xp = {1: x}
+    if odd_degree is not None:
+        o = (min((1 << l) - 1, odd_degree) - 1) | 1
+        last = top if l < odd_degree.bit_length() else 1 << (o.bit_length()
+                                                            - 1)
+        j = 2
+        while j <= last:
+            xp[j] = mul(xp[j // 2], xp[j // 2])
+            j *= 2
+        for j in range(3, o + 1, 2):
+            k = 1 << (j.bit_length() - 1)
+            xp[j] = mul(xp[k], xp[j - k])
+        e = odd_degree % (1 << l)
+        if e and not e % 2 and e not in xp:
+            k = 1 << (e.bit_length() - 1)
+            xp[e] = (mul(xp[e // 2], xp[e // 2]) if e == k
+                     else mul(xp[k - 1], xp[e - k + 1]))
+        return xp
     for j in range(2, min((1 << l) - 1, top) + 1):
         xp[j] = mul(xp[j // 2], xp[(j + 1) // 2])
     j = max(1 << l, 2)
@@ -106,6 +131,15 @@ def schedule_powers(x, split, mul):
         xp[j] = mul(xp[j // 2], xp[j // 2])
         j *= 2
     return xp
+
+
+def leaf_reads(lo, hi, deg, odd):
+    """The powers a leaf of the coefficients lo .. hi of a polynomial of
+    degree deg reads: x^1 .. x^(hi - lo), or, odd (ps_cost), only the odd
+    ones and the top term's x^(deg - lo), since lo is a multiple of 2^l
+    and every other even exponent's coefficient is 0."""
+    return [j for j in range(1, hi - lo + 1)
+            if not odd or j % 2 or lo + j == deg]
 
 
 def schedule_walk(split, deg, leaf, join):
@@ -125,24 +159,26 @@ def schedule_walk(split, deg, leaf, join):
     return part(0, deg)
 
 
-def schedule_combine(coeffs, split, deg, xp, params):
+def schedule_combine(coeffs, split, deg, xp, params, odd=False):
     """The schedule on the powers xp with real products and adds; coeffs
     holds one row of deg + 1 plaintext coefficients per slot.  A leaf of
     one coefficient is that plaintext, so its product is free; any other
-    leaf is the free per-slot plaintext combination of the baby powers it
-    reads, as deep as the deepest of them."""
+    leaf is the free per-slot plaintext combination of the powers it
+    reads (leaf_reads), as deep as the deepest of them, and the
+    coefficients of those it does not read must be 0."""
     P = params.modulus
-    reads = range(1, min((1 << split[0]) - 1, split[1]) + 1)
-    baby = np.array([xp[j]._values % P for j in reads]).T  # (slots, j)
-    depths = list(itertools.accumulate((xp[j].depth for j in reads), max))
 
     def leaf(lo, hi):
         if lo == hi:
             return coeffs[:, lo]
-        vals = coeffs[:, lo] + (coeffs[:, lo + 1:hi + 1]
-                                * baby[:, :hi - lo]).sum(axis=1)
-        he_sim._note(depths[hi - lo - 1])  # free, as linear_combine notes
-        return he_sim.Cipher(vals % P, depths[hi - lo - 1], xp[1].key_id)
+        reads = leaf_reads(lo, hi, deg, odd)
+        skipped = [lo + j for j in range(1, hi - lo + 1) if j not in reads]
+        assert not coeffs[:, skipped].any()
+        vals = coeffs[:, lo] + sum(coeffs[:, lo + j] * (xp[j]._values % P)
+                                   for j in reads)
+        depth = max(xp[j].depth for j in reads)
+        he_sim._note(depth)  # free, as linear_combine notes
+        return he_sim.Cipher(vals % P, depth, xp[1].key_id)
 
     def join(a, j, b):
         product = he_sim.mul(xp[j], b, params)
@@ -157,17 +193,20 @@ def eval_poly_ps_reference(table, x, params):
     """Literal evaluation of a table's coefficients by the recursive
     schedule (schedule_walk) at ps_cost's split: the oracle eval_poly_ps
     and ps_cost are checked against.  The powers are real products of x,
-    the leaves free plaintext combinations of them."""
+    the leaves free plaintext combinations of them; an odd table on a
+    cipher of no powers record runs the odd schedule."""
     if table.values.size != params.modulus:
         raise ParameterError("table interpolated over a different ring")
     deg, coeffs = table.degree, np.array([poly_coeffs(table)])
     if deg == 0:
         return he_sim.embed_like(x, np.full(x.size, coeffs[0, 0],
                                             dtype=np.int64))
-    split = ps_cost(deg, x.depth)[0]
-    xp = schedule_powers(x, split, lambda a, b: he_sim.mul(a, b, params))
+    odd = table.odd and x._powers is None
+    split = ps_cost(deg, x.depth, 1, odd)[0]
+    xp = schedule_powers(x, split, lambda a, b: he_sim.mul(a, b, params),
+                         deg if odd else None)
     return schedule_combine(np.repeat(coeffs, x.size, axis=0), split, deg,
-                            xp, params)
+                            xp, params, odd)
 
 
 @pytest.fixture(scope="module")
@@ -366,13 +405,14 @@ def test_lookup_matches_reference_on_constant_and_linear(grid, degree):
 
 
 @functools.lru_cache(maxsize=None)
-def _walked(deg, l):
+def _walked(deg, l, odd=False):
     """(powers, products, adds, output depth) of the schedule of leaf
-    exponent l at degree deg on an input of depth 0, walked by
-    schedule_powers and schedule_walk on depths as he_sim meters them: a
-    product of two ciphers is one mult, one level deeper than its deeper
-    factor, and one by a plaintext (None) is free; an add of two ciphers
-    is one add."""
+    exponent l at degree deg on an input of depth 0, the odd one if odd,
+    walked by schedule_powers and schedule_walk on depths as he_sim
+    meters them: a product of two ciphers is one mult, one level deeper
+    than its deeper factor, and one by a plaintext (None) is free; an add
+    of two ciphers is one add; a leaf is as deep as the deepest power it
+    reads (leaf_reads)."""
     m, mults, adds = deg.bit_length(), [], []
 
     def mul(a, b):
@@ -382,10 +422,13 @@ def _walked(deg, l):
         return (a if a > b else b) + 1
 
     split = (l, deg if l == m else 1 << (m - 1))
-    xp = schedule_powers(0, split, mul)
+    xp = schedule_powers(0, split, mul, deg if odd else None)
     powers = len(mults)
-    reads = range(1, min((1 << l) - 1, split[1]) + 1)
-    depths = [None] + list(itertools.accumulate((xp[j] for j in reads), max))
+
+    def leaf(lo, hi):
+        if lo == hi:
+            return None
+        return max(xp[j] for j in leaf_reads(lo, hi, deg, odd))
 
     def join(a, j, b):
         product = mul(xp[j], b)
@@ -394,15 +437,15 @@ def _walked(deg, l):
         adds.append(1)
         return a if a > product else product
 
-    out = schedule_walk(split, deg, lambda lo, hi: depths[hi - lo], join)
+    out = schedule_walk(split, deg, leaf, join)
     return powers, len(mults) - powers, len(adds), out
 
 
-def _cheapest(deg, tables):
+def _cheapest(deg, tables, odd=False):
     """The leaf exponent of fewest powers + tables * products, then of
     fewest products, of the walked schedules at degree deg."""
     return min((p + tables * b, b, l) for l in range(1, deg.bit_length() + 1)
-               for p, b, _, _ in [_walked(deg, l)])[2]
+               for p, b, _, _ in [_walked(deg, l, odd)])[2]
 
 
 def test_the_closed_form_is_the_walked_schedule_at_every_degree():
@@ -415,6 +458,26 @@ def test_the_closed_form_is_the_walked_schedule_at_every_degree():
             powers, products, leaves = interp._schedule(deg, l)
             assert _walked(deg, l) == (powers, products, leaves - 1,
                                        (deg - 1).bit_length()), (deg, l)
+
+
+def test_the_odd_closed_form_is_the_walked_odd_schedule_at_every_degree():
+    # every degree up to 1,200, the odd ones and the even ones with a top
+    # term, and every leaf exponent l: the odd closed form is the odd
+    # schedule walked, exactly ceil(log2 deg) deep, with the full
+    # schedule's products and adds and never more powers; ps_cost takes
+    # the cheapest by the full schedule's rule
+    for deg in range(1, 1201):
+        m, depth = deg.bit_length(), (deg - 1).bit_length()
+        for l in range(1, m + 1):
+            powers, products, leaves = interp._schedule(deg, l, True)
+            assert _walked(deg, l, True) == (powers, products, leaves - 1,
+                                             depth), (deg, l)
+            assert _walked(deg, l)[1:] == _walked(deg, l, True)[1:]
+            assert powers <= interp._schedule(deg, l)[0]
+        best = _cheapest(deg, 1, True)
+        split, *cost = ps_cost(deg, 3, 1, True)
+        assert split == (best, deg if best == m else 1 << (m - 1)), deg
+        assert cost == [*_walked(deg, best, True)[:3], 3 + depth]
 
 
 def test_the_split_is_the_cheapest_no_deeper_than_the_square_one():
@@ -456,10 +519,11 @@ def test_a_records_split_is_the_cheapest_for_all_its_tables():
 def test_lookup_matches_reference_where_the_split_is_not_square():
     # P = 97: a degree-96 table takes leaf exponent 3, split (3, 64): 10
     # powers and 11 products, cheaper than the square l0 = 4 (17 and 5),
-    # as deep, and the literal schedule runs that split
+    # as deep, and the literal schedule runs that split; |.| is such a
+    # table (the sign test, odd, takes the odd schedule's (4, 64))
     ring = select_ring_params(24, dim=2, n=50)
-    table = build_named_tables(ring).is_neg
-    assert ring.modulus == 97 and table.degree == 96
+    table = build_named_tables(ring).abs
+    assert ring.modulus == 97 and table.degree == 96 and not table.odd
     assert math.isqrt(96).bit_length() == 4
     assert ps_cost(96, 0)[:3] == ((3, 64), 10, 11)
     assert [_walked(96, l)[:2] for l in (3, 4)] == [(10, 11), (17, 5)]
@@ -665,7 +729,8 @@ def test_a_cipher_that_is_no_image_of_the_record_pays_its_own_powers():
     # grid 250, n = 568: the sign test on a broadcast shift of a shared
     # 2-slot cipher u pays its powers on u's 2 slots and its block
     # products on each of 1,136; an unrelated 1,136-slot cipher pays both
-    # on every slot, before u's powers are claimed and after
+    # on every slot, before u's powers are claimed and after, and having
+    # no record it takes the odd schedule: 24 powers, not 35
     ring = select_ring_params(250, dim=2, n=568)
     is_neg = build_named_tables(ring).is_neg
     keys = he_sim.keygen(ring, 5)
@@ -680,8 +745,10 @@ def test_a_cipher_that_is_no_image_of_the_record_pays_its_own_powers():
             eval_poly_ps(is_neg, x, ring)
         gates.append(m.mult_gates)
     _, power, block, *_ = ps_cost(is_neg.degree, 0)
-    full, shared = 1136 * (power + block), 2 * power + 1136 * block
-    assert gates == [full, shared, full] == [74_976, 35_286, 74_976]
+    _, odd_power, odd_block, *_ = ps_cost(is_neg.degree, 0, 1, True)
+    full, shared = 1136 * (odd_power + odd_block), 2 * power + 1136 * block
+    assert (power, odd_power, block, odd_block) == (35, 24, 31, 31)
+    assert gates == [full, shared, full] == [62_480, 35_286, 62_480]
 
 
 @pytest.mark.parametrize("grid, n, shared", [(4, 50, True), (5, 3, False),
@@ -799,7 +866,8 @@ def test_tables_on_a_span_match_the_literal_per_slot_interpolants(grid, which,
 def test_a_table_on_a_span_is_charged_at_its_degree_there(grid):
     # on a cipher whose record has a span, every table is charged
     # ps_cost(min(degree, span - 1), depth); with a record of no span, or
-    # no record, its full degree
+    # no record, its full degree, and with no record an odd table (the
+    # sign test) the odd schedule
     ring = select_ring_params(grid, dim=2, n=50)
     keys = he_sim.keygen(ring, 5)
     P, named = ring.modulus, build_named_tables(ring)
@@ -813,8 +881,8 @@ def test_a_table_on_a_span_is_charged_at_its_degree_there(grid):
         return (m.mult_gates, m.add_gates, m.cipher_mults, m.max_depth,
                 r.depth)
 
-    def expected(degree, depth, slots):
-        _, power, block, adds, out = ps_cost(degree, depth)
+    def expected(degree, depth, slots, odd=False):
+        _, power, block, adds, out = ps_cost(degree, depth, 1, odd)
         return slots * (power + block), slots * adds, power + block, out, out
 
     for table in tables:
@@ -826,9 +894,10 @@ def test_a_table_on_a_span_is_charged_at_its_degree_there(grid):
                     expected(min(table.degree, span - 1), depth, 4)
             c = he_sim.encrypt(keys.pk, rng.integers(0, P, 4))
             c.depth = depth
-            full = expected(table.degree, depth, 4)
-            assert charged(table, he_sim.share_powers(c)) == full
-            assert charged(table, c) == full
+            assert charged(table, he_sim.share_powers(c)) == \
+                expected(table.degree, depth, 4)
+            assert charged(table, c) == \
+                expected(table.degree, depth, 4, table.odd)
 
 
 def test_a_rings_tables_are_built_once(monkeypatch):
@@ -867,6 +936,92 @@ def test_degree_from_power_sums_matches_coefficients():
         table = table_from_coeffs(23, coeffs)
         assert table.degree == degree
         assert poly_coeffs(table) == tuple(coeffs) + (0,) * (22 - degree)
+
+
+def _has_odd_form(table):
+    """The oracle of PolyTable.odd: every coefficient of an even exponent
+    in [2, P - 3] is 0."""
+    coeffs = poly_coeffs(table)
+    return not any(coeffs[2:-2:2])
+
+
+@pytest.mark.parametrize("P", [23, 97])
+def test_the_odd_form_is_found_from_the_values(P):
+    # at every degree: a random table, an odd one (random odd terms up to
+    # the degree, a constant and x^(P-1)), and that one plus an even term
+    # at a random even exponent in [2, P - 3]; the last odd one plus an
+    # even term at each of them; and every monomial
+    rng = np.random.default_rng(P)
+    tables, even = [], range(2, P - 2, 2)
+
+    def plus(coeffs, e):
+        out = coeffs.copy()
+        out[e] = rng.integers(1, P)
+        return table_from_coeffs(P, out)
+
+    for degree in range(P):
+        odd = np.zeros(P, dtype=np.int64)
+        odd[1:degree + 1:2] = rng.integers(0, P, (degree + 1) // 2)
+        odd[[0, P - 1]] = rng.integers(0, P, 2)
+        tables += [_random_table(P, degree, rng), table_from_coeffs(P, odd),
+                   plus(odd, int(rng.choice(even)))]
+    tables += [plus(odd, e) for e in even]
+    tables += [table_from_coeffs(P, np.eye(P, dtype=np.int64)[e])
+               for e in range(P)]
+    flags = [table.odd for table in tables]
+    assert flags == [_has_odd_form(table) for table in tables]
+    assert 0 < sum(flags) < len(flags)
+
+
+def test_a_table_of_one_or_two_values_has_the_odd_form():
+    for values in ([0], [0, 0], [0, 1], [1, 0], [1, 1]):
+        assert PolyTable(np.array(values)).odd
+
+
+def test_only_the_sign_test_has_the_odd_form_at_every_grid():
+    # every grid 6 .. 301, every modulus they select, built outside the
+    # memo: is_neg is odd plus its x^(P-1) term, and no other table is
+    for grid in range(6, 302):
+        tables = build_named_tables.__wrapped__(
+            select_ring_params(grid, dim=2, n=50))
+        assert [name for name in NAMED if getattr(tables, name).odd] == [
+            "is_neg"], grid
+
+
+@pytest.mark.parametrize("grid", [100, 250])
+def test_the_sign_test_on_a_record_keeps_the_full_schedule(grid):
+    # prob_avg's coins: is_neg on rsub(plan, u), u carrying a powers
+    # record, with the distances' span and three readers or with neither,
+    # is a polynomial in u of no parity and is charged the full schedule;
+    # the same values on a cipher of no record take the odd one
+    ring = select_ring_params(grid, dim=2, n=568)
+    is_neg, P = build_named_tables(ring).is_neg, ring.modulus
+    keys = he_sim.keygen(ring, 5)
+    span, slots = ring.dist_bound + 1, 6
+    rng = np.random.default_rng(grid)
+    us = rng.integers(0, span, slots)
+    plan = he_sim.Plain(rng.integers(0, span, slots))
+
+    def charged(x):
+        with he_sim.metering() as m:
+            r = eval_poly_ps(is_neg, x, ring)
+        assert he_sim.decrypt(keys.sk, r) == is_neg.values[
+            (plan.values - us) % P].tolist()
+        return m.mult_gates, m.add_gates, m.cipher_mults, r.depth
+
+    def expected(degree, tables=1, odd=False):
+        _, power, block, adds, out = ps_cost(degree, 0, tables, odd)
+        return slots * (power + block), slots * adds, power + block, out
+
+    for record_span, tables in ((None, 1), (span, 3)):
+        u = he_sim.share_powers(he_sim.encrypt(keys.pk, us), record_span,
+                                tables)
+        degree = P - 1 if record_span is None else span - 1
+        assert charged(he_sim.rsub(plan, u, ring)) == expected(degree, tables)
+    fresh = he_sim.encrypt(keys.pk, (plan.values - us) % P)
+    assert charged(fresh) == expected(P - 1, 1, True)
+    assert expected(P - 1, 1, True)[2] == {397: 36, 997: 55}[P]
+    assert expected(P - 1)[2] == {397: 43, 997: 66}[P]
 
 
 @pytest.mark.parametrize("grid", [24, 100, 250])

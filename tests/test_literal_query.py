@@ -8,7 +8,8 @@ the composition is checked: which table claims a powers record, the depths
 carried from stage to stage, and the split each record's tables read.  The
 literal evaluator interpolates each table, per slot on an image of a
 powers record (on the record's span, if it has one), computes a record's
-powers once on its source cipher's slots, and combines the leaves with
+powers once on its source cipher's slots, evaluates an odd table on a
+cipher of no record on its odd powers only, and combines the leaves with
 real calls.  A record's split is chosen for the number of tables that
 actually read it in the metered run, not for the number declared.
 """
@@ -125,7 +126,7 @@ class Literal:
             return REAL_EVAL(table, x, params)
         expected = table.values[x._values % P]
         if record is None:
-            deg, tables = table.degree, 1
+            deg, tables, odd = table.degree, 1, table.odd
             coeffs = np.tile(poly_coeffs(table), (x.size, 1))
         else:
             u, order = self.sources[id(record)]
@@ -136,19 +137,19 @@ class Literal:
             deg = table.degree if span is None else min(table.degree,
                                                         span - 1)
             coeffs = _coeff_rows(table, shift, sign, span, P)
-            tables = self.readers[order]
+            tables, odd = self.readers[order], False
         assert not coeffs[:, deg + 1:].any()
         if deg == 0:
             out = he_sim.embed_like(x, coeffs[:, 0])
             assert (out._values == expected).all()
             return out
-        split = interp.ps_cost(deg, x.depth, tables)[0]
+        split = interp.ps_cost(deg, x.depth, tables, odd)[0]
 
         def mul(a, b):
             return he_sim.mul(a, b, params)
 
         if record is None:
-            xp = schedule_powers(x, split, mul)
+            xp = schedule_powers(x, split, mul, deg if odd else None)
         else:
             claimed = self.claimed.setdefault(id(record), {})
             if not claimed:  # the first table pays the powers on u's slots
@@ -158,7 +159,7 @@ class Literal:
             else:  # another split: its own powers of u laid out
                 laid = _laid(u, index, P)
                 xp = schedule_powers(laid, split, mul)
-        out = schedule_combine(coeffs, split, deg, xp, params)
+        out = schedule_combine(coeffs, split, deg, xp, params, odd)
         assert (out._values % P == expected).all()
         # reduced, as a lookup's result is: share_powers reads slots as held
         return he_sim.Cipher(out._values % P, out.depth, out.key_id)

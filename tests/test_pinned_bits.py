@@ -18,16 +18,16 @@ from kishnn import classifier, data_eval, he_sim, interp, primitives
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 # Mult and cipher add gates per leave-one-out query, by repetition count.
-LOO_GATES = {1: 99_679, 5: 318_763}
+LOO_GATES = {1: 93_420, 5: 287_468}
 LOO_ADDS = {1: 61_454, 5: 202_758}
 # The served shape's mult gates, and the depth of every shape.
-SERVED_GATES = 319_322
+SERVED_GATES = 287_972
 DEPTH = 57
 # Ciphertext mults and slot moves per query (he_sim.EvalMetrics) at grid
 # 250, at any n: the repetitions share every ciphertext, so the mults do
 # not grow with R, and R > 1 adds the moves of laying the distances out
 # R times, spreading the thresholds and splitting the bits.
-CIPHER_MULTS = 421
+CIPHER_MULTS = 399
 SLOT_MOVES = {1: 7, 5: 10}
 
 
@@ -69,17 +69,19 @@ def test_grid_100_leave_one_out_bits_are_pinned(workloads, seed, digest, f1):
                                         repetitions=1, seed=seed)
     assert workloads.digest(report.per_point_predictions) == digest
     assert report.f1 == pytest.approx(f1, abs=5e-5)
-    assert report.metrics.mult_gates == 67_198 * gd.n
-    assert report.metrics.add_gates == 38_694 * gd.n
+    assert report.metrics.mult_gates == 63_215 * gd.n
+    assert report.metrics.add_gates == 31_866 * gd.n
     # P = 397: a full table evaluation alone, of degree 396, pays 19
-    # powers and 24 products, the split (4, 256); sigma's two tables on
+    # powers and 24 products, the split (4, 256), and the odd sign test
+    # alone, the count's and the final compare, 24 and 12, the odd
+    # schedule's split (5, 256); sigma's two tables on
     # dh share the split (5, 256), 34 powers and 12 products each; a
     # table on the distances, of degree 198 on their span [0, 198], pays
     # the split (5, 128)'s 33 and 6, and so do the three tables of mu*^2's
     # digits on mu*'s span [0, 198]; the query's |.|
     # table, of degree 99 on the grid [0, 100), the split (3, 64)'s 10
     # and 12; every table is ceil(log2 degree) deep
-    assert report.metrics.cipher_mults == 270 * gd.n
+    assert report.metrics.cipher_mults == 256 * gd.n
     assert report.metrics.slot_moves == SLOT_MOVES[1] * gd.n
     assert report.metrics.max_depth == 51
 
@@ -96,7 +98,7 @@ def test_n_sweep_bits_are_pinned(workloads):
         assert (m.cipher_mults, m.slot_moves, m.max_depth) == (
             CIPHER_MULTS, SLOT_MOVES[1], DEPTH)
     assert workloads.digest(bits) == "3192b11429125bfa"
-    assert sum(gates) == 5_479_415  # a mean of 547,941.5
+    assert sum(gates) == 5_135_060  # a mean of 513,506
     assert adds == [61_562, 123_014, 184_466, 245_918, 307_370, 368_822,
                     430_274, 491_726, 553_178, 614_630]
 
@@ -155,16 +157,18 @@ def test_a_warm_query_makes_the_pinned_ops(workloads, monkeypatch, reps):
 # mu*^2's digits on mu*'s span [0, 498].  sigma's two full-degree tables
 # on dh share the split (6, 512), 66 powers and 15 products each, 10
 # levels deep, and its two selecting products are one level each.  A
-# full-degree table alone takes (5, 512), 35 and 31.
+# full-degree table alone takes (5, 512), 35 and 31, and the sign test
+# alone, the count's and the final compare, being odd, the odd
+# schedule's (5, 512), 24 and 31.
 STAGES = {
-    (interp, "is_smaller"): (66, 66, 0, 57),
+    (interp, "is_smaller"): (55, 55, 0, 57),
     (primitives, "compute_dists"): (17_076, 33, 3, 8),
     (classifier, "estimate_mu"): (27_832, 49, 1, 17),
     (classifier, "estimate_mu2_digits"): (8_520, 15, 1, 17),
     (classifier, "square_mu_digits"): (79, 79, 0, 26),
     (classifier, "estimate_sigma"): (98, 98, 0, 37),
     (classifier, "threshold"): (0, 0, 0, 37),
-    (classifier, "count_classes"): (46_008, 81, 2, 47),
+    (classifier, "count_classes"): (39_760, 70, 2, 47),
 }
 
 

@@ -109,6 +109,21 @@ def test_readme_cost_figures_are_the_pinned_ones():
                       r"products at depth (\d+)", text) == [tuple(map(str, (
                           tables.is_neg.degree, full[0][0], *full[0],
                           full[1], full[2], full[4])))]
+    # the sign test on a cipher of no record, odd, at P = 997 and 397
+    assert tables.is_neg.odd
+    odd = interp.ps_cost(tables.is_neg.degree, 0, 1, True)
+    small = interp.build_named_tables(select_ring_params(100, dim=2, n=569))
+    small_full = interp.ps_cost(small.is_neg.degree, 0)
+    small_odd = interp.ps_cost(small.is_neg.degree, 0, 1, True)
+    assert re.findall(r"At P = 997 the sign test takes the odd schedule's "
+                      r"split \((\d+), (\d+)\): (\d+) powers and (\d+) "
+                      r"products at depth (\d+); at P = 397 it takes "
+                      r"\((\d+), (\d+)\), (\d+) and (\d+), against the "
+                      r"full schedule's \((\d+), (\d+)\), (\d+) and (\d+)",
+                      text) == [tuple(map(str, (
+                          *odd[0], odd[1], odd[2], odd[4], *small_odd[0],
+                          *small_odd[1:3], *small_full[0],
+                          *small_full[1:3])))]
     assert re.findall(r"At P = 997 and B = (\d+) that is the split "
                       r"\((\d+), (\d+)\) for the three tables: (\d+) powers "
                       r"once and (\d+) products per table per slot, the split "

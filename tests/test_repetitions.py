@@ -137,5 +137,5 @@ def test_serve_shaped_query_cost():
     with he_sim.metering() as one:
         classify_with_majority((40, 60), db, replace(pp, repetitions=1))
     assert (dists, once) == (17_106, 44_987)
-    assert m.mult_gates == 5 * one.mult_gates - 4 * once == 319_322
+    assert m.mult_gates == 5 * one.mult_gates - 4 * once == 287_972
     assert m.max_depth == one.max_depth == 57
